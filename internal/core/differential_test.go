@@ -1,90 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"falseshare/internal/transform"
 	"falseshare/internal/vm"
+	"falseshare/internal/workload/gen"
 )
-
-// genProgram builds a random but well-formed SPMD program from the
-// idiom pool the transformations target, ending with a checksum phase
-// so runs are comparable.
-func genProgram(r *rand.Rand) string {
-	var b strings.Builder
-	n := 64 // array extent (>= any nprocs used here)
-
-	arrays := 2 + r.Intn(3)
-	for i := 0; i < arrays; i++ {
-		fmt.Fprintf(&b, "shared int a%d[%d];\n", i, n)
-	}
-	b.WriteString("shared int result;\nshared int counter;\nlock l;\n")
-	b.WriteString("void main() {\n")
-
-	phases := 1 + r.Intn(3)
-	for ph := 0; ph < phases; ph++ {
-		arr := fmt.Sprintf("a%d", r.Intn(arrays))
-		rounds := 5 + r.Intn(20)
-		switch r.Intn(5) {
-		case 0: // point per-process updates
-			fmt.Fprintf(&b, `
-    for (int r%d = 0; r%d < %d; r%d = r%d + 1) {
-        %s[pid] = %s[pid] + r%d;
-    }
-`, ph, ph, rounds, ph, ph, arr, arr, ph)
-		case 1: // cyclic partition
-			fmt.Fprintf(&b, `
-    for (int i%d = pid; i%d < %d; i%d = i%d + nprocs) {
-        %s[i%d] = %s[i%d] + 1;
-    }
-`, ph, ph, n, ph, ph, arr, ph, arr, ph)
-		case 2: // block partition
-			fmt.Fprintf(&b, `
-    {
-        int chunk%d;
-        int lo%d;
-        chunk%d = %d / nprocs;
-        lo%d = pid * chunk%d;
-        for (int i%d = lo%d; i%d < lo%d + chunk%d; i%d = i%d + 1) {
-            %s[i%d] = %s[i%d] + 2;
-        }
-    }
-`, ph, ph, ph, n, ph, ph, ph, ph, ph, ph, ph, ph, ph, arr, ph, arr, ph)
-		case 3: // lock-protected counter
-			fmt.Fprintf(&b, `
-    for (int r%d = 0; r%d < %d; r%d = r%d + 1) {
-        acquire(l);
-        counter = counter + 1;
-        release(l);
-    }
-`, ph, ph, rounds, ph, ph)
-		case 4: // divergent roles
-			fmt.Fprintf(&b, `
-    if (pid == 0) {
-        for (int i%d = 0; i%d < %d; i%d = i%d + 1) {
-            %s[i%d] = %s[i%d] + 3;
-        }
-    }
-`, ph, ph, n, ph, ph, arr, ph, arr, ph)
-		}
-		b.WriteString("    barrier;\n")
-	}
-
-	// Checksum phase.
-	b.WriteString("    if (pid == 0) {\n        result = counter;\n")
-	for i := 0; i < arrays; i++ {
-		fmt.Fprintf(&b, `
-        for (int k%d = 0; k%d < %d; k%d = k%d + 1) {
-            result = result + a%d[k%d] * (k%d + 1);
-        }
-`, i, i, n, i, i, i, i, i)
-	}
-	b.WriteString("    }\n}\n")
-	return b.String()
-}
 
 // checksum runs a program and reads the result global.
 func checksum(t *testing.T, prog *Program, nprocs int) int64 {
@@ -107,7 +30,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	const cases = 60
 	for seed := 0; seed < cases; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
-		src := genProgram(r)
+		src := gen.Idioms(r)
 		nprocs := []int{2, 5, 8}[seed%3]
 		res, err := Restructure(src, Options{
 			Nprocs: nprocs, BlockSize: 64,

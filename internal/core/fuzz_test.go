@@ -2,10 +2,9 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
-	"falseshare/internal/workload"
+	"falseshare/internal/workload/gen"
 )
 
 // FuzzCompile feeds mutated programs to the full restructuring
@@ -13,13 +12,9 @@ import (
 // — which this fuzz target treats as a crash, not a pass: containment
 // exists to keep experiment sweeps alive, not to hide compiler bugs.
 func FuzzCompile(f *testing.F) {
-	for seed := int64(0); seed < 8; seed++ {
-		f.Add(genProgram(rand.New(rand.NewSource(seed))))
+	for _, src := range gen.FuzzSeeds() {
+		f.Add(src)
 	}
-	for _, b := range workload.All() {
-		f.Add(b.Source(1))
-	}
-	f.Add(safemodeSrc)
 	f.Fuzz(func(t *testing.T, src string) {
 		res, err := Restructure(src, Options{Nprocs: 4, BlockSize: 64})
 		if err != nil {

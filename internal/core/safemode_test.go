@@ -6,34 +6,8 @@ import (
 
 	"falseshare/internal/faultinject"
 	"falseshare/internal/transform"
+	"falseshare/internal/workload/gen"
 )
-
-// safemodeSrc triggers several independent decisions — a lock pad, a
-// pad&align on a busy scalar, and a group of two pid-indexed vectors
-// — so per-object degradation can knock one out while the rest apply.
-const safemodeSrc = `
-shared int cell[16];
-shared int hits[16];
-shared int busy1;
-shared int result;
-lock l;
-void main() {
-    for (int i = 0; i < 1000; i = i + 1) {
-        cell[pid] = cell[pid] + 1;
-        hits[pid] = hits[pid] + 2;
-        acquire(l);
-        busy1 = busy1 + 1;
-        release(l);
-    }
-    barrier;
-    if (pid == 0) {
-        result = busy1;
-        for (int k = 0; k < 16; k = k + 1) {
-            result = result + cell[k] * (k + 1) + hits[k] * (k + 3);
-        }
-    }
-}
-`
 
 func enableFaults(t *testing.T, spec string) {
 	t.Helper()
@@ -61,7 +35,7 @@ func TestApplyFaultDegradesOneObject(t *testing.T) {
 	opt := Options{Nprocs: 8, BlockSize: 64, Heuristics: heurLowThreshold()}
 
 	// Control first: exclude busy1 by option, no faults.
-	control := restructure(t, safemodeSrc, Options{
+	control := restructure(t, gen.Decisions, Options{
 		Nprocs: 8, BlockSize: 64, Heuristics: heurLowThreshold(),
 		Exclude: []string{"busy1"},
 	})
@@ -70,7 +44,7 @@ func TestApplyFaultDegradesOneObject(t *testing.T) {
 	}
 
 	enableFaults(t, "transform.apply=busy1:error")
-	res := restructure(t, safemodeSrc, opt)
+	res := restructure(t, gen.Decisions, opt)
 
 	degraded := degradedObjects(res)
 	if len(degraded) != 1 || !degraded["busy1"] {
@@ -120,7 +94,7 @@ func decisionNames(d *transform.Decision) map[string]bool {
 func TestApplyPanicContained(t *testing.T) {
 	enableFaults(t, "transform.apply=busy1:panic")
 	opt := Options{Nprocs: 8, BlockSize: 64, Heuristics: heurLowThreshold()}
-	res := restructure(t, safemodeSrc, opt)
+	res := restructure(t, gen.Decisions, opt)
 
 	degraded := degradedObjects(res)
 	if !degraded["busy1"] {
@@ -146,7 +120,7 @@ func TestApplyPanicContained(t *testing.T) {
 func TestLayoutFaultDegrades(t *testing.T) {
 	enableFaults(t, "layout=gtv1:error")
 	opt := Options{Nprocs: 8, BlockSize: 64, Heuristics: heurLowThreshold()}
-	res := restructure(t, safemodeSrc, opt)
+	res := restructure(t, gen.Decisions, opt)
 
 	degraded := degradedObjects(res)
 	if !degraded["cell"] || !degraded["hits"] {
@@ -174,7 +148,7 @@ func TestLayoutFaultDegrades(t *testing.T) {
 func TestCorruptCaughtByVerify(t *testing.T) {
 	enableFaults(t, "transform.corrupt:error")
 	opt := Options{Nprocs: 8, BlockSize: 64, Heuristics: heurLowThreshold(), Verify: true}
-	res := restructure(t, safemodeSrc, opt)
+	res := restructure(t, gen.Decisions, opt)
 
 	if len(res.Degraded) == 0 {
 		t.Fatalf("seeded miscompile not degraded:\n%s", res.Plan)
@@ -200,7 +174,7 @@ func TestCorruptCaughtByVerify(t *testing.T) {
 // faults, nothing degrades and the report covers the shared objects.
 func TestVerifyCleanRunNoDegradation(t *testing.T) {
 	opt := Options{Nprocs: 8, BlockSize: 64, Heuristics: heurLowThreshold(), Verify: true}
-	res := restructure(t, safemodeSrc, opt)
+	res := restructure(t, gen.Decisions, opt)
 	if len(res.Degraded) != 0 {
 		t.Fatalf("clean run degraded objects: %v", res.Degraded)
 	}

@@ -469,7 +469,7 @@ func (c *comparer) comparePtrCell(v *Verdict, t *types.Type, name string, oaddr,
 // corrupted transformation could leave garbage in a pointer cell, and
 // the oracle must report that, not fault on it.
 func inBounds(m *vm.Machine, addr int64) bool {
-	return addr > 0 && addr < int64(len(m.Mem()))
+	return addr > 0 && addr < m.Size()
 }
 
 // compareHeap compares the allocation a shared pointer global refers

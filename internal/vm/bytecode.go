@@ -86,8 +86,10 @@ const (
 	OpRet  // return, no value
 	OpRetV // pop value, return it
 
-	// Allocation. A is the element stride in bytes, B the element
-	// count when the count is static (-1: count on stack).
+	// Allocation. A is the element stride in bytes. Bit 0 of B is set
+	// when the element count is on the stack (otherwise it is 1); B>>1
+	// is the required start alignment in bytes when above 8 (padded
+	// heap blocks start on their padding boundary).
 	OpAllocHeap  // push address of zeroed shared heap block
 	OpAllocArena // push address in the executing process's arena
 
@@ -102,6 +104,14 @@ const (
 
 	OpHalt // end of process (falling off main)
 	OpPop  // discard top of stack
+
+	// Fused subscript sequences. The machine builds them from the ops
+	// above when it loads a program (see fuse); the compiler never
+	// emits them and Func.Code never holds them.
+	opScaleAdd      // push A; muli; addi
+	opCheckScaleAdd // check B; push A; muli; addi
+
+	opInvalid Op = 255 // stands in for an unknown op in fused code
 )
 
 var opNames = [...]string{

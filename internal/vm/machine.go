@@ -2,10 +2,9 @@ package vm
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
@@ -32,19 +31,27 @@ const (
 	Done
 )
 
+// frame is one activation record. code is the function's code with
+// its subscript sequences fused (see fuse); pc indexes it and
+// fn.Code alike.
 type frame struct {
 	fn       *Func
+	code     []Instr
 	pc       int
-	locals   []int64
-	privMark int64
+	lbase    int   // first slot of the frame's locals in Proc.locals
+	privMark int64 // private bump pointer to restore on return
 }
 
 // Proc is one SPMD process.
 type Proc struct {
 	ID     int
 	frames []frame
+	// stack is the operand stack, live below sp. A push that finds it
+	// full leaves the fast loop; the general path grows it.
 	stack  []int64
-	priv   []byte
+	sp     int
+	locals []int64 // every frame's local slots, frame after frame
+	priv   lazyMem
 	bump   int64 // private-space bump pointer (local arrays)
 	status Status
 
@@ -64,7 +71,8 @@ type allocEntry struct {
 type Machine struct {
 	prog   *Program
 	nprocs int
-	mem    []byte
+	mem    lazyMem
+	code   [][]Instr // per function, Code with fused subscript sequences
 	procs  []*Proc
 
 	heapPtr  int64
@@ -109,29 +117,29 @@ func New(prog *Program) *Machine {
 	m := &Machine{
 		prog:        prog,
 		nprocs:      n,
-		mem:         make([]byte, prog.SharedEnd),
+		mem:         newLazyMem(prog.SharedEnd),
+		code:        make([][]Instr, len(prog.Funcs)),
 		heapPtr:     prog.HeapBase,
 		arenaPtr:    make([]int64, n),
 		arenaAllocs: make([][]allocEntry, n),
 		MaxInstrs:   1e9,
 	}
+	for i, fn := range prog.Funcs {
+		m.code[i] = fuse(fn.Code)
+	}
 	for p := 0; p < n; p++ {
 		m.arenaPtr[p] = prog.ArenaBase + int64(p)*prog.ArenaSize
 	}
 	for p := 0; p < n; p++ {
-		main := prog.Funcs[prog.Main]
-		proc := &Proc{
-			ID:   p,
-			priv: make([]byte, prog.PrivSize),
-			bump: prog.PrivSize / 2, // local arrays grow above private globals
-		}
-		proc.frames = []frame{{fn: main, locals: make([]int64, main.NLocals)}}
+		proc := &Proc{ID: p, stack: make([]int64, 32), priv: newLazyMem(prog.PrivSize)}
+		proc.enter(prog.Funcs[prog.Main], m.code[prog.Main])
+		proc.bump = prog.PrivSize / 2 // local arrays grow above private globals
 		m.procs = append(m.procs, proc)
 	}
 	return m
 }
 
-// / SetContext makes the run cancellable: the scheduler polls ctx
+// SetContext makes the run cancellable: the scheduler polls ctx
 // between rounds and Run returns ctx.Err() once it is cancelled. The
 // experiment pool routes per-job deadlines and Ctrl-C through here.
 func (m *Machine) SetContext(ctx context.Context) { m.ctx = ctx }
@@ -139,8 +147,16 @@ func (m *Machine) SetContext(ctx context.Context) { m.ctx = ctx }
 // Procs exposes the per-process counters after a run.
 func (m *Machine) Procs() []*Proc { return m.procs }
 
-// Mem returns the shared memory image (for tests).
-func (m *Machine) Mem() []byte { return m.mem }
+// Mem returns a copy of the shared memory image, Size() bytes long
+// (for tests). Shared memory is allocated lazily, 4 KiB pages on first
+// write, and the image reads untouched pages as zero; building it
+// costs a full-size allocation, which the machine itself never makes.
+func (m *Machine) Mem() []byte { return m.mem.image() }
+
+// Size returns the size of the shared address space, the program's
+// SharedEnd: valid shared addresses lie in (0, Size()). Unlike
+// len(Mem()) it copies nothing.
+func (m *Machine) Size() int64 { return m.mem.size }
 
 // Barriers returns the number of barrier episodes executed.
 func (m *Machine) Barriers() int64 { return m.barrierCount }
@@ -173,19 +189,13 @@ func (m *Machine) TotalSpins() int64 {
 }
 
 // ReadInt reads a 4-byte integer from shared memory (for tests).
-func (m *Machine) ReadInt(addr int64) int64 {
-	return int64(int32(binary.LittleEndian.Uint32(m.mem[addr:])))
-}
+func (m *Machine) ReadInt(addr int64) int64 { return m.mem.read4(addr) }
 
 // ReadDouble reads an 8-byte double from shared memory (for tests).
-func (m *Machine) ReadDouble(addr int64) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(m.mem[addr:]))
-}
+func (m *Machine) ReadDouble(addr int64) float64 { return pf(m.mem.read8(addr)) }
 
 // ReadPtr reads an 8-byte pointer word from shared memory.
-func (m *Machine) ReadPtr(addr int64) int64 {
-	return int64(binary.LittleEndian.Uint64(m.mem[addr:]))
-}
+func (m *Machine) ReadPtr(addr int64) int64 { return m.mem.read8(addr) }
 
 // AllocSpan returns the shared-heap allocation containing addr —
 // its start, end and element stride — or ok=false when addr lies in
@@ -294,37 +304,6 @@ func (m *Machine) run(sink func(Ref)) error {
 	}
 }
 
-// step advances one process until it emits a shared reference, blocks,
-// finishes, or runs out of its private-instruction slice.
-func (m *Machine) step(p *Proc, slice int, sink func(Ref)) error {
-	for i := 0; i < slice; i++ {
-		f := &p.frames[len(p.frames)-1]
-		if f.pc >= len(f.Code()) {
-			return m.fail(p, f, "fell off end of code")
-		}
-		in := f.Code()[f.pc]
-		p.Instrs++
-		if p.Instrs > m.max() {
-			return m.fail(p, f, "step budget exceeded (%d instrs) at pc=%d (runaway program?)", p.Instrs-1, f.pc)
-		}
-
-		emitted, blocked, err := m.exec(p, f, in, sink)
-		if err != nil {
-			return err
-		}
-		if p.status == Done || p.status == AtBarrier {
-			return nil
-		}
-		if blocked {
-			return nil // lock spin: yield after the read
-		}
-		if emitted {
-			return nil
-		}
-	}
-	return nil
-}
-
 func (m *Machine) max() int64 {
 	if m.MaxInstrs > 0 {
 		return m.MaxInstrs
@@ -332,355 +311,660 @@ func (m *Machine) max() int64 {
 	return 1e9
 }
 
-func (f *frame) Code() []Instr { return f.fn.Code }
-
-func (m *Machine) fail(p *Proc, f *frame, format string, args ...any) error {
+func (m *Machine) fail(p *Proc, fn *Func, pc int, format string, args ...any) error {
 	line := 0
-	if f.pc < len(f.fn.Code) {
-		line = f.fn.Code[f.pc].Line
+	if pc < len(fn.Code) {
+		line = fn.Code[pc].Line
 	}
-	return &RunError{Proc: p.ID, Fn: f.fn.Name, Line: line, Msg: fmt.Sprintf(format, args...)}
+	return &RunError{Proc: p.ID, Fn: fn.Name, Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *Proc) push(v int64) { p.stack = append(p.stack, v) }
-func (p *Proc) pop() int64 {
-	v := p.stack[len(p.stack)-1]
-	p.stack = p.stack[:len(p.stack)-1]
-	return v
+// enter pushes a frame for fn, popping its arguments off the operand
+// stack into fresh locals.
+func (p *Proc) enter(fn *Func, code []Instr) {
+	lbase := 0
+	if n := len(p.frames); n > 0 {
+		caller := &p.frames[n-1]
+		lbase = caller.lbase + caller.fn.NLocals
+	}
+	if need := lbase + fn.NLocals; need > len(p.locals) {
+		p.locals = slices.Grow(p.locals, need-len(p.locals))[:need]
+	}
+	locals := p.locals[lbase : lbase+fn.NLocals]
+	clear(locals)
+	for i := fn.NParams - 1; i >= 0; i-- {
+		p.sp--
+		locals[i] = p.stack[p.sp]
+	}
+	p.frames = append(p.frames, frame{fn: fn, code: code, lbase: lbase, privMark: p.bump})
 }
-func (p *Proc) top() int64 { return p.stack[len(p.stack)-1] }
 
-// exec executes one instruction. It returns emitted=true when a shared
-// reference was issued and blocked=true when the process must yield
-// without advancing (lock spin).
-func (m *Machine) exec(p *Proc, f *frame, in Instr, sink func(Ref)) (emitted, blocked bool, err error) {
-	switch in.Op {
-	case OpNop:
-	case OpPush:
-		p.push(in.A)
-	case OpPushPid:
-		p.push(int64(p.ID))
-	case OpPushNP:
-		p.push(int64(m.nprocs))
-	case OpLoadLocal:
-		p.push(f.locals[in.A])
-	case OpStoreLocal:
-		f.locals[in.A] = p.pop()
-	case OpPop:
-		p.pop()
+// step advances one process until it emits a shared reference, blocks,
+// finishes, or runs out of its slice of private instructions.
+//
+// The frame, the operand stack pointer and the instruction count live
+// in locals, reloaded only on call and return and written back before
+// every exit. The common instructions run in a fast loop that calls no
+// function, so its state stays in registers (Go keeps no register
+// across a call); an instruction that may fail, call or return,
+// allocate, synchronize, or touch memory the fast paths leave alone
+// drops to the general path, which runs it alone. A turn ends when
+// the count reaches stop: the slice's end, or the step budget, at
+// which point the next instruction fails exactly as it would have one
+// instruction at a time.
+func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
+	instrs := p.Instrs
+	sliceEnd := instrs + slice
+	stop := min(sliceEnd, m.max())
+	f := &p.frames[len(p.frames)-1]
+	fn, code, pc := f.fn, f.code, f.pc
+	locals := p.locals[f.lbase : f.lbase+fn.NLocals]
+	stk, sp := p.stack, p.sp
+	var ref Ref
 
-	case OpLoad4:
-		addr := p.pop()
-		v, e := m.load(p, f, addr, 4, sink, &emitted)
-		if e != nil {
-			return false, false, e
-		}
-		p.push(v)
-	case OpLoad8:
-		addr := p.pop()
-		v, e := m.load(p, f, addr, 8, sink, &emitted)
-		if e != nil {
-			return false, false, e
-		}
-		p.push(v)
-	case OpStore4:
-		addr := p.pop()
-		v := p.pop()
-		if e := m.store(p, f, addr, v, 4, sink, &emitted); e != nil {
-			return false, false, e
-		}
-	case OpStore8:
-		addr := p.pop()
-		v := p.pop()
-		if e := m.store(p, f, addr, v, 8, sink, &emitted); e != nil {
-			return false, false, e
+	for {
+	fast:
+		for instrs != stop && uint(pc) < uint(len(code)) {
+			in := &code[pc]
+			switch in.Op {
+			case OpNop:
+				pc++
+			case OpPush:
+				if uint(sp) >= uint(len(stk)) {
+					break fast
+				}
+				stk[sp] = in.A
+				sp++
+				pc++
+			case OpPushPid:
+				if uint(sp) >= uint(len(stk)) {
+					break fast
+				}
+				stk[sp] = int64(p.ID)
+				sp++
+				pc++
+			case OpPushNP:
+				if uint(sp) >= uint(len(stk)) {
+					break fast
+				}
+				stk[sp] = int64(m.nprocs)
+				sp++
+				pc++
+			case OpLoadLocal:
+				if uint(sp) >= uint(len(stk)) {
+					break fast
+				}
+				stk[sp] = locals[in.A]
+				sp++
+				pc++
+			case OpStoreLocal:
+				sp--
+				locals[in.A] = stk[sp]
+				pc++
+			case OpPop:
+				sp--
+				pc++
+
+			case opScaleAdd: // push A; muli; addi
+				if stop-instrs < 3 {
+					break fast
+				}
+				instrs += 2
+				sp--
+				stk[sp-1] += stk[sp] * in.A
+				pc += 3
+			case opCheckScaleAdd: // check B; push A; muli; addi
+				idx := stk[sp-1]
+				if idx < 0 || idx >= in.B || stop-instrs < 4 {
+					break fast
+				}
+				instrs += 3
+				sp--
+				stk[sp-1] += idx * in.A
+				pc += 4
+
+			case OpLoad4:
+				addr := stk[sp-1]
+				if addr&PrivTag != 0 {
+					off := addr &^ PrivTag
+					if off < 0 || off+4 > p.priv.size {
+						break fast
+					}
+					v, ok := p.priv.load4(off)
+					if !ok {
+						break fast
+					}
+					stk[sp-1] = v
+					pc++
+					break
+				}
+				if addr < nullPage || addr+4 > m.mem.size {
+					break fast
+				}
+				v, ok := m.mem.load4(addr)
+				if !ok {
+					break fast
+				}
+				stk[sp-1] = v
+				pc++
+				instrs++
+				ref = Ref{Proc: p.ID, Addr: addr, Size: 4}
+				goto emit
+			case OpLoad8:
+				addr := stk[sp-1]
+				if addr&PrivTag != 0 {
+					off := addr &^ PrivTag
+					if off < 0 || off+8 > p.priv.size {
+						break fast
+					}
+					v, ok := p.priv.load8(off)
+					if !ok {
+						break fast
+					}
+					stk[sp-1] = v
+					pc++
+					break
+				}
+				if addr < nullPage || addr+8 > m.mem.size {
+					break fast
+				}
+				v, ok := m.mem.load8(addr)
+				if !ok {
+					break fast
+				}
+				stk[sp-1] = v
+				pc++
+				instrs++
+				ref = Ref{Proc: p.ID, Addr: addr, Size: 8}
+				goto emit
+			case OpStore4:
+				addr, v := stk[sp-1], stk[sp-2]
+				if addr&PrivTag != 0 {
+					off := addr &^ PrivTag
+					if off < 0 || off+4 > p.priv.size || !p.priv.store4(off, v) {
+						break fast
+					}
+					sp -= 2
+					pc++
+					break
+				}
+				if addr < nullPage || addr+4 > m.mem.size || !m.mem.store4(addr, v) {
+					break fast
+				}
+				sp -= 2
+				pc++
+				instrs++
+				ref = Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true}
+				goto emit
+			case OpStore8:
+				addr, v := stk[sp-1], stk[sp-2]
+				if addr&PrivTag != 0 {
+					off := addr &^ PrivTag
+					if off < 0 || off+8 > p.priv.size || !p.priv.store8(off, v) {
+						break fast
+					}
+					sp -= 2
+					pc++
+					break
+				}
+				if addr < nullPage || addr+8 > m.mem.size || !m.mem.store8(addr, v) {
+					break fast
+				}
+				sp -= 2
+				pc++
+				instrs++
+				ref = Ref{Proc: p.ID, Addr: addr, Size: 8, Write: true}
+				goto emit
+
+			case OpCheck:
+				if idx := stk[sp-1]; idx < 0 || idx >= in.A {
+					break fast
+				}
+				pc++
+
+			case OpAddI:
+				sp--
+				stk[sp-1] += stk[sp]
+				pc++
+			case OpSubI:
+				sp--
+				stk[sp-1] -= stk[sp]
+				pc++
+			case OpMulI:
+				sp--
+				stk[sp-1] *= stk[sp]
+				pc++
+			case OpDivI:
+				if stk[sp-1] == 0 {
+					break fast
+				}
+				sp--
+				stk[sp-1] /= stk[sp]
+				pc++
+			case OpModI:
+				if stk[sp-1] == 0 {
+					break fast
+				}
+				sp--
+				stk[sp-1] %= stk[sp]
+				pc++
+			case OpNegI:
+				stk[sp-1] = -stk[sp-1]
+				pc++
+
+			case OpAddF:
+				sp--
+				stk[sp-1] = fp(pf(stk[sp-1]) + pf(stk[sp]))
+				pc++
+			case OpSubF:
+				sp--
+				stk[sp-1] = fp(pf(stk[sp-1]) - pf(stk[sp]))
+				pc++
+			case OpMulF:
+				sp--
+				stk[sp-1] = fp(pf(stk[sp-1]) * pf(stk[sp]))
+				pc++
+			case OpDivF:
+				sp--
+				stk[sp-1] = fp(pf(stk[sp-1]) / pf(stk[sp]))
+				pc++
+			case OpNegF:
+				stk[sp-1] = fp(-pf(stk[sp-1]))
+				pc++
+			case OpI2F:
+				stk[sp-1] = fp(float64(stk[sp-1]))
+				pc++
+
+			case OpEqI:
+				sp--
+				stk[sp-1] = b2i(stk[sp-1] == stk[sp])
+				pc++
+			case OpNeI:
+				sp--
+				stk[sp-1] = b2i(stk[sp-1] != stk[sp])
+				pc++
+			case OpLtI:
+				sp--
+				stk[sp-1] = b2i(stk[sp-1] < stk[sp])
+				pc++
+			case OpLeI:
+				sp--
+				stk[sp-1] = b2i(stk[sp-1] <= stk[sp])
+				pc++
+			case OpGtI:
+				sp--
+				stk[sp-1] = b2i(stk[sp-1] > stk[sp])
+				pc++
+			case OpGeI:
+				sp--
+				stk[sp-1] = b2i(stk[sp-1] >= stk[sp])
+				pc++
+			case OpEqF:
+				sp--
+				stk[sp-1] = b2i(pf(stk[sp-1]) == pf(stk[sp]))
+				pc++
+			case OpNeF:
+				sp--
+				stk[sp-1] = b2i(pf(stk[sp-1]) != pf(stk[sp]))
+				pc++
+			case OpLtF:
+				sp--
+				stk[sp-1] = b2i(pf(stk[sp-1]) < pf(stk[sp]))
+				pc++
+			case OpLeF:
+				sp--
+				stk[sp-1] = b2i(pf(stk[sp-1]) <= pf(stk[sp]))
+				pc++
+			case OpGtF:
+				sp--
+				stk[sp-1] = b2i(pf(stk[sp-1]) > pf(stk[sp]))
+				pc++
+			case OpGeF:
+				sp--
+				stk[sp-1] = b2i(pf(stk[sp-1]) >= pf(stk[sp]))
+				pc++
+			case OpNot:
+				stk[sp-1] = b2i(stk[sp-1] == 0)
+				pc++
+
+			case OpJmp:
+				pc = int(in.A)
+			case OpJz:
+				sp--
+				if stk[sp] == 0 {
+					pc = int(in.A)
+				} else {
+					pc++
+				}
+
+			default:
+				break fast
+			}
+			instrs++
 		}
 
-	case OpIndexPtr:
-		idx := p.pop()
-		ptr := p.pop()
-		if ptr == 0 {
-			return false, false, m.fail(p, f, "null pointer dereference")
+		// The general path: the turn's end, or one instruction the fast
+		// loop declined.
+		if instrs == stop {
+			if instrs == sliceEnd {
+				goto out
+			}
+			if pc < len(code) {
+				instrs++
+				err = m.fail(p, fn, pc, "step budget exceeded (%d instrs) at pc=%d (runaway program?)", instrs-1, pc)
+				goto out
+			}
 		}
-		stride := m.strideOf(ptr, in.A)
-		p.push(ptr + idx*stride)
+		if uint(pc) >= uint(len(code)) {
+			err = m.fail(p, fn, pc, "fell off end of code")
+			goto out
+		}
+		if sp == len(stk) {
+			// A push found the stack full: grow it and retry. No
+			// instruction pushes more than one value, so the general
+			// path below always has room.
+			stk = append(stk, 0)
+			stk = stk[:cap(stk)]
+			p.stack = stk
+			continue
+		}
+		in := &code[pc]
+		instrs++
 
-	case OpCheck:
-		idx := p.top()
-		if idx < 0 || idx >= in.A {
-			return false, false, m.fail(p, f, "index %d out of range [0,%d)", idx, in.A)
-		}
-
-	case OpAddI:
-		b := p.pop()
-		p.push(p.pop() + b)
-	case OpSubI:
-		b := p.pop()
-		p.push(p.pop() - b)
-	case OpMulI:
-		b := p.pop()
-		p.push(p.pop() * b)
-	case OpDivI:
-		b := p.pop()
-		if b == 0 {
-			return false, false, m.fail(p, f, "integer division by zero")
-		}
-		p.push(p.pop() / b)
-	case OpModI:
-		b := p.pop()
-		if b == 0 {
-			return false, false, m.fail(p, f, "integer modulo by zero")
-		}
-		p.push(p.pop() % b)
-	case OpNegI:
-		p.push(-p.pop())
-
-	case OpAddF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) + b))
-	case OpSubF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) - b))
-	case OpMulF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) * b))
-	case OpDivF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) / b))
-	case OpNegF:
-		p.push(fp(-pf(p.pop())))
-	case OpI2F:
-		p.push(fp(float64(p.pop())))
-
-	case OpEqI:
-		b := p.pop()
-		p.push(b2i(p.pop() == b))
-	case OpNeI:
-		b := p.pop()
-		p.push(b2i(p.pop() != b))
-	case OpLtI:
-		b := p.pop()
-		p.push(b2i(p.pop() < b))
-	case OpLeI:
-		b := p.pop()
-		p.push(b2i(p.pop() <= b))
-	case OpGtI:
-		b := p.pop()
-		p.push(b2i(p.pop() > b))
-	case OpGeI:
-		b := p.pop()
-		p.push(b2i(p.pop() >= b))
-	case OpEqF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) == b))
-	case OpNeF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) != b))
-	case OpLtF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) < b))
-	case OpLeF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) <= b))
-	case OpGtF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) > b))
-	case OpGeF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) >= b))
-	case OpNot:
-		p.push(b2i(p.pop() == 0))
-
-	case OpJmp:
-		f.pc = int(in.A)
-		return false, false, nil
-	case OpJz:
-		if p.pop() == 0 {
-			f.pc = int(in.A)
-			return false, false, nil
-		}
-
-	case OpCall:
-		callee := m.prog.Funcs[in.A]
-		nf := frame{fn: callee, locals: make([]int64, callee.NLocals), privMark: p.bump}
-		for i := callee.NParams - 1; i >= 0; i-- {
-			nf.locals[i] = p.pop()
-		}
-		f.pc++
-		p.frames = append(p.frames, nf)
-		return false, false, nil
-	case OpRet, OpRetV:
-		var v int64
-		if in.Op == OpRetV {
-			v = p.pop()
-		}
-		p.bump = f.privMark
-		p.frames = p.frames[:len(p.frames)-1]
-		if len(p.frames) == 0 {
+		switch in.Op {
+		// A fused op lands here when its check fails or the turn ends
+		// inside its sequence: its head runs alone, and the tail runs
+		// unfused from the original instructions that follow it.
+		case opScaleAdd: // push A
+			stk[sp] = in.A
+			sp++
+			pc++
+		case opCheckScaleAdd: // check B
+			if idx := stk[sp-1]; idx < 0 || idx >= in.B {
+				err = m.fail(p, fn, pc, "index %d out of range [0,%d)", idx, in.B)
+				goto out
+			}
+			pc++
+		case OpLoad4, OpLoad8:
+			size := int64(4)
+			if in.Op == OpLoad8 {
+				size = 8
+			}
+			addr := stk[sp-1]
+			if addr&PrivTag != 0 {
+				off := addr &^ PrivTag
+				if off < 0 || off+size > p.priv.size {
+					err = m.fail(p, fn, pc, "private access out of range %#x", off)
+					goto out
+				}
+				if size == 4 {
+					stk[sp-1] = p.priv.read4(off)
+				} else {
+					stk[sp-1] = p.priv.read8(off)
+				}
+				pc++
+				continue
+			}
+			if addr >= 0 && addr < nullPage {
+				err = m.fail(p, fn, pc, "null pointer dereference (address %#x)", addr)
+				goto out
+			}
+			if addr <= 0 || addr+size > m.mem.size {
+				err = m.fail(p, fn, pc, "shared load out of range %#x", addr)
+				goto out
+			}
+			if size == 4 {
+				stk[sp-1] = m.mem.read4(addr)
+			} else {
+				stk[sp-1] = m.mem.read8(addr)
+			}
+			pc++
+			ref = Ref{Proc: p.ID, Addr: addr, Size: int8(size)}
+			goto emit
+		case OpStore4, OpStore8:
+			size := int64(4)
+			if in.Op == OpStore8 {
+				size = 8
+			}
+			addr, v := stk[sp-1], stk[sp-2]
+			sp -= 2
+			if addr&PrivTag != 0 {
+				off := addr &^ PrivTag
+				if off < 0 || off+size > p.priv.size {
+					err = m.fail(p, fn, pc, "private access out of range %#x", off)
+					goto out
+				}
+				if size == 4 {
+					p.priv.write4(off, v)
+				} else {
+					p.priv.write8(off, v)
+				}
+				pc++
+				continue
+			}
+			if addr >= 0 && addr < nullPage {
+				err = m.fail(p, fn, pc, "null pointer dereference (address %#x)", addr)
+				goto out
+			}
+			if addr <= 0 || addr+size > m.mem.size {
+				err = m.fail(p, fn, pc, "shared store out of range %#x", addr)
+				goto out
+			}
+			if size == 4 {
+				m.mem.write4(addr, v)
+			} else {
+				m.mem.write8(addr, v)
+			}
+			pc++
+			ref = Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: true}
+			goto emit
+		case OpIndexPtr:
+			sp--
+			idx, ptr := stk[sp], stk[sp-1]
+			if ptr == 0 {
+				err = m.fail(p, fn, pc, "null pointer dereference")
+				goto out
+			}
+			stk[sp-1] = ptr + idx*m.strideOf(ptr, in.A)
+			pc++
+		case OpCheck:
+			if idx := stk[sp-1]; idx < 0 || idx >= in.A {
+				err = m.fail(p, fn, pc, "index %d out of range [0,%d)", idx, in.A)
+				goto out
+			}
+			pc++
+		case OpDivI:
+			if stk[sp-1] == 0 {
+				err = m.fail(p, fn, pc, "integer division by zero")
+				goto out
+			}
+			sp--
+			stk[sp-1] /= stk[sp]
+			pc++
+		case OpModI:
+			if stk[sp-1] == 0 {
+				err = m.fail(p, fn, pc, "integer modulo by zero")
+				goto out
+			}
+			sp--
+			stk[sp-1] %= stk[sp]
+			pc++
+		case OpCall:
+			f.pc = pc + 1
+			p.sp = sp
+			callee := m.prog.Funcs[in.A]
+			p.enter(callee, m.code[in.A])
+			f = &p.frames[len(p.frames)-1]
+			fn, code, pc = callee, f.code, 0
+			locals = p.locals[f.lbase : f.lbase+fn.NLocals]
+			stk, sp = p.stack, p.sp
+		case OpRet, OpRetV:
+			var v int64
+			if in.Op == OpRetV {
+				sp--
+				v = stk[sp]
+			}
+			p.bump = f.privMark
+			p.frames = p.frames[:len(p.frames)-1]
+			if len(p.frames) == 0 {
+				p.status = Done
+				goto out
+			}
+			if in.Op == OpRetV {
+				stk[sp] = v
+				sp++
+			}
+			f = &p.frames[len(p.frames)-1]
+			fn, code, pc = f.fn, f.code, f.pc
+			locals = p.locals[f.lbase : f.lbase+fn.NLocals]
+		case OpHalt:
 			p.status = Done
-			return false, false, nil
+			goto out
+		case OpAllocHeap:
+			stride := in.A
+			count := int64(1)
+			align := int64(8)
+			if in.B&1 != 0 {
+				sp--
+				count = stk[sp]
+			}
+			if a := in.B >> 1; a > align {
+				align = a
+			}
+			if count < 0 {
+				err = m.fail(p, fn, pc, "negative allocation count %d", count)
+				goto out
+			}
+			m.heapPtr = align64(m.heapPtr, align)
+			addr := m.heapPtr
+			if !allocFits(addr, stride, count, m.prog.ArenaBase) {
+				err = m.fail(p, fn, pc, "shared heap exhausted")
+				goto out
+			}
+			total := stride * count
+			m.heapPtr += total
+			m.heapAllocs = append(m.heapAllocs, allocEntry{addr, addr + total, stride})
+			stk[sp] = addr
+			sp++
+			pc++
+		case OpAllocArena:
+			stride := in.A
+			count := int64(1)
+			if in.B&1 != 0 {
+				sp--
+				count = stk[sp]
+			}
+			if count < 0 {
+				err = m.fail(p, fn, pc, "negative allocation count %d", count)
+				goto out
+			}
+			base := align64(m.arenaPtr[p.ID], 8)
+			limit := m.prog.ArenaBase + int64(p.ID+1)*m.prog.ArenaSize
+			if !allocFits(base, stride, count, limit) {
+				err = m.fail(p, fn, pc, "process arena exhausted")
+				goto out
+			}
+			total := stride * count
+			m.arenaPtr[p.ID] = base + total
+			m.arenaAllocs[p.ID] = append(m.arenaAllocs[p.ID], allocEntry{base, base + total, stride})
+			stk[sp] = base
+			sp++
+			pc++
+		case OpBarrier:
+			p.status = AtBarrier
+			pc++
+			goto out
+		case OpLockAcq:
+			addr := stk[sp-1]
+			if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
+				err = m.fail(p, fn, pc, "invalid lock address %#x", addr)
+				goto out
+			}
+			held := m.mem.read4(addr) != 0
+			p.Instrs = instrs
+			p.Refs++
+			if sink != nil {
+				sink(Ref{Proc: p.ID, Addr: addr, Size: 4})
+			}
+			if held {
+				// Spin: keep the address on the stack and retry this
+				// instruction on the next turn.
+				p.Spins++
+				goto out
+			}
+			sp--
+			m.mem.write4(addr, 1)
+			pc++
+			ref = Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true}
+			goto emit
+		case OpLockRel:
+			sp--
+			addr := stk[sp]
+			if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
+				err = m.fail(p, fn, pc, "invalid lock address %#x", addr)
+				goto out
+			}
+			m.mem.write4(addr, 0)
+			pc++
+			ref = Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true}
+			goto emit
+		case OpLocalArr:
+			size := align64(in.A, 8)
+			base := p.bump
+			if base+size > p.priv.size {
+				err = m.fail(p, fn, pc, "private space exhausted")
+				goto out
+			}
+			p.bump += size
+			p.priv.zero(base, base+size) // fresh storage per execution
+			locals[in.B] = base | PrivTag
+			pc++
+		default:
+			err = m.fail(p, fn, pc, "bad opcode %s", fn.Code[pc].Op)
+			goto out
 		}
-		if in.Op == OpRetV {
-			p.push(v)
-		}
-		return false, false, nil
-	case OpHalt:
-		p.status = Done
-		return false, false, nil
-
-	case OpAllocHeap:
-		stride := in.A
-		count := int64(1)
-		align := int64(8)
-		if in.B&1 != 0 {
-			count = p.pop()
-		}
-		if a := in.B >> 1; a > align {
-			align = a
-		}
-		if count < 0 {
-			return false, false, m.fail(p, f, "negative allocation count %d", count)
-		}
-		m.heapPtr = align64(m.heapPtr, align)
-		addr := m.heapPtr
-		total := stride * count
-		if addr+total > m.prog.ArenaBase {
-			return false, false, m.fail(p, f, "shared heap exhausted")
-		}
-		m.heapPtr += total
-		m.heapAllocs = append(m.heapAllocs, allocEntry{addr, addr + total, stride})
-		p.push(addr)
-
-	case OpAllocArena:
-		stride := in.A
-		count := int64(1)
-		if in.B&1 != 0 {
-			count = p.pop()
-		}
-		base := m.arenaPtr[p.ID]
-		base = align64(base, 8)
-		total := stride * count
-		limit := m.prog.ArenaBase + int64(p.ID+1)*m.prog.ArenaSize
-		if base+total > limit {
-			return false, false, m.fail(p, f, "process arena exhausted")
-		}
-		m.arenaPtr[p.ID] = base + total
-		m.arenaAllocs[p.ID] = append(m.arenaAllocs[p.ID], allocEntry{base, base + total, stride})
-		p.push(base)
-
-	case OpBarrier:
-		p.status = AtBarrier
-		f.pc++
-		return false, false, nil
-
-	case OpLockAcq:
-		addr := p.top()
-		if addr&PrivTag != 0 || addr <= 0 || addr+4 > int64(len(m.mem)) {
-			return false, false, m.fail(p, f, "invalid lock address %#x", addr)
-		}
-		v := int64(int32(binary.LittleEndian.Uint32(m.mem[addr:])))
-		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: false})
-		if v != 0 {
-			// Held: spin. Keep the address on the stack and retry this
-			// instruction on the next turn.
-			p.Spins++
-			return true, true, nil
-		}
-		p.pop()
-		binary.LittleEndian.PutUint32(m.mem[addr:], 1)
-		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
-		emitted = true
-
-	case OpLockRel:
-		addr := p.pop()
-		if addr&PrivTag != 0 || addr <= 0 || addr+4 > int64(len(m.mem)) {
-			return false, false, m.fail(p, f, "invalid lock address %#x", addr)
-		}
-		binary.LittleEndian.PutUint32(m.mem[addr:], 0)
-		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
-		emitted = true
-
-	case OpLocalArr:
-		size := align64(in.A, 8)
-		base := p.bump
-		if base+size > int64(len(p.priv)) {
-			return false, false, m.fail(p, f, "private space exhausted")
-		}
-		p.bump += size
-		// Zero the array (fresh storage per execution).
-		for i := base; i < base+size; i++ {
-			p.priv[i] = 0
-		}
-		f.locals[in.B] = base | PrivTag
-
-	default:
-		return false, false, m.fail(p, f, "bad opcode %s", in.Op)
 	}
-	f.pc++
-	return emitted, false, nil
-}
 
-func (m *Machine) emit(p *Proc, sink func(Ref), r Ref) {
+emit:
+	// The instruction issued one shared reference: the turn ends.
+	p.Instrs, p.sp, f.pc = instrs, sp, pc
 	p.Refs++
 	if sink != nil {
-		sink(r)
+		sink(ref)
 	}
-}
-
-// load performs a 4- or 8-byte load, tracing shared accesses.
-func (m *Machine) load(p *Proc, f *frame, addr int64, size int, sink func(Ref), emitted *bool) (int64, error) {
-	if addr&PrivTag != 0 {
-		off := addr &^ PrivTag
-		if off < 0 || off+int64(size) > int64(len(p.priv)) {
-			return 0, m.fail(p, f, "private access out of range %#x", off)
-		}
-		return rd(p.priv[off:], size), nil
-	}
-	if addr >= 0 && addr < nullPage {
-		return 0, m.fail(p, f, "null pointer dereference (address %#x)", addr)
-	}
-	if addr <= 0 || addr+int64(size) > int64(len(m.mem)) {
-		return 0, m.fail(p, f, "shared load out of range %#x", addr)
-	}
-	m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: false})
-	*emitted = true
-	return rd(m.mem[addr:], size), nil
-}
-
-func (m *Machine) store(p *Proc, f *frame, addr, v int64, size int, sink func(Ref), emitted *bool) error {
-	if addr&PrivTag != 0 {
-		off := addr &^ PrivTag
-		if off < 0 || off+int64(size) > int64(len(p.priv)) {
-			return m.fail(p, f, "private access out of range %#x", off)
-		}
-		wr(p.priv[off:], v, size)
-		return nil
-	}
-	if addr >= 0 && addr < nullPage {
-		return m.fail(p, f, "null pointer dereference (address %#x)", addr)
-	}
-	if addr <= 0 || addr+int64(size) > int64(len(m.mem)) {
-		return m.fail(p, f, "shared store out of range %#x", addr)
-	}
-	wr(m.mem[addr:], v, size)
-	m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: true})
-	*emitted = true
 	return nil
+
+out:
+	p.Instrs, p.sp, f.pc = instrs, sp, pc
+	return err
 }
 
-func rd(b []byte, size int) int64 {
-	if size == 4 {
-		return int64(int32(binary.LittleEndian.Uint32(b)))
+// fuse returns a copy of code in which each subscript sequence that
+// indexedArray emits, [check d] push s; muli; addi, begins with one
+// fused op that runs the whole sequence and counts its instructions.
+// The tail stays in place, so every pc, line and jump target keeps its
+// meaning, and execution that enters a sequence past its head runs
+// the original instructions. The sequences are about a quarter of the
+// instructions the paper's workloads execute. An op of Func.Code that
+// collides with a fused op's number becomes an invalid one, so it
+// still fails as a bad opcode.
+func fuse(code []Instr) []Instr {
+	out := slices.Clone(code)
+	for i := range out {
+		if out[i].Op >= opScaleAdd {
+			out[i].Op = opInvalid
+		}
 	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func wr(b []byte, v int64, size int) {
-	if size == 4 {
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	} else {
-		binary.LittleEndian.PutUint64(b, uint64(v))
+	for i := 0; i+2 < len(code); i++ {
+		if code[i].Op != OpPush || code[i+1].Op != OpMulI || code[i+2].Op != OpAddI {
+			continue
+		}
+		out[i] = Instr{Op: opScaleAdd, A: code[i].A, Line: code[i].Line}
+		if i > 0 && code[i-1].Op == OpCheck {
+			out[i-1] = Instr{Op: opCheckScaleAdd, A: code[i].A, B: code[i-1].A, Line: code[i-1].Line}
+		}
 	}
+	return out
 }
 
 // strideOf resolves the element stride of the allocation containing
@@ -697,9 +981,18 @@ func (m *Machine) strideOf(addr, fallback int64) int64 {
 	} else {
 		return fallback // pointers into globals do not occur, but be safe
 	}
-	i := sort.Search(len(table), func(i int) bool { return table[i].start > addr })
-	if i > 0 && addr < table[i-1].end {
-		return table[i-1].stride
+	// The first entry starting above addr; the one before may hold it.
+	lo, hi := 0, len(table)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if table[mid].start > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo > 0 && addr < table[lo-1].end {
+		return table[lo-1].stride
 	}
 	return fallback
 }
@@ -713,6 +1006,16 @@ func b2i(b bool) int64 {
 
 func pf(v int64) float64 { return math.Float64frombits(uint64(v)) }
 func fp(f float64) int64 { return int64(math.Float64bits(f)) }
+
+// allocFits reports whether count elements of stride bytes starting at
+// base end at or below limit. A product that overflows int64 does not
+// fit, so a huge count cannot wrap past the check.
+func allocFits(base, stride, count, limit int64) bool {
+	if stride > 0 && count > math.MaxInt64/stride {
+		return false
+	}
+	return stride*count <= limit-base
+}
 
 func align64(v, a int64) int64 {
 	if a <= 1 {

@@ -279,6 +279,70 @@ void main() {
 	}
 }
 
+// runErr compiles and runs src, returning the run's error.
+func runErr(t *testing.T, src string, nprocs int) error {
+	t.Helper()
+	prog, err := core.Compile(src, core.Options{Nprocs: nprocs, BlockSize: 64})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
+	if err != nil {
+		t.Fatalf("vm compile: %v", err)
+	}
+	return vm.New(bc).Run(nil)
+}
+
+// TestAllocNegativeCountRejected: a negative element count is an
+// error for both allocators. Before the arena allocator checked it,
+// allocpp(int, 0-4) moved the arena pointer back, so the next
+// allocation handed out storage an earlier one still owned.
+func TestAllocNegativeCountRejected(t *testing.T) {
+	for _, alloc := range []string{"alloc", "allocpp"} {
+		src := `
+shared int out;
+void main() {
+    int *a;
+    int *b;
+    a = ` + alloc + `(int, 4);
+    a[0] = 1;
+    b = ` + alloc + `(int, 0 - 4);
+    b = ` + alloc + `(int, 4);
+    b[0] = 7;
+    out = a[0];
+}
+`
+		err := runErr(t, src, 1)
+		if err == nil || !contains(err.Error(), "negative allocation count -4") {
+			t.Errorf("%s: want negative-count error, got %v", alloc, err)
+		}
+	}
+}
+
+// TestAllocHugeCountExhausts: a count whose byte size overflows int64
+// must fail the limit check, not wrap to a small size that fits.
+// 8 bytes × 2^62 elements wraps to 0.
+func TestAllocHugeCountExhausts(t *testing.T) {
+	for alloc, want := range map[string]string{
+		"alloc":   "shared heap exhausted",
+		"allocpp": "process arena exhausted",
+	} {
+		src := `
+shared double out;
+void main() {
+    double *a;
+    a = ` + alloc + `(double, 1073741824 * 1073741824 * 4);
+    a[1] = 7.0;
+    out = a[1];
+}
+`
+		err := runErr(t, src, 1)
+		if err == nil || !contains(err.Error(), want) {
+			t.Errorf("%s: want %q, got %v", alloc, want, err)
+		}
+	}
+}
+
 func TestPaddedHeapStrideLookup(t *testing.T) {
 	// When a heap block is element-padded by directive, pointer
 	// indexing must use the padded stride recorded at allocation.
