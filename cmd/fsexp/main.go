@@ -10,7 +10,7 @@
 //	fsexp -all -scale-min -j 4                        # smoke-test config
 //	fsexp -all -reportdir runs/                       # one JSON manifest
 //	                                                  # per figure/table
-//	fsexp -all -resume runs/r1                        # checkpoint cells;
+//	fsexp -all -cache runs/cells                      # store cells; a
 //	                                                  # re-run resumes
 //	fsexp -all -keep-going                            # render what
 //	                                                  # survives failures
@@ -22,8 +22,8 @@
 //
 // Fault tolerance: Ctrl-C (or SIGTERM) cancels the run cooperatively —
 // cells in flight stop at their next cancellation check, finished
-// cells stay checkpointed when -resume is set, and a second interrupt
-// exits immediately (reaping any spawned worker processes). -job-timeout
+// cells stay stored when -cache is set, and a second interrupt exits
+// immediately (reaping any spawned worker processes). -job-timeout
 // bounds each cell, -retries re-runs transiently failed cells,
 // -step-budget caps VM instructions so a runaway program fails instead
 // of hanging. -faults (or the FSEXP_FAULTS environment variable)
@@ -34,9 +34,17 @@
 // accepts external workers started with `fsexp -worker -connect`.
 // Dead or hung workers are detected by heartbeat and per-cell
 // deadline, their cells reassigned, and the resulting manifests are
-// byte-identical (modulo timing) to a single-process run. -cache
-// dedups cells through a persistent content-addressed store. See
+// byte-identical (modulo timing) to a single-process run. See
 // internal/experiments/fabric.
+//
+// The cell store: -cache dir keeps every finished cell — result, span
+// subtree, -verify/-diag events — in a crash-safe content-addressed
+// store keyed by everything the cell depends on (program source,
+// configuration, scale, budget, -verify, -diag). Any later run over
+// the same cells, local or distributed, replays them instead of
+// recomputing: that is how an interrupted run resumes, and how
+// overlapping runs dedup. A changed knob changes the key, so a cell
+// is never replayed into a run it does not belong to.
 package main
 
 import (
@@ -52,9 +60,9 @@ import (
 	"sync/atomic"
 	"syscall"
 
+	"falseshare/internal/artifact"
 	"falseshare/internal/experiments"
 	"falseshare/internal/experiments/fabric"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
@@ -93,10 +101,9 @@ func main() {
 		connect    = flag.String("connect", "", "with -worker: attach to a coordinator listening at this host:port")
 		workersN   = flag.Int("workers", 0, "distribute cells across this many spawned worker processes (0 = run in-process)")
 		listenAddr = flag.String("listen", "", "accept external fabric workers on this TCP host:port")
-		cacheDir   = flag.String("cache", "", "content-addressed result cache directory: identical cells dedup across runs and shards")
+		cacheDir   = flag.String("cache", "", "cell store directory: finished cells are stored there, and a run replays every cell already stored (resume, and dedup across runs and shards)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "LRU byte budget for -cache: least-recently-used entries are evicted past this size (0 = unlimited)")
 
-		resume     = flag.String("resume", "", "checkpoint completed cells into this directory's journal and skip cells already checkpointed")
 		keepGoing  = flag.Bool("keep-going", false, "keep running after cell failures and render partial figures/tables (default: fail fast)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-cell deadline, e.g. 90s (0 = none)")
 		retries    = flag.Int("retries", 0, "retry a transiently failed cell up to this many times")
@@ -113,8 +120,8 @@ func main() {
 	flag.Parse()
 
 	// Worker mode: no sections, no flags beyond the link — everything
-	// a worker needs (grid spec, sections, fault spec, journal file)
-	// arrives in the coordinator's hello frame.
+	// a worker needs (grid spec, sections, fault spec) arrives in the
+	// coordinator's hello frame.
 	if *workerMode {
 		var err error
 		if *connect != "" {
@@ -178,6 +185,8 @@ func main() {
 	cfg.StepBudget = *stepBudget
 	cfg.Verify = *verifyRuns
 	cfg.Diag = *diagRuns
+	events := &experiments.CellEvents{}
+	cfg.Events = events
 	cfg.Policy = pool.Policy{
 		FailFast:   !*keepGoing,
 		JobTimeout: *jobTimeout,
@@ -220,8 +229,8 @@ func main() {
 	}
 
 	// First interrupt: cancel the run cooperatively — cells in flight
-	// stop at their next check, the journal, worker journals and any
-	// partial manifests are flushed on the way out. Second interrupt:
+	// stop at their next check, the store index and any partial
+	// manifests are flushed on the way out. Second interrupt:
 	// exit immediately — but reap spawned workers first, so an
 	// impatient Ctrl-C Ctrl-C never leaves orphan fsexp -worker
 	// processes behind.
@@ -242,20 +251,27 @@ func main() {
 		os.Exit(130)
 	}()
 
-	var jnl *journal.Journal
-	if *resume != "" {
-		// Fold in worker journals a previous (crashed or killed)
-		// distributed run left behind: cells its workers finished but
-		// never reported resume instead of recomputing.
-		check(fabric.MergeWorkerJournals(*resume))
+	// The cell store: opened (and recovered) only here, in the process
+	// that owns the run — fabric workers never touch it.
+	var store *artifact.Store
+	if *cacheDir != "" {
 		var err error
-		jnl, err = journal.Open(*resume)
+		store, err = artifact.Open(*cacheDir, artifact.Options{MaxBytes: *cacheBytes, FaultPoint: "cell.store"})
 		check(err)
-		if n := jnl.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "fsexp: resuming: %d cells checkpointed in %s\n", n, jnl.Path())
+		cfg.Store = store
+	}
+	// closeStore prints the store's counters and flushes its index.
+	// Every exit path calls it; only the first call acts.
+	closeStore := func() {
+		if store == nil {
+			return
 		}
-		defer jnl.Close()
-		cfg.Journal = jnl
+		c := store.Counters()
+		fmt.Fprintf(os.Stderr, "fsexp: cache hits=%d misses=%d corrupt=%d evicted=%d\n", c.Hits, c.Misses, c.CorruptDropped, c.Evictions)
+		if err := store.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "fsexp: cache: %v\n", err)
+		}
+		store = nil
 	}
 
 	// Distributed mode: spawn/accept fabric workers and route every
@@ -264,7 +280,6 @@ func main() {
 	// byte-identical to an in-process run.
 	var coord *fabric.Coordinator
 	var fabricRec *obs.Recorder
-	var fabricCache *fabric.Cache
 	if *workersN > 0 || *listenAddr != "" {
 		var sections []string
 		if *fig3 {
@@ -291,13 +306,6 @@ func main() {
 		if len(sections) == 0 {
 			check(fmt.Errorf("-workers/-listen: no distributable sections selected (fig3, aggregates, table2, fig4, table3, compilecost, matrix)"))
 		}
-		var cc *fabric.Cache
-		if *cacheDir != "" {
-			var err error
-			cc, err = fabric.OpenCacheBudget(*cacheDir, *cacheBytes)
-			check(err)
-		}
-		fabricCache = cc
 		fabricRec = obs.NewRecorder()
 		if base := obs.Default(); base != nil {
 			fabricRec.Verbose = base.Verbose
@@ -316,8 +324,6 @@ func main() {
 				CompileReps:  5,
 			},
 			Faults:   faultSpec,
-			RunDir:   *resume,
-			Cache:    cc,
 			Policy:   cfg.Policy,
 			Recorder: fabricRec,
 		})
@@ -330,10 +336,10 @@ func main() {
 	}
 
 	// shutdownFabric drains the fabric exactly once: shutdown frames,
-	// journal merge, the stderr summary line, and (with -reportdir) a
-	// separate fabric manifest. The fabric's telemetry lives in its
-	// own manifest because scheduling is nondeterministic — folding it
-	// into the figure manifests would break their byte-identity.
+	// the stderr summary line, and (with -reportdir) a separate fabric
+	// manifest. The fabric's telemetry lives in its own manifest
+	// because scheduling is nondeterministic — folding it into the
+	// figure manifests would break their byte-identity.
 	fabricDone := false
 	shutdownFabric := func() {
 		if coord == nil || fabricDone {
@@ -344,11 +350,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fsexp: fabric: %v\n", err)
 		}
 		st := coord.Stats()
-		// Stats first, then flush the cache's LRU index: the counters
-		// (hits/misses/corrupt/evicted) ride in st.
-		if err := fabricCache.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fsexp: fabric: %v\n", err)
-		}
 		fmt.Fprintln(os.Stderr, "fsexp: "+st.Summary())
 		if *reportDir != "" {
 			rep := fabricRec.Report("fsexp")
@@ -369,21 +370,21 @@ func main() {
 	var failSections []string
 	interrupted := false
 
-	// fatal ends the run on an experiment error: journal flushed,
-	// resume hint printed, exit code 130 for an interrupted run and 1
+	// fatal ends the run on an experiment error: store flushed, resume
+	// hint printed, exit code 130 for an interrupted run and 1
 	// otherwise.
 	fatal := func(name string, err error) {
 		shutdownFabric()
-		jnl.Close()
+		closeStore()
 		fmt.Fprintf(os.Stderr, "fsexp: %s: %v\n", name, err)
 		code := 1
 		if errors.Is(err, context.Canceled) {
 			code = 130
 		}
-		if *resume != "" {
-			fmt.Fprintf(os.Stderr, "fsexp: completed cells are checkpointed; re-run with -resume %s to continue\n", *resume)
+		if *cacheDir != "" {
+			fmt.Fprintf(os.Stderr, "fsexp: completed cells are stored; re-run with -cache %s to continue\n", *cacheDir)
 		} else {
-			fmt.Fprintln(os.Stderr, "fsexp: hint: run with -resume <dir> to make interrupted runs resumable")
+			fmt.Fprintln(os.Stderr, "fsexp: hint: run with -cache <dir> to make interrupted runs resumable")
 		}
 		os.Exit(code)
 	}
@@ -398,8 +399,8 @@ func main() {
 	run := func(name string, fn func() (any, error)) any {
 		var v any
 		var err error
-		seenDegraded := len(experiments.DegradedEvents())
-		seenDiag := len(experiments.DiagCells())
+		seenDegraded := len(events.Degraded)
+		seenDiag := len(events.Diag)
 		if *reportDir == "" {
 			v, err = fn()
 		} else {
@@ -408,19 +409,20 @@ func main() {
 			if p, ok := experiments.AsPartial(err); ok {
 				rep.AddData("failed", p.Failed)
 			}
-			if ev := experiments.DegradedEvents(); len(ev) > seenDegraded {
+			if len(events.Degraded) > seenDegraded {
 				// Safe mode rolled objects back in this section: record
 				// the cell keys and objects in the manifest.
 				degraded := map[string][]string{}
-				for _, e := range ev[seenDegraded:] {
+				for _, e := range events.Degraded[seenDegraded:] {
 					degraded[e.Key] = e.Objects
 				}
 				rep.AddData("degraded", degraded)
 			}
-			if cells := experiments.DiagCells(); len(cells) > seenDiag {
+			if len(events.Diag) > seenDiag {
 				// Miss attribution ran in this section: record each
-				// cell's per-object report alongside the results.
-				rep.AddData("attribution", cells[seenDiag:])
+				// cell's per-object report alongside the results, in
+				// cell submission order.
+				rep.AddData("attribution", events.Diag[seenDiag:])
 			}
 			path, werr := experiments.WriteManifest(*reportDir, name, rep)
 			if werr != nil {
@@ -512,10 +514,8 @@ func main() {
 	// Aggregate diagnosis: pair each section's unoptimized and
 	// transformed attribution cells and show, per applied decision,
 	// the false-sharing misses the transformation eliminated.
-	if *diagRuns {
-		if cells := experiments.DiagCells(); len(cells) > 0 {
-			fmt.Println(experiments.RenderDiag(cells))
-		}
+	if *diagRuns && len(events.Diag) > 0 {
+		fmt.Println(experiments.RenderDiag(events.Diag))
 	}
 
 	if *memprof != "" {
@@ -525,24 +525,24 @@ func main() {
 	// Safe-mode summary (stderr, so stdout tables stay stable): which
 	// cells finished with degraded objects, and the overall count.
 	if *verifyRuns {
-		ev := experiments.DegradedEvents()
-		sort.Slice(ev, func(i, j int) bool { return ev[i].Key < ev[j].Key })
+		ev := append([]experiments.DegradeEvent(nil), events.Degraded...)
+		sort.SliceStable(ev, func(i, j int) bool { return ev[i].Key < ev[j].Key })
 		for _, e := range ev {
 			fmt.Fprintf(os.Stderr, "fsexp: degraded %s: %v\n", e.Key, e.Objects)
 		}
-		fmt.Fprintf(os.Stderr, "fsexp: verify: %d objects degraded\n", experiments.DegradedObjects())
+		fmt.Fprintf(os.Stderr, "fsexp: verify: %d objects degraded\n", experiments.DegradedObjects(events.Degraded))
 	}
 
 	shutdownFabric()
+	closeStore()
 
 	if len(failSections) > 0 {
 		fmt.Println("Failed cells:")
 		for _, s := range failSections {
 			fmt.Print(s)
 		}
-		jnl.Close()
-		if *resume != "" {
-			fmt.Fprintf(os.Stderr, "fsexp: completed cells are checkpointed; re-run with -resume %s to retry only the failed ones\n", *resume)
+		if *cacheDir != "" {
+			fmt.Fprintf(os.Stderr, "fsexp: completed cells are stored; re-run with -cache %s to retry only the failed ones\n", *cacheDir)
 		}
 		if interrupted {
 			os.Exit(130)

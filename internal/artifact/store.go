@@ -1,7 +1,8 @@
 // Package artifact is the crash-safe content-addressed artifact
-// store behind both the distributed fabric's result cache and the
-// fsd daemon's per-stage response cache. One JSON file per artifact,
-// addressed by hash(schema version ‖ key): the schema names the
+// store behind both the experiment cell store (fsexp -cache: every
+// finished cell, keyed by its fingerprint) and the fsd daemon's
+// per-stage response cache. One JSON file per artifact, addressed
+// by hash(schema version ‖ key): the schema names the
 // producing stage and its version (bumping it is a clean cache
 // flush without disturbing other generations), the key covers
 // everything the artifact depends on — source hash, configuration,

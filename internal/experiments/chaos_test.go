@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"falseshare/internal/core"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 )
@@ -21,7 +20,7 @@ import (
 // workers, under the keep-going policy. Every case asserts the same
 // three things the runner promises: the pool drains cleanly (complete
 // per-job accounting, no hang, no leaked goroutine — the race
-// detector rides along in CI), the journal holds exactly the cells
+// detector rides along in CI), the store holds exactly the cells
 // that succeeded, and a resumed run completes the rest and converges
 // to the same results as an undisturbed run.
 
@@ -40,14 +39,17 @@ void main() {
 `
 
 // chaosJobs builds n identical compile→run→simulate jobs over the
-// chaos program. simWorkers > 1 with several blocks routes the
+// chaos program, each with its own fingerprint so the store keeps
+// them apart. simWorkers > 1 with several blocks routes the
 // measurement through the ParTee fan-out (the trace.partee fault
 // point); 1 keeps it on the serial path.
 func chaosJobs(blocks []int64, n, simWorkers int) []pool.Job[int64] {
 	jobs := make([]pool.Job[int64], n)
 	for i := range jobs {
+		key := fmt.Sprintf("chaos/cell%d", i)
 		jobs[i] = pool.Job[int64]{
-			Key: fmt.Sprintf("chaos/cell%d", i),
+			Key:         key,
+			Fingerprint: fingerprint("chaos", key, fmt.Sprintf("blocks=%v", blocks), fmt.Sprintf("simw=%d", simWorkers)),
 			Run: func(ctx context.Context) (int64, error) {
 				prog, err := core.CompileCtx(ctx, chaosSource, core.Options{Nprocs: 4, BlockSize: blocks[0]})
 				if err != nil {
@@ -65,9 +67,9 @@ func chaosJobs(blocks []int64, n, simWorkers int) []pool.Job[int64] {
 }
 
 // TestChaosMatrix: error/panic/delay at each fault point, keep-going,
-// with a journal. Failures must be confined to the injected count,
-// the journal must checkpoint exactly the survivors, and a resumed
-// run (faults off) must finish the rest.
+// with a store. Failures must be confined to the injected count,
+// the store must keep exactly the survivors, and a resumed run
+// (faults off) must finish the rest.
 func TestChaosMatrix(t *testing.T) {
 	const nJobs = 6
 	serialBlocks := []int64{64}
@@ -102,14 +104,11 @@ func TestChaosMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			jnl, err := journal.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			store := openStore(t, dir)
 			cfg := Config{
 				Workers: 4,
 				Policy:  pool.Policy{FailFast: false},
-				Journal: jnl,
+				Store:   store,
 			}
 			s, err := faultinject.Parse(tc.spec)
 			if err != nil {
@@ -123,10 +122,9 @@ func TestChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("delay fault must not fail jobs: %v", err)
 				}
-				if jnl.Len() != nJobs {
-					t.Fatalf("journal has %d cells, want %d", jnl.Len(), nJobs)
+				if n := storedCells(store); n != nJobs {
+					t.Fatalf("store has %d cells, want %d", n, nJobs)
 				}
-				jnl.Close()
 				return
 			}
 
@@ -149,25 +147,19 @@ func TestChaosMatrix(t *testing.T) {
 					t.Errorf("%s: surviving cell has empty result %d", key, r)
 				}
 			}
-			// The journal checkpointed exactly the survivors.
-			if jnl.Len() != nJobs-tc.wantFail {
-				t.Errorf("journal has %d cells, want %d", jnl.Len(), nJobs-tc.wantFail)
+			// The store kept exactly the survivors.
+			if n := storedCells(store); n != nJobs-tc.wantFail {
+				t.Errorf("store has %d cells, want %d", n, nJobs-tc.wantFail)
 			}
-			for _, f := range failures {
-				if _, _, ok := jnl.Lookup(f.Key); ok {
-					t.Errorf("failed cell %s was checkpointed", f.Key)
+			for _, j := range chaosJobs(tc.blocks, nJobs, tc.simW) {
+				if _, ok := store.Get(CellSchema, j.Fingerprint); ok && failedSet[j.Key] {
+					t.Errorf("failed cell %s was stored", j.Key)
 				}
 			}
-			jnl.Close()
 
 			// Resume with faults off: only the failed cells re-run, and
 			// the final results match an undisturbed run.
-			jnl2, err := journal.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer jnl2.Close()
-			cfg.Journal = jnl2
+			cfg.Store = openStore(t, dir)
 			resumed, err := runJobs(cfg, "chaos", chaosJobs(tc.blocks, nJobs, tc.simW))
 			if err != nil {
 				t.Fatalf("resume failed: %v", err)
@@ -229,7 +221,7 @@ func TestChaosFailFastDrain(t *testing.T) {
 
 // TestChaosInterruptedResumeManifest is the acceptance criterion:
 // a run interrupted partway (fail-fast cancellation after an injected
-// failure) and then resumed from its journal must produce a manifest
+// failure) and then resumed from its store must produce a manifest
 // byte-identical — modulo timing fields — to an uninterrupted run.
 func TestChaosInterruptedResumeManifest(t *testing.T) {
 	cfg := determinismConfig(4)
@@ -239,38 +231,30 @@ func TestChaosInterruptedResumeManifest(t *testing.T) {
 
 	// Interrupted run: one cell fails, fail-fast cancels the rest.
 	dir := t.TempDir()
-	jnl, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := openStore(t, dir)
 	s, err := faultinject.Parse("pool.worker=fig3/pverify/C/b128:error")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Enable(s)
 	icfg := cfg
-	icfg.Journal = jnl
+	icfg.Store = store
 	icfg.Policy = pool.Policy{FailFast: true}
 	_, ierr := RunManifest("fsexp", "fig3", ConfigMap(icfg), func() (any, error) { return Figure3(icfg) })
 	faultinject.Disable()
 	if ierr == nil {
 		t.Fatal("interrupted run reported success")
 	}
-	if !errors.Is(ierr, pool.ErrSkipped) && jnl.Len() == 0 {
+	if !errors.Is(ierr, pool.ErrSkipped) && storedCells(store) == 0 {
 		t.Log("note: no cells were skipped — interruption landed late")
 	}
-	jnl.Close()
-	completed := jnl.Len()
+	completed := storedCells(store)
 
-	// Resumed run: checkpointed cells replay from the journal, the
-	// rest execute fresh.
-	jnl2, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl2.Close()
+	// Resumed run: stored cells replay from the store, the rest
+	// execute fresh.
+	store2 := openStore(t, dir)
 	rcfg := cfg
-	rcfg.Journal = jnl2
+	rcfg.Store = store2
 	resumed := manifestBytes(t, "fig3", rcfg, func() (any, error) { return Figure3(rcfg) })
 
 	if !bytes.Equal(clean, resumed) {
@@ -278,8 +262,8 @@ func TestChaosInterruptedResumeManifest(t *testing.T) {
 		t.Errorf("resumed manifest differs from uninterrupted run (%d cells were checkpointed):\n--- clean ---\n%s\n--- resumed ---\n%s",
 			completed, d1, d2)
 	}
-	if jnl2.Len() <= completed && completed > 0 {
-		t.Errorf("resume did not checkpoint the remaining cells: %d -> %d", completed, jnl2.Len())
+	if storedCells(store2) <= completed && completed > 0 {
+		t.Errorf("resume did not store the remaining cells: %d -> %d", completed, storedCells(store2))
 	}
 }
 

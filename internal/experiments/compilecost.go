@@ -38,7 +38,7 @@ func (r CompileCostRow) Overhead() float64 {
 }
 
 // CompileCost measures front-end vs full-restructurer time over the
-// suite with ecfg's scale, workers, policy and journal, repeating
+// suite with ecfg's scale, workers and policy, repeating
 // each measurement and keeping the minimum (the usual noise-robust
 // choice for microtimings). One job per benchmark; the minimum-of-reps
 // absorbs most of the scheduling noise concurrent timing adds, but
@@ -46,8 +46,8 @@ func (r CompileCostRow) Overhead() float64 {
 //
 // When some benchmarks fail (and ecfg.Policy keeps going), the
 // surviving rows are returned with a *Partial error naming the rest.
-// Note that journaled timings are replayed verbatim on resume — cheap
-// and deterministic, but not fresh measurements.
+// The jobs carry no fingerprint, so timings are never stored: every
+// run, resumed or not, measures afresh.
 func CompileCost(ecfg Config, nprocs, reps int) ([]CompileCostRow, error) {
 	if reps < 1 {
 		reps = 3

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/ksr"
 )
@@ -150,6 +151,55 @@ func TestDeterminismAggregates(t *testing.T) {
 func TestDeterminismMatrix(t *testing.T) {
 	opt := MatrixOptions{Workloads: 3, Seed: 11, Procs: 4, Block: 64, ScaleMin: true}
 	assertDeterministic(t, "matrix", func(cfg Config) (any, error) { return Matrix(cfg, opt) })
+}
+
+// TestDeterminismEvents extends the guarantee to the event log: with
+// Verify and Diag on — and a seeded miscompile, so safe mode has
+// objects to degrade — the events Figure 3 and the matrix append are
+// byte-identical at -j 1, at -j 8, and through a CellRunner (the path
+// a fabric run takes), because runJobs appends every cell's events in
+// submission order whatever the schedule or the process that ran it.
+func TestDeterminismEvents(t *testing.T) {
+	s, err := faultinject.Parse("transform.corrupt:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable(s)
+	t.Cleanup(faultinject.Disable)
+	opt := MatrixOptions{Workloads: 2, Seed: 11, Procs: 4, Block: 64, ScaleMin: true}
+	withEvents := func(cfg Config) Config {
+		cfg.Fig3Blocks = []int64{128}
+		cfg.Verify, cfg.Diag = true, true
+		cfg.Events = &CellEvents{}
+		return cfg
+	}
+	run := func(name string, cfg Config) []byte {
+		if _, err := Figure3(cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Matrix(cfg, opt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if DegradedObjects(cfg.Events.Degraded) == 0 || len(cfg.Events.Diag) == 0 {
+			t.Fatalf("%s: log has %d degrade and %d attribution events; want both", name, len(cfg.Events.Degraded), len(cfg.Events.Diag))
+		}
+		return mustMarshal(t, cfg.Events)
+	}
+	serial := run("j1", withEvents(determinismConfig(1)))
+	parallel := run("j8", withEvents(determinismConfig(8)))
+	rcfg := withEvents(determinismConfig(8))
+	enum, err := Collect(rcfg.Spec().Config(), SectionSet{Sections: []string{"fig3", "matrix"}, Matrix: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg.Runner = &localRunner{enum: enum}
+	remote := run("runner", rcfg)
+	for name, got := range map[string][]byte{"-j 8": parallel, "runner": remote} {
+		if !bytes.Equal(serial, got) {
+			d1, d2 := firstDiff(serial, got)
+			t.Errorf("%s event log differs from -j 1:\n--- j1 ---\n%s\n--- %s ---\n%s", name, d1, name, d2)
+		}
+	}
 }
 
 // TestDeterminismRenderedOutput pins the user-visible text too: the

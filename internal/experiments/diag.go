@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"falseshare/internal/core"
 	"falseshare/internal/obs"
@@ -34,33 +33,12 @@ type DiagCell struct {
 	Report         *attr.Report `json:"report,omitempty"`
 }
 
-var (
-	diagMu    sync.Mutex
-	diagCells []DiagCell
-)
-
-// ResetDiag clears the recorded attribution cells; each driver run
-// starts fresh.
-func ResetDiag() {
-	diagMu.Lock()
-	diagCells = nil
-	diagMu.Unlock()
-}
-
-// DiagCells returns the cells recorded since the last reset, in
-// insertion order (nondeterministic across parallel workers; sort by
-// Key for deterministic output). Drivers snapshot the length before a
-// section and slice from it after, like DegradedEvents.
-func DiagCells() []DiagCell {
-	diagMu.Lock()
-	defer diagMu.Unlock()
-	return append([]DiagCell(nil), diagCells...)
-}
-
-func recordDiagCell(c DiagCell) {
-	diagMu.Lock()
-	diagCells = append(diagCells, c)
-	diagMu.Unlock()
+// recordDiag appends one attribution report to the cell's event
+// collector.
+func recordDiag(ctx context.Context, c DiagCell) {
+	if col := cellEvents(ctx); col != nil {
+		col.Diag = append(col.Diag, c)
+	}
 }
 
 // MeasureBlocksAttr is MeasureBlocksCtx with miss attribution: one
@@ -127,7 +105,7 @@ func Diagnose(ctx context.Context, prog *core.Program, block int64, budget int64
 
 // measureCell is the per-cell measurement behind the Figure 3 and
 // Table 2 jobs: plain stats normally, attributed stats recorded under
-// the cell key when diag is set.
+// the cell key in the cell's event collector when diag is set.
 func (cfg Config) measureCell(ctx context.Context, key, program string, ver Version, procs int, blk int64, prog *core.Program, diag bool) (*cache.Stats, error) {
 	if !diag {
 		stats, err := MeasureBlocksCtx(ctx, prog, []int64{blk}, 1, cfg.StepBudget)
@@ -140,7 +118,7 @@ func (cfg Config) measureCell(ctx context.Context, key, program string, ver Vers
 	if err != nil {
 		return nil, err
 	}
-	recordDiagCell(DiagCell{
+	recordDiag(ctx, DiagCell{
 		Key:            key,
 		Program:        program,
 		Version:        ver,

@@ -35,13 +35,6 @@ type Options struct {
 	// Faults is the fault spec propagated to every worker (satellite:
 	// a -faults spec must not silently apply only to the parent).
 	Faults string
-	// RunDir, when non-empty, is the shared run directory: workers
-	// journal completions into journal-worker-<id>.jsonl there, and
-	// Close merges them into the main journal.
-	RunDir string
-	// Cache, when non-nil, dedups cells through the content-addressed
-	// store: hits skip dispatch entirely, successes are stored.
-	Cache *Cache
 	// Policy supplies the pool's failure semantics: Retries/Backoff
 	// bound error retries (transient errors only, exponential
 	// backoff), FailFast cancels the grid on the first hard failure,
@@ -62,10 +55,10 @@ type Options struct {
 	// Stderr receives spawned workers' stderr (default os.Stderr).
 	Stderr io.Writer
 	// Recorder receives the fabric's own telemetry spans — worker
-	// lifetimes, reassignments, retries, cache hit rates. It is
-	// deliberately separate from the experiment recorder: fabric
-	// scheduling is nondeterministic, and folding it into the figure
-	// manifests would break their byte-identity contract.
+	// lifetimes, reassignments, retries. It is deliberately separate
+	// from the experiment recorder: fabric scheduling is
+	// nondeterministic, and folding it into the figure manifests would
+	// break their byte-identity contract.
 	Recorder *obs.Recorder
 }
 
@@ -112,30 +105,19 @@ type Stats struct {
 	Spawned  int
 	Attached int
 	Deaths   int
-	// Cells counts dispatched cell executions (not cache/journal
-	// hits); Reassigned counts cells re-queued after losing their
-	// worker; Retries counts error-retries.
+	// Cells counts dispatched cell executions (stored cells never
+	// reach the fabric); Reassigned counts cells re-queued after
+	// losing their worker; Retries counts error-retries.
 	Cells      int
 	Reassigned int
 	Retries    int
-	// CacheHits/CacheMisses count content-cache lookups for
-	// fingerprinted cells.
-	CacheHits   int
-	CacheMisses int
-	// CacheCorrupt counts torn or corrupt cache entries dropped (at
-	// the open-time recovery scan or on read) and CacheEvicted counts
-	// LRU evictions under the byte budget — previously both were
-	// silently folded into misses.
-	CacheCorrupt int
-	CacheEvicted int
 }
 
 // Summary renders the one-line run summary fsexp prints.
 func (s Stats) Summary() string {
 	return fmt.Sprintf(
-		"fabric: workers spawned=%d attached=%d deaths=%d | cells=%d reassigned=%d retries=%d | cache hits=%d misses=%d corrupt=%d evicted=%d",
-		s.Spawned, s.Attached, s.Deaths, s.Cells, s.Reassigned, s.Retries,
-		s.CacheHits, s.CacheMisses, s.CacheCorrupt, s.CacheEvicted)
+		"fabric: workers spawned=%d attached=%d deaths=%d | cells=%d reassigned=%d retries=%d",
+		s.Spawned, s.Attached, s.Deaths, s.Cells, s.Reassigned, s.Retries)
 }
 
 // Coordinator shards cells across worker processes. It implements
@@ -220,15 +202,20 @@ func (w *workerHandle) kill() {
 	}
 }
 
+// wasKilled reports whether the coordinator has severed the worker.
+func (w *workerHandle) wasKilled() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.killed
+}
+
 // cellRun is one RunCells invocation in flight.
 type cellRun struct {
-	section string
-	reqs    []experiments.CellRequest
+	keys    []string
 	state   []cellState
 	queue   []int // indices awaiting dispatch
 	pending int   // cells without a final outcome (incl. backoff + outstanding)
 	closed  bool  // results no longer accepted (cancelled / returned)
-	ctx     context.Context
 	results []experiments.CellResult
 }
 
@@ -288,17 +275,11 @@ func (c *Coordinator) Addr() string {
 	return c.listener.Addr().String()
 }
 
-// Stats returns a snapshot of the fabric counters, folding in the
-// content cache's own accounting (corrupt entries dropped, LRU
-// evictions) so the manifest and summary line expose them.
+// Stats returns a snapshot of the fabric counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
-	st := c.stats
-	c.mu.Unlock()
-	cc := c.opt.Cache.Counters()
-	st.CacheCorrupt = int(cc.CorruptDropped)
-	st.CacheEvicted = int(cc.Evictions)
-	return st
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // Pids lists the live spawned worker process ids (TCP workers have
@@ -411,8 +392,6 @@ func (c *Coordinator) attach(conn *Conn, cmd *exec.Cmd) {
 		Spec:   &c.opt.Spec,
 		Set:    &c.opt.Set,
 		Faults: c.opt.Faults,
-		RunDir: c.opt.RunDir,
-		Worker: id,
 	}
 	if err := conn.Write(hello); err != nil {
 		obs.Logf("fabric: worker %d: hello: %v", id, err)
@@ -545,12 +524,12 @@ func (c *Coordinator) nextCell() (int, *cellRun, bool) {
 // false when the worker is gone (the driver exits and the cell has
 // been requeued or failed).
 func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
-	req := run.reqs[idx]
+	key := run.keys[idx]
 	c.mu.Lock()
 	c.stats.Cells++
 	c.mu.Unlock()
 
-	if err := w.conn.Write(&Frame{Type: TypeAssign, Key: req.Key, Fingerprint: req.Fingerprint}); err != nil {
+	if err := w.conn.Write(&Frame{Type: TypeAssign, Key: key}); err != nil {
 		c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: assign: %w", w.id, err))
 		return false
 	}
@@ -559,8 +538,8 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 	// live on the coordinator's rule counters, so "kill exactly one
 	// worker, once" is expressible (worker-side rules re-fire in
 	// replacement processes).
-	if ferr := faultinject.Fire(c.ctx, "coord.kill", req.Key); ferr != nil {
-		obs.Logf("fabric: chaos: killing worker %d mid-cell (%s)", w.id, req.Key)
+	if ferr := faultinject.Fire(c.ctx, "coord.kill", key); ferr != nil {
+		obs.Logf("fabric: chaos: killing worker %d mid-cell (%s)", w.id, key)
 		w.kill()
 	}
 
@@ -572,8 +551,16 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 	}
 	select {
 	case f := <-w.results:
-		if f.Key != req.Key {
-			c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: result for %q while %q assigned", w.id, f.Key, req.Key))
+		if w.wasKilled() {
+			// A severed worker's report is void: the closed link
+			// cancels its running cell, which may still answer with
+			// that cancellation before the SIGKILL lands. The cell is
+			// reassigned like any other mid-cell death.
+			c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: killed mid-cell", w.id))
+			return false
+		}
+		if f.Key != key {
+			c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: result for %q while %q assigned", w.id, f.Key, key))
 			w.kill()
 			return false
 		}
@@ -587,7 +574,7 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 		c.requeueDeath(run, idx, w, err)
 		return false
 	case <-deadline:
-		c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: cell %s exceeded %s deadline", w.id, req.Key, c.opt.Policy.JobTimeout))
+		c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: cell %s exceeded %s deadline", w.id, key, c.opt.Policy.JobTimeout))
 		w.kill()
 		return false
 	case <-c.ctx.Done():
@@ -596,8 +583,8 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 	}
 }
 
-// complete records one cell's reported outcome: success stores into
-// the run (and the cache); a transient error within the retry budget
+// complete records one cell's reported outcome: success stores the
+// payload into the run; a transient error within the retry budget
 // requeues with exponential backoff; anything else is final.
 func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 	err := frameError(f)
@@ -616,7 +603,7 @@ func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 			}
 			run.results[idx].Retries = st.attempts
 			backoff := c.backoff(st.attempts - 1)
-			obs.Logf("fabric: retrying %s after transient failure (attempt %d): %v", run.reqs[idx].Key, st.attempts, err)
+			obs.Logf("fabric: retrying %s after transient failure (attempt %d): %v", run.keys[idx], st.attempts, err)
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
@@ -624,11 +611,11 @@ func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 			}()
 			return
 		}
-		c.finalize(run, idx, experiments.CellResult{Key: run.reqs[idx].Key, Err: err, Retries: st.attempts})
+		c.finalize(run, idx, experiments.CellResult{Key: run.keys[idx], Err: err, Retries: st.attempts})
 		return
 	}
 	res := experiments.CellResult{
-		Key:     run.reqs[idx].Key,
+		Key:     run.keys[idx],
 		Data:    f.Data,
 		Spans:   f.Spans,
 		Retries: st.attempts,
@@ -637,11 +624,6 @@ func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 		res.Events = *f.Events
 	}
 	c.finalize(run, idx, res)
-	if c.opt.Cache != nil && run.reqs[idx].Fingerprint != "" {
-		if cerr := c.opt.Cache.Put(run.reqs[idx].Fingerprint, res.Key, f.Data, f.Spans); cerr != nil {
-			obs.Logf("%v", cerr)
-		}
-	}
 }
 
 // finalize records a cell's final outcome. Callers hold c.mu.
@@ -667,7 +649,7 @@ func (c *Coordinator) abortLocked(run *cellRun, err error) {
 			continue
 		}
 		run.state[idx].final = true
-		run.results[idx] = experiments.CellResult{Key: run.reqs[idx].Key, Err: err}
+		run.results[idx] = experiments.CellResult{Key: run.keys[idx], Err: err}
 		run.pending--
 	}
 	run.queue = nil
@@ -717,12 +699,12 @@ func (c *Coordinator) requeueDeath(run *cellRun, idx int, w *workerHandle, cause
 	}
 	if st.deaths > c.opt.maxDeaths() {
 		c.finalize(run, idx, experiments.CellResult{
-			Key: run.reqs[idx].Key,
-			Err: fmt.Errorf("fabric: cell %s lost %d workers (last: %w)", run.reqs[idx].Key, st.deaths, cause),
+			Key: run.keys[idx],
+			Err: fmt.Errorf("fabric: cell %s lost %d workers (last: %w)", run.keys[idx], st.deaths, cause),
 		})
 		return
 	}
-	obs.Logf("fabric: reassigning %s after worker %d died: %v", run.reqs[idx].Key, w.id, cause)
+	obs.Logf("fabric: reassigning %s after worker %d died: %v", run.keys[idx], w.id, cause)
 	// Front of the queue: a cell that already lost a worker should not
 	// wait behind the whole backlog.
 	run.queue = append([]int{idx}, run.queue...)
@@ -776,43 +758,21 @@ func (c *Coordinator) workerGone(w *workerHandle) {
 	}
 }
 
-// RunCells implements experiments.CellRunner: resolve cache hits,
-// queue the rest, and wait until every cell has a final outcome (or
-// the context dies, which marks the leftovers skipped).
-func (c *Coordinator) RunCells(ctx context.Context, section string, reqs []experiments.CellRequest) ([]experiments.CellResult, error) {
+// RunCells implements experiments.CellRunner: queue every cell and
+// wait until each has a final outcome (or the context dies, which
+// marks the leftovers skipped).
+func (c *Coordinator) RunCells(ctx context.Context, section string, keys []string) ([]experiments.CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	run := &cellRun{
-		section: section,
-		reqs:    reqs,
-		state:   make([]cellState, len(reqs)),
-		results: make([]experiments.CellResult, len(reqs)),
-		ctx:     ctx,
+		keys:    keys,
+		state:   make([]cellState, len(keys)),
+		results: make([]experiments.CellResult, len(keys)),
+		pending: len(keys),
 	}
-	// Content-cache pass: hits never touch a worker.
-	for i, req := range reqs {
-		if c.opt.Cache != nil && req.Fingerprint != "" {
-			if data, spans, ok := c.opt.Cache.Get(req.Fingerprint); ok {
-				run.state[i].final = true
-				run.results[i] = experiments.CellResult{Key: req.Key, Data: data, Spans: spans}
-				c.mu.Lock()
-				c.stats.CacheHits++
-				c.mu.Unlock()
-				if c.span != nil {
-					c.span.Count("cache_hits", 1)
-				}
-				continue
-			}
-			c.mu.Lock()
-			c.stats.CacheMisses++
-			c.mu.Unlock()
-			if c.span != nil {
-				c.span.Count("cache_misses", 1)
-			}
-		}
+	for i := range keys {
 		run.queue = append(run.queue, i)
-		run.pending++
 	}
 
 	c.mu.Lock()
@@ -866,7 +826,7 @@ func (c *Coordinator) RunCells(ctx context.Context, section string, reqs []exper
 			if !run.state[i].final {
 				run.state[i].final = true
 				run.results[i] = experiments.CellResult{
-					Key: reqs[i].Key,
+					Key: keys[i],
 					Err: fmt.Errorf("%w: %w", pool.ErrSkipped, cause),
 				}
 				run.pending--
@@ -881,9 +841,8 @@ func (c *Coordinator) RunCells(ctx context.Context, section string, reqs []exper
 }
 
 // Close shuts the fabric down: shutdown frames to every worker, a
-// bounded wait for them to flush their journals and exit, SIGKILL for
-// stragglers, then the per-worker journal merge into the main journal
-// (when RunDir is set). Safe to call more than once.
+// bounded wait for them to exit, then SIGKILL for stragglers. Safe to
+// call more than once.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -907,7 +866,7 @@ func (c *Coordinator) Close() error {
 	for _, w := range workers {
 		w.conn.Write(&Frame{Type: TypeShutdown})
 	}
-	// Give workers a moment to flush and exit on their own...
+	// Give workers a moment to exit on their own...
 	deadline := time.After(3 * time.Second)
 	for _, w := range workers {
 		select {
@@ -923,14 +882,10 @@ func (c *Coordinator) Close() error {
 		c.stop()
 	}
 	c.wg.Wait()
-	var err error
-	if c.opt.RunDir != "" {
-		err = MergeWorkerJournals(c.opt.RunDir)
-	}
 	if c.span != nil {
 		c.span.End()
 	}
-	return err
+	return nil
 }
 
 // Kill is the emergency stop (second SIGINT): SIGKILL every spawned

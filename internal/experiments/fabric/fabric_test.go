@@ -8,13 +8,14 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"falseshare/internal/artifact"
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
@@ -76,6 +77,17 @@ func startCoordinator(t *testing.T, opt Options) *Coordinator {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// openStore opens a cell store on dir, closed when the test ends.
+func openStore(t *testing.T, dir string) *artifact.Store {
+	t.Helper()
+	st, err := artifact.Open(dir, artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -186,8 +198,8 @@ func TestFabricManifestByteIdentity(t *testing.T) {
 // TestFabricWorkerKillResume kills one worker mid-cell (the coord.kill
 // chaos point: deterministic, fires once) and requires the run to
 // complete via reassignment with results identical to an undisturbed
-// local run; then a -resume style replay of the merged journal must
-// reproduce them again without recomputing anything.
+// local run; then a resumed run over the store the coordinator filled
+// must reproduce them again without recomputing anything.
 func TestFabricWorkerKillResume(t *testing.T) {
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
@@ -206,14 +218,10 @@ func TestFabricWorkerKillResume(t *testing.T) {
 	defer faultinject.Disable()
 
 	runDir := t.TempDir()
-	jnl, err := journal.Open(runDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set, RunDir: runDir})
+	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
 	fcfg := cfg
 	fcfg.Runner = coord
-	fcfg.Journal = jnl
+	fcfg.Store = openStore(t, runDir)
 	got, err := experiments.Matrix(fcfg, mopt)
 	if err != nil {
 		var me *pool.MultiError
@@ -224,7 +232,6 @@ func TestFabricWorkerKillResume(t *testing.T) {
 		}
 		t.Fatalf("run with worker kill failed: %v", err)
 	}
-	jnl.Close()
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,19 +251,15 @@ func TestFabricWorkerKillResume(t *testing.T) {
 		t.Error("results after worker kill differ from undisturbed run")
 	}
 
-	// Resume round trip: the journal now holds every cell; a local
+	// Resume round trip: the store now holds every cell; a local
 	// replay must serve all of them without touching a worker.
-	jnl2, err := journal.Open(runDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl2.Close()
-	if jnl2.Len() < len(keys) {
-		t.Errorf("journal has %d cells, want >= %d", jnl2.Len(), len(keys))
+	store2 := openStore(t, runDir)
+	if n := int(store2.Counters().Entries); n < len(keys) {
+		t.Errorf("store has %d cells, want >= %d", n, len(keys))
 	}
 	rcfg := cfg
 	rcfg.Workers = 1
-	rcfg.Journal = jnl2
+	rcfg.Store = store2
 	resumed, err := experiments.Matrix(rcfg, mopt)
 	if err != nil {
 		t.Fatalf("resume replay: %v", err)
@@ -489,65 +492,177 @@ func TestFabricTransientRetry(t *testing.T) {
 	}
 }
 
-// TestFabricCacheDedup is the content-cache acceptance: a second run
-// over the same grid serves every cell from the cache (>= 90%
-// required; 100% expected), with identical results — and a schema
-// bump (satellite 6) forces full recomputation.
+// TestFabricCacheDedup is the cell-store acceptance on the fabric: a
+// second run over the same grid serves every cell from the store
+// (>= 90% required; 100% expected) without dispatching any, with
+// identical results — and a schema bump forces full recomputation.
 func TestFabricCacheDedup(t *testing.T) {
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
 	dir := t.TempDir()
 
-	runWith := func(cc *Cache) ([]experiments.MatrixCell, Stats) {
+	runWith := func(st *artifact.Store) ([]experiments.MatrixCell, Stats, artifact.Counters) {
 		t.Helper()
-		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set, Cache: cc})
+		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
 		fcfg := cfg
 		fcfg.Runner = coord
+		fcfg.Store = st
 		cells, err := experiments.Matrix(fcfg, mopt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		coord.Close()
-		return cells, coord.Stats()
+		return cells, coord.Stats(), st.Counters()
 	}
 
-	c1, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, st1 := runWith(c1)
-	if st1.CacheMisses != len(keys) || st1.CacheHits != 0 {
-		t.Errorf("cold run: hits=%d misses=%d, want 0/%d", st1.CacheHits, st1.CacheMisses, len(keys))
+	first, _, c1 := runWith(openStore(t, dir))
+	if c1.Misses != int64(len(keys)) || c1.Hits != 0 {
+		t.Errorf("cold run: hits=%d misses=%d, want 0/%d", c1.Hits, c1.Misses, len(keys))
 	}
 
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, st2 := runWith(c2)
-	if st2.CacheHits != len(keys) || st2.CacheMisses != 0 {
-		t.Errorf("warm run: hits=%d misses=%d, want %d/0", st2.CacheHits, st2.CacheMisses, len(keys))
+	second, st2, c2 := runWith(openStore(t, dir))
+	if c2.Hits != int64(len(keys)) || c2.Misses != 0 {
+		t.Errorf("warm run: hits=%d misses=%d, want %d/0", c2.Hits, c2.Misses, len(keys))
 	}
 	if st2.Cells != 0 {
 		t.Errorf("warm run dispatched %d cells, want 0", st2.Cells)
 	}
 	if !bytes.Equal(mustJSON(t, first), mustJSON(t, second)) {
-		t.Error("cache-served results differ from computed ones")
+		t.Error("store-served results differ from computed ones")
 	}
 
-	// Satellite 6: bumping the stage version string in the key must
-	// miss every entry and recompute.
-	c3, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	// A schema bump must miss every entry and recompute: a store
+	// holding every cell, but under another schema generation than
+	// experiments.CellSchema, serves none of them.
+	bumped := openStore(t, t.TempDir())
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	for _, f := range files {
+		var e struct {
+			Key  string          `json:"key"`
+			Data json.RawMessage `json:"data"`
+		}
+		b, err := os.ReadFile(f)
+		if err == nil {
+			err = json.Unmarshal(b, &e)
+		}
+		if err == nil {
+			err = bumped.Put(context.Background(), experiments.CellSchema+"-bumped", e.Key, e.Data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	c3.Schema = experiments.CellSchema + "-bumped"
-	third, st3 := runWith(c3)
-	if st3.CacheHits != 0 || st3.CacheMisses != len(keys) {
-		t.Errorf("bumped-schema run: hits=%d misses=%d, want 0/%d", st3.CacheHits, st3.CacheMisses, len(keys))
+	if n := int(bumped.Counters().Entries); n != len(keys) {
+		t.Fatalf("bumped store holds %d cells, want %d", n, len(keys))
+	}
+	third, _, c3 := runWith(bumped)
+	if c3.Hits != 0 || c3.Misses != int64(len(keys)) {
+		t.Errorf("bumped-schema run: hits=%d misses=%d, want 0/%d", c3.Hits, c3.Misses, len(keys))
 	}
 	if !bytes.Equal(mustJSON(t, first), mustJSON(t, third)) {
 		t.Error("recomputed results differ")
+	}
+}
+
+// TestCacheRoundTrip: cells the fleet computes round-trip through the
+// -cache store with their span subtrees — a local replay of the store
+// a distributed run filled serves every cell and yields that run's
+// manifest byte for byte — while a grid the store never saw misses.
+func TestCacheRoundTrip(t *testing.T) {
+	cfg, mopt, set := testGrid()
+	keys := gridKeys(t, cfg, set)
+	dir := t.TempDir()
+
+	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
+	fcfg := cfg
+	fcfg.Runner = coord
+	fcfg.Store = openStore(t, dir)
+	dist := normManifest(t, "matrix", fcfg, func() (any, error) { return experiments.Matrix(fcfg, mopt) })
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := int(fcfg.Store.Counters().Entries); n != len(keys) {
+		t.Fatalf("distributed run stored %d cells, want %d", n, len(keys))
+	}
+
+	rcfg := cfg
+	rcfg.Store = openStore(t, dir)
+	replayed := normManifest(t, "matrix", rcfg, func() (any, error) { return experiments.Matrix(rcfg, mopt) })
+	if c := rcfg.Store.Counters(); c.Hits != int64(len(keys)) || c.Misses != 0 {
+		t.Errorf("local replay: hits=%d misses=%d, want %d/0", c.Hits, c.Misses, len(keys))
+	}
+	if !bytes.Equal(dist, replayed) {
+		d1, d2 := firstDiff(dist, replayed)
+		t.Errorf("replayed manifest differs from the distributed run:\n--- fabric ---\n%s\n--- replayed ---\n%s", d1, d2)
+	}
+
+	other := mopt
+	other.Seed++
+	ocfg := cfg
+	ocfg.Store = openStore(t, dir)
+	if _, err := experiments.Matrix(ocfg, other); err != nil {
+		t.Fatal(err)
+	}
+	if c := ocfg.Store.Counters(); c.Hits != 0 {
+		t.Errorf("another grid hit %d cells it never stored", c.Hits)
+	}
+}
+
+// TestCacheCorruptEntryIsMiss: a torn or tampered entry in the -cache
+// store costs one dispatch, never an error — the coordinator sends
+// exactly the damaged cells to the fleet, serves the rest, and the
+// recomputed cells replace the damaged entries.
+func TestCacheCorruptEntryIsMiss(t *testing.T) {
+	cfg, mopt, set := testGrid()
+	keys := gridKeys(t, cfg, set)
+	dir := t.TempDir()
+
+	runWith := func(st *artifact.Store) ([]experiments.MatrixCell, Stats) {
+		t.Helper()
+		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
+		fcfg := cfg
+		fcfg.Runner = coord
+		fcfg.Store = st
+		cells, err := experiments.Matrix(fcfg, mopt)
+		if err != nil {
+			t.Fatalf("damaged entries surfaced as an error: %v", err)
+		}
+		coord.Close()
+		return cells, coord.Stats()
+	}
+
+	first, _ := runWith(openStore(t, dir))
+	st := openStore(t, dir)
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if len(files) != len(keys) {
+		t.Fatalf("expected %d entry files, found %d", len(keys), len(files))
+	}
+	// Tear one entry, and overwrite another with a third's intact
+	// entry, whose recorded key no longer matches its address.
+	if err := os.WriteFile(files[0], []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other, err := os.ReadFile(files[2])
+	if err == nil {
+		err = os.WriteFile(files[1], other, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	second, fs := runWith(st)
+	c := st.Counters()
+	if c.CorruptDropped != 2 || c.Misses != 2 || c.Hits != int64(len(keys)-2) {
+		t.Errorf("corrupt=%d misses=%d hits=%d, want 2/2/%d", c.CorruptDropped, c.Misses, c.Hits, len(keys)-2)
+	}
+	if fs.Cells != 2 {
+		t.Errorf("dispatched %d cells, want the 2 damaged ones", fs.Cells)
+	}
+	if c.Entries != int64(len(keys)) {
+		t.Errorf("store holds %d cells after the rerun, want %d", c.Entries, len(keys))
+	}
+	if !bytes.Equal(mustJSON(t, first), mustJSON(t, second)) {
+		t.Error("results over a damaged store differ from computed ones")
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package fabric runs experiment cells in worker processes: a
 // coordinator shards a run's (program × version × procs × block ×
 // protocol × topology) grid across workers it spawns locally (fsexp
-// -worker over stdio) or that attach over TCP, and folds the results
-// back into the same journals, span trees and manifests a
-// single-process run produces — byte-identical modulo timing.
+// -worker over stdio) or that attach over TCP, and hands each cell's
+// payload — result, span subtree, events — back to the experiment
+// runner, which folds it into the same store, span trees and
+// manifests a single-process run produces: byte-identical modulo
+// timing.
 //
 // Robustness is the headline contract, because at fleet scale
 // something is always failing:
@@ -13,13 +15,12 @@
 //   - cells owned by a dead worker are reassigned automatically,
 //     bounded per cell so a poison cell cannot eat the fleet;
 //   - transient cell errors retry with exponential backoff under the
-//     same pool.Policy semantics as a local run;
-//   - results dedup through a content-addressed cache keyed by
-//     (schema version, cell fingerprint), so re-runs and overlapping
-//     shards hit the cache instead of recomputing;
-//   - every worker journals its completions before reporting them, so
-//     a worker's death never loses finished work: the per-worker
-//     journals merge into the main resume journal.
+//     same pool.Policy semantics as a local run.
+//
+// Workers hold no state worth keeping: they never open the cell store
+// (experiments.Config.Store) — only the process that owns the run
+// does, storing each payload as it arrives — so a worker's death
+// loses at most the one cell it was running, which is reassigned.
 //
 // The wire protocol is deliberately minimal: 4-byte big-endian
 // length-prefixed JSON frames over any byte stream. Workers re-derive
@@ -44,8 +45,8 @@ import (
 // Frame types. The coordinator sends hello, assign, ping and
 // shutdown; workers send ready, result and pong.
 const (
-	// TypeHello configures a worker: grid spec, sections, fault spec,
-	// run directory. Always the first frame on a connection.
+	// TypeHello configures a worker: grid spec, sections, fault spec.
+	// Always the first frame on a connection.
 	TypeHello = "hello"
 	// TypeReady acknowledges hello: the worker enumerated its grid and
 	// accepts assignments.
@@ -70,14 +71,13 @@ type Frame struct {
 	Spec   *experiments.ConfigSpec `json:"spec,omitempty"`
 	Set    *experiments.SectionSet `json:"set,omitempty"`
 	Faults string                  `json:"faults,omitempty"`
-	RunDir string                  `json:"run_dir,omitempty"`
-	Worker int                     `json:"worker,omitempty"`
 
 	// assign + result
-	Key         string `json:"key,omitempty"`
-	Fingerprint string `json:"fingerprint,omitempty"`
+	Key string `json:"key,omitempty"`
 
-	// result
+	// result: a successful cell's payload — the same result, span
+	// subtree and events the coordinator's cell store keeps — or a
+	// failed cell's error
 	Data      json.RawMessage         `json:"data,omitempty"`
 	Spans     []*obs.Span             `json:"spans,omitempty"`
 	Events    *experiments.CellEvents `json:"events,omitempty"`

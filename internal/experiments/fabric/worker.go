@@ -10,16 +10,9 @@ import (
 	"time"
 
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 )
-
-// WorkerJournalFile names a worker's private journal inside the
-// shared run directory.
-func WorkerJournalFile(id int) string {
-	return fmt.Sprintf("journal-worker-%d.jsonl", id)
-}
 
 // RunWorker speaks the worker side of the protocol over an arbitrary
 // byte stream (stdin/stdout in spawn mode, a TCP connection in
@@ -28,10 +21,9 @@ func WorkerJournalFile(id int) string {
 // coordinator died sees stdin EOF and exits; no orphans).
 //
 // The worker enumerates the full cell grid from the hello frame's
-// spec before accepting assignments, runs one cell at a time, and
-// journals every successful cell into its own journal file before
-// reporting it — so even if the report (or the worker) dies, the
-// finished work survives and merges into the main journal.
+// spec before accepting assignments and runs one cell at a time. It
+// keeps nothing on disk: each result frame carries the cell's whole
+// payload, and the coordinator's process stores it.
 func RunWorker(in io.Reader, out io.Writer) error {
 	conn := NewConn(in, out)
 	hello, err := conn.Read()
@@ -52,16 +44,6 @@ func RunWorker(in io.Reader, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("fabric: worker: %w", err)
 	}
-	var jnl *journal.Journal
-	if hello.RunDir != "" {
-		jnl, err = journal.OpenFile(hello.RunDir, WorkerJournalFile(hello.Worker))
-		if err != nil {
-			// A worker without a journal still works; it just cannot
-			// preserve completions across its own death.
-			obs.Logf("fabric: worker %d: no journal: %v", hello.Worker, err)
-			jnl = nil
-		}
-	}
 	if err := conn.Write(&Frame{Type: TypeReady, Cells: enum.Len()}); err != nil {
 		return err
 	}
@@ -78,11 +60,10 @@ func RunWorker(in io.Reader, out io.Writer) error {
 	go func() {
 		defer close(runnerDone)
 		for a := range assigns {
-			runCell(ctx, conn, enum, jnl, a)
+			runCell(ctx, conn, enum, a)
 		}
 	}()
 
-	defer jnl.Close()
 	for {
 		f, err := conn.Read()
 		if err != nil {
@@ -187,21 +168,22 @@ func RunWorkerTCP(addr string) error {
 	return RunWorker(conn, conn)
 }
 
-// runCell executes one assignment and reports its result. The chaos
-// points live here: worker.cell fires before the cell runs (exit and
-// hang simulate crashes and wedges mid-cell), worker.send fires
-// before the report (corrupt mangles the result frame so the
-// coordinator must treat this worker as failed).
-func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, jnl *journal.Journal, a *Frame) {
-	res := &Frame{Type: TypeResult, Key: a.Key, Fingerprint: a.Fingerprint}
+// runCell executes one assignment under its own event collector and
+// reports the cell's payload. The chaos points live here: worker.cell
+// fires before the cell runs (exit and hang simulate crashes and
+// wedges mid-cell), worker.send fires before the report (corrupt
+// mangles the result frame so the coordinator must treat this worker
+// as failed).
+func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *Frame) {
+	res := &Frame{Type: TypeResult, Key: a.Key}
 	if ferr := faultinject.Fire(ctx, "worker.cell", a.Key); ferr != nil {
 		res.Err = ferr.Error()
 		res.Retryable = isTransient(ferr)
 		conn.Write(res)
 		return
 	}
-	mark := experiments.MarkEvents()
-	data, spans, err, ok := enum.Run(ctx, a.Key)
+	var ev experiments.CellEvents
+	data, spans, err, ok := enum.Run(experiments.WithEvents(ctx, &ev), a.Key)
 	switch {
 	case !ok:
 		// Grid mismatch: the coordinator asked for a cell this worker
@@ -214,13 +196,8 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, jnl
 	default:
 		res.Data = data
 		res.Spans = spans
-		if ev := experiments.EventsSince(mark); !ev.Empty() {
+		if !ev.Empty() {
 			res.Events = &ev
-		}
-		if jnl != nil {
-			if aerr := jnl.Append(a.Key, data, spans); aerr != nil {
-				obs.Logf("fabric: %v", aerr)
-			}
 		}
 	}
 	if ferr := faultinject.Fire(ctx, "worker.send", a.Key); ferr != nil && faultinject.IsCorrupt(ferr) {

@@ -12,8 +12,8 @@ import (
 	"context"
 	"fmt"
 
+	"falseshare/internal/artifact"
 	"falseshare/internal/core"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/cache"
@@ -65,9 +65,18 @@ type Config struct {
 	// vs keep-going, per-job deadlines, retries. The zero value runs
 	// every job with no deadline (the historical behavior).
 	Policy pool.Policy
-	// Journal, when non-nil, checkpoints every completed cell and
-	// resumes from checkpoints already present (fsexp -resume).
-	Journal *journal.Journal
+	// Store, when non-nil, keeps every successful cell that has a
+	// fingerprint (fsexp -cache): a cell already stored returns its
+	// result, span subtree and events without running, so an
+	// interrupted run resumes and a later run over the same cells —
+	// local or distributed — dedups through it. Only the process that
+	// owns the run opens the store; fabric workers never do.
+	Store *artifact.Store
+	// Events, when non-nil, receives every successful cell's side
+	// events, appended in job submission order after each fan-out —
+	// whether the cell ran here, ran in a fabric worker, or was
+	// replayed from Store. The caller owns it and reads it per section.
+	Events *CellEvents
 	// StepBudget caps per-process VM instructions per execution
 	// (0: the VM default of 1e9), so runaway programs fail instead of
 	// hanging a job forever.
@@ -75,20 +84,20 @@ type Config struct {
 	// Verify enables safe mode for every compiler-restructured cell:
 	// each C program is translation-validated against its original,
 	// and objects that fail validation (or whose transformation fails
-	// to apply) are degraded to the identity layout and recorded — see
-	// DegradedEvents. Cells replayed from the journal skip compilation
-	// and therefore record no events.
+	// to apply) are degraded to the identity layout and recorded as a
+	// DegradeEvent in Events. A cell replayed from Store replays its
+	// events with it.
 	Verify bool
-	// Diag enables miss attribution for the Figure 3 and Table 2
-	// cells: each measured simulation carries an attr.Collector, and
-	// the per-object reports are recorded against the cell key — see
-	// DiagCells and RenderDiag. Like Verify, cells replayed from the
-	// journal skip measurement and record nothing.
+	// Diag enables miss attribution for the Figure 3, Table 2 and
+	// matrix cells: each measured simulation carries an
+	// attr.Collector, and the per-object reports are recorded against
+	// the cell key as DiagCells in Events — see RenderDiag. Like
+	// Verify's events, a replayed cell's reports come back from Store.
 	Diag bool
 	// Runner, when non-nil, executes cells in other processes: every
 	// driver fan-out is dispatched through it instead of the local
-	// pool (journal hits still resolve locally first). The distributed
-	// fabric's coordinator implements it; see CellRunner.
+	// pool (cells already in Store still resolve locally first). The
+	// distributed fabric's coordinator implements it; see CellRunner.
 	Runner CellRunner
 
 	// enum, when non-nil, switches runJobs into enumeration mode:
@@ -143,24 +152,36 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 }
 
 // runJobs routes every experiment's fan-out through the configured
-// context, failure policy and journal: jobs already checkpointed in
-// cfg.Journal return their stored results without running, fresh
-// completions are checkpointed as they finish.
+// context, failure policy, store and event log: cells already in
+// cfg.Store return their stored results without running, fresh
+// successes are stored as they finish, and every successful cell's
+// events are appended to cfg.Events in submission order.
 //
 // Two alternate modes branch here, both invisible to the drivers:
 // with cfg.enum set (Collect) the jobs are captured, not run, and the
 // driver sees zero-valued results behind an errCollected sentinel;
 // with cfg.Runner set the cells execute in other processes and the
-// results, spans and journal checkpoints are reassembled locally.
+// results, spans and events are reassembled locally.
 func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
 	if cfg.enum != nil {
 		collectJobs(cfg.enum, jobs)
 		return make([]T, len(jobs)), errCollected
 	}
+	events := make([]CellEvents, len(jobs))
+	var results []T
+	var err error
 	if cfg.Runner != nil {
-		return runRemote(cfg, name, jobs)
+		results, err = runRemote(cfg, name, jobs, events)
+	} else {
+		results, err = pool.RunPolicy(cfg.Ctx, name, cfg.Workers, cfg.Policy, cellJobs(cfg, jobs, events))
 	}
-	return pool.RunPolicy(cfg.Ctx, name, cfg.Workers, cfg.Policy, journal.WrapAll(cfg.Journal, jobs))
+	if cfg.Events != nil {
+		for _, ev := range events {
+			cfg.Events.Degraded = append(cfg.Events.Degraded, ev.Degraded...)
+			cfg.Events.Diag = append(cfg.Events.Diag, ev.Diag...)
+		}
+	}
+	return results, err
 }
 
 // Baseline returns the version speedups are measured against: N when

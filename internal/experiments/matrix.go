@@ -231,7 +231,7 @@ func topFSObjects(rep *attr.Report, n int) []string {
 // versions, measures both under the cell's protocol and topology, and
 // attributes the unoptimized run's false sharing. Cells are
 // independent pool jobs keyed "matrix/<workload>/<protocol>/<topology>"
-// — journaled, resumable, and policy-governed exactly like the figure
+// — stored, resumable, and policy-governed exactly like the figure
 // drivers. Safe mode (cfg.Verify) translation-validates every C build
 // and records degradations against the cell key.
 func Matrix(cfg Config, opt MatrixOptions) ([]MatrixCell, error) {
@@ -261,7 +261,7 @@ func Matrix(cfg Config, opt MatrixOptions) ([]MatrixCell, error) {
 						"wl="+bench.Name, "proto="+proto.String(), "topo="+topo.String(),
 						fmt.Sprintf("procs=%d", opt.Procs), fmt.Sprintf("blk=%d", opt.Block),
 						fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-						fmt.Sprintf("verify=%v", cfg.Verify),
+						fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", cfg.Diag),
 						"src="+srcHash(bench.Source(cfg.Scale))),
 					Run: func(ctx context.Context) (MatrixCell, error) {
 						return cfg.matrixCell(ctx, key, p, bench, proto, topo, opt.Procs, opt.Block)
@@ -307,7 +307,7 @@ func (cfg Config) matrixCell(ctx context.Context, key string, p gen.Params, benc
 		return MatrixCell{}, fmt.Errorf("matrix %s C run: %w", bench.Name, err)
 	}
 	if cfg.Diag {
-		recordDiagCell(DiagCell{
+		recordDiag(ctx, DiagCell{
 			Key:     key,
 			Program: bench.Name,
 			Version: VersionN,

@@ -18,8 +18,7 @@ func smallMatrixOptions() MatrixOptions {
 // sharing misses, and the two-ring topology is a pure cost observer
 // whose service counts and cycle cost satisfy their exact identities.
 func TestMatrixInvariants(t *testing.T) {
-	cfg := Config{Scale: 1, Workers: 4, Verify: true}
-	ResetDegraded()
+	cfg := Config{Scale: 1, Workers: 4, Verify: true, Events: &CellEvents{}}
 	opt := smallMatrixOptions()
 	cells, err := Matrix(cfg, opt)
 	if err != nil {
@@ -29,8 +28,8 @@ func TestMatrixInvariants(t *testing.T) {
 	if len(cells) != want {
 		t.Fatalf("got %d cells, want %d", len(cells), want)
 	}
-	if n := DegradedObjects(); n != 0 {
-		t.Errorf("safe mode degraded %d objects on generated programs: %+v", n, DegradedEvents())
+	if n := DegradedObjects(cfg.Events.Degraded); n != 0 {
+		t.Errorf("safe mode degraded %d objects on generated programs: %+v", n, cfg.Events.Degraded)
 	}
 
 	type wk struct{ workload, topo string }
@@ -136,8 +135,7 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 // sums close — under every protocol and topology, not just the
 // default configuration the figure drivers use.
 func TestMatrixAttributionInvariants(t *testing.T) {
-	cfg := Config{Scale: 1, Workers: 1, Diag: true}
-	ResetDiag()
+	cfg := Config{Scale: 1, Workers: 1, Diag: true, Events: &CellEvents{}}
 	opt := MatrixOptions{Workloads: 2, Seed: 5, Procs: 4, Block: 64, ScaleMin: true}
 	cells, err := Matrix(cfg, opt)
 	if err != nil {
@@ -147,7 +145,7 @@ func TestMatrixAttributionInvariants(t *testing.T) {
 	for _, c := range cells {
 		byKey[c.Key] = c
 	}
-	recorded := DiagCells()
+	recorded := cfg.Events.Diag
 	if len(recorded) != len(cells) {
 		t.Fatalf("recorded %d diag cells, want %d", len(recorded), len(cells))
 	}

@@ -43,10 +43,11 @@ type Job[T any] struct {
 	Key string
 	Run func(ctx context.Context) (T, error)
 	// Fingerprint, when non-empty, is a content hash of everything the
-	// job's result depends on (program source, cell configuration,
-	// stage version). The pool itself ignores it; the distributed
-	// fabric uses it to key its content-addressed result cache, so two
-	// cells with the same fingerprint never compute twice.
+	// job's result and side events depend on (program source, cell
+	// configuration, stage version). The pool itself ignores it; the
+	// experiment runner keys its cell store with it, so a cell with a
+	// stored fingerprint never computes twice. Jobs without one (the
+	// compile-cost timings) are never stored.
 	Fingerprint string
 }
 

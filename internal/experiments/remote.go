@@ -11,17 +11,19 @@
 //     keyed by the job's pool key. A worker process, handed the same
 //     ConfigSpec and SectionSet as the coordinator, reconstructs the
 //     identical grid and can therefore execute any cell by key alone.
-//   - CellRunner is the coordinator side: runJobs hands the keys (and
-//     content fingerprints) of the cells it needs to cfg.Runner and
-//     folds the returned (JSON result, span subtree) pairs back into
-//     results, journal checkpoints, and the same "pool:<name>" /
+//   - CellRunner is the coordinator side: runJobs hands the keys of
+//     the cells the store does not already hold to cfg.Runner and
+//     folds the returned (JSON result, span subtree, events) payloads
+//     back into results, the store, and the same "pool:<name>" /
 //     "job:<key>" span tree a local run records — so a distributed
 //     run's manifest is byte-identical to a single-process one,
 //     modulo timing.
-//   - CellEvents carries the per-cell side records (safe-mode
+//   - Each CellResult carries its cell's events (safe-mode
 //     degradations, miss-attribution reports) across the process
-//     boundary: workers capture what a cell recorded, the coordinator
-//     re-records it, and -verify / -diag summaries stay truthful.
+//     boundary: a worker runs every cell under its own collector
+//     (WithEvents), and runJobs appends them to Config.Events exactly
+//     as it does for a local cell, so -verify / -diag summaries stay
+//     truthful.
 package experiments
 
 import (
@@ -40,16 +42,9 @@ import (
 	"falseshare/internal/workload"
 )
 
-// CellSchema versions the distributed cell result format. It is part
-// of every content-cache key (alongside the cell fingerprint), so
-// bumping it — on any change to what cells compute or how results are
-// encoded — invalidates every cached cell at once instead of serving
-// stale results. The falseshare/bench schema idiom (see BenchSchema).
-const CellSchema = "falseshare/cell/v1"
-
 // ConfigSpec is the JSON-serializable subset of Config a worker needs
 // to rebuild the coordinator's exact job grid. Runtime-only fields
-// (context, policy callbacks, journal handle, runner) deliberately
+// (context, policy callbacks, store, event log, runner) deliberately
 // have no place here: workers run cells, they do not make policy.
 type ConfigSpec struct {
 	Scale           int     `json:"scale"`
@@ -132,18 +127,10 @@ func (s SectionSet) compileReps() int {
 	return s.CompileReps
 }
 
-// CellRequest asks a CellRunner for one cell by its deterministic
-// pool key. Fingerprint, when non-empty, keys the content-addressed
-// result cache (see pool.Job.Fingerprint).
-type CellRequest struct {
-	Key         string `json:"key"`
-	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// CellResult is one executed (or cache-served) cell: the result JSON,
-// the observability span subtree the execution recorded — exactly
-// what the resume journal stores — and the cell's side events. Err is
-// non-nil when the cell failed; Data and Events are then empty.
+// CellResult is one executed cell: the result JSON, the span subtree
+// the execution recorded and the cell's side events — exactly the
+// payload the store keeps. Err is non-nil when the cell failed; Data,
+// Spans and Events are then empty.
 type CellResult struct {
 	Key    string
 	Data   json.RawMessage
@@ -157,11 +144,11 @@ type CellResult struct {
 
 // CellRunner executes cells somewhere else — the distributed fabric's
 // coordinator implements it. RunCells must return one CellResult per
-// request, index-aligned, regardless of failures (per-cell errors go
-// in CellResult.Err); its own error is reserved for whole-run
-// breakdowns (no live workers, cancellation before any dispatch).
+// key, index-aligned, regardless of failures (per-cell errors go in
+// CellResult.Err); its own error is reserved for whole-run breakdowns
+// (no live workers, cancellation before any dispatch).
 type CellRunner interface {
-	RunCells(ctx context.Context, section string, reqs []CellRequest) ([]CellResult, error)
+	RunCells(ctx context.Context, section string, keys []string) ([]CellResult, error)
 }
 
 // errCollected is returned by runJobs in enumeration mode. Drivers'
@@ -169,8 +156,9 @@ type CellRunner interface {
 var errCollected = errors.New("experiments: cells collected, not run")
 
 // CellFunc executes one enumerated cell: the job's result marshaled
-// to JSON plus the span subtree recorded while running it. It is safe
-// to call from any goroutine, once at a time per Enumeration.
+// to JSON plus the span subtree recorded while running it. The cell's
+// events go to the collector on ctx (WithEvents). It is safe to call
+// from any goroutine, once at a time per Enumeration.
 type CellFunc func(ctx context.Context) (json.RawMessage, []*obs.Span, error)
 
 // Enumeration is a run's full cell grid, keyed by pool key. Sections
@@ -219,7 +207,8 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 	e := &Enumeration{cells: map[string]CellFunc{}}
 	cfg.enum = e
 	cfg.Runner = nil
-	cfg.Journal = nil
+	cfg.Store = nil
+	cfg.Events = nil
 	cfg.Ctx = nil
 	for _, s := range set.Sections {
 		var err error
@@ -251,11 +240,10 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 // collectJobs captures a driver's jobs into the enumeration as
 // type-erased CellFuncs. The erased runner reproduces what one local
 // pool attempt does around a job: a private recorder bound to the
-// goroutine (so the captured span subtree matches what the journal
-// would store), the pool.worker fault point, and panic containment.
+// goroutine (so the captured span subtree is exactly what the store
+// keeps), the pool.worker fault point, and panic containment.
 func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 	for _, j := range jobs {
-		j := j
 		e.add(j.Key, func(ctx context.Context) (data json.RawMessage, spans []*obs.Span, err error) {
 			rec := obs.NewRecorder()
 			if base := obs.Default(); base != nil {
@@ -287,11 +275,11 @@ func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 	}
 }
 
-// runRemote is runJobs' coordinator path: resolve journal hits
-// locally, hand the rest to cfg.Runner, and reassemble results,
-// spans, journal checkpoints and keyed errors so callers — and the
+// runRemote is runJobs' coordinator path: resolve stored cells
+// locally, hand the rest to cfg.Runner, and reassemble results, spans,
+// events, stored payloads and keyed errors so callers — and the
 // manifests — cannot tell the cells ran in other processes.
-func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
+func runRemote[T any](cfg Config, name string, jobs []pool.Job[T], events []CellEvents) ([]T, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -311,40 +299,37 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) 
 
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
-	var reqs []CellRequest
-	var reqIdx []int
+	var keys []string
+	var idx []int
 	for i, j := range jobs {
-		if raw, jsp, ok := cfg.Journal.Lookup(j.Key); ok {
-			if uerr := json.Unmarshal(raw, &results[i]); uerr == nil {
-				spans[i].Adopt(jsp)
-				spans[i].End()
-				continue
-			}
-			obs.Logf("journal: stale checkpoint for %s; re-running", j.Key)
-			var zero T
-			results[i] = zero
+		if v, p, ok := loadCell[T](cfg.Store, j.Key, j.Fingerprint); ok {
+			results[i] = v
+			events[i] = p.Events
+			spans[i].Adopt(p.Spans)
+			spans[i].End()
+			continue
 		}
-		reqs = append(reqs, CellRequest{Key: j.Key, Fingerprint: j.Fingerprint})
-		reqIdx = append(reqIdx, i)
+		keys = append(keys, j.Key)
+		idx = append(idx, i)
 	}
 
 	var rres []CellResult
 	var rerr error
-	if len(reqs) > 0 {
-		rres, rerr = cfg.Runner.RunCells(ctx, name, reqs)
+	if len(keys) > 0 {
+		rres, rerr = cfg.Runner.RunCells(ctx, name, keys)
 	}
 	if rres == nil {
-		rres = make([]CellResult, len(reqs))
+		rres = make([]CellResult, len(keys))
 		for k := range rres {
 			cause := rerr
 			if cause == nil {
 				cause = errors.New("fabric: no result")
 			}
-			rres[k] = CellResult{Key: reqs[k].Key, Err: cause}
+			rres[k] = CellResult{Key: keys[k], Err: cause}
 		}
 	}
 	for k, res := range rres {
-		i := reqIdx[k]
+		i := idx[k]
 		if res.Retries > 0 {
 			spans[i].Count("retries", int64(res.Retries))
 		}
@@ -362,10 +347,8 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) 
 		}
 		spans[i].Adopt(res.Spans)
 		spans[i].End()
-		if aerr := cfg.Journal.Append(jobs[i].Key, res.Data, res.Spans); aerr != nil {
-			obs.Logf("journal: %v", aerr)
-		}
-		AdoptEvents(res.Events)
+		events[i] = res.Events
+		storeCell(ctx, cfg.Store, jobs[i].Fingerprint, cellPayload{Key: jobs[i].Key, Data: res.Data, Spans: res.Spans, Events: res.Events})
 	}
 
 	var failed []*pool.Error
@@ -381,70 +364,9 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) 
 	return results, nil
 }
 
-// CellEvents are the out-of-band records a cell produces besides its
-// result: safe-mode degradations (-verify) and miss-attribution
-// reports (-diag). Workers capture them per cell; the coordinator
-// adopts them so process-global summaries stay correct. Cells served
-// from the journal or the content cache carry none, matching the
-// established resume semantics (replayed cells record no events).
-type CellEvents struct {
-	Degraded []DegradeEvent `json:"degraded,omitempty"`
-	Diag     []DiagCell     `json:"diag,omitempty"`
-}
-
-// Empty reports whether there is nothing to adopt.
-func (ev CellEvents) Empty() bool { return len(ev.Degraded) == 0 && len(ev.Diag) == 0 }
-
-// EventMark is a snapshot of the process-global event logs; see
-// MarkEvents/EventsSince.
-type EventMark struct{ deg, diag int }
-
-// MarkEvents snapshots the current event-log lengths. A worker marks
-// before running a cell and captures the delta after.
-func MarkEvents() EventMark {
-	degradeMu.Lock()
-	deg := len(degradeEvents)
-	degradeMu.Unlock()
-	diagMu.Lock()
-	diag := len(diagCells)
-	diagMu.Unlock()
-	return EventMark{deg: deg, diag: diag}
-}
-
-// EventsSince returns every event recorded after the mark.
-func EventsSince(m EventMark) CellEvents {
-	var ev CellEvents
-	degradeMu.Lock()
-	if m.deg < len(degradeEvents) {
-		ev.Degraded = append([]DegradeEvent(nil), degradeEvents[m.deg:]...)
-	}
-	degradeMu.Unlock()
-	diagMu.Lock()
-	if m.diag < len(diagCells) {
-		ev.Diag = append([]DiagCell(nil), diagCells[m.diag:]...)
-	}
-	diagMu.Unlock()
-	return ev
-}
-
-// AdoptEvents re-records events captured in another process into this
-// one, preserving the -verify and -diag summaries across the fabric.
-func AdoptEvents(ev CellEvents) {
-	if len(ev.Degraded) > 0 {
-		degradeMu.Lock()
-		degradeEvents = append(degradeEvents, ev.Degraded...)
-		degradeMu.Unlock()
-	}
-	if len(ev.Diag) > 0 {
-		diagMu.Lock()
-		diagCells = append(diagCells, ev.Diag...)
-		diagMu.Unlock()
-	}
-}
-
-// fingerprint assembles a cell's content-cache key material: the
-// section, every configuration knob the result depends on, and the
-// program source hash. Deterministic by construction — no maps.
+// fingerprint assembles a cell's store key material: the section,
+// every configuration knob the result or its events depend on, and
+// the program source hash. Deterministic by construction — no maps.
 func fingerprint(section string, kv ...string) string {
 	h := sha256.New()
 	h.Write([]byte(section))

@@ -9,32 +9,34 @@ import (
 	"strings"
 	"testing"
 
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/sim/ksr"
 )
 
 // localRunner is an in-process CellRunner: it executes cells straight
-// from an Enumeration, exactly like a fabric worker does but without
-// crossing a process boundary — the cheapest way to prove runJobs'
-// Runner path reassembles results, spans and errors faithfully.
+// from an Enumeration, exactly like a fabric worker does — each cell
+// under its own event collector, its payload carrying result, spans
+// and events — but without crossing a process boundary: the cheapest
+// way to prove runJobs' Runner path reassembles results, spans,
+// events and errors faithfully.
 type localRunner struct {
 	enum *Enumeration
 	down bool // refuse every cell (simulates an unreachable fleet)
 }
 
-func (r *localRunner) RunCells(ctx context.Context, section string, reqs []CellRequest) ([]CellResult, error) {
-	out := make([]CellResult, len(reqs))
-	for i, req := range reqs {
+func (r *localRunner) RunCells(ctx context.Context, section string, keys []string) ([]CellResult, error) {
+	out := make([]CellResult, len(keys))
+	for i, key := range keys {
 		if r.down {
-			out[i] = CellResult{Key: req.Key, Err: errors.New("fleet unreachable")}
+			out[i] = CellResult{Key: key, Err: errors.New("fleet unreachable")}
 			continue
 		}
-		data, spans, err, ok := r.enum.Run(ctx, req.Key)
+		var ev CellEvents
+		data, spans, err, ok := r.enum.Run(WithEvents(ctx, &ev), key)
 		if !ok {
-			out[i] = CellResult{Key: req.Key, Err: fmt.Errorf("no cell %q", req.Key)}
+			out[i] = CellResult{Key: key, Err: fmt.Errorf("no cell %q", key)}
 			continue
 		}
-		out[i] = CellResult{Key: req.Key, Data: data, Spans: spans, Err: err}
+		out[i] = CellResult{Key: key, Data: data, Spans: spans, Events: ev, Err: err}
 	}
 	return out, nil
 }
@@ -187,10 +189,10 @@ func TestRunnerManifestMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestRunnerJournalShortCircuit: cells checkpointed in the journal
-// never reach the runner — a resumed distributed run with every cell
-// journaled completes even when the whole fleet is unreachable.
-func TestRunnerJournalShortCircuit(t *testing.T) {
+// TestRunnerStoreShortCircuit: cells already in the store never reach
+// the runner — a resumed distributed run with every cell stored
+// completes even when the whole fleet is unreachable.
+func TestRunnerStoreShortCircuit(t *testing.T) {
 	cfg, mopt, set := remoteTestGrid()
 	enum, err := Collect(cfg.Spec().Config(), set)
 	if err != nil {
@@ -198,35 +200,25 @@ func TestRunnerJournalShortCircuit(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	jnl, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rcfg := cfg
 	rcfg.Runner = &localRunner{enum: enum}
-	rcfg.Journal = jnl
+	rcfg.Store = openStore(t, dir)
 	want, err := Matrix(rcfg, mopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl.Close()
 
-	jnl2, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl2.Close()
 	rcfg2 := cfg
 	rcfg2.Runner = &localRunner{down: true}
-	rcfg2.Journal = jnl2
+	rcfg2.Store = openStore(t, dir)
 	got, err := Matrix(rcfg2, mopt)
 	if err != nil {
-		t.Fatalf("journal-complete run touched the dead fleet: %v", err)
+		t.Fatalf("store-complete run touched the dead fleet: %v", err)
 	}
 	wb, _ := json.Marshal(want)
 	gb, _ := json.Marshal(got)
 	if !bytes.Equal(wb, gb) {
-		t.Error("journal-replayed results differ")
+		t.Error("store-replayed results differ")
 	}
 }
 
@@ -248,7 +240,7 @@ func TestRunnerNilResultBackfill(t *testing.T) {
 
 type brokenRunner struct{}
 
-func (brokenRunner) RunCells(ctx context.Context, section string, reqs []CellRequest) ([]CellResult, error) {
+func (brokenRunner) RunCells(ctx context.Context, section string, keys []string) ([]CellResult, error) {
 	return nil, errors.New("fabric: all workers dead")
 }
 
@@ -274,33 +266,5 @@ func TestFingerprintDeterminism(t *testing.T) {
 	// from "a"+"bc".
 	if fingerprint("s", "ab", "c") == fingerprint("s", "a", "bc") {
 		t.Error("fingerprint concatenates fields without separation")
-	}
-}
-
-// TestEventsRoundTrip: MarkEvents/EventsSince/AdoptEvents carry
-// degraded and diag records across (what would be) a process boundary.
-func TestEventsRoundTrip(t *testing.T) {
-	ResetDegraded()
-	defer ResetDegraded()
-	mark := MarkEvents()
-	if ev := EventsSince(mark); !ev.Empty() {
-		t.Fatalf("fresh mark sees events: %+v", ev)
-	}
-	// What a worker does: record during the cell (AdoptEvents doubles
-	// as the recording primitive here), capture the delta after.
-	AdoptEvents(CellEvents{Degraded: []DegradeEvent{{Key: "matrix/gen-test", Objects: []string{"obj"}, Details: []string{"d"}}}})
-	ev := EventsSince(mark)
-	if len(ev.Degraded) != 1 || ev.Degraded[0].Key != "matrix/gen-test" {
-		t.Fatalf("EventsSince missed the degrade event: %+v", ev)
-	}
-	// What the coordinator does: adopt the shipped delta.
-	AdoptEvents(ev)
-	after := DegradedEvents()
-	if len(after) != 2 {
-		t.Fatalf("got %d recorded events, want 2 (worker + adopted copy)", len(after))
-	}
-	got := after[len(after)-1]
-	if got.Key != "matrix/gen-test" || len(got.Objects) != 1 || got.Objects[0] != "obj" {
-		t.Errorf("adopted event mangled: %+v", got)
 	}
 }

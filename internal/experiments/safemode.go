@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"falseshare/internal/core"
 	"falseshare/internal/transform"
@@ -22,34 +21,11 @@ type DegradeEvent struct {
 	Details []string
 }
 
-var (
-	degradeMu     sync.Mutex
-	degradeEvents []DegradeEvent
-)
-
-// ResetDegraded clears the recorded degrade events; each driver run
-// starts fresh.
-func ResetDegraded() {
-	degradeMu.Lock()
-	degradeEvents = nil
-	degradeMu.Unlock()
-}
-
-// DegradedEvents returns the events recorded since the last reset, in
-// insertion order (nondeterministic across parallel workers; sort by
-// Key for deterministic output). Drivers snapshot the length before a
-// section and slice from it after, to attribute events per section.
-func DegradedEvents() []DegradeEvent {
-	degradeMu.Lock()
-	defer degradeMu.Unlock()
-	return append([]DegradeEvent(nil), degradeEvents...)
-}
-
-// DegradedObjects counts the distinct degraded objects across all
-// recorded events (the "N objects degraded" summary number).
-func DegradedObjects() int {
+// DegradedObjects counts the distinct degraded objects across events
+// (the "N objects degraded" summary number).
+func DegradedObjects(events []DegradeEvent) int {
 	seen := map[string]bool{}
-	for _, e := range DegradedEvents() {
+	for _, e := range events {
 		for _, o := range e.Objects {
 			seen[e.Key+"\x00"+o] = true
 		}
@@ -57,8 +33,11 @@ func DegradedObjects() int {
 	return len(seen)
 }
 
-func recordDegraded(key string, degs []core.Degradation) {
-	if len(degs) == 0 {
+// recordDegraded appends the cell's safe-mode rollbacks, if any, to
+// the cell's event collector as one event.
+func recordDegraded(ctx context.Context, key string, degs []core.Degradation) {
+	col := cellEvents(ctx)
+	if col == nil || len(degs) == 0 {
 		return
 	}
 	ev := DegradeEvent{Key: key}
@@ -71,17 +50,16 @@ func recordDegraded(key string, degs []core.Degradation) {
 		ev.Details = append(ev.Details, d.String())
 	}
 	sort.Strings(ev.Objects)
-	degradeMu.Lock()
-	degradeEvents = append(degradeEvents, ev)
-	degradeMu.Unlock()
+	col.Degraded = append(col.Degraded, ev)
 }
 
 // buildProgram is the verification-aware builder behind every
 // experiment cell. Without cfg.Verify it is ProgramCtx; with it, C
 // versions run the restructurer in safe mode — the transformed
 // program is translation-validated against the original, degraded
-// objects are recorded against the cell key, and the (possibly
-// partially rolled back) program still completes the cell.
+// objects are recorded against the cell key in the cell's event
+// collector (WithEvents), and the (possibly partially rolled back)
+// program still completes the cell.
 func (cfg Config) buildProgram(ctx context.Context, key string, b *workload.Benchmark, ver Version, nprocs int, block int64, heur transform.Config) (*core.Program, error) {
 	if ver != VersionC || !cfg.Verify {
 		return ProgramCtx(ctx, b, ver, nprocs, cfg.Scale, block, heur)
@@ -91,6 +69,6 @@ func (cfg Config) buildProgram(ctx context.Context, key string, b *workload.Benc
 	if err != nil {
 		return nil, err
 	}
-	recordDegraded(key, res.Degraded)
+	recordDegraded(ctx, key, res.Degraded)
 	return res.Transformed, nil
 }

@@ -19,8 +19,6 @@ func TestBuildProgramRecordsDegradation(t *testing.T) {
 	}
 	faultinject.Enable(s)
 	t.Cleanup(faultinject.Disable)
-	ResetDegraded()
-	t.Cleanup(ResetDegraded)
 
 	b := workload.Get("pverify")
 	if b == nil {
@@ -28,7 +26,8 @@ func TestBuildProgramRecordsDegradation(t *testing.T) {
 	}
 	cfg := Config{Scale: 1, Verify: true}
 	const key = "safemode/pverify/C/b128"
-	prog, err := cfg.buildProgram(context.Background(), key, b, VersionC, 8, 128, transform.Config{})
+	var ev CellEvents
+	prog, err := cfg.buildProgram(WithEvents(context.Background(), &ev), key, b, VersionC, 8, 128, transform.Config{})
 	if err != nil {
 		t.Fatalf("cell failed instead of degrading: %v", err)
 	}
@@ -36,32 +35,31 @@ func TestBuildProgramRecordsDegradation(t *testing.T) {
 		t.Fatal("no program")
 	}
 
-	evs := DegradedEvents()
+	evs := ev.Degraded
 	if len(evs) != 1 || evs[0].Key != key {
 		t.Fatalf("events = %+v, want one for %s", evs, key)
 	}
 	if len(evs[0].Objects) == 0 || len(evs[0].Details) == 0 {
 		t.Fatalf("event carries no diagnostics: %+v", evs[0])
 	}
-	if DegradedObjects() != len(evs[0].Objects) {
-		t.Fatalf("DegradedObjects() = %d, want %d", DegradedObjects(), len(evs[0].Objects))
+	if n := DegradedObjects(evs); n != len(evs[0].Objects) {
+		t.Fatalf("DegradedObjects() = %d, want %d", n, len(evs[0].Objects))
 	}
 }
 
 // TestBuildProgramCleanRecordsNothing: without faults, verifying
 // cells record no degrade events; and the N version never verifies.
 func TestBuildProgramCleanRecordsNothing(t *testing.T) {
-	ResetDegraded()
-	t.Cleanup(ResetDegraded)
-
 	b := workload.Get("pverify")
 	cfg := Config{Scale: 1, Verify: true}
+	var ev CellEvents
+	ctx := WithEvents(context.Background(), &ev)
 	for _, ver := range []Version{VersionN, VersionC} {
-		if _, err := cfg.buildProgram(context.Background(), "clean/cell", b, ver, 8, 128, transform.Config{}); err != nil {
+		if _, err := cfg.buildProgram(ctx, "clean/cell", b, ver, 8, 128, transform.Config{}); err != nil {
 			t.Fatalf("%s: %v", ver, err)
 		}
 	}
-	if n := len(DegradedEvents()); n != 0 {
-		t.Fatalf("clean run recorded %d degrade events: %+v", n, DegradedEvents())
+	if n := len(ev.Degraded); n != 0 {
+		t.Fatalf("clean run recorded %d degrade events: %+v", n, ev.Degraded)
 	}
 }

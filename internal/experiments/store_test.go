@@ -1,0 +1,468 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"falseshare/internal/artifact"
+	"falseshare/internal/experiments/pool"
+	"falseshare/internal/faultinject"
+	"falseshare/internal/obs"
+)
+
+// openStore opens a cell store on dir, closed when the test ends.
+func openStore(t *testing.T, dir string) *artifact.Store {
+	t.Helper()
+	st, err := artifact.Open(dir, artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// storedCells counts the entries a store holds.
+func storedCells(st *artifact.Store) int { return int(st.Counters().Entries) }
+
+type storeCellT struct {
+	Prog string `json:"prog"`
+	Miss int64  `json:"miss"`
+}
+
+// storeJob is one fingerprinted job that records a span and counts
+// its executions.
+func storeJob(runs *int, fp string) pool.Job[storeCellT] {
+	return pool.Job[storeCellT]{
+		Key:         "fig3/maxflow/N/b128",
+		Fingerprint: fp,
+		Run: func(ctx context.Context) (storeCellT, error) {
+			*runs++
+			sp := obs.Begin("measure")
+			sp.Set("instrs", 42)
+			sp.End()
+			return storeCellT{Prog: "maxflow", Miss: 11}, nil
+		},
+	}
+}
+
+// runRecorded runs jobs through runJobs under a fresh recorder and
+// returns the results with the recorded span forest, timing zeroed.
+func runRecorded(t *testing.T, cfg Config, jobs []pool.Job[storeCellT]) ([]storeCellT, []*obs.Span) {
+	t.Helper()
+	rec := obs.NewRecorder()
+	prev := obs.BindGoroutine(rec)
+	defer obs.BindGoroutine(prev)
+	res, err := runJobs(cfg, "t", jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := rec.Spans()
+	scrubTimes(spans)
+	return res, spans
+}
+
+func scrubTimes(spans []*obs.Span) {
+	for _, s := range spans {
+		s.Wall = 0
+		s.Started = time.Time{}
+		scrubTimes(s.Children)
+	}
+}
+
+// TestStoreHitGraftsSpans: a stored job runs once; a second run over
+// the same store returns the stored result without running it, with
+// the original span subtree grafted into the new run's tree.
+func TestStoreHitGraftsSpans(t *testing.T) {
+	dir := t.TempDir()
+	var runs int
+	cfg := Config{Workers: 1, Store: openStore(t, dir)}
+	first, firstSpans := runRecorded(t, cfg, []pool.Job[storeCellT]{storeJob(&runs, "t:fp1")})
+	if runs != 1 || storedCells(cfg.Store) != 1 {
+		t.Fatalf("runs = %d, stored = %d; want 1, 1", runs, storedCells(cfg.Store))
+	}
+
+	cfg.Store = openStore(t, dir)
+	second, secondSpans := runRecorded(t, cfg, []pool.Job[storeCellT]{storeJob(&runs, "t:fp1")})
+	if runs != 1 {
+		t.Fatalf("a stored cell re-ran (runs = %d)", runs)
+	}
+	if first[0] != second[0] {
+		t.Errorf("replayed result differs: %+v vs %+v", first[0], second[0])
+	}
+	if !reflect.DeepEqual(firstSpans, secondSpans) {
+		t.Errorf("span trees differ:\nfirst:  %+v\nsecond: %+v", firstSpans, secondSpans)
+	}
+	if got := secondSpans[0].Find("measure"); got == nil || got.Counter("instrs") != 42 {
+		t.Errorf("stored span subtree not grafted: %+v", secondSpans)
+	}
+}
+
+// TestStoreRoundTrip: a stored cell survives closing and reopening
+// the store and decodes to the value that was stored; a fingerprint
+// never stored stays a miss.
+func TestStoreRoundTrip(t *testing.T) {
+	type cell struct {
+		Prog  string `json:"prog"`
+		Miss  int64  `json:"miss"`
+		Ratio float64
+	}
+	dir := t.TempDir()
+	want := cell{Prog: "maxflow", Miss: 12345, Ratio: 1.5}
+	job := pool.Job[cell]{Key: "fig3/maxflow/N/b128", Fingerprint: "t:fp1", Run: func(ctx context.Context) (cell, error) {
+		return want, nil
+	}}
+	st := openStore(t, dir)
+	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[cell]{job}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	if n := storedCells(st2); n != 1 {
+		t.Fatalf("reopened store holds %d cells, want 1", n)
+	}
+	got, _, ok := loadCell[cell](st2, job.Key, job.Fingerprint)
+	if !ok {
+		t.Fatal("cell missing after reopen")
+	}
+	if got != want {
+		t.Errorf("round trip: got %+v, want %+v", got, want)
+	}
+	if _, _, ok := loadCell[cell](st2, job.Key, "t:fp2"); ok {
+		t.Error("hit for a fingerprint never stored")
+	}
+}
+
+// TestStoreSpanRoundTrip: a stored span subtree — wall time, counters
+// and children — reads back intact from a reopened store.
+func TestStoreSpanRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	spans := []*obs.Span{{
+		Name:     "measure",
+		Wall:     3 * time.Millisecond,
+		Counters: map[string]int64{"instrs": 42},
+		Children: []*obs.Span{{Name: "vm", Counters: map[string]int64{"refs": 7}}},
+	}}
+	st := openStore(t, dir)
+	storeCell(context.Background(), st, "t:fp", cellPayload{Key: "k", Data: json.RawMessage(`{}`), Spans: spans})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, p, ok := loadCell[storeCellT](openStore(t, dir), "k", "t:fp")
+	if !ok {
+		t.Fatal("cell missing after reopen")
+	}
+	got := p.Spans
+	if len(got) != 1 || got[0].Name != "measure" || got[0].Counters["instrs"] != 42 {
+		t.Fatalf("span lost in round trip: %+v", got)
+	}
+	if len(got[0].Children) != 1 || got[0].Children[0].Counters["refs"] != 7 {
+		t.Fatalf("child span lost: %+v", got[0].Children)
+	}
+	if got[0].Wall != 3*time.Millisecond {
+		t.Errorf("wall = %v, want 3ms", got[0].Wall)
+	}
+}
+
+// TestStoreStalePayloadIsMiss: a stored payload whose result no longer
+// decodes into the job's type, or that was stored for another key,
+// falls through to the job.
+func TestStoreStalePayloadIsMiss(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	for name, p := range map[string]cellPayload{
+		"undecodable": {Key: "fig3/maxflow/N/b128", Data: json.RawMessage(`"a plain string, not a cell"`)},
+		"other key":   {Key: "fig3/maxflow/C/b128", Data: json.RawMessage(`{"prog":"maxflow","miss":99}`)},
+	} {
+		storeCell(context.Background(), st, "t:"+name, p)
+		var runs int
+		got, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{storeJob(&runs, "t:"+name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs != 1 || got[0].Miss != 11 {
+			t.Errorf("%s: runs = %d, miss = %d; the stale payload must fall through to the job", name, runs, got[0].Miss)
+		}
+	}
+}
+
+// TestStoreFailureNotStored: a failed job leaves no entry, so a
+// resumed run retries it.
+func TestStoreFailureNotStored(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	job := pool.Job[storeCellT]{Key: "k", Fingerprint: "t:fp", Run: func(ctx context.Context) (storeCellT, error) {
+		return storeCellT{}, errors.New("boom")
+	}}
+	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{job}); err == nil {
+		t.Fatal("want error")
+	}
+	if n := storedCells(st); n != 0 {
+		t.Errorf("failure was stored (%d entries)", n)
+	}
+}
+
+// TestStoreSchemaBumpForcesRecomputation: CellSchema is part of every
+// store address, so entries written under an earlier schema are never
+// served — the cell recomputes and is stored under the current one,
+// and both generations coexist.
+func TestStoreSchemaBumpForcesRecomputation(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	const oldSchema = "falseshare/cell/v1"
+	old := []byte(`{"key":"fig3/maxflow/N/b128","data":{"prog":"stale","miss":1}}`)
+	if err := st.Put(context.Background(), oldSchema, "t:fp", old); err != nil {
+		t.Fatal(err)
+	}
+	var runs int
+	got, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{storeJob(&runs, "t:fp")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 || got[0].Prog != "maxflow" {
+		t.Fatalf("old-schema entry served: runs = %d, result %+v", runs, got[0])
+	}
+	if _, ok := st.Get(CellSchema, "t:fp"); !ok {
+		t.Error("recomputed cell not stored under the current schema")
+	}
+	if b, ok := st.Get(oldSchema, "t:fp"); !ok || !bytes.Equal(b, old) {
+		t.Errorf("old-schema entry disturbed: ok=%v data=%s", ok, b)
+	}
+}
+
+// TestStoreCorruptEntryIsMiss: a torn entry costs one recomputation,
+// never an error, and is dropped from disk and counted.
+func TestStoreCorruptEntryIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	var runs int
+	jobs := []pool.Job[storeCellT]{storeJob(&runs, "t:fp")}
+	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", jobs); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	filepath.Walk(dir, func(p string, fi os.FileInfo, err error) error {
+		if err == nil && !fi.IsDir() {
+			files = append(files, p)
+		}
+		return nil
+	})
+	if len(files) != 1 {
+		t.Fatalf("expected 1 entry file, found %v", files)
+	}
+	if err := os.WriteFile(files[0], []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := runJobs(Config{Workers: 1, Store: st}, "t", jobs)
+	if err != nil {
+		t.Fatalf("corrupt entry surfaced as an error: %v", err)
+	}
+	if runs != 2 || got[0].Miss != 11 {
+		t.Errorf("runs = %d, result %+v; the corrupt entry must recompute", runs, got[0])
+	}
+	if n := st.Counters().CorruptDropped; n != 1 {
+		t.Errorf("CorruptDropped = %d, want 1", n)
+	}
+}
+
+// TestStoreUnfingerprintedNeverStored: a job without a fingerprint
+// (compilecost's timings) runs every time and never enters the store.
+func TestStoreUnfingerprintedNeverStored(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	var runs int
+	for i := 0; i < 2; i++ {
+		if _, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{storeJob(&runs, "")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs != 2 {
+		t.Errorf("runs = %d, want 2", runs)
+	}
+	if n := storedCells(st); n != 0 {
+		t.Errorf("unfingerprinted cell stored (%d entries)", n)
+	}
+}
+
+// smallFig3 is a 12-cell Figure 3 configuration for the store tests.
+func smallFig3() Config {
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	cfg.Fig3Blocks = []int64{128}
+	return cfg
+}
+
+// TestStoreScaleChangeRecomputes: the scale is part of every cell's
+// fingerprint, so a run at another scale over the same store
+// recomputes every cell and matches a clean run at that scale.
+func TestStoreScaleChangeRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallFig3()
+	cfg.Store = openStore(t, dir)
+	one, err := Figure3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Scale = 2
+	cfg.Store = openStore(t, dir)
+	two, err := Figure3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := cfg.Store.Counters(); c.Hits != 0 || int(c.Misses) != len(two) {
+		t.Errorf("scale-2 run over a scale-1 store: hits=%d misses=%d, want 0/%d", c.Hits, c.Misses, len(two))
+	}
+	clean := smallFig3()
+	clean.Scale = 2
+	want, err := Figure3(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RenderFigure3(two) != RenderFigure3(want) {
+		t.Error("scale-2 run over a scale-1 store differs from a clean scale-2 run")
+	}
+	if RenderFigure3(two) == RenderFigure3(one) {
+		t.Error("scale 2 renders like scale 1; the test no longer tells stale cells apart")
+	}
+}
+
+// TestStoreReplaysDegradeEvents: a cell's safe-mode degradations are
+// stored with it, so a replay with faults off reports exactly what
+// the faulty run recorded.
+func TestStoreReplaysDegradeEvents(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallFig3()
+	cfg.Verify = true
+	cfg.Store = openStore(t, dir)
+	cfg.Events = &CellEvents{}
+	s, err := faultinject.Parse("transform.corrupt:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable(s)
+	_, err = Figure3(cfg)
+	faultinject.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	computed := cfg.Events.Degraded
+	if DegradedObjects(computed) == 0 {
+		t.Fatal("the seeded miscompile degraded nothing; the test has no events to replay")
+	}
+
+	cfg.Store = openStore(t, dir)
+	cfg.Events = &CellEvents{}
+	if _, err := Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c := cfg.Store.Counters(); c.Misses != 0 {
+		t.Fatalf("replay recomputed %d cells", c.Misses)
+	}
+	if a, b := mustMarshal(t, computed), mustMarshal(t, cfg.Events.Degraded); !bytes.Equal(a, b) {
+		t.Errorf("replayed degrade events differ:\ncomputed %s\nreplayed %s", a, b)
+	}
+}
+
+// TestStoreReplaysDiag: the attribution a Diag run records is stored
+// with each cell, so the rendered diagnosis and the per-section
+// attribution are byte-identical between a computed run and its
+// replay — locally and through a runner whose fleet is gone.
+func TestStoreReplaysDiag(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallFig3()
+	cfg.Diag = true
+	cfg.Store = openStore(t, dir)
+	cfg.Events = &CellEvents{}
+	if _, err := Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	computed := cfg.Events.Diag
+	if len(computed) == 0 {
+		t.Fatal("Diag run recorded no attribution")
+	}
+
+	for name, runner := range map[string]CellRunner{"local": nil, "runner": &localRunner{down: true}} {
+		rcfg := cfg
+		rcfg.Runner = runner
+		rcfg.Store = openStore(t, dir)
+		rcfg.Events = &CellEvents{}
+		if _, err := Figure3(rcfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if a, b := RenderDiag(computed), RenderDiag(rcfg.Events.Diag); a != b {
+			t.Errorf("%s: replayed diagnosis differs:\n%s\n---\n%s", name, a, b)
+		}
+		if a, b := mustMarshal(t, computed), mustMarshal(t, rcfg.Events.Diag); !bytes.Equal(a, b) {
+			t.Errorf("%s: replayed attribution differs", name)
+		}
+	}
+}
+
+// TestStoreDiagMismatchMisses: Diag is part of the fingerprint, so a
+// store filled without it serves no cell to a Diag run — every cell
+// recomputes and records its attribution.
+func TestStoreDiagMismatchMisses(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallFig3()
+	cfg.Store = openStore(t, dir)
+	cells, err := Figure3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Diag = true
+	cfg.Store = openStore(t, dir)
+	cfg.Events = &CellEvents{}
+	if _, err := Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c := cfg.Store.Counters(); c.Hits != 0 {
+		t.Errorf("a store filled without Diag served %d cells to a Diag run", c.Hits)
+	}
+	if n := len(cfg.Events.Diag); n != len(cells) {
+		t.Errorf("Diag run recorded %d attribution cells, want %d", n, len(cells))
+	}
+}
+
+// TestStoreSpansWithoutRecorder: a cell stored while no recorder is
+// installed still carries its whole span subtree, so a later manifest
+// run that replays it matches a clean manifest run.
+func TestStoreSpansWithoutRecorder(t *testing.T) {
+	if obs.Default() != nil {
+		t.Fatal("test requires no installed recorder")
+	}
+	dir := t.TempDir()
+	cfg := smallFig3()
+	cfg.Store = openStore(t, dir)
+	if _, err := Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	clean := manifestBytes(t, "fig3", smallFig3(), func() (any, error) { return Figure3(smallFig3()) })
+	rcfg := smallFig3()
+	rcfg.Store = openStore(t, dir)
+	replayed := manifestBytes(t, "fig3", rcfg, func() (any, error) { return Figure3(rcfg) })
+	if c := rcfg.Store.Counters(); c.Misses != 0 {
+		t.Fatalf("replay recomputed %d cells", c.Misses)
+	}
+	if !bytes.Equal(clean, replayed) {
+		d1, d2 := firstDiff(clean, replayed)
+		t.Errorf("replayed manifest differs from a clean one:\n--- clean ---\n%s\n--- replayed ---\n%s", d1, d2)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

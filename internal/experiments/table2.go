@@ -96,7 +96,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 				"prog="+b.Name, fmt.Sprintf("blk=%d", blk), "variant="+variant,
 				fmt.Sprintf("procs=%d", procs), fmt.Sprintf("heur=%+v", hc),
 				fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-				fmt.Sprintf("verify=%v", cfg.Verify),
+				fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", cfg.Diag),
 				"src="+srcHash(b.Source(cfg.Scale))),
 			Run: func(ctx context.Context) (int64, error) {
 				prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, hc)

@@ -37,12 +37,13 @@
 // mid-cell — a deterministic, fires-once-globally worker kill).
 // The fsd daemon adds serve.handler (fired inside every admitted
 // request's pooled job, detail "<endpoint>/<source-hash>" — panic
-// and hang exercise containment and deadlines), serve.drain (fired
-// at the start of graceful drain), and the artifact store's points
-// serve.cache / fabric.cache (fired in Put with details "put/<key>"
+// and hang exercise containment and deadlines) and serve.drain (fired
+// at the start of graceful drain). The artifact store fires its point
+// in Put — serve.cache for fsd's response cache, cell.store for the
+// experiment cell store (fsexp -cache) — with details "put/<key>"
 // and, inside the commit window between the tmp write and the
 // rename, "rename/<key>" — exit there leaves a torn write exactly
-// like kill -9; corrupt commits a deliberately damaged entry).
+// like kill -9; corrupt commits a deliberately damaged entry.
 // A literal * matches every point.
 //
 // Determinism: `after`/`count` count hits on a per-rule atomic counter

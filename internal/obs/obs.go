@@ -365,9 +365,9 @@ func (s *Span) Find(name string) *Span {
 }
 
 // Adopt attaches snapshot spans at the recorder's top level. The
-// experiment journal uses it to restore a cached job's recorded span
-// subtree, so a resumed run's manifest matches the uninterrupted one.
-// nil-safe.
+// experiment cell store uses it to replay a stored cell's recorded
+// span subtree, so a resumed run's manifest matches the uninterrupted
+// one. nil-safe.
 func (r *Recorder) Adopt(spans []*Span) {
 	if r == nil || len(spans) == 0 {
 		return
