@@ -1,6 +1,7 @@
 package falseshare
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -262,10 +263,10 @@ func BenchmarkVM(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := experiments.MeasureBlocks(prog, []int64{128})
+		st, err := experiments.MeasureConfig(context.Background(), prog, cache.DefaultConfig(12, 128), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(stats[0].Refs), "refs")
+		b.ReportMetric(float64(st.Refs), "refs")
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"falseshare/internal/experiments"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/workload"
 )
 
@@ -45,13 +46,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuprof != "" {
-		stop, err := obs.StartCPUProfile(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
+	stop, err := obs.StartProfiles(*cpuprof, *memprof)
+	if err != nil {
+		fatal(err)
 	}
+	stopProfiles = stop
 
 	var rec *obs.Recorder
 	if *report != "" || *verbose {
@@ -60,12 +59,8 @@ func main() {
 		obs.Install(rec)
 	}
 
-	if *faults != "" {
-		s, err := faultinject.Parse(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		faultinject.Enable(s)
+	if _, err := faultinject.Setup(*faults, ""); err != nil {
+		fatal(err)
 	}
 
 	var source string
@@ -75,7 +70,7 @@ func main() {
 		if b == nil {
 			fmt.Fprintf(os.Stderr, "fsc: unknown benchmark %q (choose from: %s)\n",
 				*bench, strings.Join(workload.Names(), ", "))
-			os.Exit(1)
+			exit(1)
 		}
 		source = b.Source(*scale)
 	case flag.NArg() == 1:
@@ -87,7 +82,7 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "usage: fsc [flags] file.parc | fsc -bench NAME")
 		flag.PrintDefaults()
-		os.Exit(2)
+		exit(2)
 	}
 
 	res, err := core.Restructure(source, core.Options{Nprocs: *nprocs, BlockSize: *block, Verify: *verify})
@@ -138,11 +133,12 @@ func main() {
 		if name == "" {
 			name = flag.Arg(0)
 		}
-		_, before, err := experiments.Diagnose(ctx, res.Original, *block, 0)
+		ccfg := cache.DefaultConfig(*nprocs, *block)
+		_, before, err := experiments.MeasureConfigAttr(ctx, res.Original, ccfg, 0)
 		if err != nil {
 			fatal(fmt.Errorf("diagnose original: %w", err))
 		}
-		_, after, err := experiments.Diagnose(ctx, res.Transformed, *block, 0)
+		_, after, err := experiments.MeasureConfigAttr(ctx, res.Transformed, ccfg, 0)
 		if err != nil {
 			fatal(fmt.Errorf("diagnose transformed: %w", err))
 		}
@@ -187,14 +183,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fsc: report -> %s\n", *report)
 		}
 	}
-	if *memprof != "" {
-		if err := obs.WriteHeapProfile(*memprof); err != nil {
-			fatal(err)
-		}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
+}
+
+// stopProfiles ends -cpuprofile and writes -memprofile. Every exit
+// path calls it; only the first call acts.
+var stopProfiles = func() error { return nil }
+
+// exit stops the profiles and exits with code.
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "fsc: %v\n", err)
+	}
+	os.Exit(code)
 }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "fsc: %v\n", err)
-	os.Exit(1)
+	exit(1)
 }

@@ -45,20 +45,9 @@ func main() {
 	)
 	flag.Parse()
 
-	faultSpec := *faults
-	if faultSpec == "" {
-		faultSpec = os.Getenv("FSD_FAULTS")
-	}
-	if faultSpec != "" {
-		s, err := faultinject.Parse(faultSpec)
-		if err != nil {
-			if *faults == "" {
-				err = fmt.Errorf("FSD_FAULTS: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "fsd: %v\n", err)
-			os.Exit(2)
-		}
-		faultinject.Enable(s)
+	if _, err := faultinject.Setup(*faults, "FSD_FAULTS"); err != nil {
+		fmt.Fprintf(os.Stderr, "fsd: %v\n", err)
+		os.Exit(2)
 	}
 
 	srv, err := serve.New(serve.Options{

@@ -72,21 +72,19 @@ import (
 
 func main() {
 	var (
-		table1   = flag.Bool("table1", false, "print Table 1 (the benchmark suite)")
-		fig3     = flag.Bool("fig3", false, "regenerate Figure 3 (miss-rate bars)")
-		table2   = flag.Bool("table2", false, "regenerate Table 2 (FS reduction by transformation)")
-		fig4     = flag.Bool("fig4", false, "regenerate Figure 4 (speedup curves)")
-		table3   = flag.Bool("table3", false, "regenerate Table 3 (maximum speedups)")
-		aggr     = flag.Bool("aggregates", false, "regenerate the §1/§5 aggregate numbers")
-		ccost    = flag.Bool("compilecost", false, "measure front-end vs restructuring time (§3.1 claim)")
-		all      = flag.Bool("all", false, "regenerate everything")
-		bench    = flag.Bool("bench", false, "replay the fixed benchmark matrix and write the BENCH_sim.json trajectory")
-		matrix   = flag.Bool("matrix", false, "sweep generated workloads across every coherence protocol and topology")
-		benchout = flag.String("benchout", "BENCH_sim.json", "output path for the -bench report")
-		quick    = flag.Bool("quick", false, "smaller processor sweeps (faster)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of formatted tables (fig3/fig4/table2)")
-		scale    = flag.Int("scale", 1, "workload scale")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "parallel experiment jobs (1 = serial)")
+		table1 = flag.Bool("table1", false, "print Table 1 (the benchmark suite)")
+		fig3   = flag.Bool("fig3", false, "regenerate Figure 3 (miss-rate bars)")
+		table2 = flag.Bool("table2", false, "regenerate Table 2 (FS reduction by transformation)")
+		fig4   = flag.Bool("fig4", false, "regenerate Figure 4 (speedup curves)")
+		table3 = flag.Bool("table3", false, "regenerate Table 3 (maximum speedups)")
+		aggr   = flag.Bool("aggregates", false, "regenerate the §1/§5 aggregate numbers")
+		ccost  = flag.Bool("compilecost", false, "measure front-end vs restructuring time (§3.1 claim)")
+		all    = flag.Bool("all", false, "regenerate everything")
+		matrix = flag.Bool("matrix", false, "sweep generated workloads across every coherence protocol and topology")
+		quick  = flag.Bool("quick", false, "smaller processor sweeps (faster)")
+		csv    = flag.Bool("csv", false, "emit CSV instead of formatted tables (fig3/fig4/table2)")
+		scale  = flag.Int("scale", 1, "workload scale")
+		jobs   = flag.Int("j", runtime.GOMAXPROCS(0), "parallel experiment jobs (1 = serial)")
 
 		scaleMin = flag.Bool("scale-min", false, "minimal sweeps and block sets (CI smoke runs)")
 
@@ -142,18 +140,14 @@ func main() {
 	if *all {
 		*table1, *fig3, *table2, *fig4, *table3, *aggr, *ccost = true, true, true, true, true, true, true
 	}
-	if !*table1 && !*fig3 && !*table2 && !*fig4 && !*table3 && !*aggr && !*ccost && !*bench && !*matrix {
+	if !*table1 && !*fig3 && !*table2 && !*fig4 && !*table3 && !*aggr && !*ccost && !*matrix {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
 
-	if *cpuprof != "" {
-		stop, err := obs.StartCPUProfile(*cpuprof)
-		if err != nil {
-			check(err)
-		}
-		defer stop()
-	}
+	stop, err := obs.StartProfiles(*cpuprof, *memprof)
+	check(err)
+	stopProfiles = stop
 	if *verbose {
 		rec := obs.NewRecorder()
 		rec.Verbose = true
@@ -164,20 +158,8 @@ func main() {
 	// propagates to every worker process, so a -faults (or
 	// FSEXP_FAULTS) rule targeting a worker-side point fires inside
 	// the workers, not just the parent.
-	faultSpec := *faults
-	if faultSpec == "" {
-		faultSpec = os.Getenv("FSEXP_FAULTS")
-	}
-	if faultSpec != "" {
-		s, err := faultinject.Parse(faultSpec)
-		if *faults == "" {
-			if err != nil {
-				err = fmt.Errorf("FSEXP_FAULTS: %w", err)
-			}
-		}
-		check(err)
-		faultinject.Enable(s)
-	}
+	faultSpec, err := faultinject.Setup(*faults, "FSEXP_FAULTS")
+	check(err)
 
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = *scale
@@ -248,14 +230,13 @@ func main() {
 		if c := coordP.Load(); c != nil {
 			c.Kill()
 		}
-		os.Exit(130)
+		exit(130)
 	}()
 
 	// The cell store: opened (and recovered) only here, in the process
 	// that owns the run — fabric workers never touch it.
 	var store *artifact.Store
 	if *cacheDir != "" {
-		var err error
 		store, err = artifact.Open(*cacheDir, artifact.Options{MaxBytes: *cacheBytes, FaultPoint: "cell.store"})
 		check(err)
 		cfg.Store = store
@@ -386,7 +367,7 @@ func main() {
 		} else {
 			fmt.Fprintln(os.Stderr, "fsexp: hint: run with -cache <dir> to make interrupted runs resumable")
 		}
-		os.Exit(code)
+		exit(code)
 	}
 
 	// run executes one experiment. With -reportdir every run records
@@ -495,13 +476,6 @@ func main() {
 		rows := run("compilecost", func() (any, error) { return experiments.CompileCost(cfg, 12, 5) }).([]experiments.CompileCostRow)
 		fmt.Println(experiments.RenderCompileCost(rows))
 	}
-	if *bench {
-		rep := run("bench", func() (any, error) { return experiments.Bench(cfg, nil, nil) }).(*experiments.BenchReport)
-		check(experiments.WriteBenchReport(*benchout, rep))
-		fmt.Println(experiments.RenderBench(rep))
-		fmt.Fprintf(os.Stderr, "fsexp: bench report -> %s\n", *benchout)
-	}
-
 	if *matrix {
 		cells := run("matrix", func() (any, error) { return experiments.Matrix(cfg, mopt) }).([]experiments.MatrixCell)
 		if *csv {
@@ -518,10 +492,6 @@ func main() {
 		fmt.Println(experiments.RenderDiag(events.Diag))
 	}
 
-	if *memprof != "" {
-		check(obs.WriteHeapProfile(*memprof))
-	}
-
 	// Safe-mode summary (stderr, so stdout tables stay stable): which
 	// cells finished with degraded objects, and the overall count.
 	if *verifyRuns {
@@ -535,6 +505,7 @@ func main() {
 
 	shutdownFabric()
 	closeStore()
+	check(stopProfiles())
 
 	if len(failSections) > 0 {
 		fmt.Println("Failed cells:")
@@ -545,16 +516,29 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fsexp: completed cells are stored; re-run with -cache %s to retry only the failed ones\n", *cacheDir)
 		}
 		if interrupted {
-			os.Exit(130)
+			exit(130)
 		}
-		os.Exit(1)
+		exit(1)
 	}
+}
+
+// stopProfiles ends -cpuprofile and writes -memprofile. Every exit
+// path calls it, the interrupt handler's included; only the first
+// call acts.
+var stopProfiles = func() error { return nil }
+
+// exit stops the profiles and exits with code.
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "fsexp: %v\n", err)
+	}
+	os.Exit(code)
 }
 
 func check(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fsexp: %v\n", err)
-		os.Exit(1)
+		exit(1)
 	}
 }
 

@@ -69,14 +69,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if *faults != "" {
-		s, err := faultinject.Parse(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		faultinject.Enable(s)
-	} else if _, err := faultinject.FromEnv(os.Getenv("FSEXP_FAULTS")); err != nil {
-		fatal(fmt.Errorf("FSEXP_FAULTS: %w", err))
+	stop, err := obs.StartProfiles(*cpuprof, *memprof)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+
+	if _, err := faultinject.Setup(*faults, "FSEXP_FAULTS"); err != nil {
+		fatal(err)
 	}
 
 	// First interrupt: cancel the run — the VM stops at its next
@@ -91,16 +91,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fssim: interrupt — stopping (interrupt again to exit immediately)")
 		cancel()
 		<-sigc
-		os.Exit(130)
+		exit(130)
 	}()
-
-	if *cpuprof != "" {
-		stop, err := obs.StartCPUProfile(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
-	}
 
 	var rec *obs.Recorder
 	if *report != "" || *verbose {
@@ -116,12 +108,12 @@ func main() {
 		p, err := cache.ParseProtocol(*protoFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fssim: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		tp, err := cache.ParseTopology(*topoFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fssim: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		simKnobs = knobs{proto: p, topo: tp, ringSize: *ringSize, sector: *sector}
 	}
@@ -131,7 +123,7 @@ func main() {
 		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fssim: bad block size %q\n", s)
-			os.Exit(2)
+			exit(2)
 		}
 		// Validate each block against the simulator configuration it
 		// will become, so a bad size (not a power of two, too small)
@@ -140,7 +132,7 @@ func main() {
 		// cache.New, so validate through it.
 		if _, verr := cache.New(simConfig(*nprocs, v)); verr != nil {
 			fmt.Fprintf(os.Stderr, "fssim: %v\n", verr)
-			os.Exit(2)
+			exit(2)
 		}
 		blocks = append(blocks, v)
 	}
@@ -225,6 +217,9 @@ func main() {
 			"nprocs": *nprocs, "blocks": blocks, "replay": *replay, "jobs": *jobs,
 			"protocol": simKnobs.proto.String(), "topology": simKnobs.topo.String(),
 		}, perBlock, *verbose)
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -235,7 +230,7 @@ func main() {
 		if b == nil {
 			fmt.Fprintf(os.Stderr, "fssim: unknown benchmark %q (choose from: %s)\n",
 				*bench, strings.Join(workload.Names(), ", "))
-			os.Exit(1)
+			exit(1)
 		}
 		source = b.Source(*scale)
 	case flag.NArg() == 1:
@@ -247,7 +242,7 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "usage: fssim [flags] file.parc | fssim -bench NAME")
 		flag.PrintDefaults()
-		os.Exit(2)
+		exit(2)
 	}
 
 	// One compiled program per block size for the transformed case
@@ -296,10 +291,8 @@ func main() {
 		"protocol": simKnobs.proto.String(), "topology": simKnobs.topo.String(),
 	}, perBlock, *verbose)
 
-	if *memprof != "" {
-		if err := obs.WriteHeapProfile(*memprof); err != nil {
-			fatal(err)
-		}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 }
 
@@ -508,10 +501,23 @@ func writeReport(rec *obs.Recorder, path string, config map[string]any, perBlock
 	}
 }
 
+// stopProfiles ends -cpuprofile and writes -memprofile. Every exit
+// path calls it, the interrupt handler's included; only the first
+// call acts.
+var stopProfiles = func() error { return nil }
+
+// exit stops the profiles and exits with code.
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "fssim: %v\n", err)
+	}
+	os.Exit(code)
+}
+
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "fssim: %v\n", err)
 	if errors.Is(err, context.Canceled) {
-		os.Exit(130)
+		exit(130)
 	}
-	os.Exit(1)
+	exit(1)
 }

@@ -8,11 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"falseshare/internal/core"
 	"falseshare/internal/experiments"
+	"falseshare/internal/sim/cache"
 )
 
 const program = `
@@ -48,16 +50,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sn, err := experiments.MeasureBlocks(res.Original, []int64{blk})
+		ccfg := cache.DefaultConfig(nprocs, blk)
+		sn, err := experiments.MeasureConfig(context.Background(), res.Original, ccfg, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sc, err := experiments.MeasureBlocks(res.Transformed, []int64{blk})
+		sc, err := experiments.MeasureConfig(context.Background(), res.Transformed, ccfg, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%5d   %18.3f%%   %18.3f%%\n",
-			blk, 100*sn[0].FSRate(), 100*sc[0].FSRate())
+			blk, 100*sn.FSRate(), 100*sc.FSRate())
 	}
 
 	// Show the structural rewrite once.

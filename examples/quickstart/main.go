@@ -5,11 +5,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"falseshare/internal/core"
 	"falseshare/internal/experiments"
+	"falseshare/internal/sim/cache"
 )
 
 // The classic false-sharing victim: per-process counters packed into
@@ -54,11 +56,10 @@ func main() {
 		{"unoptimized", res.Original},
 		{"compiler   ", res.Transformed},
 	} {
-		stats, err := experiments.MeasureBlocks(v.prog, []int64{block})
+		st, err := experiments.MeasureConfig(context.Background(), v.prog, cache.DefaultConfig(nprocs, block), 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		st := stats[0]
 		fmt.Printf("%s: refs=%-8d missrate=%6.3f%%  false-sharing=%-7d other=%d\n",
 			v.name, st.Refs, 100*st.MissRate(), st.FalseShare, st.Misses()-st.FalseShare)
 	}

@@ -8,11 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"falseshare/internal/core"
 	"falseshare/internal/experiments"
+	"falseshare/internal/sim/cache"
 )
 
 const program = `
@@ -76,11 +78,10 @@ func main() {
 		{"unoptimized", res.Original},
 		{"compiler   ", res.Transformed},
 	} {
-		stats, err := experiments.MeasureBlocks(v.prog, []int64{block})
+		st, err := experiments.MeasureConfig(context.Background(), v.prog, cache.DefaultConfig(nprocs, block), 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		st := stats[0]
 		fmt.Printf("%s: missrate=%6.3f%%  false-sharing=%-7d invalidations=%d\n",
 			v.name, 100*st.MissRate(), st.FalseShare, st.Invalidations)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"falseshare/internal/experiments/pool"
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
 	"falseshare/internal/workload"
 )
@@ -72,11 +73,10 @@ func ComputeAggregates(cfg Config, block int64) (*Aggregates, error) {
 					if err != nil {
 						return aggCell{}, err
 					}
-					stats, err := MeasureBlocksCtx(ctx, prog, []int64{block}, 1, cfg.StepBudget)
+					st, err := MeasureConfig(ctx, prog, cache.DefaultConfig(procs, block), cfg.StepBudget)
 					if err != nil {
 						return aggCell{}, err
 					}
-					st := stats[0]
 					return aggCell{Prog: b.Name, Ver: ver, FS: st.FalseShare, Other: st.Misses() - st.FalseShare}, nil
 				},
 			})

@@ -5,24 +5,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"falseshare/internal/core"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
+	"falseshare/internal/sim/cache"
 )
 
 // The chaos suite drives the fault-injection harness through the real
 // experiment stack: deterministic faults (error, panic, delay) at the
-// pool worker, inside the VM run loop, and in the ParTee simulator
-// workers, under the keep-going policy. Every case asserts the same
-// three things the runner promises: the pool drains cleanly (complete
-// per-job accounting, no hang, no leaked goroutine — the race
-// detector rides along in CI), the store holds exactly the cells
-// that succeeded, and a resumed run completes the rest and converges
-// to the same results as an undisturbed run.
+// pool worker, inside the VM run loop and in the compiler, under the
+// keep-going policy. Every case asserts the same three things the
+// runner promises: the pool drains cleanly (complete per-job
+// accounting, no hang, no leaked goroutine — the race detector rides
+// along in CI), the store holds exactly the cells that succeeded, and
+// a resumed run completes the rest and converges to the same results
+// as an undisturbed run. The trace.partee fault point is tested where
+// ParTee lives, in internal/sim/trace.
 
 // chaosSource is a small terminating program whose per-process writes
 // actually false-share, so the measured counters are non-trivial.
@@ -40,26 +41,25 @@ void main() {
 
 // chaosJobs builds n identical compile→run→simulate jobs over the
 // chaos program, each with its own fingerprint so the store keeps
-// them apart. simWorkers > 1 with several blocks routes the
-// measurement through the ParTee fan-out (the trace.partee fault
-// point); 1 keeps it on the serial path.
-func chaosJobs(blocks []int64, n, simWorkers int) []pool.Job[int64] {
+// them apart.
+func chaosJobs(n int) []pool.Job[int64] {
+	const block = 64
 	jobs := make([]pool.Job[int64], n)
 	for i := range jobs {
 		key := fmt.Sprintf("chaos/cell%d", i)
 		jobs[i] = pool.Job[int64]{
 			Key:         key,
-			Fingerprint: fingerprint("chaos", key, fmt.Sprintf("blocks=%v", blocks), fmt.Sprintf("simw=%d", simWorkers)),
+			Fingerprint: fingerprint("chaos", key),
 			Run: func(ctx context.Context) (int64, error) {
-				prog, err := core.CompileCtx(ctx, chaosSource, core.Options{Nprocs: 4, BlockSize: blocks[0]})
+				prog, err := core.CompileCtx(ctx, chaosSource, core.Options{Nprocs: 4, BlockSize: block})
 				if err != nil {
 					return 0, err
 				}
-				stats, err := MeasureBlocksCtx(ctx, prog, blocks, simWorkers, 0)
+				st, err := MeasureConfig(ctx, prog, cache.DefaultConfig(4, block), 0)
 				if err != nil {
 					return 0, err
 				}
-				return stats[0].Refs, nil
+				return st.Refs, nil
 			},
 		}
 	}
@@ -72,33 +72,24 @@ func chaosJobs(blocks []int64, n, simWorkers int) []pool.Job[int64] {
 // (faults off) must finish the rest.
 func TestChaosMatrix(t *testing.T) {
 	const nJobs = 6
-	serialBlocks := []int64{64}
-	parBlocks := []int64{16, 32, 64, 128}
 
 	cases := []struct {
 		name     string
 		spec     string
-		blocks   []int64
-		simW     int
 		wantFail int
 	}{
 		// Pool-worker faults hit before the job body runs; the match
 		// pins the victim, so the failed key is exact.
-		{"pool-error", "pool.worker=chaos/cell3:error", serialBlocks, 1, 1},
-		{"pool-panic", "pool.worker=chaos/cell3:panic", serialBlocks, 1, 1},
-		{"pool-delay", "pool.worker:delay=2ms", serialBlocks, 1, 0},
+		{"pool-error", "pool.worker=chaos/cell3:error", 1},
+		{"pool-panic", "pool.worker=chaos/cell3:panic", 1},
+		{"pool-delay", "pool.worker:delay=2ms", 0},
 		// VM faults fire inside Machine.Run; count=1 fails exactly one
 		// cell (which one depends on scheduling — that's the point).
-		{"vm-error", "vm.run:error:count=1", serialBlocks, 1, 1},
-		{"vm-panic", "vm.run:panic:count=1", serialBlocks, 1, 1},
-		{"vm-delay", "vm.run:delay=2ms:count=3", serialBlocks, 1, 0},
+		{"vm-error", "vm.run:error:count=1", 1},
+		{"vm-panic", "vm.run:panic:count=1", 1},
+		{"vm-delay", "vm.run:delay=2ms:count=3", 0},
 		// Compiler-stage fault.
-		{"core-error", "core.compile:error:count=1", serialBlocks, 1, 1},
-		// ParTee faults fire in a simulator worker goroutine; the
-		// producer must drain, the job must fail, nothing may hang.
-		{"partee-error", "trace.partee=0:error:count=1", parBlocks, 4, 1},
-		{"partee-panic", "trace.partee=0:panic:count=1", parBlocks, 4, 1},
-		{"partee-delay", "trace.partee:delay=2ms:count=4", parBlocks, 4, 0},
+		{"core-error", "core.compile:error:count=1", 1},
 	}
 
 	for _, tc := range cases {
@@ -115,7 +106,7 @@ func TestChaosMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			faultinject.Enable(s)
-			results, err := runJobs(cfg, "chaos", chaosJobs(tc.blocks, nJobs, tc.simW))
+			results, err := runJobs(cfg, "chaos", chaosJobs(nJobs))
 			faultinject.Disable()
 
 			if tc.wantFail == 0 {
@@ -151,7 +142,7 @@ func TestChaosMatrix(t *testing.T) {
 			if n := storedCells(store); n != nJobs-tc.wantFail {
 				t.Errorf("store has %d cells, want %d", n, nJobs-tc.wantFail)
 			}
-			for _, j := range chaosJobs(tc.blocks, nJobs, tc.simW) {
+			for _, j := range chaosJobs(nJobs) {
 				if _, ok := store.Get(CellSchema, j.Fingerprint); ok && failedSet[j.Key] {
 					t.Errorf("failed cell %s was stored", j.Key)
 				}
@@ -160,11 +151,11 @@ func TestChaosMatrix(t *testing.T) {
 			// Resume with faults off: only the failed cells re-run, and
 			// the final results match an undisturbed run.
 			cfg.Store = openStore(t, dir)
-			resumed, err := runJobs(cfg, "chaos", chaosJobs(tc.blocks, nJobs, tc.simW))
+			resumed, err := runJobs(cfg, "chaos", chaosJobs(nJobs))
 			if err != nil {
 				t.Fatalf("resume failed: %v", err)
 			}
-			clean, err := runJobs(Config{Workers: 4}, "chaos", chaosJobs(tc.blocks, nJobs, tc.simW))
+			clean, err := runJobs(Config{Workers: 4}, "chaos", chaosJobs(nJobs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +183,7 @@ func TestChaosFailFastDrain(t *testing.T) {
 	cfg := Config{Workers: 1, Policy: pool.Policy{FailFast: true}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := runJobs(cfg, "chaos", chaosJobs([]int64{64}, 8, 1))
+		_, err := runJobs(cfg, "chaos", chaosJobs(8))
 		done <- err
 	}()
 	select {
@@ -264,46 +255,5 @@ func TestChaosInterruptedResumeManifest(t *testing.T) {
 	}
 	if storedCells(store2) <= completed && completed > 0 {
 		t.Errorf("resume did not store the remaining cells: %d -> %d", completed, storedCells(store2))
-	}
-}
-
-// TestMeasureBlocksPanicDrainsParTee is the goroutine-leak regression
-// test: when the VM panics between NewParTee and Close, the deferred
-// close must still drain and join every simulator goroutine.
-func TestMeasureBlocksPanicDrainsParTee(t *testing.T) {
-	prog, err := core.Compile(chaosSource, core.Options{Nprocs: 4, BlockSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := faultinject.Parse("vm.run:panic:count=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Enable(s)
-	t.Cleanup(faultinject.Disable)
-
-	before := runtime.NumGoroutine()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected the injected VM panic to propagate")
-			}
-		}()
-		MeasureBlocksN(prog, []int64{16, 32, 64, 128}, 4)
-	}()
-
-	// The four simulator workers must exit; give the scheduler a
-	// moment, then compare against the pre-call count.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"strings"
 
 	"falseshare/internal/core"
-	"falseshare/internal/obs"
 	"falseshare/internal/sim/attr"
 	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
-	"falseshare/internal/vm"
 )
 
 // DiagCell records one experiment cell's miss attribution: which
@@ -41,80 +39,15 @@ func recordDiag(ctx context.Context, c DiagCell) {
 	}
 }
 
-// MeasureBlocksAttr is MeasureBlocksCtx with miss attribution: one
-// collector per block-size simulator over a shared address map fed by
-// the live machine. The map is not goroutine-safe, so every simulator
-// runs inline on the VM's goroutine regardless of worker settings —
-// attribution runs trade throughput for evidence.
-func MeasureBlocksAttr(ctx context.Context, prog *core.Program, blocks []int64, budget int64) ([]*cache.Stats, []*attr.Report, error) {
-	if len(blocks) == 0 {
-		return nil, nil, fmt.Errorf("experiments: MeasureBlocksAttr: no block sizes given")
-	}
-	sp := obs.Begin("measure-attr")
-	defer sp.End()
-	sp.Set("blocks", int64(len(blocks)))
-	nprocs := int(prog.Layout.Nprocs)
-	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := vm.New(bc)
-	m.SetContext(ctx)
-	if budget > 0 {
-		m.MaxInstrs = budget
-	}
-	amap := attr.NewMap(prog.Layout)
-	amap.AttachMachine(m)
-	sims := make([]*cache.Sim, len(blocks))
-	cols := make([]*attr.Collector, len(blocks))
-	for i, blk := range blocks {
-		sims[i], err = cache.New(cache.DefaultConfig(nprocs, blk))
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: MeasureBlocksAttr: block %d: %w", blk, err)
-		}
-		cols[i] = attr.NewCollector(amap, blk)
-		sims[i].SetAttributor(cols[i])
-	}
-	installMetrics(sims, blocks)
-	if err := m.Run(func(r vm.Ref) {
-		for _, s := range sims {
-			s.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
-		}
-	}); err != nil {
-		return nil, nil, err
-	}
-	amap.ResolveOwners()
-	stats := make([]*cache.Stats, len(sims))
-	reports := make([]*attr.Report, len(sims))
-	for i := range sims {
-		stats[i] = sims[i].Stats()
-		reports[i] = cols[i].Report(nprocs)
-	}
-	return stats, reports, nil
-}
-
-// Diagnose measures one program at one block size with attribution —
-// the single-cell entry point fsc -diag and fssim -diag use.
-func Diagnose(ctx context.Context, prog *core.Program, block int64, budget int64) (*cache.Stats, *attr.Report, error) {
-	stats, reps, err := MeasureBlocksAttr(ctx, prog, []int64{block}, budget)
-	if err != nil {
-		return nil, nil, err
-	}
-	return stats[0], reps[0], nil
-}
-
 // measureCell is the per-cell measurement behind the Figure 3 and
 // Table 2 jobs: plain stats normally, attributed stats recorded under
 // the cell key in the cell's event collector when diag is set.
 func (cfg Config) measureCell(ctx context.Context, key, program string, ver Version, procs int, blk int64, prog *core.Program, diag bool) (*cache.Stats, error) {
+	ccfg := cache.DefaultConfig(procs, blk)
 	if !diag {
-		stats, err := MeasureBlocksCtx(ctx, prog, []int64{blk}, 1, cfg.StepBudget)
-		if err != nil {
-			return nil, err
-		}
-		return stats[0], nil
+		return MeasureConfig(ctx, prog, ccfg, cfg.StepBudget)
 	}
-	stats, reps, err := MeasureBlocksAttr(ctx, prog, []int64{blk}, cfg.StepBudget)
+	st, rep, err := MeasureConfigAttr(ctx, prog, ccfg, cfg.StepBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +59,9 @@ func (cfg Config) measureCell(ctx context.Context, key, program string, ver Vers
 		Procs:          procs,
 		Applied:        decisionStrings(prog.Applied),
 		AppliedTargets: decisionTargets(prog.Applied),
-		Report:         reps[0],
+		Report:         rep,
 	})
-	return stats[0], nil
+	return st, nil
 }
 
 func decisionStrings(ds []*transform.Decision) []string {

@@ -30,18 +30,17 @@ func TestAttributionInvariants(t *testing.T) {
 					if err != nil {
 						t.Fatalf("build: %v", err)
 					}
-					stats, reps, err := MeasureBlocksAttr(ctx, prog, []int64{blk}, 0)
+					ccfg := cache.DefaultConfig(procs, blk)
+					st, rep, err := MeasureConfigAttr(ctx, prog, ccfg, 0)
 					if err != nil {
 						t.Fatalf("measure: %v", err)
 					}
-					st, rep := stats[0], reps[0]
 
 					// Attribution must not perturb the simulation.
-					plain, err := MeasureBlocksCtx(ctx, prog, []int64{blk}, 1, 0)
+					ps, err := MeasureConfig(ctx, prog, ccfg, 0)
 					if err != nil {
 						t.Fatalf("plain measure: %v", err)
 					}
-					ps := plain[0]
 					if st.Cold != ps.Cold || st.Replace != ps.Replace ||
 						st.TrueShare != ps.TrueShare || st.FalseShare != ps.FalseShare ||
 						st.Invalidations != ps.Invalidations || st.Refs != ps.Refs {
@@ -88,7 +87,6 @@ func TestAttributionInvariants(t *testing.T) {
 							t.Errorf("unmapped object got %d misses", o.Misses())
 						}
 					}
-					_ = cache.WordSize
 				})
 			}
 		}
@@ -125,7 +123,7 @@ func TestDiagPaperObjects(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			_, rep, err := Diagnose(ctx, prog, tc.block, 0)
+			_, rep, err := MeasureConfigAttr(ctx, prog, cache.DefaultConfig(12, tc.block), 0)
 			if err != nil {
 				t.Fatalf("diagnose: %v", err)
 			}

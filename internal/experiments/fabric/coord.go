@@ -595,14 +595,14 @@ func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 	}
 	st := &run.state[idx]
 	if err != nil {
-		if isTransient(err) && st.attempts < c.opt.Policy.Retries {
+		if pool.Transient(err) && st.attempts < c.opt.Policy.Retries {
 			st.attempts++
 			c.stats.Retries++
 			if c.span != nil {
 				c.span.Count("retries", 1)
 			}
 			run.results[idx].Retries = st.attempts
-			backoff := c.backoff(st.attempts - 1)
+			backoff := c.opt.Policy.RetryDelay(st.attempts - 1)
 			obs.Logf("fabric: retrying %s after transient failure (attempt %d): %v", run.keys[idx], st.attempts, err)
 			c.wg.Add(1)
 			go func() {
@@ -654,15 +654,6 @@ func (c *Coordinator) abortLocked(run *cellRun, err error) {
 	}
 	run.queue = nil
 	c.cond.Broadcast()
-}
-
-// backoff mirrors pool.Policy's exponential schedule.
-func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.opt.Policy.Backoff
-	if d <= 0 {
-		d = 100 * time.Millisecond
-	}
-	return d << attempt
 }
 
 // requeueAfter re-dispatches a cell after its retry backoff.

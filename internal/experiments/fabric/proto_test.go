@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"falseshare/internal/experiments"
+	"falseshare/internal/experiments/pool"
 	"falseshare/internal/obs"
 )
 
@@ -59,11 +60,11 @@ func TestConnRoundTrip(t *testing.T) {
 
 func TestConnTransientSurvivesWire(t *testing.T) {
 	f := &Frame{Type: TypeResult, Key: "k", Err: "flaky", Retryable: true}
-	if err := frameError(f); !isTransient(err) {
+	if err := frameError(f); !pool.Transient(err) {
 		t.Errorf("retryable frame error lost its transience: %v", err)
 	}
 	f.Retryable = false
-	if err := frameError(f); isTransient(err) {
+	if err := frameError(f); pool.Transient(err) {
 		t.Errorf("non-retryable frame error became transient: %v", err)
 	}
 	if err := frameError(&Frame{Type: TypeResult, Key: "k"}); err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"falseshare/internal/experiments"
+	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 )
@@ -178,7 +179,7 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *
 	res := &Frame{Type: TypeResult, Key: a.Key}
 	if ferr := faultinject.Fire(ctx, "worker.cell", a.Key); ferr != nil {
 		res.Err = ferr.Error()
-		res.Retryable = isTransient(ferr)
+		res.Retryable = pool.Transient(ferr)
 		conn.Write(res)
 		return
 	}
@@ -192,7 +193,7 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *
 		res.Err = fmt.Sprintf("worker has no cell %q (grid mismatch?)", a.Key)
 	case err != nil:
 		res.Err = err.Error()
-		res.Retryable = isTransient(err)
+		res.Retryable = pool.Transient(err)
 	default:
 		res.Data = data
 		res.Spans = spans
@@ -207,11 +208,4 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *
 	if werr := conn.Write(res); werr != nil {
 		obs.Logf("fabric: worker: report %s: %v", a.Key, werr)
 	}
-}
-
-// isTransient mirrors the pool's default transience classifier: any
-// error in the chain declaring itself Transient().
-func isTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }

@@ -16,8 +16,8 @@ import (
 	"falseshare/internal/core"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/obs"
+	"falseshare/internal/sim/attr"
 	"falseshare/internal/sim/cache"
-	"falseshare/internal/sim/trace"
 	"falseshare/internal/transform"
 	"falseshare/internal/vm"
 	"falseshare/internal/workload"
@@ -207,95 +207,61 @@ func Versions(b *workload.Benchmark) []Version {
 	return out
 }
 
-// MeasureBlocks executes a program once and measures it with one cache
-// simulator per block size (the trace is identical across block
-// sizes, so a single execution feeds them all). With more than one
-// block size the simulators run sharded across goroutines; see
-// MeasureBlocksN.
-func MeasureBlocks(prog *core.Program, blocks []int64) ([]*cache.Stats, error) {
-	return MeasureBlocksN(prog, blocks, 0)
+// MeasureConfig executes prog once and simulates its trace under one
+// cache configuration, the simulator fed inline on the VM's goroutine.
+// NumProcs is taken from the program's layout; ctx cancels the VM
+// mid-run and budget caps per-process instructions (0: the VM
+// default). Every experiment cell, fsc -diag and fsd measure through
+// it or MeasureConfigAttr; fssim drives its own multi-block sweeps.
+func MeasureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, error) {
+	st, _, err := measureConfig(ctx, prog, ccfg, budget, false)
+	return st, err
 }
 
-// MeasureBlocksN is MeasureBlocks with an explicit worker bound
-// (<= 0: runtime.GOMAXPROCS); see MeasureBlocksCtx.
-func MeasureBlocksN(prog *core.Program, blocks []int64, workers int) ([]*cache.Stats, error) {
-	return MeasureBlocksCtx(context.Background(), prog, blocks, workers, 0)
+// MeasureConfigAttr is MeasureConfig with miss attribution: the
+// simulator carries a collector over an address map fed by the live
+// machine. Attribution never changes the statistics.
+func MeasureConfigAttr(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, *attr.Report, error) {
+	return measureConfig(ctx, prog, ccfg, budget, true)
 }
 
-// MeasureBlocksCtx is the full-control measurement entry point: ctx
-// cancels the VM mid-execution, budget caps per-process instructions
-// (0: the VM default), workers bounds the simulator shards (<= 0:
-// runtime.GOMAXPROCS). With workers == 1 — or a single block size, or
-// a single available CPU — the VM feeds every simulator inline from
-// its own goroutine, the pre-sharding serial path. Otherwise the VM
-// publishes references in fixed-size batches to one goroutine per
-// block-size simulator: every simulator still consumes the identical
-// full trace in order, so the stats match the serial path exactly.
-func MeasureBlocksCtx(ctx context.Context, prog *core.Program, blocks []int64, workers int, budget int64) ([]*cache.Stats, error) {
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("experiments: MeasureBlocks: no block sizes given")
-	}
+func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64, attributed bool) (*cache.Stats, *attr.Report, error) {
 	sp := obs.Begin("measure")
 	defer sp.End()
-	sp.Set("blocks", int64(len(blocks)))
 	nprocs := int(prog.Layout.Nprocs)
+	ccfg.NumProcs = nprocs
 	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sims := make([]*cache.Sim, len(blocks))
-	for i, blk := range blocks {
-		sims[i], err = cache.New(cache.DefaultConfig(nprocs, blk))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: MeasureBlocks: block %d: %w", blk, err)
-		}
+	sim, err := cache.New(ccfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: MeasureConfig: %w", err)
 	}
 	m := vm.New(bc)
 	m.SetContext(ctx)
 	if budget > 0 {
 		m.MaxInstrs = budget
 	}
-	installMetrics(sims, blocks)
-
-	if pool.Workers(workers) == 1 || len(blocks) == 1 {
-		if err := m.Run(func(r vm.Ref) {
-			for _, s := range sims {
-				s.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
-			}
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		sinks := make([]trace.Sink, len(sims))
-		for i, s := range sims {
-			s := s
-			sinks[i] = func(r vm.Ref) { s.Access(r.Proc, r.Addr, int64(r.Size), r.Write) }
-		}
-		pt := trace.NewParTee(0, sinks...)
-		// The deferred Close (idempotent) guarantees the simulator
-		// goroutines are shut down even when m.Run panics — without it
-		// a panic between NewParTee and Close would leak one goroutine
-		// per block size, parked on its channel forever.
-		defer pt.Close()
-		// One worker span per simulator, attached under measure in
-		// block order before the stream starts.
-		for i, blk := range blocks {
-			pt.SetSpan(i, sp.Child(fmt.Sprintf("sim:b%d", blk)))
-		}
-		runErr := m.Run(pt.Sink())
-		if err := pt.Close(); err != nil {
-			return nil, err
-		}
-		if runErr != nil {
-			return nil, runErr
-		}
+	var amap *attr.Map
+	var col *attr.Collector
+	if attributed {
+		amap = attr.NewMap(prog.Layout)
+		amap.AttachMachine(m)
+		col = attr.NewCollector(amap, ccfg.BlockSize)
+		sim.SetAttributor(col)
 	}
-
-	out := make([]*cache.Stats, len(sims))
-	for i, s := range sims {
-		out[i] = s.Stats()
+	installMetrics(sim)
+	if err := m.Run(func(r vm.Ref) {
+		sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
+	}); err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	if !attributed {
+		return sim.Stats(), nil, nil
+	}
+	amap.ResolveOwners()
+	return sim.Stats(), col.Report(nprocs), nil
 }
 
 // metricsEvery is the streaming-metrics period in block references:
@@ -303,25 +269,21 @@ func MeasureBlocksCtx(ctx context.Context, prog *core.Program, blocks []int64, w
 // multi-minute sweeps show live progress instead of going dark.
 const metricsEvery = 5_000_000
 
-// installMetrics wires each simulator's sampler to the current
-// recorder's metrics sink. The recorder is captured here because the
-// sharded path invokes samplers from worker goroutines with no
-// recorder binding of their own. No recorder: no sampler, and the
+// installMetrics wires the simulator's sampler to the current
+// recorder's progress stream. No recorder: no sampler, and the
 // simulator hot path keeps its zero-cost disabled branch.
-func installMetrics(sims []*cache.Sim, blocks []int64) {
+func installMetrics(sim *cache.Sim) {
 	rec := obs.Current()
 	if rec == nil {
 		return
 	}
-	for i, s := range sims {
-		src := fmt.Sprintf("sim:b%d", blocks[i])
-		s.SetSampler(metricsEvery, func(st *cache.Stats) {
-			rec.EmitMetrics(src, map[string]int64{
-				"refs":   st.Refs,
-				"misses": st.Misses(),
-				"false":  st.FalseShare,
-				"true":   st.TrueShare,
-			})
+	src := fmt.Sprintf("sim:b%d", sim.Stats().Config.BlockSize)
+	sim.SetSampler(metricsEvery, func(st *cache.Stats) {
+		rec.EmitMetrics(src, map[string]int64{
+			"refs":   st.Refs,
+			"misses": st.Misses(),
+			"false":  st.FalseShare,
+			"true":   st.TrueShare,
 		})
-	}
+	})
 }

@@ -53,57 +53,6 @@ func TestProgramVersionsCompile(t *testing.T) {
 	}
 }
 
-// TestMeasureBlocksEmpty: a zero-length block list is a caller bug and
-// must be an explicit error, not a silent empty result.
-func TestMeasureBlocksEmpty(t *testing.T) {
-	mf := workload.Get("maxflow")
-	prog, err := Program(mf, VersionN, 4, 1, 64, transform.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MeasureBlocks(prog, nil); err == nil {
-		t.Error("MeasureBlocks(nil blocks) must fail")
-	}
-	if _, err := MeasureBlocks(prog, []int64{}); err == nil {
-		t.Error("MeasureBlocks(empty blocks) must fail")
-	} else if !strings.Contains(err.Error(), "no block sizes") {
-		t.Errorf("unhelpful error: %v", err)
-	}
-}
-
-// TestParallelMeasureBlocksMatchesSerial: the sharded simulators (one
-// goroutine per block size, batched ref delivery) must agree with the
-// single-goroutine path stat for stat.
-func TestParallelMeasureBlocksMatchesSerial(t *testing.T) {
-	mf := workload.Get("maxflow")
-	prog, err := Program(mf, VersionN, 6, 1, 64, transform.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := []int64{16, 32, 64, 128}
-	serial, err := MeasureBlocksN(prog, blocks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := MeasureBlocksN(prog, blocks, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blocks {
-		a, b := serial[i], sharded[i]
-		if a.Refs != b.Refs || a.Hits != b.Hits || a.Cold != b.Cold || a.Replace != b.Replace ||
-			a.TrueShare != b.TrueShare || a.FalseShare != b.FalseShare ||
-			a.Upgrades != b.Upgrades || a.Invalidations != b.Invalidations {
-			t.Errorf("block %d: sharded stats differ from serial:\nserial:  %v\nsharded: %v", blocks[i], a, b)
-		}
-		for p := range a.ProcRefs {
-			if a.ProcFS[p] != b.ProcFS[p] || a.ProcTS[p] != b.ProcTS[p] || a.ProcMisses[p] != b.ProcMisses[p] {
-				t.Errorf("block %d proc %d: per-proc stats differ", blocks[i], p)
-			}
-		}
-	}
-}
-
 func TestTable1(t *testing.T) {
 	rows := Table1()
 	if len(rows) != 10 {

@@ -31,15 +31,6 @@ func NewBlockStats(st *cache.Stats) BlockStats {
 	}
 }
 
-// BlockStatsList packages a MeasureBlocks result.
-func BlockStatsList(stats []*cache.Stats) []BlockStats {
-	out := make([]BlockStats, len(stats))
-	for i, st := range stats {
-		out[i] = NewBlockStats(st)
-	}
-	return out
-}
-
 // RunManifest runs fn under a fresh process-wide recorder and
 // packages the recorded spans plus fn's result into one manifest
 // (Data["result"]). The previously installed recorder is restored on

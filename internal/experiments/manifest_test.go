@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 
 	"falseshare/internal/core"
 	"falseshare/internal/obs"
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/workload"
 )
 
@@ -30,15 +32,20 @@ func TestReportRequiredFields(t *testing.T) {
 		obs.Install(nil)
 		t.Fatal(err)
 	}
-	stats, err := MeasureBlocks(res.Transformed, []int64{16, 128})
-	obs.Install(nil)
-	if err != nil {
-		t.Fatal(err)
+	var perBlock []BlockStats
+	for _, blk := range []int64{16, 128} {
+		st, err := MeasureConfig(context.Background(), res.Transformed, cache.DefaultConfig(4, blk), 0)
+		if err != nil {
+			obs.Install(nil)
+			t.Fatal(err)
+		}
+		perBlock = append(perBlock, NewBlockStats(st))
 	}
+	obs.Install(nil)
 
 	rep := rec.Report("fssim")
 	rep.Config = map[string]any{"nprocs": 4, "bench": "maxflow"}
-	rep.AddData("blocks", BlockStatsList(stats))
+	rep.AddData("blocks", perBlock)
 
 	path := filepath.Join(t.TempDir(), "r.json")
 	if err := rep.WriteFile(path); err != nil {

@@ -6,13 +6,10 @@ import (
 	"sort"
 	"strings"
 
-	"falseshare/internal/core"
 	"falseshare/internal/experiments/pool"
-	"falseshare/internal/obs"
 	"falseshare/internal/sim/attr"
 	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
-	"falseshare/internal/vm"
 	"falseshare/internal/workload"
 	"falseshare/internal/workload/gen"
 )
@@ -145,59 +142,6 @@ func matrixCacheConfig(procs int, block int64, proto cache.Protocol, topo cache.
 	ccfg.Protocol = proto
 	ccfg.Topology = topo
 	return ccfg
-}
-
-// MeasureConfig executes prog once and simulates its trace under one
-// explicit cache configuration (NumProcs is taken from the program's
-// layout). It is the protocol/topology-aware sibling of
-// MeasureBlocksCtx, serial by construction: one simulator, fed inline.
-func MeasureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, error) {
-	st, _, err := measureConfig(ctx, prog, ccfg, budget, false)
-	return st, err
-}
-
-// MeasureConfigAttr is MeasureConfig with miss attribution.
-func MeasureConfigAttr(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, *attr.Report, error) {
-	return measureConfig(ctx, prog, ccfg, budget, true)
-}
-
-func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64, attributed bool) (*cache.Stats, *attr.Report, error) {
-	sp := obs.Begin("measure-config")
-	defer sp.End()
-	nprocs := int(prog.Layout.Nprocs)
-	ccfg.NumProcs = nprocs
-	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
-	if err != nil {
-		return nil, nil, err
-	}
-	sim, err := cache.New(ccfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: MeasureConfig: %w", err)
-	}
-	m := vm.New(bc)
-	m.SetContext(ctx)
-	if budget > 0 {
-		m.MaxInstrs = budget
-	}
-	var amap *attr.Map
-	var col *attr.Collector
-	if attributed {
-		amap = attr.NewMap(prog.Layout)
-		amap.AttachMachine(m)
-		col = attr.NewCollector(amap, ccfg.BlockSize)
-		sim.SetAttributor(col)
-	}
-	installMetrics([]*cache.Sim{sim}, []int64{ccfg.BlockSize})
-	if err := m.Run(func(r vm.Ref) {
-		sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
-	}); err != nil {
-		return nil, nil, err
-	}
-	if !attributed {
-		return sim.Stats(), nil, nil
-	}
-	amap.ResolveOwners()
-	return sim.Stats(), col.Report(nprocs), nil
 }
 
 // topFSObjects extracts the worst false-sharing object names from an

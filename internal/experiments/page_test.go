@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
 	"falseshare/internal/workload"
 )
@@ -17,16 +19,17 @@ func TestPageGranularity(t *testing.T) {
 	const pageSize = 4096
 	b := workload.Get("pverify")
 	nprocs := 8
+	ccfg := cache.DefaultConfig(nprocs, pageSize)
 
 	nProg, err := Program(b, VersionN, nprocs, 1, pageSize, transform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nStats, err := MeasureBlocks(nProg, []int64{pageSize})
+	nStats, err := MeasureConfig(context.Background(), nProg, ccfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nStats[0].FalseShare == 0 {
+	if nStats.FalseShare == 0 {
 		t.Fatalf("page-level false sharing expected in the unoptimized program")
 	}
 
@@ -34,13 +37,13 @@ func TestPageGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cStats, err := MeasureBlocks(cProg, []int64{pageSize})
+	cStats, err := MeasureConfig(context.Background(), cProg, ccfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red := 1 - float64(cStats[0].FalseShare)/float64(nStats[0].FalseShare)
+	red := 1 - float64(cStats.FalseShare)/float64(nStats.FalseShare)
 	t.Logf("page-level FS: %d -> %d (%.1f%% reduction)",
-		nStats[0].FalseShare, cStats[0].FalseShare, 100*red)
+		nStats.FalseShare, cStats.FalseShare, 100*red)
 	if red < 0.5 {
 		t.Errorf("page-padding transformations should remove most page FS: %.1f%%", 100*red)
 	}

@@ -147,30 +147,25 @@ type Policy struct {
 	// context, as the VM and the restructurer do.
 	JobTimeout time.Duration
 	// Retries re-runs a failed job attempt up to this many extra
-	// times, but only when the error is transient (see IsTransient).
+	// times, but only when the error is transient (see Transient).
 	Retries int
 	// Backoff is the sleep before the first retry, doubling per
 	// attempt (default 100ms when Retries > 0).
 	Backoff time.Duration
-	// IsTransient classifies errors worth retrying. nil uses the
-	// default: any error in the chain implementing
-	// `Transient() bool` and reporting true (injected faults marked
-	// :transient do).
-	IsTransient func(error) bool
 }
 
-func (p Policy) transient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if p.IsTransient != nil {
-		return p.IsTransient(err)
-	}
+// Transient reports whether err is worth retrying: some error in its
+// chain implements `Transient() bool` and reports true (injected
+// faults marked :transient do). The pool and the fabric both retry by
+// it.
+func Transient(err error) bool {
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()
 }
 
-func (p Policy) backoff(attempt int) time.Duration {
+// RetryDelay is the backoff before retry attempt+1: Backoff (default
+// 100ms), doubled per earlier attempt.
+func (p Policy) RetryDelay(attempt int) time.Duration {
 	d := p.Backoff
 	if d <= 0 {
 		d = 100 * time.Millisecond
@@ -298,12 +293,12 @@ func runOne[T any](ctx context.Context, pol Policy, base *obs.Recorder, span *ob
 	}()
 	for attempt := 0; ; attempt++ {
 		result, err = runAttempt(ctx, pol, base, span, job)
-		if err == nil || attempt >= pol.Retries || !pol.transient(err) || ctx.Err() != nil {
+		if err == nil || attempt >= pol.Retries || !Transient(err) || ctx.Err() != nil {
 			return result, err
 		}
 		span.Count("retries", 1)
 		obs.Logf("pool: retrying %s after transient failure: %v", job.Key, err)
-		if !sleep(ctx, pol.backoff(attempt)) {
+		if !sleep(ctx, pol.RetryDelay(attempt)) {
 			return result, err
 		}
 	}
@@ -322,10 +317,6 @@ func runAttempt[T any](ctx context.Context, pol Policy, base *obs.Recorder, span
 		rec = obs.NewRecorder()
 		rec.Verbose = base.Verbose
 		rec.LogW = base.LogW
-		// Streaming metrics pass through: a server counting simulated
-		// refs sees live snapshots from inside pooled jobs. The sink
-		// is documented goroutine-safe.
-		rec.OnMetrics = base.OnMetrics
 		prev := obs.BindGoroutine(rec)
 		defer obs.BindGoroutine(prev)
 	}

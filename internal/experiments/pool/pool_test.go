@@ -264,16 +264,15 @@ func TestPoolJobTimeout(t *testing.T) {
 	}
 }
 
+// flaky is a job error that declares itself transient.
+type flaky struct{ error }
+
+func (flaky) Transient() bool { return true }
+
 // TestPoolRetryTransient: transient failures are retried with
 // backoff until the budget runs out; non-transient failures are not
 // retried at all.
 func TestPoolRetryTransient(t *testing.T) {
-	type flaky struct{ error }
-	transient := func(err error) bool {
-		var f flaky
-		return errors.As(err, &f)
-	}
-
 	var attempts atomic.Int64
 	jobs := []Job[int]{{
 		Key: "flaky",
@@ -284,7 +283,7 @@ func TestPoolRetryTransient(t *testing.T) {
 			return 42, nil
 		},
 	}}
-	pol := Policy{Retries: 3, Backoff: time.Millisecond, IsTransient: transient}
+	pol := Policy{Retries: 3, Backoff: time.Millisecond}
 	got, err := RunPolicy(context.Background(), "retry", 1, pol, jobs)
 	if err != nil || got[0] != 42 {
 		t.Fatalf("retries should have recovered: %v %v", got, err)
@@ -302,7 +301,7 @@ func TestPoolRetryTransient(t *testing.T) {
 			return 0, flaky{errors.New("always")}
 		},
 	}}
-	if _, err := RunPolicy(context.Background(), "retry2", 1, Policy{Retries: 2, Backoff: time.Millisecond, IsTransient: transient}, alwaysBad); err == nil {
+	if _, err := RunPolicy(context.Background(), "retry2", 1, Policy{Retries: 2, Backoff: time.Millisecond}, alwaysBad); err == nil {
 		t.Fatal("expected failure after retries exhausted")
 	}
 	if n := attempts.Load(); n != 3 {
@@ -318,7 +317,7 @@ func TestPoolRetryTransient(t *testing.T) {
 			return 0, errors.New("permanent")
 		},
 	}}
-	if _, err := RunPolicy(context.Background(), "retry3", 1, Policy{Retries: 5, Backoff: time.Millisecond, IsTransient: transient}, solid); err == nil {
+	if _, err := RunPolicy(context.Background(), "retry3", 1, Policy{Retries: 5, Backoff: time.Millisecond}, solid); err == nil {
 		t.Fatal("expected failure")
 	}
 	if n := attempts.Load(); n != 1 {
@@ -326,8 +325,8 @@ func TestPoolRetryTransient(t *testing.T) {
 	}
 }
 
-// TestPoolDefaultTransient: with no classifier, errors exposing
-// Transient() bool (as injected faults do) are retried.
+// TestPoolDefaultTransient: injected faults marked :transient expose
+// Transient() bool and are retried.
 func TestPoolDefaultTransient(t *testing.T) {
 	s, err := faultinject.Parse("pool.worker=blip:error:transient:count=1")
 	if err != nil {

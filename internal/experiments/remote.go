@@ -249,7 +249,6 @@ func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 			if base := obs.Default(); base != nil {
 				rec.Verbose = base.Verbose
 				rec.LogW = base.LogW
-				rec.OnMetrics = base.OnMetrics
 			}
 			prev := obs.BindGoroutine(rec)
 			defer obs.BindGoroutine(prev)

@@ -2,10 +2,10 @@
 // points for testing the experiment stack's recovery paths. Sites in
 // the pipeline (the pool's workers, the restructurer, the VM, the
 // trace fan-out) call Fire at well-known point names; a fault set
-// parsed from FSEXP_FAULTS or -faults decides — purely from the spec,
-// hit counts, and a seeded hash of the site detail, never from wall
-// clock or scheduling — whether that hit errors, panics, delays, or
-// hangs.
+// parsed from -faults or a command's environment variable (Setup)
+// decides — purely from the spec, hit counts, and a seeded hash of
+// the site detail, never from wall clock or scheduling — whether that
+// hit errors, panics, delays, or hangs.
 //
 // A spec is a semicolon-separated list of rules:
 //
@@ -279,18 +279,28 @@ func parseRule(spec string) (*Rule, error) {
 	return r, nil
 }
 
-// FromEnv parses and enables the FSEXP_FAULTS environment spec; it
-// returns the enabled set (nil when the variable is empty/unset).
-func FromEnv(env string) (*Set, error) {
-	if env == "" {
-		return nil, nil
+// Setup enables the fault spec a command was given: flagSpec when
+// set, else the value of the environment variable envVar ("" names
+// none). It returns the effective spec, which fsexp forwards to its
+// fabric workers. A parse error of the variable's value names the
+// variable.
+func Setup(flagSpec, envVar string) (effective string, err error) {
+	spec := flagSpec
+	if spec == "" && envVar != "" {
+		spec = os.Getenv(envVar)
 	}
-	s, err := Parse(env)
+	if spec == "" {
+		return "", nil
+	}
+	s, err := Parse(spec)
 	if err != nil {
-		return nil, err
+		if flagSpec == "" {
+			err = fmt.Errorf("%s: %w", envVar, err)
+		}
+		return "", err
 	}
 	Enable(s)
-	return s, nil
+	return spec, nil
 }
 
 // Fire evaluates the enabled fault set at one site hit. It returns a

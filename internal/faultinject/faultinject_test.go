@@ -189,16 +189,45 @@ func TestWildcardPoint(t *testing.T) {
 	}
 }
 
-func TestFromEnv(t *testing.T) {
-	t.Cleanup(Disable)
-	if s, err := FromEnv(""); err != nil || s != nil || Active() {
-		t.Fatalf("empty env: %v %v active=%v", s, err, Active())
+// TestSetup: the flag wins over the environment variable, the
+// variable is the fallback, a bad variable value is reported under
+// the variable's name, and neither set enables nothing.
+func TestSetup(t *testing.T) {
+	const env = "FAULTINJECT_TEST_FAULTS"
+	cases := []struct {
+		name, flag, env string
+		want            string // effective spec
+		wantErr         string // substring of the error, "" for none
+	}{
+		{"flag wins", "vm.run:error", "core.compile:error", "vm.run:error", ""},
+		{"env fallback", "", "core.compile:error", "core.compile:error", ""},
+		{"env error names the variable", "", "garbage", "", env + ": faultinject"},
+		{"flag error", "garbage", "", "", "faultinject"},
+		{"unset", "", "", "", ""},
 	}
-	s, err := FromEnv("vm.run:error")
-	if err != nil || s == nil || !Active() {
-		t.Fatalf("FromEnv: %v %v active=%v", s, err, Active())
-	}
-	if _, err := FromEnv("garbage"); err == nil {
-		t.Error("bad env spec must error")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(Disable)
+			t.Setenv(env, tc.env)
+			got, err := Setup(tc.flag, env)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Setup = %q, %v; want an error containing %q", got, err, tc.wantErr)
+				}
+				if tc.flag != "" && strings.Contains(err.Error(), env) {
+					t.Errorf("flag error names the variable: %v", err)
+				}
+				if Active() {
+					t.Error("a rejected spec was enabled")
+				}
+				return
+			}
+			if err != nil || got != tc.want {
+				t.Fatalf("Setup = %q, %v; want %q", got, err, tc.want)
+			}
+			if Active() != (tc.want != "") {
+				t.Errorf("Active = %v after Setup(%q)", Active(), got)
+			}
+		})
 	}
 }

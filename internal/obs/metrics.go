@@ -1,6 +1,6 @@
 // Streaming metrics: periodic counter snapshots from long-running
-// work (the cache simulators' SetSampler hooks, sweep loops), so a
-// multi-minute experiment emits live progress lines instead of going
+// work (the cache simulators' SetSampler hooks), so a multi-minute
+// experiment run with -v prints live progress lines instead of going
 // dark between span completions. Spans measure completed work;
 // metrics stream work in flight.
 package obs
@@ -11,30 +11,12 @@ import (
 	"strings"
 )
 
-// MetricsSink receives one snapshot: a source label ("sim:b64") and
-// the counters as of the snapshot. The map is owned by the caller and
-// only valid for the duration of the call — copy it to retain it.
-type MetricsSink func(source string, counters map[string]int64)
-
-// EmitMetrics streams one snapshot to the current recorder: its
-// OnMetrics sink when set, else a verbose progress line. Like Begin,
-// it is nil-safe and costs one lookup when no recorder is installed.
-func EmitMetrics(source string, counters map[string]int64) {
-	if r := Current(); r != nil {
-		r.EmitMetrics(source, counters)
-	}
-}
-
-// EmitMetrics streams one snapshot to this recorder. nil-safe.
+// EmitMetrics streams one snapshot — a source label ("sim:b64") and
+// its counters — to this recorder's progress stream as one line, keys
+// sorted, when the recorder is verbose. It is nil-safe and may run on
+// any goroutine.
 func (r *Recorder) EmitMetrics(source string, counters map[string]int64) {
-	if r == nil {
-		return
-	}
-	if r.OnMetrics != nil {
-		r.OnMetrics(source, counters)
-		return
-	}
-	if !r.Verbose {
+	if r == nil || !r.Verbose {
 		return
 	}
 	keys := make([]string, 0, len(counters))

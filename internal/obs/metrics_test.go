@@ -6,60 +6,31 @@ import (
 	"testing"
 )
 
-// TestEmitMetricsSink checks the streaming path: an installed
-// OnMetrics sink receives every snapshot with its source label, and
-// the verbose fallback renders a sorted progress line.
-func TestEmitMetricsSink(t *testing.T) {
-	defer Install(Default())
-
-	var gotSource string
-	var gotCounters map[string]int64
-	rec := NewRecorder()
-	rec.OnMetrics = func(source string, counters map[string]int64) {
-		gotSource = source
-		gotCounters = map[string]int64{}
-		for k, v := range counters {
-			gotCounters[k] = v
-		}
-	}
-	Install(rec)
-
-	EmitMetrics("sim:b64", map[string]int64{"refs": 100, "misses": 7})
-	if gotSource != "sim:b64" {
-		t.Errorf("sink source = %q", gotSource)
-	}
-	if gotCounters["refs"] != 100 || gotCounters["misses"] != 7 {
-		t.Errorf("sink counters = %v", gotCounters)
-	}
-
-	// With no sink, a verbose recorder logs one line with the counters
-	// in sorted key order.
+// TestEmitMetricsProgressLine: a verbose recorder's progress stream
+// receives one line with the counters in sorted key order, and a
+// quiet recorder drops the snapshot.
+func TestEmitMetricsProgressLine(t *testing.T) {
 	var buf bytes.Buffer
-	rec2 := NewRecorder()
-	rec2.Verbose = true
-	rec2.LogW = &buf
-	Install(rec2)
-	EmitMetrics("sweep", map[string]int64{"b": 2, "a": 1})
+	rec := NewRecorder()
+	rec.Verbose = true
+	rec.LogW = &buf
+	rec.EmitMetrics("sweep", map[string]int64{"b": 2, "a": 1})
 	line := buf.String()
 	if !strings.Contains(line, "obs: metrics sweep") || !strings.Contains(line, "a=1 b=2") {
 		t.Errorf("verbose metrics line = %q", line)
 	}
 
-	// Quiet recorder without a sink: snapshot dropped silently.
 	buf.Reset()
-	rec2.Verbose = false
-	EmitMetrics("sweep", map[string]int64{"a": 1})
+	rec.Verbose = false
+	rec.EmitMetrics("sweep", map[string]int64{"a": 1})
 	if buf.Len() != 0 {
 		t.Errorf("quiet recorder logged: %q", buf.String())
 	}
 }
 
-// TestEmitMetricsNilSafe checks the uninstalled and nil-recorder
-// paths cost nothing and do not panic.
+// TestEmitMetricsNilSafe checks the nil-recorder path costs nothing
+// and does not panic.
 func TestEmitMetricsNilSafe(t *testing.T) {
-	defer Install(Default())
-	Install(nil)
-	EmitMetrics("sim:b64", map[string]int64{"refs": 1})
 	var r *Recorder
 	r.EmitMetrics("sim:b64", map[string]int64{"refs": 1})
 }

@@ -47,11 +47,6 @@ type Recorder struct {
 	Verbose bool
 	// LogW is the progress stream (default os.Stderr).
 	LogW io.Writer
-	// OnMetrics, when set, receives streaming metrics snapshots
-	// (EmitMetrics) instead of the default verbose log line. Set it
-	// before sharing the recorder; EmitMetrics may run on any
-	// goroutine.
-	OnMetrics MetricsSink
 
 	mu      sync.Mutex
 	root    *Span

@@ -1,33 +1,48 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 )
 
-// StartCPUProfile begins CPU profiling to path and returns the stop
-// function. The CLIs wire this to -cpuprofile.
-func StartCPUProfile(path string) (stop func(), err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
+// StartProfiles starts a CPU profile to cpuPath and returns the stop
+// that ends it and then writes a heap profile to memPath (after a GC,
+// so live-heap numbers are accurate). An empty path skips that
+// profile. The CLIs wire the paths to -cpuprofile and -memprofile and
+// call stop on every exit path, os.Exit included: only the first call
+// acts, later ones return nil.
+func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cpu profile: %w", err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
+	var once sync.Once
+	return func() error {
+		var err error
+		once.Do(func() {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				err = cpu.Close()
+			}
+			if memPath != "" {
+				err = errors.Join(err, writeHeapProfile(memPath))
+			}
+		})
+		return err
 	}, nil
 }
 
-// WriteHeapProfile writes an allocation profile to path (after a GC,
-// so live-heap numbers are accurate). The CLIs wire this to
-// -memprofile.
-func WriteHeapProfile(path string) error {
+func writeHeapProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

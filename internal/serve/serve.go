@@ -94,12 +94,9 @@ type Options struct {
 	// its LRU eviction budget (0 = unlimited).
 	CacheDir   string
 	CacheBytes int64
-	// Verbose/LogW stream per-request span completions; Metrics
-	// receives streaming metric snapshots from inside requests
-	// (simulator progress), forwarded from every request recorder.
+	// Verbose/LogW stream per-request span completions.
 	Verbose bool
 	LogW    io.Writer
-	Metrics obs.MetricsSink
 }
 
 func (o Options) withDefaults() Options {
@@ -156,16 +153,15 @@ type Server struct {
 
 // metrics is the /metrics counter set. All access under Server.mu.
 type metrics struct {
-	Requests         map[string]int64
-	Status           map[string]int64
-	RejectedQueue    int64
-	RejectedClient   int64
-	RejectedSize     int64
-	Panics           int64
-	BudgetBlown      int64
-	QuarantineFails  int64
-	CacheHitServes   int64
-	MetricsSnapshots int64
+	Requests        map[string]int64
+	Status          map[string]int64
+	RejectedQueue   int64
+	RejectedClient  int64
+	RejectedSize    int64
+	Panics          int64
+	BudgetBlown     int64
+	QuarantineFails int64
+	CacheHitServes  int64
 }
 
 // New builds a Server, opening (and recovering) the artifact cache
@@ -363,12 +359,10 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		start := time.Now()
 
 		// Per-request observability: a private recorder so concurrent
-		// requests don't interleave span trees; streaming metrics
-		// forward to the server sink.
+		// requests don't interleave span trees.
 		rec := obs.NewRecorder()
 		rec.Verbose = s.opt.Verbose
 		rec.LogW = s.opt.LogW
-		rec.OnMetrics = s.sink
 		prev := obs.BindGoroutine(rec)
 		defer obs.BindGoroutine(prev)
 		sp := obs.Begin("serve." + name)
@@ -637,16 +631,6 @@ func (s *Server) effectiveBudget(body []byte) int64 {
 	return budget
 }
 
-// sink receives streaming metric snapshots from inside requests
-// (the simulators' samplers) and forwards them to the configured
-// sink.
-func (s *Server) sink(source string, counters map[string]int64) {
-	s.bump(func(m *metrics) { m.MetricsSnapshots++ })
-	if s.opt.Metrics != nil {
-		s.opt.Metrics(source, counters)
-	}
-}
-
 // ---- responses and counters ----------------------------------------
 
 func (s *Server) countRequest(name string) {
@@ -737,7 +721,6 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		"quarantined_hashes":   len(s.quarantined),
 		"quarantine_fastfails": s.m.QuarantineFails,
 		"cache_hit_serves":     s.m.CacheHitServes,
-		"metrics_snapshots":    s.m.MetricsSnapshots,
 	}
 	s.mu.Unlock()
 	body["cache"] = s.store.Counters()

@@ -14,9 +14,10 @@ func benchTrace(nprocs, n int) []traceRef {
 }
 
 // BenchmarkAccess measures the simulator hot path: one Sim.Access per
-// op on a 12-processor, 64-byte-block configuration. This is the
-// number the BENCH_sim.json trajectory tracks as ns/ref — the paper's
-// whole evaluation is tens of millions of these calls.
+// op on a 12-processor configuration at 16-, 64- and 256-byte blocks,
+// allocations included. The traced bench/ run reports the same cost
+// on real traces as cache.ns_per_ref — the paper's whole evaluation
+// is tens of millions of these calls.
 func BenchmarkAccess(b *testing.B) {
 	for _, blk := range []int64{16, 64, 256} {
 		b.Run(fmt.Sprintf("b%d", blk), func(b *testing.B) {
@@ -90,10 +91,9 @@ func BenchmarkAccessReference(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep measures the block-size-sweep shape every figure
-// uses: the same reference fed to one simulator per block size
-// (16/64/128/256), as MeasureBlocks does on its serial path. One op =
-// one reference through all four simulators.
+// BenchmarkSweep measures a block-size sweep: the same reference fed
+// to one simulator per block size (16/64/128/256), as fssim -j 1
+// does. One op = one reference through all four simulators.
 func BenchmarkSweep(b *testing.B) {
 	blocks := []int64{16, 64, 128, 256}
 	sims := make([]*Sim, len(blocks))

@@ -102,7 +102,7 @@ func TestPerProcMissTaxonomyInvariant(t *testing.T) {
 
 // TestPerProcInvariantSharedCounters reruns one randomized trace and
 // checks the simulation is reproducible reference-for-reference (the
-// determinism the sharded MeasureBlocks path relies on).
+// determinism fssim's sharded block sweep relies on).
 func TestPerProcInvariantSharedCounters(t *testing.T) {
 	gen := func() *Stats {
 		rng := rand.New(rand.NewSource(42))

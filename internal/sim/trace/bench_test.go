@@ -6,8 +6,8 @@ import (
 	"falseshare/internal/vm"
 )
 
-// BenchmarkParTee measures the batched fan-out path that MeasureBlocks
-// and fssim -j use to feed one simulator goroutine per block size. The
+// BenchmarkParTee measures the batched fan-out path that fssim -j uses
+// to feed one simulator goroutine per block size. The
 // sinks are deliberately trivial so the number isolates the delivery
 // cost per reference per sink, not simulator work.
 func BenchmarkParTee(b *testing.B) {

@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 	"falseshare/internal/vm"
 )
@@ -98,5 +102,76 @@ func TestParallelParTeeSpans(t *testing.T) {
 		if c.Counters["batches"] != 3 { // 100 + 100 + 50
 			t.Errorf("worker %d batches = %d, want 3", i, c.Counters["batches"])
 		}
+	}
+}
+
+// TestParTeeFaultPoint injects an error, a panic and a delay at the
+// trace.partee fault point, which fires as each worker starts. An
+// injected failure must come back from Close while the producer still
+// streams every batch without blocking, and every worker goroutine
+// must exit.
+func TestParTeeFaultPoint(t *testing.T) {
+	cases := []struct {
+		name, spec string
+		wantErr    func(error) bool
+		lost       int // the sink the fault stops, or -1
+	}{
+		{"error", "trace.partee=0:error:count=1", func(err error) bool {
+			var fe *faultinject.Error
+			return errors.As(err, &fe)
+		}, 0},
+		{"panic", "trace.partee=0:panic:count=1", func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "injected panic at trace.partee")
+		}, 0},
+		{"delay", "trace.partee:delay=2ms:count=4", func(err error) bool { return err == nil }, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := faultinject.Parse(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Enable(s)
+			t.Cleanup(faultinject.Disable)
+
+			before := runtime.NumGoroutine()
+			const sinks, n = 4, 100 * 64 // far more batches than the channels buffer
+			seen := make([]int, sinks)
+			fns := make([]Sink, sinks)
+			for i := range fns {
+				i := i
+				fns[i] = func(vm.Ref) { seen[i]++ }
+			}
+			pt := NewParTee(64, fns...)
+			done := make(chan error, 1)
+			go func() {
+				sink := pt.Sink()
+				for i := 0; i < n; i++ {
+					sink(vm.Ref{Addr: int64(i * 4), Size: 4})
+				}
+				done <- pt.Close()
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("producer blocked on a failed worker")
+			}
+			if !tc.wantErr(err) {
+				t.Fatalf("Close = %v", err)
+			}
+			for i := range seen {
+				if i != tc.lost && seen[i] != n {
+					t.Errorf("sink %d saw %d refs, want %d", i, seen[i], n)
+				}
+			}
+
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
