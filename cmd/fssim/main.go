@@ -173,7 +173,7 @@ func main() {
 			s := s
 			sinks[i] = func(r vm.Ref) { s.Access(r.Proc, r.Addr, int64(r.Size), r.Write) }
 		}
-		sp := obs.Begin("replay")
+		sp := obs.BeginCtx(ctx, "replay")
 		sink, finish := fanout(*jobs, sp, blocks, sinks...)
 		tr := trace.NewReader(f)
 		// Headered traces declare their capture's process count: check
@@ -260,7 +260,7 @@ func main() {
 		perBlock = append(perBlock, stats...)
 	} else {
 		for _, blk := range blocks {
-			obs.Logf("restructuring for block %d", blk)
+			obs.LogfCtx(ctx, "restructuring for block %d", blk)
 			res, err := core.RestructureCtx(ctx, source, core.Options{Nprocs: *nprocs, BlockSize: blk})
 			if err != nil {
 				fatal(err)
@@ -414,7 +414,7 @@ func runAndReport(ctx context.Context, prog *core.Program, nprocs, j int, budget
 		tw = trace.NewWriter(f, nprocs)
 		sinks = append(sinks, tw.Sink())
 	}
-	sp := obs.Begin("measure")
+	sp := obs.BeginCtx(ctx, "measure")
 	sink, finish := fanout(j, sp, blocks, sinks...)
 	runErr := m.Run(sink)
 	if err := finish(); runErr == nil {

@@ -146,17 +146,17 @@ func Compile(src string, opt Options) (*Program, error) {
 // at the next stage boundary rather than finishing the compile.
 func CompileCtx(ctx context.Context, src string, opt Options) (*Program, error) {
 	opt = opt.defaults()
-	sp := obs.Begin("compile")
+	sp := obs.BeginCtx(ctx, "compile")
 	defer sp.End()
 
 	if err := stageGate(ctx, "core.compile"); err != nil {
 		return nil, err
 	}
-	file, info, err := parseAndCheck(src)
+	file, info, err := parseAndCheck(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	st := obs.Begin("layout")
+	st := obs.BeginCtx(ctx, "layout")
 	var lay *layout.Layout
 	err = guard("layout", func() (e error) {
 		lay, e = layout.Compute(info, layout.NewDirectives(opt.BlockSize), int64(opt.Nprocs))
@@ -170,8 +170,8 @@ func CompileCtx(ctx context.Context, src string, opt Options) (*Program, error) 
 }
 
 // parseAndCheck runs the two front-end stages under panic containment.
-func parseAndCheck(src string) (*ast.File, *types.Info, error) {
-	st := obs.Begin("parse")
+func parseAndCheck(ctx context.Context, src string) (*ast.File, *types.Info, error) {
+	st := obs.BeginCtx(ctx, "parse")
 	var file *ast.File
 	err := guard("parse", func() (e error) {
 		file, e = parser.Parse(src)
@@ -181,7 +181,7 @@ func parseAndCheck(src string) (*ast.File, *types.Info, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
-	st = obs.Begin("typecheck")
+	st = obs.BeginCtx(ctx, "typecheck")
 	var info *types.Info
 	err = guard("typecheck", func() (e error) {
 		info, e = types.Check(file)
@@ -204,7 +204,7 @@ func Restructure(src string, opt Options) (*Result, error) {
 // between analysis stages.
 func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, error) {
 	opt = opt.defaults()
-	sp := obs.Begin("restructure")
+	sp := obs.BeginCtx(ctx, "restructure")
 	defer sp.End()
 
 	if err := stageGate(ctx, "core.restructure"); err != nil {
@@ -216,12 +216,12 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 	}
 
 	// A second, independent tree for analysis.
-	file, info, err := parseAndCheck(src)
+	file, info, err := parseAndCheck(ctx, src)
 	if err != nil {
 		return nil, err
 	}
 
-	st := obs.Begin("cfg")
+	st := obs.BeginCtx(ctx, "cfg")
 	var prog *cfg.CallGraph
 	err = guard("cfg", func() error {
 		prog = cfg.BuildProgram(file)
@@ -232,7 +232,7 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 		return nil, err
 	}
 
-	st = obs.Begin("pdv")
+	st = obs.BeginCtx(ctx, "pdv")
 	var pdvs *pdv.Result
 	err = guard("pdv", func() error {
 		pdvs = pdv.Analyze(info, int64(opt.Nprocs))
@@ -246,7 +246,7 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 		return nil, err
 	}
 
-	st = obs.Begin("procs")
+	st = obs.BeginCtx(ctx, "procs")
 	var procRes *procs.Result
 	err = guard("procs", func() error {
 		procRes = procs.Analyze(prog, info, pdvs, opt.Nprocs)
@@ -257,7 +257,7 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 		return nil, err
 	}
 
-	st = obs.Begin("nonconc")
+	st = obs.BeginCtx(ctx, "nonconc")
 	var phases *nonconc.Result
 	err = guard("nonconc", func() (e error) {
 		phases, e = nonconc.Analyze(prog)
@@ -274,7 +274,7 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	st = obs.Begin("sideeffect")
+	st = obs.BeginCtx(ctx, "sideeffect")
 	var summary *sideeffect.Summary
 	err = guard("sideeffect", func() error {
 		summary = sideeffect.Analyze(info, prog, pdvs, procRes, phases, opt.analysisConfig())
@@ -292,7 +292,7 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 		return nil, err
 	}
 
-	st = obs.Begin("decide")
+	st = obs.BeginCtx(ctx, "decide")
 	var plan *transform.Plan
 	err = guard("decide", func() error {
 		plan = transform.Decide(summary, info, opt.Heuristics)
@@ -364,12 +364,12 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 			return err
 		}
 		plan.Skipped = append([]string(nil), baseSkipped...)
-		file, info, err := parseAndCheck(src)
+		file, info, err := parseAndCheck(ctx, src)
 		if err != nil {
 			return err
 		}
 
-		st := obs.Begin("apply")
+		st := obs.BeginCtx(ctx, "apply")
 		var out *transform.Outcome
 		err = guard("apply", func() error {
 			out = transform.ApplySafe(ctx, file, info, plan, opt.BlockSize, int64(opt.Nprocs),
@@ -396,7 +396,7 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 		applied := out.Applied
 
 		// Re-check the mutated tree and lay it out with the directives.
-		st = obs.Begin("recheck")
+		st = obs.BeginCtx(ctx, "recheck")
 		var newInfo *types.Info
 		err = guard("recheck", func() (e error) {
 			newInfo, e = types.Check(file)
@@ -414,7 +414,7 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 			continue
 		}
 
-		st = obs.Begin("layout")
+		st = obs.BeginCtx(ctx, "layout")
 		var lay *layout.Layout
 		err = guard("layout", func() (e error) {
 			lay, e = layout.Compute(newInfo, out.Dirs, int64(opt.Nprocs))
@@ -441,10 +441,10 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 		trans := &Program{Source: ast.Print(file), File: file, Info: newInfo, Layout: lay, Dirs: out.Dirs, Applied: applied}
 
 		if opt.Verify {
-			st = obs.Begin("verify")
+			st = obs.BeginCtx(ctx, "verify")
 			var rep *verify.Report
 			err = guard("verify", func() (e error) {
-				rep, e = verify.Run(
+				rep, e = verify.RunCtx(ctx,
 					verify.Side{File: res.Original.File, Info: res.Original.Info, Layout: res.Original.Layout},
 					verify.Side{File: trans.File, Info: trans.Info, Layout: trans.Layout},
 					applied,

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"falseshare/internal/faultinject"
+	"falseshare/internal/obs"
 	"falseshare/internal/transform"
+	"falseshare/internal/workload"
 	"falseshare/internal/workload/gen"
 )
 
@@ -180,5 +185,31 @@ func TestVerifyCleanRunNoDegradation(t *testing.T) {
 	}
 	if res.Verify == nil || !res.Verify.OK || len(res.Verify.Objects) == 0 {
 		t.Fatalf("verification report missing or not OK:\n%v", res.Verify)
+	}
+}
+
+// TestVerifyHonoursDeadline: a deadline that expires during
+// translation validation stops it, and RestructureCtx reports the
+// deadline instead of a validated result.
+func TestVerifyHonoursDeadline(t *testing.T) {
+	src := workload.Get("maxflow").Source(8)
+	opt := Options{Nprocs: 12, BlockSize: 128}
+	start := time.Now()
+	if _, err := RestructureCtx(context.Background(), src, opt); err != nil {
+		t.Fatal(err)
+	}
+	// Validation at this scale runs two ~10M-instruction VM runs, far
+	// longer than the analyses timed above.
+	deadline := 2*time.Since(start) + 20*time.Millisecond
+	opt.Verify = true
+	rec := obs.NewRecorder()
+	ctx, cancel := context.WithTimeout(obs.WithRecorder(context.Background(), rec), deadline)
+	defer cancel()
+	res, err := RestructureCtx(ctx, src, opt)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RestructureCtx(Verify) with a %v deadline = %v, %v; want context.DeadlineExceeded", deadline, res, err)
+	}
+	if rec.Find("verify") == nil {
+		t.Fatalf("the %v deadline expired before validation started", deadline)
 	}
 }

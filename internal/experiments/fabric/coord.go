@@ -240,12 +240,8 @@ func (c *Coordinator) Start(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	c.ctx, c.stop = context.WithCancel(ctx)
-	if c.opt.Recorder != nil {
-		prev := obs.BindGoroutine(c.opt.Recorder)
-		c.span = obs.Begin("fabric")
-		obs.BindGoroutine(prev)
-		c.span.Set("workers", int64(c.opt.Workers))
-	}
+	c.span = c.opt.Recorder.Begin("fabric")
+	c.span.Set("workers", int64(c.opt.Workers))
 	if c.opt.Listen != "" {
 		ln, err := net.Listen("tcp", c.opt.Listen)
 		if err != nil {
@@ -394,7 +390,7 @@ func (c *Coordinator) attach(conn *Conn, cmd *exec.Cmd) {
 		Faults: c.opt.Faults,
 	}
 	if err := conn.Write(hello); err != nil {
-		obs.Logf("fabric: worker %d: hello: %v", id, err)
+		obs.LogfCtx(c.ctx, "fabric: worker %d: hello: %v", id, err)
 		w.kill()
 	}
 	c.wg.Add(3)
@@ -435,12 +431,12 @@ func (c *Coordinator) readLoop(w *workerHandle) {
 			case w.results <- f:
 			default:
 				// No one waiting for this result (stale run, duplicate).
-				obs.Logf("fabric: worker %d: dropping unexpected result %s", w.id, f.Key)
+				obs.LogfCtx(c.ctx, "fabric: worker %d: dropping unexpected result %s", w.id, f.Key)
 			}
 		case TypePong:
 			// liveness only; heard() already recorded it
 		default:
-			obs.Logf("fabric: worker %d: ignoring frame %q", w.id, f.Type)
+			obs.LogfCtx(c.ctx, "fabric: worker %d: ignoring frame %q", w.id, f.Type)
 		}
 	}
 }
@@ -461,7 +457,7 @@ func (c *Coordinator) pingLoop(w *workerHandle) {
 			return
 		case <-t.C:
 			if w.silence() > c.opt.deadAfter() {
-				obs.Logf("fabric: worker %d: silent for %s; killing", w.id, c.opt.deadAfter())
+				obs.LogfCtx(c.ctx, "fabric: worker %d: silent for %s; killing", w.id, c.opt.deadAfter())
 				w.kill()
 				return
 			}
@@ -539,7 +535,7 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 	// worker, once" is expressible (worker-side rules re-fire in
 	// replacement processes).
 	if ferr := faultinject.Fire(c.ctx, "coord.kill", key); ferr != nil {
-		obs.Logf("fabric: chaos: killing worker %d mid-cell (%s)", w.id, key)
+		obs.LogfCtx(c.ctx, "fabric: chaos: killing worker %d mid-cell (%s)", w.id, key)
 		w.kill()
 	}
 
@@ -603,7 +599,7 @@ func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 			}
 			run.results[idx].Retries = st.attempts
 			backoff := c.opt.Policy.RetryDelay(st.attempts - 1)
-			obs.Logf("fabric: retrying %s after transient failure (attempt %d): %v", run.keys[idx], st.attempts, err)
+			obs.LogfCtx(c.ctx, "fabric: retrying %s after transient failure (attempt %d): %v", run.keys[idx], st.attempts, err)
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
@@ -695,7 +691,7 @@ func (c *Coordinator) requeueDeath(run *cellRun, idx int, w *workerHandle, cause
 		})
 		return
 	}
-	obs.Logf("fabric: reassigning %s after worker %d died: %v", run.keys[idx], w.id, cause)
+	obs.LogfCtx(c.ctx, "fabric: reassigning %s after worker %d died: %v", run.keys[idx], w.id, cause)
 	// Front of the queue: a cell that already lost a worker should not
 	// wait behind the whole backlog.
 	run.queue = append([]int{idx}, run.queue...)
@@ -734,7 +730,7 @@ func (c *Coordinator) workerGone(w *workerHandle) {
 
 	if respawn {
 		if err := c.spawnWorker(); err != nil {
-			obs.Logf("fabric: respawn: %v", err)
+			obs.LogfCtx(c.ctx, "fabric: respawn: %v", err)
 			c.mu.Lock()
 			lastLight = c.live == 0 && c.listener == nil
 			c.mu.Unlock()

@@ -97,7 +97,7 @@ func RunWorker(in io.Reader, out io.Writer) error {
 		default:
 			// Unknown frames are ignored, not fatal: an older worker
 			// against a newer coordinator degrades instead of dying.
-			obs.Logf("fabric: worker: ignoring frame %q", f.Type)
+			obs.LogfCtx(ctx, "fabric: worker: ignoring frame %q", f.Type)
 		}
 	}
 }
@@ -139,7 +139,7 @@ func dialCoordinator(addr string) (net.Conn, error) {
 	for attempt := 0; attempt < tcpDialAttempts; attempt++ {
 		if attempt > 0 {
 			jitter := time.Duration(tcpDialNow().UnixNano()) % (backoff / 2)
-			obs.Logf("fabric: worker: dial %s failed (%v), retry %d/%d in %v",
+			obs.Default().Logf("fabric: worker: dial %s failed (%v), retry %d/%d in %v",
 				addr, lastErr, attempt, tcpDialAttempts-1, backoff+jitter)
 			time.Sleep(backoff + jitter)
 			if backoff *= 2; backoff > tcpDialBackoffMax {
@@ -206,6 +206,6 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *
 		return
 	}
 	if werr := conn.Write(res); werr != nil {
-		obs.Logf("fabric: worker: report %s: %v", a.Key, werr)
+		obs.LogfCtx(ctx, "fabric: worker: report %s: %v", a.Key, werr)
 	}
 }

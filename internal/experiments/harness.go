@@ -226,7 +226,7 @@ func MeasureConfigAttr(ctx context.Context, prog *core.Program, ccfg cache.Confi
 }
 
 func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64, attributed bool) (*cache.Stats, *attr.Report, error) {
-	sp := obs.Begin("measure")
+	sp := obs.BeginCtx(ctx, "measure")
 	defer sp.End()
 	nprocs := int(prog.Layout.Nprocs)
 	ccfg.NumProcs = nprocs
@@ -251,7 +251,7 @@ func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 		col = attr.NewCollector(amap, ccfg.BlockSize)
 		sim.SetAttributor(col)
 	}
-	installMetrics(sim)
+	installMetrics(ctx, sim)
 	if err := m.Run(func(r vm.Ref) {
 		sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
 	}); err != nil {
@@ -269,11 +269,11 @@ func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 // multi-minute sweeps show live progress instead of going dark.
 const metricsEvery = 5_000_000
 
-// installMetrics wires the simulator's sampler to the current
-// recorder's progress stream. No recorder: no sampler, and the
+// installMetrics wires the simulator's sampler to the progress
+// stream of ctx's recorder. No recorder: no sampler, and the
 // simulator hot path keeps its zero-cost disabled branch.
-func installMetrics(sim *cache.Sim) {
-	rec := obs.Current()
+func installMetrics(ctx context.Context, sim *cache.Sim) {
+	rec := obs.FromContext(ctx)
 	if rec == nil {
 		return
 	}

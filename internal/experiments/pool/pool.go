@@ -216,7 +216,7 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 	// in submission order, so the manifest's shape does not depend on
 	// scheduling. Each job then records into a private recorder whose
 	// spans are grafted under its pre-made child.
-	parent := obs.Begin("pool:" + name)
+	parent := obs.BeginCtx(ctx, "pool:"+name)
 	parent.Set("jobs", int64(len(jobs)))
 	parent.Set("workers", int64(workers))
 	defer parent.End()
@@ -224,7 +224,6 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 	for i, j := range jobs {
 		spans[i] = parent.Child("job:" + j.Key)
 	}
-	base := obs.Current()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -240,7 +239,7 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 			spans[i].End()
 			return
 		}
-		results[i], errs[i] = runOne(runCtx, pol, base, spans[i], jobs[i])
+		results[i], errs[i] = runOne(runCtx, pol, spans[i], jobs[i])
 		if errs[i] != nil && pol.FailFast {
 			cancel()
 		}
@@ -284,7 +283,7 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 
 // runOne executes a single job — retrying transient failures per the
 // policy — and owns the job span's lifetime.
-func runOne[T any](ctx context.Context, pol Policy, base *obs.Recorder, span *obs.Span, job Job[T]) (result T, err error) {
+func runOne[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[T]) (result T, err error) {
 	start := time.Now()
 	defer func() {
 		span.SetWall(time.Since(start))
@@ -292,12 +291,12 @@ func runOne[T any](ctx context.Context, pol Policy, base *obs.Recorder, span *ob
 		span.End()
 	}()
 	for attempt := 0; ; attempt++ {
-		result, err = runAttempt(ctx, pol, base, span, job)
+		result, err = runAttempt(ctx, pol, span, job)
 		if err == nil || attempt >= pol.Retries || !Transient(err) || ctx.Err() != nil {
 			return result, err
 		}
 		span.Count("retries", 1)
-		obs.Logf("pool: retrying %s after transient failure: %v", job.Key, err)
+		obs.LogfCtx(ctx, "pool: retrying %s after transient failure: %v", job.Key, err)
 		if !sleep(ctx, pol.RetryDelay(attempt)) {
 			return result, err
 		}
@@ -306,19 +305,18 @@ func runOne[T any](ctx context.Context, pol Policy, base *obs.Recorder, span *ob
 
 // runAttempt is one attempt of a job under its own recorder and
 // deadline, converting a panic into the job's error.
-func runAttempt[T any](ctx context.Context, pol Policy, base *obs.Recorder, span *obs.Span, job Job[T]) (result T, err error) {
+func runAttempt[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[T]) (result T, err error) {
 	if pol.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, pol.JobTimeout)
 		defer cancel()
 	}
 	var rec *obs.Recorder
-	if base != nil {
+	if base := obs.FromContext(ctx); base != nil {
 		rec = obs.NewRecorder()
 		rec.Verbose = base.Verbose
 		rec.LogW = base.LogW
-		prev := obs.BindGoroutine(rec)
-		defer obs.BindGoroutine(prev)
+		ctx = obs.WithRecorder(ctx, rec)
 	}
 	defer func() {
 		if rec != nil {

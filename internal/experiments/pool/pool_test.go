@@ -363,8 +363,8 @@ func TestParallelPoolSpanTree(t *testing.T) {
 			i := i
 			jobs[i] = Job[int]{
 				Key: fmt.Sprintf("k%d", i),
-				Run: func(context.Context) (int, error) {
-					sp := obs.Begin("inner")
+				Run: func(ctx context.Context) (int, error) {
+					sp := obs.BeginCtx(ctx, "inner")
 					sp.Set("idx", int64(i))
 					sp.End()
 					return i, nil
@@ -439,8 +439,8 @@ func TestParallelPoolNoRecorder(t *testing.T) {
 	if err != nil || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if obs.Current() != nil {
-		t.Error("pool leaked a recorder binding")
+	if obs.Default() != nil {
+		t.Error("pool installed a recorder")
 	}
 }
 

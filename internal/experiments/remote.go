@@ -239,19 +239,18 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 
 // collectJobs captures a driver's jobs into the enumeration as
 // type-erased CellFuncs. The erased runner reproduces what one local
-// pool attempt does around a job: a private recorder bound to the
-// goroutine (so the captured span subtree is exactly what the store
+// pool attempt does around a job: a private recorder on the job's
+// context (so the captured span subtree is exactly what the store
 // keeps), the pool.worker fault point, and panic containment.
 func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 	for _, j := range jobs {
 		e.add(j.Key, func(ctx context.Context) (data json.RawMessage, spans []*obs.Span, err error) {
 			rec := obs.NewRecorder()
-			if base := obs.Default(); base != nil {
+			if base := obs.FromContext(ctx); base != nil {
 				rec.Verbose = base.Verbose
 				rec.LogW = base.LogW
 			}
-			prev := obs.BindGoroutine(rec)
-			defer obs.BindGoroutine(prev)
+			ctx = obs.WithRecorder(ctx, rec)
 			defer func() {
 				spans = rec.Spans()
 				if p := recover(); p != nil {
@@ -283,7 +282,7 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T], events []Cell
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	parent := obs.Begin("pool:" + name)
+	parent := obs.BeginCtx(ctx, "pool:"+name)
 	parent.Set("jobs", int64(len(jobs)))
 	workers := pool.Workers(cfg.Workers)
 	if workers > len(jobs) {
@@ -301,7 +300,7 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T], events []Cell
 	var keys []string
 	var idx []int
 	for i, j := range jobs {
-		if v, p, ok := loadCell[T](cfg.Store, j.Key, j.Fingerprint); ok {
+		if v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, j.Fingerprint); ok {
 			results[i] = v
 			events[i] = p.Events
 			spans[i].Adopt(p.Spans)

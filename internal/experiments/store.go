@@ -84,17 +84,16 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 	for i, j := range jobs {
 		out[i] = j
 		out[i].Run = func(ctx context.Context) (T, error) {
-			if v, p, ok := loadCell[T](cfg.Store, j.Key, j.Fingerprint); ok {
-				obs.Current().Adopt(p.Spans)
+			if v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, j.Fingerprint); ok {
+				obs.FromContext(ctx).Adopt(p.Spans)
 				events[i] = p.Events
 				return v, nil
 			}
 			keep := cfg.Store != nil && j.Fingerprint != ""
-			rec := obs.Current()
+			rec := obs.FromContext(ctx)
 			if keep && rec == nil {
 				rec = obs.NewRecorder()
-				prev := obs.BindGoroutine(rec)
-				defer obs.BindGoroutine(prev)
+				ctx = obs.WithRecorder(ctx, rec)
 			}
 			var ev CellEvents
 			v, err := j.Run(WithEvents(ctx, &ev))
@@ -104,7 +103,7 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 			events[i] = ev
 			if keep {
 				if data, merr := json.Marshal(v); merr != nil {
-					obs.Logf("store: %s: %v", j.Key, merr)
+					obs.LogfCtx(ctx, "store: %s: %v", j.Key, merr)
 				} else {
 					storeCell(ctx, cfg.Store, j.Fingerprint, cellPayload{Key: j.Key, Data: data, Spans: rec.Spans(), Events: ev})
 				}
@@ -118,13 +117,13 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 // loadCell returns the decoded cell stored under fingerprint fp. A
 // payload stored for another key, or whose result no longer decodes
 // into T, is a miss: the cost of a stale entry is one recomputation.
-func loadCell[T any](st *artifact.Store, key, fp string) (v T, p cellPayload, ok bool) {
+func loadCell[T any](ctx context.Context, st *artifact.Store, key, fp string) (v T, p cellPayload, ok bool) {
 	raw, hit := st.Get(CellSchema, fp)
 	if !hit {
 		return v, p, false
 	}
 	if json.Unmarshal(raw, &p) != nil || p.Key != key || json.Unmarshal(p.Data, &v) != nil {
-		obs.Logf("store: stale cell %s; recomputing", key)
+		obs.LogfCtx(ctx, "store: stale cell %s; recomputing", key)
 		var zero T
 		return zero, cellPayload{}, false
 	}
@@ -144,6 +143,6 @@ func storeCell(ctx context.Context, st *artifact.Store, fp string, p cellPayload
 		err = st.Put(ctx, CellSchema, fp, b)
 	}
 	if err != nil {
-		obs.Logf("store: %s: %v", p.Key, err)
+		obs.LogfCtx(ctx, "store: %s: %v", p.Key, err)
 	}
 }

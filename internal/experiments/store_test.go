@@ -44,7 +44,7 @@ func storeJob(runs *int, fp string) pool.Job[storeCellT] {
 		Fingerprint: fp,
 		Run: func(ctx context.Context) (storeCellT, error) {
 			*runs++
-			sp := obs.Begin("measure")
+			sp := obs.BeginCtx(ctx, "measure")
 			sp.Set("instrs", 42)
 			sp.End()
 			return storeCellT{Prog: "maxflow", Miss: 11}, nil
@@ -57,8 +57,7 @@ func storeJob(runs *int, fp string) pool.Job[storeCellT] {
 func runRecorded(t *testing.T, cfg Config, jobs []pool.Job[storeCellT]) ([]storeCellT, []*obs.Span) {
 	t.Helper()
 	rec := obs.NewRecorder()
-	prev := obs.BindGoroutine(rec)
-	defer obs.BindGoroutine(prev)
+	cfg.Ctx = obs.WithRecorder(cfg.Ctx, rec)
 	res, err := runJobs(cfg, "t", jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -130,14 +129,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	if n := storedCells(st2); n != 1 {
 		t.Fatalf("reopened store holds %d cells, want 1", n)
 	}
-	got, _, ok := loadCell[cell](st2, job.Key, job.Fingerprint)
+	got, _, ok := loadCell[cell](context.Background(), st2, job.Key, job.Fingerprint)
 	if !ok {
 		t.Fatal("cell missing after reopen")
 	}
 	if got != want {
 		t.Errorf("round trip: got %+v, want %+v", got, want)
 	}
-	if _, _, ok := loadCell[cell](st2, job.Key, "t:fp2"); ok {
+	if _, _, ok := loadCell[cell](context.Background(), st2, job.Key, "t:fp2"); ok {
 		t.Error("hit for a fingerprint never stored")
 	}
 }
@@ -158,7 +157,7 @@ func TestStoreSpanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, p, ok := loadCell[storeCellT](openStore(t, dir), "k", "t:fp")
+	_, p, ok := loadCell[storeCellT](context.Background(), openStore(t, dir), "k", "t:fp")
 	if !ok {
 		t.Fatal("cell missing after reopen")
 	}

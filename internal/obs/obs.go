@@ -1,12 +1,18 @@
 // Package obs is the pipeline observability layer: hierarchical timed
-// spans with typed counters, a process-wide recorder, and JSON/CSV run
-// reports. The compiler pipeline, the VM, and the simulators record
-// into the installed recorder; the CLIs export the result as a run
-// manifest (-report) and stream progress to stderr (-v).
+// spans with typed counters, recorders that collect them, and JSON/CSV
+// run reports. The pipeline, the VM and the simulators open spans on
+// the context they are given (BeginCtx); the CLIs export the result as
+// a run manifest (-report) and stream progress to stderr (-v).
 //
-// Instrumentation is zero-cost when no recorder is installed: Begin
-// performs one atomic load and returns a nil *Span, whose methods are
-// all nil-safe no-ops.
+// A span records into the recorder on its context (WithRecorder), else
+// into the process-wide one (Install), else nowhere. The experiment
+// pool and fsd give each job and request a private recorder on its
+// context, so concurrent span trees never interleave. Spans nest under
+// their recorder's innermost open span; no context is made per span.
+// With no recorder, BeginCtx is a context lookup and an atomic load
+// returning a nil *Span, whose methods are all nil-safe no-ops. Begin
+// and BindGoroutine act on the installed recorder only; they are kept
+// for bench/layers.go alone.
 package obs
 
 import (
@@ -15,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -71,76 +76,57 @@ var installed atomic.Pointer[Recorder]
 func Install(r *Recorder) { installed.Store(r) }
 
 // Default returns the process-wide recorder, or nil. It ignores
-// goroutine bindings; use Current for the recorder Begin would pick.
+// context recorders; use FromContext for the recorder BeginCtx picks.
 func Default() *Recorder { return installed.Load() }
 
-// bound maps goroutine IDs to recorders. A worker that binds its own
-// recorder (BindGoroutine) routes every Begin/Logf on that goroutine
-// into it instead of the process-wide one — this is how the experiment
-// pool keeps concurrent jobs' span trees from interleaving on the
-// shared recorder stack.
-var bound sync.Map // int64 -> *Recorder
+type recorderKey struct{}
 
-// goid returns the current goroutine's ID, parsed from the runtime
-// stack header ("goroutine N [running]:"). This costs ~1µs — fine for
-// span creation, which happens per pipeline stage, not per reference.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	var id int64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
+// WithRecorder returns ctx carrying r: spans and log lines begun on it,
+// or on any context derived from it, record into r instead of the
+// installed recorder (a nil r records nothing). The experiment pool
+// and fsd give each job and request its own recorder this way, so
+// concurrent span trees never interleave. A nil ctx is taken as
+// context.Background().
+func WithRecorder(ctx context.Context, r *Recorder) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, recorderKey{}, r)
+}
+
+// FromContext returns the recorder BeginCtx records into: the one
+// WithRecorder put on ctx, else the installed one, else nil. ctx may
+// be nil.
+func FromContext(ctx context.Context) *Recorder {
+	if ctx != nil {
+		if r, ok := ctx.Value(recorderKey{}).(*Recorder); ok {
+			return r
 		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
-}
-
-// BindGoroutine routes this goroutine's Begin/Logf/Current calls to r
-// (nil removes the binding) and returns the previously bound recorder
-// so callers can nest bindings save/restore style. Other goroutines
-// are unaffected: they keep using the installed recorder.
-func BindGoroutine(r *Recorder) *Recorder {
-	id := goid()
-	var prev *Recorder
-	if v, ok := bound.Load(id); ok {
-		prev = v.(*Recorder)
-	}
-	if r == nil {
-		bound.Delete(id)
-	} else {
-		bound.Store(id, r)
-	}
-	return prev
-}
-
-// Current returns the recorder Begin would record into from this
-// goroutine: the goroutine-bound recorder when one is set, else the
-// process-wide one, else nil.
-func Current() *Recorder {
-	if v, ok := bound.Load(goid()); ok {
-		return v.(*Recorder)
 	}
 	return installed.Load()
 }
 
-// Begin opens a span on the current recorder; it returns nil (a no-op
-// span) when no recorder is installed or bound.
-func Begin(name string) *Span {
-	if r := Current(); r != nil {
-		return r.Begin(name)
-	}
-	return nil
+// BeginCtx opens a span on ctx's recorder (see FromContext), nested
+// under its innermost open span. It returns nil, a no-op span, when
+// there is no recorder.
+func BeginCtx(ctx context.Context, name string) *Span {
+	return FromContext(ctx).Begin(name)
 }
 
-// Logf writes a progress line to the current recorder's log when it
-// is installed and verbose.
-func Logf(format string, args ...any) {
-	if r := Current(); r != nil {
-		r.Logf(format, args...)
-	}
+// LogfCtx writes a progress line to ctx's recorder when it is verbose.
+func LogfCtx(ctx context.Context, format string, args ...any) {
+	FromContext(ctx).Logf(format, args...)
 }
+
+// Begin opens a span on the installed recorder only. It is kept for
+// bench/layers.go only; the next benchmark change deletes it.
+func Begin(name string) *Span { return installed.Load().Begin(name) }
+
+// BindGoroutine installs r process-wide and returns the recorder it
+// replaces, which is enough for the benchmark probe's serial use. It
+// is kept for bench/layers.go only; the next benchmark change deletes
+// it.
+func BindGoroutine(r *Recorder) *Recorder { return installed.Swap(r) }
 
 // Begin opens a span nested under the innermost open span.
 func (r *Recorder) Begin(name string) *Span {

@@ -358,14 +358,13 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		// work this request cost, not the time it waited.
 		start := time.Now()
 
-		// Per-request observability: a private recorder so concurrent
-		// requests don't interleave span trees.
+		// Per-request observability: a private recorder, carried on
+		// the request's context, so concurrent requests don't
+		// interleave span trees.
 		rec := obs.NewRecorder()
 		rec.Verbose = s.opt.Verbose
 		rec.LogW = s.opt.LogW
-		prev := obs.BindGoroutine(rec)
-		defer obs.BindGoroutine(prev)
-		sp := obs.Begin("serve." + name)
+		sp := rec.Begin("serve." + name)
 		defer sp.End()
 
 		srcHash := bodyHash(body)
@@ -401,6 +400,7 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		// under this request's recorder.
 		ctx, cancel := s.requestCtx(r)
 		defer cancel()
+		ctx = obs.WithRecorder(ctx, rec)
 		jobKey := name + "/" + short(srcHash)
 		jobs := []pool.Job[json.RawMessage]{{
 			Key: jobKey,

@@ -77,9 +77,7 @@ func TestParallelParTeePanic(t *testing.T) {
 // TestParallelParTeeSpans: per-worker spans carry ref/batch counters.
 func TestParallelParTeeSpans(t *testing.T) {
 	rec := obs.NewRecorder()
-	obs.Install(rec)
-	defer obs.Install(nil)
-	parent := obs.Begin("measure")
+	parent := rec.Begin("measure")
 	pt := NewParTee(100, func(vm.Ref) {}, func(vm.Ref) {})
 	pt.SetSpan(0, parent.Child("sim:a"))
 	pt.SetSpan(1, parent.Child("sim:b"))

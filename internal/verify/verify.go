@@ -21,6 +21,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -145,11 +146,21 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// Run validates a transformation by differential execution. applied
-// are the transformation decisions that were actually applied (they
-// define the address remapping). The returned error covers misuse
-// only; execution failures land in the Report.
+// Run is RunCtx without cancellation.
 func Run(orig, trans Side, applied []*transform.Decision, opts Options) (*Report, error) {
+	return RunCtx(context.Background(), orig, trans, applied, opts)
+}
+
+// RunCtx validates a transformation by differential execution. applied
+// are the transformation decisions that were actually applied (they
+// define the address remapping). Both VM runs poll ctx and record
+// their spans on it. The returned error covers misuse and
+// cancellation: a run that stops because ctx is done returns ctx's
+// error, never a report. Other execution failures land in the Report.
+func RunCtx(ctx context.Context, orig, trans Side, applied []*transform.Decision, opts Options) (*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if orig.File == nil || orig.Info == nil || orig.Layout == nil ||
 		trans.File == nil || trans.Info == nil || trans.Layout == nil {
 		return nil, fmt.Errorf("verify: both sides need file, info and layout")
@@ -171,7 +182,10 @@ func Run(orig, trans Side, applied []*transform.Decision, opts Options) (*Report
 	}
 	rep := &Report{Nprocs: nprocs, StepBudget: budget}
 
-	om, err := execute(orig, nprocs, budget)
+	om, err := execute(ctx, orig, nprocs, budget)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
 	if err != nil {
 		// The original program itself does not run to completion at
 		// this configuration — inconclusive, not the transform's fault.
@@ -179,7 +193,10 @@ func Run(orig, trans Side, applied []*transform.Decision, opts Options) (*Report
 		rep.SkipReason = fmt.Sprintf("original program: %v", err)
 		return rep, nil
 	}
-	tm, err := execute(trans, nprocs, budget)
+	tm, err := execute(ctx, trans, nprocs, budget)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
 	if err != nil {
 		rep.TransErr = err.Error()
 		return rep, nil
@@ -200,12 +217,13 @@ func Run(orig, trans Side, applied []*transform.Decision, opts Options) (*Report
 }
 
 // execute compiles and runs one side, returning the finished machine.
-func execute(s Side, nprocs int, budget int64) (*vm.Machine, error) {
+func execute(ctx context.Context, s Side, nprocs int, budget int64) (*vm.Machine, error) {
 	prog, err := vm.Compile(s.File, s.Info, s.Layout, nprocs)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %v", err)
 	}
 	m := vm.New(prog)
+	m.SetContext(ctx)
 	m.MaxInstrs = budget
 	if err := m.Run(nil); err != nil {
 		return nil, err

@@ -3,12 +3,15 @@
 package verify_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"falseshare/internal/core"
 	"falseshare/internal/transform"
 	"falseshare/internal/verify"
+	"falseshare/internal/workload"
 )
 
 func side(p *core.Program) verify.Side {
@@ -252,5 +255,17 @@ void main() {
 	}
 	if rep.OK {
 		t.Fatalf("skipped report must not claim OK:\n%s", rep)
+	}
+}
+
+// TestVerifyCancelled: a run stopped by its context returns the
+// context's error, not a skipped or failed report.
+func TestVerifyCancelled(t *testing.T) {
+	res := restructure(t, workload.Get("maxflow").Source(1), 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := verify.RunCtx(ctx, side(res.Original), side(res.Transformed), res.Applied, verify.Options{})
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("RunCtx on a cancelled context = %v, %v; want context.Canceled and no report", rep, err)
 	}
 }

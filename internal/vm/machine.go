@@ -236,7 +236,7 @@ func (m *Machine) AllocSpans() []Span {
 // reference, reaches a barrier, finishes, or exhausts its slice of
 // private computation.
 func (m *Machine) Run(sink func(Ref)) error {
-	sp := obs.Begin("vm.run")
+	sp := obs.BeginCtx(m.ctx, "vm.run")
 	err := m.run(sink)
 	if sp != nil {
 		sp.Set("procs", int64(m.nprocs))
