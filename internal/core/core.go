@@ -94,7 +94,8 @@ func (o Options) analysisConfig() sideeffect.Config {
 }
 
 // Program is a checked parc program with a concrete memory layout,
-// ready for code generation and execution.
+// ready for code generation and execution. A transformed Program may
+// share File and Info with its Result's Original; both are read-only.
 type Program struct {
 	Source string
 	File   *ast.File
@@ -113,7 +114,9 @@ type Result struct {
 	Options Options
 	// Original is the program compiled without transformations.
 	Original *Program
-	// Transformed is the compiler-restructured program.
+	// Transformed is the compiler-restructured program. When no applied
+	// decision rewrites the tree, it shares Original's File and Info
+	// (read-only) and has its own Source, Layout and Dirs.
 	Transformed *Program
 	// Plan holds all decisions (including skipped ones); Applied the
 	// decisions that survived verification.
@@ -135,8 +138,7 @@ type Result struct {
 }
 
 // Compile parses, checks and lays out a program without transforming
-// it (used for unoptimized and hand-optimized versions). Directives
-// may be nil.
+// it (used for unoptimized and hand-optimized versions).
 func Compile(src string, opt Options) (*Program, error) {
 	return CompileCtx(context.Background(), src, opt)
 }
@@ -214,12 +216,8 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-
-	// A second, independent tree for analysis.
-	file, info, err := parseAndCheck(ctx, src)
-	if err != nil {
-		return nil, err
-	}
+	// The analyses only read the tree: they share the original's.
+	file, info := orig.File, orig.Info
 
 	st := obs.BeginCtx(ctx, "cfg")
 	var prog *cfg.CallGraph
@@ -331,11 +329,12 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 
 // buildTransformed runs the safe-mode apply loop: apply the plan,
 // recheck, lay out, and (optionally) translation-validate. Any
-// failure attributable to a decision degrades just that decision —
-// the AST is rebuilt from a FRESH parse with the decision disabled
-// (a mid-rewrite panic can leave the tree partially mutated) and the
-// loop retries. The loop terminates because every retry disables at
-// least one decision.
+// failure attributable to a decision degrades just that decision and
+// the loop retries without it. Only an attempt whose enabled decisions
+// rewrite the tree applies them to a FRESH parse (a mid-rewrite panic
+// can leave it partially mutated) and rechecks it; the others only
+// emit directives and share the original's tree and info. The loop
+// terminates because every retry disables at least one decision.
 func buildTransformed(ctx context.Context, src string, opt Options, res *Result) error {
 	plan := res.Plan
 	disabled := map[*transform.Decision]bool{}
@@ -364,14 +363,17 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 			return err
 		}
 		plan.Skipped = append([]string(nil), baseSkipped...)
-		file, info, err := parseAndCheck(ctx, src)
-		if err != nil {
-			return err
+		file, info := res.Original.File, res.Original.Info
+		if rewritesTree(plan.Decisions, disabled) {
+			var err error
+			if file, info, err = parseAndCheck(ctx, src); err != nil {
+				return err
+			}
 		}
 
 		st := obs.BeginCtx(ctx, "apply")
 		var out *transform.Outcome
-		err = guard("apply", func() error {
+		err := guard("apply", func() error {
 			out = transform.ApplySafe(ctx, file, info, plan, opt.BlockSize, int64(opt.Nprocs),
 				func(d *transform.Decision) bool { return disabled[d] })
 			return nil
@@ -395,29 +397,30 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 		}
 		applied := out.Applied
 
-		// Re-check the mutated tree and lay it out with the directives.
-		st = obs.BeginCtx(ctx, "recheck")
-		var newInfo *types.Info
-		err = guard("recheck", func() (e error) {
-			newInfo, e = types.Check(file)
-			return e
-		})
-		st.End()
-		if err != nil {
-			if len(applied) == 0 {
-				return fmt.Errorf("transformed program fails to check (transformation bug): %w\n%s", err, ast.Print(file))
+		// Re-check a rewritten tree. A fresh tree whose rewrites were all
+		// skipped is unchanged, so the original's stands in for it.
+		if !rewritesTree(applied, nil) {
+			file, info = res.Original.File, res.Original.Info
+		} else {
+			st = obs.BeginCtx(ctx, "recheck")
+			err = guard("recheck", func() (e error) {
+				info, e = types.Check(file)
+				return e
+			})
+			st.End()
+			if err != nil {
+				// Unattributable: degrade everything that was applied.
+				for _, d := range applied {
+					degrade(d, "recheck", err.Error())
+				}
+				continue
 			}
-			// Unattributable: degrade everything that was applied.
-			for _, d := range applied {
-				degrade(d, "recheck", err.Error())
-			}
-			continue
 		}
 
 		st = obs.BeginCtx(ctx, "layout")
 		var lay *layout.Layout
 		err = guard("layout", func() (e error) {
-			lay, e = layout.Compute(newInfo, out.Dirs, int64(opt.Nprocs))
+			lay, e = layout.Compute(info, out.Dirs, int64(opt.Nprocs))
 			return e
 		})
 		st.End()
@@ -426,7 +429,7 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 			if errors.As(err, &ve) {
 				hit := false
 				for _, d := range applied {
-					if decisionTouches(d, ve.Name, res.Original.Info) || decisionTouches(d, ve.Name, newInfo) {
+					if decisionTouches(d, ve.Name, res.Original.Info) || decisionTouches(d, ve.Name, info) {
 						degrade(d, "layout", err.Error())
 						hit = true
 					}
@@ -438,7 +441,7 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 			return fmt.Errorf("layout of transformed program: %w", err)
 		}
 
-		trans := &Program{Source: ast.Print(file), File: file, Info: newInfo, Layout: lay, Dirs: out.Dirs, Applied: applied}
+		trans := &Program{Source: ast.Print(file), File: file, Info: info, Layout: lay, Dirs: out.Dirs, Applied: applied}
 
 		if opt.Verify {
 			st = obs.BeginCtx(ctx, "verify")
@@ -503,6 +506,17 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 		return nil
 	}
 	return &InternalError{Stage: "apply", Value: "degradation loop did not converge"}
+}
+
+// rewritesTree reports whether any decision of ds outside skip
+// rewrites the AST.
+func rewritesTree(ds []*transform.Decision, skip map[*transform.Decision]bool) bool {
+	for _, d := range ds {
+		if !skip[d] && d.Kind.RewritesTree() {
+			return true
+		}
+	}
+	return false
 }
 
 // stageGate is the entry check of a pipeline stage: cancellation

@@ -74,19 +74,21 @@ func TestReportRequiredFields(t *testing.T) {
 		t.Fatal("missing restructure span")
 	}
 	kids, _ := restr["children"].([]any)
-	for _, stage := range []string{"compile", "parse", "typecheck", "cfg", "pdv", "procs", "nonconc", "sideeffect", "decide", "apply", "recheck", "layout"} {
-		s := findSpan(kids, stage)
-		if s == nil {
-			t.Errorf("missing stage span %q", stage)
-			continue
-		}
-		if _, ok := s["wall_ns"].(float64); !ok {
-			t.Errorf("stage %q has no wall_ns", stage)
-		}
-		if _, ok := s["wall_ms"].(float64); !ok {
-			t.Errorf("stage %q has no wall_ms", stage)
-		}
+	compile := findSpan(kids, "compile")
+	if compile == nil {
+		t.Fatal("missing compile span")
 	}
+	compileKids, _ := compile["children"].([]any)
+	wantStages(t, compileKids, "parse", "typecheck", "layout")
+	wantStages(t, kids, "compile", "cfg", "pdv", "procs", "nonconc", "sideeffect", "decide", "apply", "layout")
+	// maxflow at 4 processes plans pads and locks only: they apply to
+	// the original's tree, which needs no recheck.
+	if findSpan(kids, "recheck") != nil {
+		t.Errorf("recheck span on a directive-only plan: %v", kids)
+	}
+	// A plan that rewrites the tree parses a tree of its own for the
+	// rewrite and rechecks it.
+	wantStages(t, rewriteStages(t), "parse", "typecheck", "apply", "recheck", "layout")
 	wantCounter(t, findSpan(kids, "pdv"), "pdvs")
 	wantCounter(t, findSpan(kids, "nonconc"), "phases")
 	se := findSpan(kids, "sideeffect")
@@ -151,6 +153,56 @@ func TestReportRequiredFields(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wantStages checks that each named stage span is among spans and
+// carries its wall time.
+func wantStages(t *testing.T, spans []any, stages ...string) {
+	t.Helper()
+	for _, stage := range stages {
+		s := findSpan(spans, stage)
+		if s == nil {
+			t.Errorf("missing stage span %q", stage)
+			continue
+		}
+		if _, ok := s["wall_ns"].(float64); !ok {
+			t.Errorf("stage %q has no wall_ns", stage)
+		}
+		if _, ok := s["wall_ms"].(float64); !ok {
+			t.Errorf("stage %q has no wall_ms", stage)
+		}
+	}
+}
+
+// rewriteStages restructures pverify at 4 processes, whose plan
+// groups and indirects, under a recorder on the context and returns
+// the restructure span's children as the manifest renders them.
+func rewriteStages(t *testing.T) []any {
+	t.Helper()
+	rec := obs.NewRecorder()
+	ctx := obs.WithRecorder(context.Background(), rec)
+	res, err := core.RestructureCtx(ctx, workload.Get("pverify").Source(1), core.Options{Nprocs: 4, BlockSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Transformed.File == res.Original.File {
+		t.Fatalf("pverify at 4 processes should rewrite its tree:\n%s", res.Plan)
+	}
+	raw, err := json.Marshal(rec.Report("fsc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := doc["spans"].([]any)
+	restr := findSpan(spans, "restructure")
+	if restr == nil {
+		t.Fatal("missing restructure span")
+	}
+	kids, _ := restr["children"].([]any)
+	return kids
 }
 
 func findSpan(spans []any, name string) map[string]any {

@@ -91,9 +91,6 @@ type VarDecl struct {
 
 func (d *VarDecl) Pos() token.Pos { return d.P }
 
-// IsArray reports whether the declaration has array dimensions.
-func (d *VarDecl) IsArray() bool { return len(d.Dims) > 0 }
-
 // FieldDecl is a struct member.
 type FieldDecl struct {
 	P    token.Pos

@@ -30,14 +30,27 @@ func (l ErrorList) Error() string {
 
 // Check type-checks the file and returns the semantic info.
 func Check(f *ast.File) (*Info, error) {
+	// Size Types and Uses once: growing the interface-keyed Types map
+	// rehashes every entry.
+	var exprs, idents int
+	ast.Walk(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.Ident:
+			idents++
+			exprs++
+		case ast.Expr:
+			exprs++
+		}
+		return true
+	})
 	c := &checker{
 		info: &Info{
 			File:       f,
 			Structs:    map[string]*StructInfo{},
 			Globals:    map[string]*Symbol{},
 			Funcs:      map[string]*FuncInfo{},
-			Types:      map[ast.Expr]*Type{},
-			Uses:       map[*ast.Ident]*Symbol{},
+			Types:      make(map[ast.Expr]*Type, exprs),
+			Uses:       make(map[*ast.Ident]*Symbol, idents),
 			FieldUses:  map[*ast.FieldExpr]*Field{},
 			LocalDecls: map[*ast.VarDecl]*Symbol{},
 		},

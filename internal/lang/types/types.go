@@ -224,9 +224,6 @@ type Info struct {
 // TypeOf returns the checked type of e (nil if unknown).
 func (i *Info) TypeOf(e ast.Expr) *Type { return i.Types[e] }
 
-// SymbolOf returns the symbol an identifier refers to (nil if unknown).
-func (i *Info) SymbolOf(id *ast.Ident) *Symbol { return i.Uses[id] }
-
 // SharedGlobals returns the shared (and lock) file-scope variables in
 // declaration order: the candidate set for false-sharing analysis.
 func (i *Info) SharedGlobals() []*Symbol {

@@ -70,7 +70,9 @@ func Apply(file *ast.File, info *types.Info, plan *Plan, blockSize int64, nprocs
 // CAUTION: a decision that fails mid-rewrite may leave the AST
 // partially mutated. When Outcome.Failed is non-empty the caller must
 // rebuild from a fresh parse with those decisions excluded rather than
-// use the mutated file. ctx is only consulted by fault points.
+// use the mutated file. Pad and lock kinds never touch file, so a plan
+// whose enabled decisions are all of those kinds may share its tree.
+// ctx is only consulted by fault points.
 func ApplySafe(ctx context.Context, file *ast.File, info *types.Info, plan *Plan, blockSize int64, nprocs int64, skip func(*Decision) bool) *Outcome {
 	a := &applier{
 		ctx:    ctx,

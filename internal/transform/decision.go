@@ -41,6 +41,11 @@ func (k Kind) String() string {
 	return "transform?"
 }
 
+// RewritesTree reports whether applying a decision of this kind
+// rewrites the AST. Pad and lock decisions only emit layout
+// directives and leave the tree untouched.
+func (k Kind) RewritesTree() bool { return k == KindGroupTranspose || k == KindIndirection }
+
 // GTShape describes how group & transpose restructures its target.
 type GTShape int
 
