@@ -151,12 +151,12 @@ func BenchmarkAblationLockCoAllocation(b *testing.B) {
 	machine := ksr.DefaultConfig()
 	for i := 0; i < b.N; i++ {
 		for _, coalloc := range []bool{false, true} {
-			prog, err := experiments.Program(bm, experiments.VersionC, 12, 1, 128,
+			prog, err := experiments.ProgramCtx(context.Background(), bm, experiments.VersionC, 12, 1, 128,
 				transform.Config{CoAllocateLocks: coalloc})
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := ksr.Execute(prog, machine)
+			r, err := ksr.ExecuteCtx(context.Background(), prog, machine)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -229,7 +229,9 @@ func BenchmarkAblationWordInvalidateHW(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := cache.DefaultConfig(12, 128)
-			cfg.WordInvalidate = wordInval
+			if wordInval {
+				cfg.SectorSize = cache.WordSize
+			}
 			sim, err := cache.New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -257,7 +259,7 @@ func BenchmarkAblationWordInvalidateHW(b *testing.B) {
 // the largest kernel, for substrate performance tracking.
 func BenchmarkVM(b *testing.B) {
 	bm := workload.Get("pverify")
-	prog, err := core.Compile(bm.Source(1), core.Options{Nprocs: 12, BlockSize: 128})
+	prog, err := core.CompileCtx(context.Background(), bm.Source(1), core.Options{Nprocs: 12, BlockSize: 128})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,25 +34,7 @@ func TestGoldenFig3Output(t *testing.T) {
 	// trailing newline).
 	got := experiments.RenderFigure3(cells) + "\n"
 
-	golden := filepath.Join("testdata", "fig3.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/fsexp -run Golden -update` to create it)", err)
-	}
-	if got != string(want) {
-		t.Errorf("fsexp -fig3 output drifted from %s (refresh with -update if intended):\n%s",
-			golden, diffLines(string(want), got))
-	}
+	checkGolden(t, "fig3", got)
 }
 
 // TestGoldenTable2Output pins the exact text `fsexp -table2` prints on
@@ -69,25 +51,7 @@ func TestGoldenTable2Output(t *testing.T) {
 	}
 	got := experiments.RenderTable2(rows) + "\n"
 
-	golden := filepath.Join("testdata", "table2.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/fsexp -run Golden -update` to create it)", err)
-	}
-	if got != string(want) {
-		t.Errorf("fsexp -table2 output drifted from %s (refresh with -update if intended):\n%s",
-			golden, diffLines(string(want), got))
-	}
+	checkGolden(t, "table2", got)
 }
 
 // TestGoldenFig4Output pins the exact text `fsexp -fig4` prints on the
@@ -95,9 +59,24 @@ func TestGoldenTable2Output(t *testing.T) {
 // header line plus one RenderCurves block per program in sorted order,
 // exactly as main() assembles them.
 func TestGoldenFig4Output(t *testing.T) {
+	checkGolden(t, "fig4", renderFig4(t, 4, 1, 2, 4))
+}
+
+// TestGoldenFig4RingsOutput pins Fig 4 above 32 processors, where the
+// KSR2 model's second ring comes in: the 32-processor point is one
+// ring, 40 and 56 span two.
+func TestGoldenFig4RingsOutput(t *testing.T) {
+	checkGolden(t, "fig4_rings", renderFig4(t, 2, 32, 40, 56))
+}
+
+// renderFig4 is what main() prints for -fig4 over the given processor
+// counts: the header line plus one RenderCurves block per program in
+// sorted order.
+func renderFig4(t *testing.T, workers int, counts ...int) string {
+	t.Helper()
 	cfg := experiments.DefaultConfig()
-	cfg.Workers = 4 // golden output must not depend on parallelism
-	cfg.SweepCounts = []int{1, 2, 4}
+	cfg.Workers = workers // golden output must not depend on parallelism
+	cfg.SweepCounts = counts
 	curves, err := experiments.Figure4(cfg, ksr.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -111,26 +90,7 @@ func TestGoldenFig4Output(t *testing.T) {
 	for _, n := range names {
 		got += experiments.RenderCurves(curves[n]) + "\n"
 	}
-
-	golden := filepath.Join("testdata", "fig4.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/fsexp -run Golden -update` to create it)", err)
-	}
-	if got != string(want) {
-		t.Errorf("fsexp -fig4 output drifted from %s (refresh with -update if intended):\n%s",
-			golden, diffLines(string(want), got))
-	}
+	return got
 }
 
 // TestGoldenMatrixOutput pins the exact text `fsexp -matrix` prints on
@@ -148,7 +108,14 @@ func TestGoldenMatrixOutput(t *testing.T) {
 	}
 	got := experiments.RenderMatrix(cells) + "\n"
 
-	golden := filepath.Join("testdata", "matrix.golden")
+	checkGolden(t, "matrix", got)
+}
+
+// checkGolden compares got with testdata/<name>.golden, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+".golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -164,7 +131,7 @@ func TestGoldenMatrixOutput(t *testing.T) {
 		t.Fatalf("%v (run `go test ./cmd/fsexp -run Golden -update` to create it)", err)
 	}
 	if got != string(want) {
-		t.Errorf("fsexp -matrix output drifted from %s (refresh with -update if intended):\n%s",
+		t.Errorf("output drifted from %s (refresh with -update if intended):\n%s",
 			golden, diffLines(string(want), got))
 	}
 }

@@ -176,30 +176,13 @@ func main() {
 		sp := obs.BeginCtx(ctx, "replay")
 		sink, finish := fanout(*jobs, sp, blocks, sinks...)
 		tr := trace.NewReader(f)
-		// Headered traces declare their capture's process count: check
-		// it against -p up front (the Reader additionally validates
-		// every record). Legacy headerless traces carry no count, so a
-		// stored ref could name a proc the -p sized simulators have no
-		// counters for; reject it before it reaches a sink rather than
-		// panicking there.
+		// The header declares the capture's process count, and the
+		// Reader checks every record against it; checking it against
+		// -p up front keeps every ref inside the simulators' counters.
 		if n := tr.Nprocs(); n > *nprocs {
 			fatal(fmt.Errorf("trace %s was captured with %d processes; rerun with -p %d or more", *replay, n, n))
 		}
-		var badRef error
-		nrec := 0
-		err = tr.ForEach(func(r vm.Ref) {
-			nrec++
-			if badRef == nil && r.Proc >= *nprocs {
-				badRef = fmt.Errorf("trace %s: record %d uses proc %d; rerun with -p %d or more",
-					*replay, nrec, r.Proc, r.Proc+1)
-			}
-			if badRef == nil {
-				sink(r)
-			}
-		})
-		if err == nil {
-			err = badRef
-		}
+		err = tr.ForEach(sink)
 		if ferr := finish(); err == nil {
 			err = ferr
 		}

@@ -40,7 +40,9 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg := cache.DefaultConfig(nprocs, block)
-		cfg.WordInvalidate = wordInval
+		if wordInval {
+			cfg.SectorSize = cache.WordSize
+		}
 		sim, err := cache.New(cfg)
 		if err != nil {
 			log.Fatal(err)

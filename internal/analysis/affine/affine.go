@@ -53,10 +53,6 @@ func (e Expr) IsConstant() bool { return !e.Residue && e.Pid == 0 && len(e.IV) =
 // constants) — the shape a PDV value must have.
 func (e Expr) PidOnly() bool { return !e.Residue && len(e.IV) == 0 }
 
-// HasIV reports whether any induction variable appears with a nonzero
-// coefficient.
-func (e Expr) HasIV() bool { return len(e.IV) > 0 }
-
 // IVCoef returns the coefficient of the given induction variable.
 func (e Expr) IVCoef(s *types.Symbol) int64 { return e.IV[s] }
 

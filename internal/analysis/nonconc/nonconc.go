@@ -76,15 +76,6 @@ type Result struct {
 	BarrierPhase map[*ast.BarrierStmt]int
 }
 
-// StmtPhases returns the phases of the main-CFG node containing s; for
-// statements in other functions use FuncPhases.
-func (r *Result) StmtPhases(g *cfg.Graph, s ast.Stmt) PhaseSet {
-	if n, ok := g.StmtNode[s]; ok {
-		return r.NodePhases[n]
-	}
-	return allPhases(r.N)
-}
-
 func allPhases(n int) PhaseSet {
 	if n >= MaxPhases {
 		return ^PhaseSet(0)

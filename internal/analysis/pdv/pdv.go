@@ -68,27 +68,22 @@ func (r *Result) String() string {
 	return sb.String()
 }
 
-// assignment is one static definition of a scalar symbol.
-type assignment struct {
-	sym *types.Symbol
-	rhs ast.Expr
-}
-
 // Analyze finds PDVs and constant-valued private scalars for the given
 // process count.
 func Analyze(info *types.Info, nprocs int64) *Result {
 	res := &Result{Values: map[*types.Symbol]affine.Expr{}, nprocs: nprocs}
 
-	// Collect every static assignment to a scalar symbol, and the
-	// argument expressions flowing into each parameter.
-	defs := map[*types.Symbol][]assignment{}
+	// Collect the right-hand side of every static assignment to a
+	// scalar symbol, and the argument expressions flowing into each
+	// parameter.
+	defs := map[*types.Symbol][]ast.Expr{}
 	paramArgs := map[*types.Symbol][]ast.Expr{}
 
 	record := func(sym *types.Symbol, rhs ast.Expr) {
 		if sym == nil {
 			return
 		}
-		defs[sym] = append(defs[sym], assignment{sym, rhs})
+		defs[sym] = append(defs[sym], rhs)
 	}
 
 	for _, fn := range info.File.Funcs {
@@ -134,7 +129,7 @@ func Analyze(info *types.Info, nprocs int64) *Result {
 			if !candidate(sym) || len(ds) != 1 {
 				continue
 			}
-			v := affine.Analyze(ds[0].rhs, info, res)
+			v := affine.Analyze(ds[0], info, res)
 			if v.PidOnly() {
 				res.Values[sym] = v
 				changed = true

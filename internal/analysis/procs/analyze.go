@@ -20,15 +20,6 @@ type Result struct {
 	Func map[string]Set
 }
 
-// StmtSet returns the process set of the node containing statement s
-// in function fn, defaulting to the full set when unknown.
-func (r *Result) StmtSet(g *cfg.Graph, s ast.Stmt) Set {
-	if n, ok := g.StmtNode[s]; ok {
-		return r.Node[n]
-	}
-	return All(r.Nprocs)
-}
-
 // Analyze computes the per-process control-flow annotation.
 func Analyze(prog *cfg.CallGraph, info *types.Info, pdvs *pdv.Result, nprocs int) *Result {
 	if nprocs > MaxProcs {

@@ -42,9 +42,6 @@ func (s Set) Add(p int) Set { return s | Single(p) }
 // Union returns s with t added.
 func (s Set) Union(t Set) Set { return s | t }
 
-// Intersect returns the processes in both sets.
-func (s Set) Intersect(t Set) Set { return s & t }
-
 // Minus returns the processes in s but not t.
 func (s Set) Minus(t Set) Set { return s &^ t }
 

@@ -31,14 +31,6 @@ type Counters struct {
 	Capped int64
 }
 
-// Add adds other into c.
-func (c *Counters) Add(other Counters) {
-	c.Added += other.Added
-	c.Deduped += other.Deduped
-	c.Merged += other.Merged
-	c.Capped += other.Capped
-}
-
 // Add inserts a descriptor into the list, deduplicating identical
 // descriptors (no information loss) and enforcing the descriptor
 // limit. When the limit is exceeded, the two cheapest descriptors are

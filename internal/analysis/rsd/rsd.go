@@ -43,10 +43,6 @@ type Atom struct {
 // Point returns an atom for a single known subscript.
 func Point(base affine.Expr) Atom { return Atom{Known: true, Base: base} }
 
-// UnknownAtom returns an atom with unknown base and the given terms
-// (which still carry stride information).
-func UnknownAtom(terms []IVTerm) Atom { return Atom{Known: false, Terms: terms} }
-
 // IsPoint reports whether the atom is a single known subscript.
 func (a Atom) IsPoint() bool { return a.Known && len(a.Terms) == 0 }
 
@@ -241,16 +237,6 @@ func (r RSD) String() string {
 		parts[i] = "[" + a.String() + "]"
 	}
 	return strings.Join(parts, "")
-}
-
-// DependsOnPid reports whether any dimension varies with pid.
-func (r RSD) DependsOnPid() bool {
-	for _, a := range r {
-		if a.DependsOnPid() {
-			return true
-		}
-	}
-	return false
 }
 
 // Disjoint reports whether the sections touched by processes p and q

@@ -61,7 +61,7 @@ func TestCyclicDisjointByCongruence(t *testing.T) {
 }
 
 func TestUnknownNeverDisjoint(t *testing.T) {
-	u := UnknownAtom([]IVTerm{{Coef: 1, Step: 1, Bounded: false}})
+	u := Atom{Known: false, Terms: []IVTerm{{Coef: 1, Step: 1, Bounded: false}}}
 	if (RSD{u}).Disjoint(0, 1) {
 		t.Errorf("unknown sections must not be proven disjoint")
 	}
@@ -114,9 +114,6 @@ func TestPidDimAndStride(t *testing.T) {
 	}
 	if got := r.PidDim(); got != 1 {
 		t.Errorf("PidDim = %d", got)
-	}
-	if !r.DependsOnPid() {
-		t.Errorf("DependsOnPid wrong")
 	}
 	if r.InnerUnitStride() {
 		t.Errorf("a point column has no inner unit stride")

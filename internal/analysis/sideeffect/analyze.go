@@ -22,39 +22,28 @@ type Config struct {
 	// Nprocs is the process (= processor) count assumed by the
 	// analysis.
 	Nprocs int
-	// LoopWeight is the frequency multiplier for a loop whose trip
-	// count is unknown (static profiling).
-	LoopWeight float64
-	// BranchWeight is the frequency multiplier per conditional level.
-	BranchWeight float64
 	// RSDLimit caps the descriptors kept per object (paper: 10).
 	RSDLimit int
 	// StaticProfiling can be disabled for ablation: all weights 1.
 	StaticProfiling bool
-	// UseTripCounts makes static profiling use known constant loop
-	// trip counts instead of LoopWeight.
-	UseTripCounts bool
 }
+
+// Static profiling's frequency multipliers: a loop whose trip count is
+// not a known constant counts 10 iterations, and each conditional
+// level halves the frequency.
+const (
+	loopWeight   = 10.0
+	branchWeight = 0.5
+)
 
 func (c Config) defaults() Config {
 	if c.Nprocs <= 0 {
 		c.Nprocs = 12
 	}
-	if c.LoopWeight == 0 {
-		c.LoopWeight = 10
-	}
-	if c.BranchWeight == 0 {
-		c.BranchWeight = 0.5
-	}
 	if c.RSDLimit == 0 {
 		c.RSDLimit = rsd.DefaultLimit
 	}
 	return c
-}
-
-// DefaultConfig returns the paper-default analysis configuration.
-func DefaultConfig(nprocs int) Config {
-	return Config{Nprocs: nprocs, StaticProfiling: true, UseTripCounts: true}.defaults()
 }
 
 // Access is one summarized side effect: a read or write of a shared
@@ -102,9 +91,6 @@ type Summary struct {
 	// (how often the paper's per-object cap forced lossy merging).
 	RSD rsd.Counters
 }
-
-// Object returns the summary of one object key, or nil.
-func (s *Summary) Object(key string) *ObjectSummary { return s.Objects[key] }
 
 // SortedObjects returns object summaries ordered by total weight
 // descending then name, for deterministic reporting.
@@ -300,7 +286,7 @@ func (a *analyzer) stmt(s ast.Stmt) {
 		a.read(x.Cond)
 		saved := a.weight
 		if a.cfg.StaticProfiling {
-			a.weight *= a.cfg.BranchWeight
+			a.weight *= branchWeight
 		}
 		a.stmt(x.Then)
 		if x.Else != nil {
@@ -313,7 +299,7 @@ func (a *analyzer) stmt(s ast.Stmt) {
 		saved := a.weight
 		savedLoops := len(a.loops)
 		if a.cfg.StaticProfiling {
-			a.weight *= a.cfg.LoopWeight
+			a.weight *= loopWeight
 		}
 		// While loops carry no analyzable induction variable.
 		a.stmt(x.Body)
@@ -353,7 +339,7 @@ func (a *analyzer) forStmt(x *ast.ForStmt) {
 // loopInfo extracts the induction variable, bounds and step of a for
 // loop and its estimated trip count.
 func (a *analyzer) loopInfo(x *ast.ForStmt) (rsd.Loop, float64) {
-	trip := a.cfg.LoopWeight
+	trip := loopWeight
 	var loop rsd.Loop
 
 	ivSym, ivInit := forInduction(x, a.info)
@@ -395,7 +381,7 @@ func (a *analyzer) loopInfo(x *ast.ForStmt) (rsd.Loop, float64) {
 		loop.Bounded = false
 	}
 
-	if a.cfg.UseTripCounts && loop.Bounded {
+	if loop.Bounded {
 		// Known trip count: evaluate the span for a middle process.
 		span := loop.Hi.Sub(loop.Lo)
 		if span.PidOnly() {

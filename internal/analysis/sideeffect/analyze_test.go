@@ -29,7 +29,7 @@ func pipeline(t *testing.T, src string, nprocs int) (*types.Info, *Summary) {
 	if err != nil {
 		t.Fatalf("nonconc: %v", err)
 	}
-	sum := Analyze(info, prog, pdvs, pr, ph, DefaultConfig(nprocs))
+	sum := Analyze(info, prog, pdvs, pr, ph, Config{Nprocs: nprocs, StaticProfiling: true})
 	return info, sum
 }
 
@@ -56,7 +56,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 4)
-	os := sum.Object("global:a")
+	os := sum.Objects["global:a"]
 	if os == nil {
 		t.Fatalf("no summary for a:\n%s", sum)
 	}
@@ -67,7 +67,7 @@ void main() {
 	if !r.PairwiseDisjoint(4) {
 		t.Errorf("cyclic partition not proven disjoint: %s", r)
 	}
-	if !r.DependsOnPid() {
+	if r.PidDim() < 0 {
 		t.Errorf("descriptor should depend on pid: %s", r)
 	}
 }
@@ -86,7 +86,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 12)
-	os := sum.Object("global:a")
+	os := sum.Objects["global:a"]
 	if os == nil {
 		t.Fatalf("no summary for a")
 	}
@@ -118,7 +118,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 12)
-	os := sum.Object("global:w")
+	os := sum.Objects["global:w"]
 	if os == nil {
 		t.Fatalf("no summary for w")
 	}
@@ -147,14 +147,14 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 8)
-	os := sum.Object("global:counter")
+	os := sum.Objects["global:counter"]
 	if os == nil {
 		t.Fatalf("no summary for counter")
 	}
 	if os.WriteProcs.Count() != 8 {
 		t.Errorf("counter written by %s, want all 8", os.WriteProcs)
 	}
-	lk := sum.Object("global:l")
+	lk := sum.Objects["global:l"]
 	if lk == nil || !lk.Obj.IsLock() {
 		t.Fatalf("lock object missing or misclassified: %+v", lk)
 	}
@@ -182,7 +182,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 8)
-	os := sum.Object("global:flag")
+	os := sum.Objects["global:flag"]
 	if os == nil {
 		t.Fatalf("no summary for flag")
 	}
@@ -190,7 +190,7 @@ void main() {
 		t.Errorf("flag written by %s, want {0}", os.WriteProcs)
 	}
 	// The init() callee's stores should also be attributed to proc 0.
-	ao := sum.Object("global:a")
+	ao := sum.Objects["global:a"]
 	if ao == nil {
 		t.Fatalf("no summary for a")
 	}
@@ -222,8 +222,8 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 4)
-	ao := sum.Object("global:a")
-	bo := sum.Object("global:b")
+	ao := sum.Objects["global:a"]
+	bo := sum.Objects["global:b"]
 	if ao == nil || bo == nil {
 		t.Fatalf("missing summaries")
 	}
@@ -263,7 +263,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 8)
-	co := sum.Object("field:Node.count")
+	co := sum.Objects["field:Node.count"]
 	if co == nil {
 		t.Fatalf("no summary for Node.count:\n%s", sum)
 	}
@@ -293,7 +293,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 8)
-	co := sum.Object("field:Node.count")
+	co := sum.Objects["field:Node.count"]
 	if co == nil {
 		t.Fatalf("no summary for Node.count")
 	}
@@ -317,7 +317,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 8)
-	po := sum.Object("global:part")
+	po := sum.Objects["global:part"]
 	if po == nil {
 		t.Fatalf("no summary for part")
 	}
@@ -352,8 +352,8 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 4)
-	hot := sum.Object("global:hot")
-	cold := sum.Object("global:cold")
+	hot := sum.Objects["global:hot"]
+	cold := sum.Objects["global:cold"]
 	if hot == nil || cold == nil {
 		t.Fatalf("missing summaries")
 	}
@@ -388,7 +388,7 @@ void main() {
 	}
 	cfgOff := Config{Nprocs: 4, StaticProfiling: false}
 	sum := Analyze(info, prog, pdvs, pr, ph, cfgOff)
-	xo := sum.Object("global:x")
+	xo := sum.Objects["global:x"]
 	if xo.WriteW != 1 {
 		t.Errorf("profiling off: write weight = %f, want 1", xo.WriteW)
 	}
@@ -412,7 +412,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 12)
-	wo := sum.Object("heap-via:*work")
+	wo := sum.Objects["heap-via:*work"]
 	if wo == nil {
 		t.Fatalf("no summary for *work:\n%s", sum)
 	}
@@ -420,7 +420,7 @@ void main() {
 		t.Errorf("heap block partition not disjoint: %s", wo.Writes[0].R)
 	}
 	// Loading the pointer itself must register reads of the global.
-	g := sum.Object("global:work")
+	g := sum.Objects["global:work"]
 	if g == nil || g.ReadW <= 0 {
 		t.Errorf("pointer loads not recorded")
 	}

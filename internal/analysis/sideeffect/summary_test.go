@@ -44,7 +44,7 @@ void dead() { y = y + 1; }
 void main() { x = 1; }
 `
 	_, sum := pipeline(t, src, 4)
-	if sum.Object("global:y") != nil {
+	if sum.Objects["global:y"] != nil {
 		t.Errorf("accesses in unreachable code must not be summarized")
 	}
 }
@@ -60,7 +60,7 @@ int f(int n) {
 void main() { f(10); }
 `
 	_, sum := pipeline(t, src, 4)
-	xo := sum.Object("global:x")
+	xo := sum.Objects["global:x"]
 	if xo == nil {
 		t.Fatalf("missing summary")
 	}
@@ -130,7 +130,7 @@ void main() {
 }
 `
 	_, sum := pipeline(t, src, 4)
-	lo := sum.Object("global:l")
+	lo := sum.Objects["global:l"]
 	if lo == nil {
 		t.Fatalf("no lock summary")
 	}

@@ -237,7 +237,7 @@ func TestStoreCorruptFaultWritesDamageReadDropsIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	s := mustOpen(t, t.TempDir(), Options{FaultPoint: "test.store"})
 	put(t, s, "v1", "alpha", `1`) // corrupt injection mangles the payload, write proceeds
@@ -259,7 +259,7 @@ func TestStoreErrorFaultFailsPutCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{FaultPoint: "test.store"})

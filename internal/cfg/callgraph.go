@@ -1,10 +1,6 @@
 package cfg
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"falseshare/internal/lang/ast"
 )
 
@@ -83,88 +79,4 @@ func collectStmtCalls(s ast.Stmt, collect func(ast.Expr)) {
 	case *ast.ReleaseStmt:
 		collect(x.Lock)
 	}
-}
-
-// BottomUpOrder returns the functions reachable from root in an order
-// where callees come before callers when possible. Cycles (recursion)
-// are broken arbitrarily; the side-effect analysis iterates to a fixed
-// point so the order only affects convergence speed.
-func (cg *CallGraph) BottomUpOrder(root string) []string {
-	state := map[string]int{} // 0 unseen, 1 visiting, 2 done
-	var order []string
-	var visit func(name string)
-	visit = func(name string) {
-		if state[name] != 0 {
-			return
-		}
-		state[name] = 1
-		callees := make([]string, 0, len(cg.Callees[name]))
-		for c := range cg.Callees[name] {
-			callees = append(callees, c)
-		}
-		sort.Strings(callees)
-		for _, c := range callees {
-			if _, ok := cg.Graphs[c]; ok && state[c] != 1 {
-				visit(c)
-			}
-		}
-		state[name] = 2
-		order = append(order, name)
-	}
-	visit(root)
-	return order
-}
-
-// Recursive reports whether the program contains (mutual) recursion
-// reachable from root.
-func (cg *CallGraph) Recursive(root string) bool {
-	state := map[string]int{}
-	var visit func(name string) bool
-	visit = func(name string) bool {
-		switch state[name] {
-		case 1:
-			return true
-		case 2:
-			return false
-		}
-		state[name] = 1
-		for c := range cg.Callees[name] {
-			if _, ok := cg.Graphs[c]; ok && visit(c) {
-				return true
-			}
-		}
-		state[name] = 2
-		return false
-	}
-	return visit(root)
-}
-
-// SitesIn returns the call sites within the named function.
-func (cg *CallGraph) SitesIn(caller string) []*CallSite {
-	var out []*CallSite
-	for _, s := range cg.Sites {
-		if s.Caller == caller {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Dump renders the call graph for diagnostics.
-func (cg *CallGraph) Dump() string {
-	var sb strings.Builder
-	names := make([]string, 0, len(cg.Graphs))
-	for n := range cg.Graphs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		callees := make([]string, 0, len(cg.Callees[n]))
-		for c := range cg.Callees[n] {
-			callees = append(callees, c)
-		}
-		sort.Strings(callees)
-		fmt.Fprintf(&sb, "%s -> %s\n", n, strings.Join(callees, " "))
-	}
-	return sb.String()
 }

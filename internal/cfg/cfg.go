@@ -11,9 +11,6 @@
 package cfg
 
 import (
-	"fmt"
-	"strings"
-
 	"falseshare/internal/lang/ast"
 )
 
@@ -66,9 +63,8 @@ type Node struct {
 	Preds []*Node
 
 	// LoopDepth is the number of enclosing loops; BranchDepth the
-	// number of enclosing conditionals. Static profiling estimates a
-	// node's execution frequency as LoopWeight^LoopDepth *
-	// BranchWeight^BranchDepth.
+	// number of enclosing conditionals. Static profiling weighs a
+	// node's execution frequency by both (see sideeffect).
 	LoopDepth   int
 	BranchDepth int
 }
@@ -304,24 +300,4 @@ func (g *Graph) Reachable(start *Node, stop func(*Node) bool) map[*Node]bool {
 		}
 	}
 	return seen
-}
-
-// Dump renders the graph for debugging and golden tests.
-func (g *Graph) Dump() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "cfg %s:\n", g.Fn.Name)
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&sb, "  n%d %s ld=%d bd=%d ->", n.ID, n.Kind, n.LoopDepth, n.BranchDepth)
-		for _, s := range n.Succs {
-			fmt.Fprintf(&sb, " n%d", s.ID)
-		}
-		if n.Cond != nil {
-			fmt.Fprintf(&sb, " cond=%s", ast.PrintExpr(n.Cond))
-		}
-		for _, s := range n.Stmts {
-			fmt.Fprintf(&sb, "\n      %s", strings.ReplaceAll(ast.PrintStmt(s), "\n", " "))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

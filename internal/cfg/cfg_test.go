@@ -35,7 +35,7 @@ void main() {
 		}
 	}
 	if len(basics) != 1 || len(basics[0].Stmts) != 3 {
-		t.Fatalf("expected one basic node with 3 stmts:\n%s", g.Dump())
+		t.Fatalf("expected one basic node with 3 stmts:\n%s", dumpGraph(g))
 	}
 	if len(g.Entry.Succs) != 1 {
 		t.Fatalf("entry successors: %d", len(g.Entry.Succs))
@@ -62,7 +62,7 @@ void main() {
 		}
 	}
 	if branch == nil {
-		t.Fatalf("no branch node:\n%s", g.Dump())
+		t.Fatalf("no branch node:\n%s", dumpGraph(g))
 	}
 	if len(branch.Succs) != 2 {
 		t.Fatalf("branch should have 2 successors, has %d", len(branch.Succs))
@@ -100,7 +100,7 @@ void main() {
 		}
 	}
 	if maxDepth != 2 {
-		t.Fatalf("max loop depth = %d, want 2:\n%s", maxDepth, g.Dump())
+		t.Fatalf("max loop depth = %d, want 2:\n%s", maxDepth, dumpGraph(g))
 	}
 	// Every loop back edge must exist: each branch node with a loop
 	// body must have at least two predecessors (entry + back edge).
@@ -147,7 +147,7 @@ void main() { f(1); }
 `)
 	g := Build(f.Func("f"))
 	if len(g.Exit.Preds) != 2 {
-		t.Fatalf("exit preds = %d, want 2:\n%s", len(g.Exit.Preds), g.Dump())
+		t.Fatalf("exit preds = %d, want 2:\n%s", len(g.Exit.Preds), dumpGraph(g))
 	}
 }
 
@@ -168,23 +168,12 @@ void main() {
 		t.Fatalf("graphs = %d", len(cg.Graphs))
 	}
 	if !cg.Callees["main"]["mid"] || !cg.Callees["mid"]["leaf"] {
-		t.Fatalf("callees wrong: %s", cg.Dump())
-	}
-	order := cg.BottomUpOrder("main")
-	idx := map[string]int{}
-	for i, n := range order {
-		idx[n] = i
-	}
-	if !(idx["leaf"] < idx["mid"] && idx["mid"] < idx["main"]) {
-		t.Fatalf("bottom-up order wrong: %v", order)
-	}
-	if cg.Recursive("main") {
-		t.Errorf("program wrongly reported recursive")
+		t.Fatalf("callees wrong: %s", dumpCallGraph(cg))
 	}
 	// The call inside the loop should be on a node with LoopDepth 1.
 	found := false
-	for _, s := range cg.SitesIn("main") {
-		if s.Callee == "leaf" && s.Node.LoopDepth == 1 {
+	for _, s := range cg.Sites {
+		if s.Caller == "main" && s.Callee == "leaf" && s.Node.LoopDepth == 1 {
 			found = true
 		}
 	}
@@ -202,13 +191,8 @@ int f(int a) {
 void main() { f(3); }
 `)
 	cg := BuildProgram(f)
-	if !cg.Recursive("main") {
-		t.Fatalf("recursion not detected")
-	}
-	// BottomUpOrder must still terminate and include both functions.
-	order := cg.BottomUpOrder("main")
-	if len(order) != 2 {
-		t.Fatalf("order = %v", order)
+	if !cg.Callees["f"]["f"] || !cg.Callees["main"]["f"] {
+		t.Fatalf("recursive call edge missing: %s", dumpCallGraph(cg))
 	}
 }
 
@@ -218,7 +202,7 @@ shared int x;
 void main() { x = 42; }
 `)
 	g := Build(f.Func("main"))
-	if !strings.Contains(g.Dump(), "x = 42") {
-		t.Errorf("dump missing statement:\n%s", g.Dump())
+	if !strings.Contains(dumpGraph(g), "x = 42") {
+		t.Errorf("dump missing statement:\n%s", dumpGraph(g))
 	}
 }

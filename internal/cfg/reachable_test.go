@@ -35,7 +35,7 @@ void main() {
 		}
 	}
 	if firstAssign == nil || secondAssign == nil {
-		t.Fatalf("assign nodes not found:\n%s", g.Dump())
+		t.Fatalf("assign nodes not found:\n%s", dumpGraph(g))
 	}
 	if !region[firstAssign] {
 		t.Errorf("first region misses a=1")

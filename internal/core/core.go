@@ -51,9 +51,6 @@ type Options struct {
 	// is executed against the original on the VM and objects whose
 	// final state diverges are degraded back to the identity layout.
 	Verify bool
-	// VerifyNprocs overrides the validation process count (default:
-	// min(4, Nprocs)).
-	VerifyNprocs int
 	// VerifyBudget overrides the validation step budget per process.
 	VerifyBudget int64
 	// Exclude lists objects (shared globals, struct names, or
@@ -88,7 +85,6 @@ func (o Options) analysisConfig() sideeffect.Config {
 	return sideeffect.Config{
 		Nprocs:          o.Nprocs,
 		StaticProfiling: !o.NoProfiling,
-		UseTripCounts:   true,
 		RSDLimit:        o.RSDLimit,
 	}
 }
@@ -137,15 +133,11 @@ type Result struct {
 	Verify *verify.Report
 }
 
-// Compile parses, checks and lays out a program without transforming
-// it (used for unoptimized and hand-optimized versions).
-func Compile(src string, opt Options) (*Program, error) {
-	return CompileCtx(context.Background(), src, opt)
-}
-
-// CompileCtx is Compile with cooperative cancellation: the context is
-// checked between pipeline stages, so a cancelled experiment run stops
-// at the next stage boundary rather than finishing the compile.
+// CompileCtx parses, checks and lays out a program without
+// transforming it (used for unoptimized and hand-optimized versions).
+// The context is checked between pipeline stages, so a cancelled
+// experiment run stops at the next stage boundary rather than
+// finishing the compile.
 func CompileCtx(ctx context.Context, src string, opt Options) (*Program, error) {
 	opt = opt.defaults()
 	sp := obs.BeginCtx(ctx, "compile")
@@ -451,7 +443,7 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 					verify.Side{File: res.Original.File, Info: res.Original.Info, Layout: res.Original.Layout},
 					verify.Side{File: trans.File, Info: trans.Info, Layout: trans.Layout},
 					applied,
-					verify.Options{Nprocs: opt.VerifyNprocs, StepBudget: opt.VerifyBudget},
+					verify.Options{StepBudget: opt.VerifyBudget},
 				)
 				return e
 			})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestCompileErrorPropagation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Compile(tc.src, Options{Nprocs: 4})
+			_, err := CompileCtx(context.Background(), tc.src, Options{Nprocs: 4})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Compile err = %v, want containing %q", err, tc.want)
 			}
@@ -32,7 +33,7 @@ void main() { sync(); }
 `
 	// Compile (no analysis) accepts it; Restructure must reject it at
 	// the non-concurrency stage.
-	if _, err := Compile(src, Options{Nprocs: 4}); err != nil {
+	if _, err := CompileCtx(context.Background(), src, Options{Nprocs: 4}); err != nil {
 		t.Fatalf("plain compile should pass: %v", err)
 	}
 	_, err := Restructure(src, Options{Nprocs: 4})
@@ -50,7 +51,7 @@ func TestDefaultOptions(t *testing.T) {
 		t.Errorf("heuristics defaults: %+v", o.Heuristics)
 	}
 	a := o.analysisConfig()
-	if !a.StaticProfiling || !a.UseTripCounts {
+	if !a.StaticProfiling {
 		t.Errorf("analysis defaults: %+v", a)
 	}
 	noProf := Options{NoProfiling: true}.defaults()
@@ -82,7 +83,7 @@ void main() {
 	if res.Procs == nil || res.Procs.Nprocs != 4 {
 		t.Errorf("proc results missing")
 	}
-	if res.Summary == nil || res.Summary.Object("global:a") == nil {
+	if res.Summary == nil || res.Summary.Objects["global:a"] == nil {
 		t.Errorf("summary missing")
 	}
 	if res.Original.Source == "" || res.Transformed.Source == "" {

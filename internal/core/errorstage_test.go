@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -29,7 +30,7 @@ func TestErrorStage(t *testing.T) {
 // TestErrorStageFromPipeline pins the integration: a source that
 // fails to parse reports stage "parse" through the real pipeline.
 func TestErrorStageFromPipeline(t *testing.T) {
-	_, err := Compile("shared int x[", Options{Nprocs: 2, BlockSize: 32})
+	_, err := CompileCtx(context.Background(), "shared int x[", Options{Nprocs: 2, BlockSize: 32})
 	if err == nil {
 		t.Fatal("malformed source compiled")
 	}

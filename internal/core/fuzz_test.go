@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -26,7 +27,7 @@ func FuzzCompile(f *testing.F) {
 		}
 		// Accepted input: the transformed program must itself survive
 		// a compile (it is what experiments will run).
-		if _, err := Compile(res.Transformed.Source, Options{Nprocs: 4, BlockSize: 64}); err != nil {
+		if _, err := CompileCtx(context.Background(), res.Transformed.Source, Options{Nprocs: 4, BlockSize: 64}); err != nil {
 			var ie *InternalError
 			if errors.As(err, &ie) {
 				t.Fatalf("recompile panicked in %s: %s\nsource:\n%s", ie.Stage, ie.Value, res.Transformed.Source)

@@ -21,7 +21,7 @@ func enableFaults(t *testing.T, spec string) {
 		t.Fatalf("faultinject.Parse(%q): %v", spec, err)
 	}
 	faultinject.Enable(s)
-	t.Cleanup(faultinject.Disable)
+	t.Cleanup(func() { faultinject.Enable(nil) })
 }
 
 func degradedObjects(res *Result) map[string]bool {
@@ -185,6 +185,33 @@ func TestVerifyCleanRunNoDegradation(t *testing.T) {
 	}
 	if res.Verify == nil || !res.Verify.OK || len(res.Verify.Objects) == 0 {
 		t.Fatalf("verification report missing or not OK:\n%v", res.Verify)
+	}
+}
+
+// TestVerifyNaNProgramValidates: a program that leaves NaN in shared
+// memory validates like any other, with no internal error and nothing
+// degraded.
+func TestVerifyNaNProgramValidates(t *testing.T) {
+	const src = `
+shared double x[16];
+void main() {
+    double z = 0.0;
+    x[pid] = z / z;
+}
+`
+	res, err := RestructureCtx(context.Background(), src, Options{Nprocs: 4, BlockSize: 16, Verify: true})
+	var ie *InternalError
+	if errors.As(err, &ie) {
+		t.Fatalf("internal error on a NaN result: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degraded) != 0 {
+		t.Errorf("NaN result degraded objects: %v", res.Degraded)
+	}
+	if res.Verify == nil || !res.Verify.OK {
+		t.Errorf("verification report missing or not OK:\n%v", res.Verify)
 	}
 }
 

@@ -183,7 +183,7 @@ func TestPadFaultKeepsSharedTree(t *testing.T) {
 	for _, mode := range []string{"error", "panic"} {
 		enableFaults(t, "transform.apply=total_flow:"+mode)
 		res := restructure(t, src, Options{Nprocs: 4, BlockSize: 128})
-		faultinject.Disable()
+		faultinject.Enable(nil)
 
 		degraded := degradedObjects(res)
 		if len(degraded) != 1 || !degraded["total_flow"] {

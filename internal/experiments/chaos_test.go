@@ -107,7 +107,7 @@ func TestChaosMatrix(t *testing.T) {
 			}
 			faultinject.Enable(s)
 			results, err := runJobs(cfg, "chaos", chaosJobs(nJobs))
-			faultinject.Disable()
+			faultinject.Enable(nil)
 
 			if tc.wantFail == 0 {
 				if err != nil {
@@ -178,7 +178,7 @@ func TestChaosFailFastDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(s)
-	t.Cleanup(faultinject.Disable)
+	t.Cleanup(func() { faultinject.Enable(nil) })
 
 	cfg := Config{Workers: 1, Policy: pool.Policy{FailFast: true}}
 	done := make(chan error, 1)
@@ -232,7 +232,7 @@ func TestChaosInterruptedResumeManifest(t *testing.T) {
 	icfg.Store = store
 	icfg.Policy = pool.Policy{FailFast: true}
 	_, ierr := RunManifest("fsexp", "fig3", ConfigMap(icfg), func() (any, error) { return Figure3(icfg) })
-	faultinject.Disable()
+	faultinject.Enable(nil)
 	if ierr == nil {
 		t.Fatal("interrupted run reported success")
 	}

@@ -165,7 +165,7 @@ func TestDeterminismEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(s)
-	t.Cleanup(faultinject.Disable)
+	t.Cleanup(func() { faultinject.Enable(nil) })
 	opt := MatrixOptions{Workloads: 2, Seed: 11, Procs: 4, Block: 64, ScaleMin: true}
 	withEvents := func(cfg Config) Config {
 		cfg.Fig3Blocks = []int64{128}

@@ -26,7 +26,7 @@ func TestAttributionInvariants(t *testing.T) {
 		for _, procs := range []int{4, 12} {
 			for _, blk := range []int64{16, 128} {
 				t.Run(fmt.Sprintf("%s/p%d/b%d", name, procs, blk), func(t *testing.T) {
-					prog, err := Program(b, Baseline(b), procs, 1, blk, transform.Config{})
+					prog, err := ProgramCtx(context.Background(), b, Baseline(b), procs, 1, blk, transform.Config{})
 					if err != nil {
 						t.Fatalf("build: %v", err)
 					}
@@ -119,7 +119,7 @@ func TestDiagPaperObjects(t *testing.T) {
 			if b == nil {
 				t.Fatalf("workload %s not registered", tc.bench)
 			}
-			prog, err := Program(b, Baseline(b), 12, 1, tc.block, transform.Config{})
+			prog, err := ProgramCtx(context.Background(), b, Baseline(b), 12, 1, tc.block, transform.Config{})
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}

@@ -41,17 +41,10 @@ type Options struct {
 	// JobTimeout is the per-cell deadline (a cell exceeding it marks
 	// its worker hung: killed and the cell reassigned).
 	Policy pool.Policy
-	// Heartbeat is the ping period (default 500ms); DeadAfter is how
-	// much silence marks a worker dead (default 10s).
-	Heartbeat time.Duration
-	DeadAfter time.Duration
 	// MaxDeaths bounds reassignment per cell: a cell that kills this
 	// many workers fails instead of killing the whole fleet
 	// (default 3).
 	MaxDeaths int
-	// MaxRespawns bounds replacement workers across the run
-	// (default 2×Workers+2), so a crash loop terminates.
-	MaxRespawns int
 	// Stderr receives spawned workers' stderr (default os.Stderr).
 	Stderr io.Writer
 	// Recorder receives the fabric's own telemetry spans — worker
@@ -62,32 +55,11 @@ type Options struct {
 	Recorder *obs.Recorder
 }
 
-func (o Options) heartbeat() time.Duration {
-	if o.Heartbeat <= 0 {
-		return 500 * time.Millisecond
-	}
-	return o.Heartbeat
-}
-
-func (o Options) deadAfter() time.Duration {
-	if o.DeadAfter <= 0 {
-		return 10 * time.Second
-	}
-	return o.DeadAfter
-}
-
 func (o Options) maxDeaths() int {
 	if o.MaxDeaths <= 0 {
 		return 3
 	}
 	return o.MaxDeaths
-}
-
-func (o Options) maxRespawns() int {
-	if o.MaxRespawns <= 0 {
-		return 2*o.Workers + 2
-	}
-	return o.MaxRespawns
 }
 
 func (o Options) stderr() io.Writer {
@@ -133,7 +105,7 @@ type Coordinator struct {
 	workers map[int]*workerHandle
 	nextID  int
 	live    int
-	spawned int // spawn attempts, bounded by Workers+MaxRespawns
+	spawned int // spawn attempts, bounded by 3×Workers+2
 	run     *cellRun
 	stats   Stats
 	closed  bool
@@ -276,21 +248,6 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Pids lists the live spawned worker process ids (TCP workers have
-// none). Used by the orphan-reaping tests and by operators checking
-// what a coordinator is running.
-func (c *Coordinator) Pids() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var pids []int
-	for _, w := range c.workers {
-		if w.cmd != nil && w.cmd.Process != nil {
-			pids = append(pids, w.cmd.Process.Pid)
-		}
-	}
-	return pids
 }
 
 // workerArgv resolves the spawn command.
@@ -441,13 +398,14 @@ func (c *Coordinator) readLoop(w *workerHandle) {
 	}
 }
 
-// pingLoop heartbeats the worker and kills it after DeadAfter of
+// pingLoop pings the worker every 500ms and kills it after 10s of
 // silence — the wedged-process detector (a worker busy in a cell
 // still answers pings from its read loop; only a truly stuck or
 // vanished process goes silent).
 func (c *Coordinator) pingLoop(w *workerHandle) {
 	defer c.wg.Done()
-	t := time.NewTicker(c.opt.heartbeat())
+	const deadAfter = 10 * time.Second
+	t := time.NewTicker(500 * time.Millisecond)
 	defer t.Stop()
 	for {
 		select {
@@ -456,8 +414,8 @@ func (c *Coordinator) pingLoop(w *workerHandle) {
 		case <-c.ctx.Done():
 			return
 		case <-t.C:
-			if w.silence() > c.opt.deadAfter() {
-				obs.LogfCtx(c.ctx, "fabric: worker %d: silent for %s; killing", w.id, c.opt.deadAfter())
+			if w.silence() > deadAfter {
+				obs.LogfCtx(c.ctx, "fabric: worker %d: silent for %s; killing", w.id, deadAfter)
 				w.kill()
 				return
 			}
@@ -722,8 +680,10 @@ func (c *Coordinator) workerGone(w *workerHandle) {
 		}
 		w.span.End()
 	}
+	// Replacements are bounded at 2×Workers+2 across the run, so a
+	// crash loop terminates.
 	respawn := !c.closed && c.ctx.Err() == nil && w.cmd != nil &&
-		c.spawned < c.opt.Workers+c.opt.maxRespawns()
+		c.spawned < 3*c.opt.Workers+2
 	lastLight := c.live == 0 && !respawn && c.listener == nil
 	run := c.run
 	c.mu.Unlock()

@@ -215,7 +215,7 @@ func TestFabricWorkerKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set2)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	runDir := t.TempDir()
 	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
@@ -235,7 +235,7 @@ func TestFabricWorkerKillResume(t *testing.T) {
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
-	faultinject.Disable()
+	faultinject.Enable(nil)
 
 	st := coord.Stats()
 	if st.Deaths != 1 {
@@ -274,12 +274,12 @@ func TestFabricWorkerKillResume(t *testing.T) {
 // fires inside the worker process (this process never enables the
 // fault set, so the injected error can only have crossed the wire).
 func TestFabricFaultPropagation(t *testing.T) {
-	if faultinject.Active() {
-		t.Fatal("fault injection unexpectedly enabled in the test process")
-	}
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
 	victim := keys[0]
+	if faultinject.Fire(context.Background(), "pool.worker", victim) != nil {
+		t.Fatal("fault injection unexpectedly enabled in the test process")
+	}
 
 	coord := startCoordinator(t, Options{
 		Workers: 2,
@@ -307,9 +307,23 @@ func TestFabricFaultPropagation(t *testing.T) {
 	if !strings.Contains(fe.Err.Error(), "injected fault at pool.worker") {
 		t.Errorf("error %q does not carry the worker-side injection", fe.Err)
 	}
-	if faultinject.Active() {
+	if faultinject.Fire(context.Background(), "pool.worker", victim) != nil {
 		t.Error("worker fault spec leaked into the coordinator process")
 	}
+}
+
+// workerPids lists the coordinator's live spawned worker process ids
+// (TCP workers have none).
+func workerPids(c *Coordinator) []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var pids []int
+	for _, w := range c.workers {
+		if w.cmd != nil && w.cmd.Process != nil {
+			pids = append(pids, w.cmd.Process.Pid)
+		}
+	}
+	return pids
 }
 
 // TestFabricKillReapsWorkers is satellite 2: Kill (the second-SIGINT
@@ -317,7 +331,7 @@ func TestFabricFaultPropagation(t *testing.T) {
 func TestFabricKillReapsWorkers(t *testing.T) {
 	cfg, _, set := testGrid()
 	coord := startCoordinator(t, Options{Workers: 3, Spec: cfg.Spec(), Set: set})
-	pids := coord.Pids()
+	pids := workerPids(coord)
 	if len(pids) != 3 {
 		t.Fatalf("got %d worker pids, want 3", len(pids))
 	}

@@ -118,15 +118,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Program builds one version of a benchmark, compiled and laid out for
-// the given processor count and block size. The C version is produced
-// by the restructurer; heur tweaks its heuristics (ablations).
-func Program(b *workload.Benchmark, ver Version, nprocs int, scale int, block int64, heur transform.Config) (*core.Program, error) {
-	return ProgramCtx(context.Background(), b, ver, nprocs, scale, block, heur)
-}
-
-// ProgramCtx is Program with cooperative cancellation through the
-// compiler pipeline.
+// ProgramCtx builds one version of a benchmark, compiled and laid out
+// for the given processor count and block size, with cooperative
+// cancellation through the compiler pipeline. The C version is
+// produced by the restructurer; heur tweaks its heuristics (ablations).
 func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs int, scale int, block int64, heur transform.Config) (*core.Program, error) {
 	opt := core.Options{Nprocs: nprocs, BlockSize: block, Heuristics: heur}
 	switch ver {

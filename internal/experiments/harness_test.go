@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,14 +29,14 @@ func TestVersionsAndBaseline(t *testing.T) {
 
 func TestProgramErrors(t *testing.T) {
 	w := workload.Get("water")
-	if _, err := Program(w, VersionN, 4, 1, 128, transform.Config{}); err == nil {
+	if _, err := ProgramCtx(context.Background(), w, VersionN, 4, 1, 128, transform.Config{}); err == nil {
 		t.Errorf("water has no N version; Program must fail")
 	}
 	mf := workload.Get("maxflow")
-	if _, err := Program(mf, VersionP, 4, 1, 128, transform.Config{}); err == nil {
+	if _, err := ProgramCtx(context.Background(), mf, VersionP, 4, 1, 128, transform.Config{}); err == nil {
 		t.Errorf("maxflow has no P version; Program must fail")
 	}
-	if _, err := Program(mf, Version("Z"), 4, 1, 128, transform.Config{}); err == nil {
+	if _, err := ProgramCtx(context.Background(), mf, Version("Z"), 4, 1, 128, transform.Config{}); err == nil {
 		t.Errorf("unknown version must fail")
 	}
 }
@@ -43,7 +44,7 @@ func TestProgramErrors(t *testing.T) {
 func TestProgramVersionsCompile(t *testing.T) {
 	mf := workload.Get("maxflow")
 	for _, v := range Versions(mf) {
-		prog, err := Program(mf, v, 8, 1, 64, transform.Config{})
+		prog, err := ProgramCtx(context.Background(), mf, v, 8, 1, 64, transform.Config{})
 		if err != nil {
 			t.Fatalf("maxflow %s: %v", v, err)
 		}

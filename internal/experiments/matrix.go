@@ -78,7 +78,10 @@ type MatrixStats struct {
 	FSRate         float64 `json:"fs_rate"`
 }
 
-func newMatrixStats(st *cache.Stats) MatrixStats {
+// StatsRecord condenses raw simulator statistics into the compact,
+// JSON-tagged record the matrix manifests use (rates precomputed) —
+// also the daemon's analysis summary shape.
+func StatsRecord(st *cache.Stats) MatrixStats {
 	return MatrixStats{
 		Refs:           st.Refs,
 		Misses:         st.Misses(),
@@ -95,15 +98,6 @@ func newMatrixStats(st *cache.Stats) MatrixStats {
 		FSRate:         st.FSRate(),
 	}
 }
-
-// StatsRecord condenses raw simulator statistics into the compact,
-// JSON-tagged record the matrix manifests use (rates precomputed) —
-// also the daemon's analysis summary shape.
-func StatsRecord(st *cache.Stats) MatrixStats { return newMatrixStats(st) }
-
-// TopFSObjects names the attribution report's n worst false-sharing
-// objects, worst first.
-func TopFSObjects(rep *attr.Report, n int) []string { return topFSObjects(rep, n) }
 
 // MatrixCell is one (generated workload × protocol × topology) grid
 // cell: the unoptimized (N) and compiler-restructured (C) programs
@@ -125,15 +119,6 @@ type MatrixCell struct {
 	TopFS []string `json:"top_fs,omitempty"`
 }
 
-// FSCut returns the percent of the N version's false-sharing misses
-// the restructurer eliminated under this cell's protocol/topology.
-func (c MatrixCell) FSCut() float64 {
-	if c.N.FalseShare == 0 {
-		return 0
-	}
-	return 100 * float64(c.N.FalseShare-c.C.FalseShare) / float64(c.N.FalseShare)
-}
-
 // matrixCacheConfig builds the simulator configuration for one grid
 // point: the paper's cache geometry under the cell's protocol and
 // topology (two-ring latency defaults are the KSR2 numbers).
@@ -144,9 +129,9 @@ func matrixCacheConfig(procs int, block int64, proto cache.Protocol, topo cache.
 	return ccfg
 }
 
-// topFSObjects extracts the worst false-sharing object names from an
-// attribution report, by descending miss count, up to n.
-func topFSObjects(rep *attr.Report, n int) []string {
+// TopFSObjects names the attribution report's n worst false-sharing
+// objects, worst first (by descending miss count).
+func TopFSObjects(rep *attr.Report, n int) []string {
 	type of struct {
 		name string
 		fs   int64
@@ -268,9 +253,9 @@ func (cfg Config) matrixCell(ctx context.Context, key string, p gen.Params, benc
 		Topology: topo.String(),
 		Procs:    procs,
 		Block:    block,
-		N:        newMatrixStats(stN),
-		C:        newMatrixStats(stC),
-		TopFS:    topFSObjects(repN, 3),
+		N:        StatsRecord(stN),
+		C:        StatsRecord(stC),
+		TopFS:    TopFSObjects(repN, 3),
 	}, nil
 }
 

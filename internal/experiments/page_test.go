@@ -21,7 +21,7 @@ func TestPageGranularity(t *testing.T) {
 	nprocs := 8
 	ccfg := cache.DefaultConfig(nprocs, pageSize)
 
-	nProg, err := Program(b, VersionN, nprocs, 1, pageSize, transform.Config{})
+	nProg, err := ProgramCtx(context.Background(), b, VersionN, nprocs, 1, pageSize, transform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestPageGranularity(t *testing.T) {
 		t.Fatalf("page-level false sharing expected in the unoptimized program")
 	}
 
-	cProg, err := Program(b, VersionC, nprocs, 1, pageSize, transform.Config{})
+	cProg, err := ProgramCtx(context.Background(), b, VersionC, nprocs, 1, pageSize, transform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

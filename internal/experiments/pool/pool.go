@@ -103,15 +103,6 @@ func (m *MultiError) Unwrap() []error {
 	return out
 }
 
-// Keys lists the failed job keys in submission order.
-func (m *MultiError) Keys() []string {
-	out := make([]string, len(m.Errors))
-	for i, e := range m.Errors {
-		out[i] = e.Key
-	}
-	return out
-}
-
 // Failures extracts the per-job failures from a pool error: the
 // MultiError's entries, a bare *Error, or nil for a nil error. Any
 // other error (not produced by the pool) comes back as a single
@@ -180,12 +171,6 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// Run executes the jobs with the zero Policy and no external
-// cancellation; see RunPolicy.
-func Run[T any](name string, workers int, jobs []Job[T]) ([]T, error) {
-	return RunPolicy(context.Background(), name, workers, Policy{}, jobs)
 }
 
 // RunPolicy executes the jobs with at most workers concurrent

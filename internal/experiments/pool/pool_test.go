@@ -32,7 +32,7 @@ func TestParallelPoolOrdering(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 16} {
-		got, err := Run("order", workers, jobs)
+		got, err := RunPolicy(context.Background(), "order", workers, Policy{}, jobs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,7 +67,7 @@ func TestParallelPoolBoundedConcurrency(t *testing.T) {
 			},
 		}
 	}
-	if _, err := Run("bounded", workers, jobs); err != nil {
+	if _, err := RunPolicy(context.Background(), "bounded", workers, Policy{}, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
@@ -87,7 +87,7 @@ func TestParallelPoolPanicRecovery(t *testing.T) {
 		{Key: "ok3", Run: func(context.Context) (int, error) { ran[3].Store(true); return 4, nil }},
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := Run("panics", workers, jobs)
+		got, err := RunPolicy(context.Background(), "panics", workers, Policy{}, jobs)
 		if err == nil {
 			t.Fatalf("workers=%d: expected error", workers)
 		}
@@ -121,7 +121,7 @@ func TestPoolMultiError(t *testing.T) {
 		{Key: "d", Run: func(context.Context) (int, error) { return 0, fmt.Errorf("wrap: %w", sentinel) }},
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := Run("multi", workers, jobs)
+		got, err := RunPolicy(context.Background(), "multi", workers, Policy{}, jobs)
 		if got[0] != 1 || got[2] != 3 {
 			t.Errorf("workers=%d: healthy results lost: %v", workers, got)
 		}
@@ -129,8 +129,8 @@ func TestPoolMultiError(t *testing.T) {
 		if !errors.As(err, &merr) {
 			t.Fatalf("workers=%d: error is not a MultiError: %v", workers, err)
 		}
-		if keys := merr.Keys(); len(keys) != 2 || keys[0] != "b" || keys[1] != "d" {
-			t.Errorf("workers=%d: failed keys %v, want [b d]", workers, keys)
+		if len(merr.Errors) != 2 || merr.Errors[0].Key != "b" || merr.Errors[1].Key != "d" {
+			t.Errorf("workers=%d: failed keys %v, want [b d]", workers, merr)
 		}
 		if merr.Jobs != 4 {
 			t.Errorf("workers=%d: Jobs = %d", workers, merr.Jobs)
@@ -333,7 +333,7 @@ func TestPoolDefaultTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(s)
-	t.Cleanup(faultinject.Disable)
+	t.Cleanup(func() { faultinject.Enable(nil) })
 
 	var ran atomic.Int64
 	jobs := []Job[int]{{
@@ -371,7 +371,7 @@ func TestParallelPoolSpanTree(t *testing.T) {
 				},
 			}
 		}
-		_, err := Run("spans", workers, jobs)
+		_, err := RunPolicy(context.Background(), "spans", workers, Policy{}, jobs)
 		obs.Install(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -432,7 +432,7 @@ func TestPoolSpanFailureAnnotations(t *testing.T) {
 // panics nor installs anything.
 func TestParallelPoolNoRecorder(t *testing.T) {
 	obs.Install(nil)
-	got, err := Run("quiet", 4, []Job[string]{
+	got, err := RunPolicy(context.Background(), "quiet", 4, Policy{}, []Job[string]{
 		{Key: "a", Run: func(context.Context) (string, error) { return "x", nil }},
 		{Key: "b", Run: func(context.Context) (string, error) { return "y", nil }},
 	})

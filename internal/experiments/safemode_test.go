@@ -18,7 +18,7 @@ func TestBuildProgramRecordsDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(s)
-	t.Cleanup(faultinject.Disable)
+	t.Cleanup(func() { faultinject.Enable(nil) })
 
 	b := workload.Get("pverify")
 	if b == nil {

@@ -347,7 +347,7 @@ func TestStoreReplaysDegradeEvents(t *testing.T) {
 	}
 	faultinject.Enable(s)
 	_, err = Figure3(cfg)
-	faultinject.Disable()
+	faultinject.Enable(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,12 +170,6 @@ func Enable(s *Set) {
 	enabled.Store(s)
 }
 
-// Disable turns fault injection off.
-func Disable() { enabled.Store(nil) }
-
-// Active reports whether a fault set is enabled.
-func Active() bool { return enabled.Load() != nil }
-
 // Parse parses a fault spec (see the package comment for the
 // grammar). An empty spec yields an empty set.
 func Parse(spec string) (*Set, error) {
@@ -369,15 +363,6 @@ func (r *Rule) take(detail string) bool {
 		return false
 	}
 	return true
-}
-
-// Fires returns how many times the rule has fired (for tests).
-func (r *Rule) Fires() int64 {
-	n := r.fires.Load()
-	if r.Count > 0 && n > r.Count {
-		n = r.Count
-	}
-	return n
 }
 
 // hashP maps (seed, detail) to [0,1) deterministically: the same

@@ -16,7 +16,7 @@ func withSet(t *testing.T, spec string) *Set {
 		t.Fatalf("Parse(%q): %v", spec, err)
 	}
 	Enable(s)
-	t.Cleanup(Disable)
+	t.Cleanup(func() { Enable(nil) })
 	return s
 }
 
@@ -43,9 +43,9 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestDisabledIsNoop(t *testing.T) {
-	Disable()
-	if Active() {
-		t.Fatal("Active after Disable")
+	Enable(nil)
+	if enabled.Load() != nil {
+		t.Fatal("a fault set is enabled after Enable(nil)")
 	}
 	if err := Fire(context.Background(), "vm.run", "x"); err != nil {
 		t.Fatalf("disabled Fire returned %v", err)
@@ -207,7 +207,7 @@ func TestSetup(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Cleanup(Disable)
+			t.Cleanup(func() { Enable(nil) })
 			t.Setenv(env, tc.env)
 			got, err := Setup(tc.flag, env)
 			if tc.wantErr != "" {
@@ -217,7 +217,7 @@ func TestSetup(t *testing.T) {
 				if tc.flag != "" && strings.Contains(err.Error(), env) {
 					t.Errorf("flag error names the variable: %v", err)
 				}
-				if Active() {
+				if enabled.Load() != nil {
 					t.Error("a rejected spec was enabled")
 				}
 				return
@@ -225,8 +225,8 @@ func TestSetup(t *testing.T) {
 			if err != nil || got != tc.want {
 				t.Fatalf("Setup = %q, %v; want %q", got, err, tc.want)
 			}
-			if Active() != (tc.want != "") {
-				t.Errorf("Active = %v after Setup(%q)", Active(), got)
+			if active := enabled.Load() != nil; active != (tc.want != "") {
+				t.Errorf("enabled = %v after Setup(%q)", active, got)
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 // without a worker process in the loop.
 
 func TestExitMode(t *testing.T) {
-	defer Disable()
+	defer Enable(nil)
 	var code = -1
 	defer func(orig func(int)) { osExit = orig }(osExit)
 	osExit = func(c int) { code = c }
@@ -32,7 +32,7 @@ func TestExitMode(t *testing.T) {
 }
 
 func TestExitModeCustomCode(t *testing.T) {
-	defer Disable()
+	defer Enable(nil)
 	var code = -1
 	defer func(orig func(int)) { osExit = orig }(osExit)
 	osExit = func(c int) { code = c }
@@ -68,7 +68,7 @@ func TestExitParseErrors(t *testing.T) {
 }
 
 func TestCorruptMode(t *testing.T) {
-	defer Disable()
+	defer Enable(nil)
 	s, err := Parse("worker.send=matrix/gen-001:corrupt:count=1")
 	if err != nil {
 		t.Fatal(err)

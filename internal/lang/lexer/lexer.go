@@ -3,7 +3,6 @@ package lexer
 
 import (
 	"fmt"
-	"strings"
 
 	"falseshare/internal/lang/token"
 )
@@ -29,9 +28,6 @@ type Lexer struct {
 func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
-
-// Errors returns the lexical errors encountered so far.
-func (l *Lexer) Errors() []*Error { return l.errs }
 
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
 	l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
@@ -209,28 +205,4 @@ func (l *Lexer) Next() token.Token {
 
 	l.errorf(pos, "unexpected character %q", string(c))
 	return token.Token{Kind: token.ILLEGAL, Pos: pos, Lit: string(c)}
-}
-
-// ScanAll scans the entire input and returns all tokens up to and
-// including EOF. It is a convenience for tests and tools.
-func ScanAll(src string) ([]token.Token, []*Error) {
-	l := New(src)
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			break
-		}
-	}
-	return toks, l.Errors()
-}
-
-// Dump renders tokens one per line; useful for golden tests.
-func Dump(toks []token.Token) string {
-	var b strings.Builder
-	for _, t := range toks {
-		fmt.Fprintf(&b, "%s %s\n", t.Pos, t)
-	}
-	return b.String()
 }

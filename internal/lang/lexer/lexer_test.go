@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -8,9 +9,33 @@ import (
 	"falseshare/internal/lang/token"
 )
 
+// scanAll scans the entire input and returns all tokens up to and
+// including EOF.
+func scanAll(src string) ([]token.Token, []*Error) {
+	l := New(src)
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			break
+		}
+	}
+	return toks, l.errs
+}
+
+// dump renders tokens one per line.
+func dump(toks []token.Token) string {
+	var b strings.Builder
+	for _, t := range toks {
+		fmt.Fprintf(&b, "%s %s\n", t.Pos, t)
+	}
+	return b.String()
+}
+
 func kinds(t *testing.T, src string) []token.Kind {
 	t.Helper()
-	toks, errs := ScanAll(src)
+	toks, errs := scanAll(src)
 	if len(errs) > 0 {
 		t.Fatalf("scan errors: %v", errs)
 	}
@@ -42,7 +67,7 @@ func TestOperators(t *testing.T) {
 }
 
 func TestNumbers(t *testing.T) {
-	toks, errs := ScanAll("0 42 3.25 10.0 7")
+	toks, errs := scanAll("0 42 3.25 10.0 7")
 	if len(errs) > 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -80,14 +105,14 @@ comment */ y
 }
 
 func TestUnterminatedComment(t *testing.T) {
-	_, errs := ScanAll("x /* never closed")
+	_, errs := scanAll("x /* never closed")
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "unterminated") {
 		t.Fatalf("errors: %v", errs)
 	}
 }
 
 func TestIllegalChars(t *testing.T) {
-	toks, errs := ScanAll("x @ y | z")
+	toks, errs := scanAll("x @ y | z")
 	if len(errs) != 2 {
 		t.Fatalf("expected 2 errors, got %v", errs)
 	}
@@ -103,7 +128,7 @@ func TestIllegalChars(t *testing.T) {
 }
 
 func TestPositions(t *testing.T) {
-	toks, _ := ScanAll("a\n  bb\n ccc")
+	toks, _ := scanAll("a\n  bb\n ccc")
 	type pos struct{ line, col int }
 	want := []pos{{1, 1}, {2, 3}, {3, 2}}
 	for i, w := range want {
@@ -131,7 +156,7 @@ func TestKeywordsScan(t *testing.T) {
 // strings (no panics, no infinite loops).
 func TestLexerTotalOnRandomInput(t *testing.T) {
 	f := func(data []byte) bool {
-		toks, _ := ScanAll(string(data))
+		toks, _ := scanAll(string(data))
 		return len(toks) > 0 && toks[len(toks)-1].Kind == token.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -157,8 +182,8 @@ func TestWhitespaceInsensitive(t *testing.T) {
 }
 
 func TestDump(t *testing.T) {
-	toks, _ := ScanAll("x = 1;")
-	d := Dump(toks)
+	toks, _ := scanAll("x = 1;")
+	d := dump(toks)
 	if !strings.Contains(d, `IDENT("x")`) || !strings.Contains(d, "1:5") {
 		t.Errorf("dump output:\n%s", d)
 	}

@@ -165,12 +165,6 @@ func Lookup(ident string) Kind {
 	return IDENT
 }
 
-// IsKeyword reports whether the spelling is a parc keyword.
-func IsKeyword(s string) bool {
-	_, ok := keywords[s]
-	return ok
-}
-
 // Pos is a source position: 1-based line and column.
 type Pos struct {
 	Line int

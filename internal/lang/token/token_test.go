@@ -35,8 +35,11 @@ func TestLookupKeywords(t *testing.T) {
 }
 
 func TestIsKeyword(t *testing.T) {
-	if !IsKeyword("barrier") || IsKeyword("barriers") || IsKeyword("") {
-		t.Errorf("IsKeyword misbehaves")
+	// Every keyword's spelling looks up to its own kind.
+	for k := keywordBeg + 1; k < keywordEnd; k++ {
+		if got := Lookup(k.String()); got != k {
+			t.Errorf("Lookup(%q) = %v, want %v", k.String(), got, k)
+		}
 	}
 }
 

@@ -101,23 +101,6 @@ type StructLayout struct {
 	Offsets []int64 // by field index
 }
 
-// FieldAt returns the index of the field containing byte offset off
-// (relative to the struct base): the last field whose offset is <=
-// off, so alignment padding counts toward the field it follows. It
-// returns -1 when off is negative or past the struct (element
-// padding). Offsets are ascending by construction.
-func (sl *StructLayout) FieldAt(off int64) int {
-	if off < 0 || off >= sl.Size {
-		return -1
-	}
-	for i := len(sl.Offsets) - 1; i >= 0; i-- {
-		if off >= sl.Offsets[i] {
-			return i
-		}
-	}
-	return -1
-}
-
 // VarLayout is the concrete layout of one shared global.
 type VarLayout struct {
 	Name string
@@ -215,9 +198,6 @@ func (l *Layout) Var(name string) *VarLayout { return l.Vars[name] }
 
 // Struct returns the layout of a struct type.
 func (l *Layout) Struct(name string) *StructLayout { return l.Structs[name] }
-
-// ArenaStart returns the base address of process p's arena.
-func (l *Layout) ArenaStart(p int64) int64 { return l.ArenaBase + p*l.ArenaSize }
 
 // SizeOf returns the allocated byte size of a type (for alloc).
 func (l *Layout) SizeOf(t *types.Type) (int64, error) {

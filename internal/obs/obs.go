@@ -1,5 +1,5 @@
 // Package obs is the pipeline observability layer: hierarchical timed
-// spans with typed counters, recorders that collect them, and JSON/CSV
+// spans with typed counters, recorders that collect them, and JSON
 // run reports. The pipeline, the VM and the simulators open spans on
 // the context they are given (BeginCtx); the CLIs export the result as
 // a run manifest (-report) and stream progress to stderr (-v).

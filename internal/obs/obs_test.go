@@ -134,26 +134,6 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReportCSV(t *testing.T) {
-	rec := NewRecorder()
-	sp := rec.Begin("a")
-	st := rec.Begin("b")
-	st.Set("n", 9)
-	st.End()
-	sp.End()
-	var buf bytes.Buffer
-	if err := rec.Report("t").WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "span,wall_ns,counter,value") {
-		t.Errorf("missing CSV header:\n%s", out)
-	}
-	if !strings.Contains(out, "a/b,,n,9") {
-		t.Errorf("missing counter row for a/b:\n%s", out)
-	}
-}
-
 func TestSnapshotOfOpenSpans(t *testing.T) {
 	rec := NewRecorder()
 	rec.Begin("open")

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 )
 
@@ -95,45 +92,4 @@ func (rep *Report) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteCSV flattens the span tree to CSV rows: one row per span
-// (empty counter column) plus one row per counter, with the span
-// identified by its slash-joined path.
-func (rep *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"span", "wall_ns", "counter", "value"}); err != nil {
-		return err
-	}
-	var walk func(prefix string, spans []*Span) error
-	walk = func(prefix string, spans []*Span) error {
-		for _, s := range spans {
-			path := s.Name
-			if prefix != "" {
-				path = prefix + "/" + s.Name
-			}
-			if err := cw.Write([]string{path, fmt.Sprint(s.Wall.Nanoseconds()), "", ""}); err != nil {
-				return err
-			}
-			keys := make([]string, 0, len(s.Counters))
-			for k := range s.Counters {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if err := cw.Write([]string{path, "", k, fmt.Sprint(s.Counters[k])}); err != nil {
-					return err
-				}
-			}
-			if err := walk(path, s.Children); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk("", rep.Spans); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
 }

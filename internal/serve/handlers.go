@@ -82,7 +82,15 @@ func (req *request) cacheConfig() (cache.Config, error) {
 		ccfg.Assoc = req.Assoc
 	}
 	ccfg.SectorSize = req.SectorSize
-	ccfg.WordInvalidate = req.WordInvalidate
+	if req.WordInvalidate {
+		// Word invalidation is sector invalidation at word granularity.
+		if req.SectorSize != 0 && req.SectorSize != cache.WordSize {
+			return ccfg, badRequest("config", &cache.ConfigError{Field: "SectorSize", Reason: fmt.Sprintf(
+				"conflicts with word_invalidate, which fixes the invalidation granularity at %d bytes (got sector_size %d)",
+				cache.WordSize, req.SectorSize)})
+		}
+		ccfg.SectorSize = cache.WordSize
+	}
 	if req.Protocol != "" {
 		p, err := cache.ParseProtocol(req.Protocol)
 		if err != nil {

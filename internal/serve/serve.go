@@ -64,7 +64,7 @@ import (
 const (
 	analyzeSchema   = "fsd/analyze/v1"
 	transformSchema = "fsd/transform/v1"
-	simulateSchema  = "fsd/simulate/v1"
+	simulateSchema  = "fsd/simulate/v2"
 )
 
 // Options configures a Server. The zero value serves with the
@@ -214,15 +214,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe listens on addr and serves until Drain.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return s.Serve(ln)
 }
 
 // Draining reports whether drain has begun (readyz turns 503).

@@ -246,6 +246,43 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
+// TestSimulateWordInvalidate: word_invalidate is sector invalidation
+// at word granularity, so it simulates with a 4-byte SectorSize, and a
+// request that also names a different sector_size is a config error.
+func TestSimulateWordInvalidate(t *testing.T) {
+	_, ts := newEnv(t, serve.Options{})
+	body := map[string]any{"source": goodProgram, "nprocs": 4, "block_size": 64, "word_invalidate": true}
+	status, env, _ := post(t, ts.URL, "/v1/simulate", body, nil)
+	if status != http.StatusOK || !env.OK {
+		t.Fatalf("word_invalidate: status=%d env=%+v", status, env)
+	}
+	var res struct {
+		Stats struct {
+			Config     struct{ SectorSize int64 }
+			FalseShare int64
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(env.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Config.SectorSize != 4 || res.Stats.FalseShare != 0 {
+		t.Errorf("word_invalidate ran with SectorSize %d and %d false-sharing misses, want 4 and 0",
+			res.Stats.Config.SectorSize, res.Stats.FalseShare)
+	}
+
+	body["sector_size"] = 4
+	if status, env, _ = post(t, ts.URL, "/v1/simulate", body, nil); status != http.StatusOK {
+		t.Errorf("word_invalidate with sector_size 4: status=%d env=%+v, want 200", status, env)
+	}
+	body["sector_size"] = 16
+	status, env, _ = post(t, ts.URL, "/v1/simulate", body, nil)
+	if status != http.StatusBadRequest || env.Error == nil || env.Error.Stage != "config" ||
+		!strings.Contains(env.Error.Reason, "SectorSize") {
+		t.Errorf("word_invalidate with sector_size 16: status=%d env.Error=%+v, want 400 stage=config naming SectorSize",
+			status, env.Error)
+	}
+}
+
 // TestPanicContainedNextSucceeds is the core chaos acceptance: an
 // injected panic inside a request degrades that request to a typed
 // 500 — and the daemon serves the next request normally.
@@ -257,7 +294,7 @@ func TestPanicContainedNextSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	status, env, _ := post(t, ts.URL, "/v1/analyze", analyzeBody(), nil)
 	if status != http.StatusInternalServerError || env.Error == nil {
@@ -283,7 +320,7 @@ func TestInjectedFaultTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	status, env, _ := post(t, ts.URL, "/v1/analyze", analyzeBody(), nil)
 	if status != http.StatusInternalServerError || env.Error == nil || env.Error.Stage != "fault" {
@@ -348,6 +385,39 @@ func TestQuarantinePoisonHash(t *testing.T) {
 	}
 }
 
+// TestTransformNaNProgram: a valid program whose result is NaN
+// validates, so repeating it is answered 200 every time and never
+// counts as a contained panic or earns a quarantine strike.
+func TestTransformNaNProgram(t *testing.T) {
+	_, ts := newEnv(t, serve.Options{})
+	body := map[string]any{"source": `
+shared double x[16];
+void main() {
+    double z = 0.0;
+    x[pid] = z / z;
+}
+`, "nprocs": 4, "block_size": 16}
+	for i := 0; i < 3; i++ {
+		if status, env, _ := post(t, ts.URL, "/v1/transform", body, nil); status != http.StatusOK || !env.OK {
+			t.Fatalf("request %d: status=%d env=%+v, want 200", i+1, status, env)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Panics int64 `json:"panics_contained"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Panics != 0 {
+		t.Errorf("panics_contained = %d, want 0", m.Panics)
+	}
+}
+
 // TestOverloadBounded: with one worker and a one-deep queue, a third
 // concurrent request is rejected 429 + Retry-After instead of
 // queuing without bound.
@@ -359,7 +429,7 @@ func TestOverloadBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	statuses := make([]int, 3)
 	var wg sync.WaitGroup
@@ -399,7 +469,7 @@ func TestPerClientCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	greedy := map[string]string{"X-Client-ID": "greedy"}
 	var wg sync.WaitGroup
@@ -485,7 +555,7 @@ func TestCacheWriteFaultDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	status, env, _ := post(t, ts.URL, "/v1/analyze", analyzeBody(), nil)
 	if status != http.StatusOK || !env.OK {
@@ -520,7 +590,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	inflight := make(chan int, 1)
 	go func() {
@@ -589,7 +659,7 @@ func TestDrainCancelsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	done := make(chan struct{})
 	go func() {
@@ -631,7 +701,7 @@ func TestAdmissionAfterDrainUnblocksQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(set)
-	defer faultinject.Disable()
+	defer faultinject.Enable(nil)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

@@ -103,16 +103,6 @@ func (c *Collector) OnInvalidate(writer int, addr, size int64, victim int) {
 	c.invals++
 }
 
-// Totals returns the event totals by miss class, for invariant
-// checks against cache.Stats.
-func (c *Collector) Totals() (cold, replace, trueShare, falseShare int64) {
-	return c.totals[cache.Cold], c.totals[cache.Replacement],
-		c.totals[cache.TrueSharing], c.totals[cache.FalseSharing]
-}
-
-// Invalidations returns the invalidation event total.
-func (c *Collector) Invalidations() int64 { return c.invals }
-
 // FieldStat is one field's sharing-miss tally within an object.
 type FieldStat struct {
 	Field      string `json:"field"`
@@ -157,18 +147,6 @@ type Report struct {
 	Objects       []ObjectStats `json:"objects"`
 	Edges         []Edge        `json:"edges,omitempty"`
 	EdgesDropped  int64         `json:"edges_dropped,omitempty"`
-}
-
-// FSByObject returns object → false-sharing miss count, the shape
-// the before/after transformation deltas are computed over.
-func (r *Report) FSByObject() map[string]int64 {
-	out := map[string]int64{}
-	for _, o := range r.Objects {
-		if o.FalseShare > 0 {
-			out[o.Object] += o.FalseShare
-		}
-	}
-	return out
 }
 
 // Report snapshots the collected tallies. Call after the simulation

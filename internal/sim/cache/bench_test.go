@@ -60,7 +60,7 @@ func BenchmarkAccessWide(b *testing.B) {
 // per-word-invalidation protocol (the §6 hardware ablation).
 func BenchmarkAccessWordInvalidate(b *testing.B) {
 	cfg := DefaultConfig(12, 128)
-	cfg.WordInvalidate = true
+	cfg.SectorSize = WordSize
 	s := mustNew(b, cfg)
 	tr := benchTrace(12, 1<<16)
 	mask := len(tr) - 1

@@ -41,7 +41,7 @@ const WordSize = 4
 // Config describes one simulated cache configuration.
 type Config struct {
 	NumProcs  int
-	BlockSize int64 // bytes, power of two, >= 4 (<= 256 with WordInvalidate)
+	BlockSize int64 // bytes, power of two, >= 4
 
 	// CacheSize is the per-processor first-level cache in bytes.
 	// Rounding contract: New derives the set count as CacheSize /
@@ -55,18 +55,6 @@ type Config struct {
 	CacheSize int64
 	Assoc     int // set associativity (LRU); <= 0 defaults to 4
 
-	// WordInvalidate models the hardware alternative of Dubois et al.
-	// (paper §6): writes invalidate remote copies at word rather than
-	// block granularity, so a subsequent read of an *unwritten* word
-	// in the block still hits. This eliminates false-sharing misses
-	// entirely in hardware, at the cost of per-word valid bits; the
-	// ablation benchmarks compare it against the compile-time
-	// transformations. WordInvalidate is exactly SectorSize ==
-	// WordSize with the historical always-true-sharing classification;
-	// setting both to conflicting granularities is a configuration
-	// error.
-	WordInvalidate bool
-
 	// SectorSize enables sub-block (sector) invalidation: writes
 	// invalidate remote copies at SectorSize-byte granularity instead
 	// of killing the whole line. 0 (the default) keeps whole-line
@@ -76,6 +64,14 @@ type Config struct {
 	// accessed words were NOT remotely written is a false-sharing miss
 	// — sector granularity interpolates between word-invalidate
 	// hardware (no false sharing) and whole-block invalidation.
+	//
+	// SectorSize == WordSize is the hardware alternative of Dubois et
+	// al. (paper §6): writes invalidate remote copies at word rather
+	// than block granularity, so a subsequent read of an *unwritten*
+	// word in the block still hits, and every sector miss is true
+	// sharing. This eliminates false-sharing misses entirely in
+	// hardware, at the cost of per-word valid bits; the ablations
+	// compare it against the compile-time transformations.
 	SectorSize int64
 
 	// Protocol selects the coherence protocol (write-invalidate,
@@ -108,10 +104,9 @@ func (e *ConfigError) Error() string {
 // Validate checks the configuration the way New does. A non-power-of-
 // two BlockSize would miscompute the block shift, so every addr>>shift
 // block number — and with it every classification — would be garbage;
-// a block larger than 64 words would overflow the per-word uint64
-// invalidation mask in WordInvalidate mode. Both are rejected here
-// rather than silently producing wrong data. Assoc 0 is allowed (New
-// defaults it to 4).
+// more than 64 sectors per block would overflow the per-sector uint64
+// invalidation mask. Both are rejected here rather than silently
+// producing wrong data. Assoc 0 is allowed (New defaults it to 4).
 func (c Config) Validate() error {
 	if c.NumProcs < 1 {
 		return &ConfigError{"NumProcs", fmt.Sprintf("must be >= 1 (got %d)", c.NumProcs)}
@@ -121,11 +116,6 @@ func (c Config) Validate() error {
 	}
 	if c.BlockSize&(c.BlockSize-1) != 0 {
 		return &ConfigError{"BlockSize", fmt.Sprintf("must be a power of two (got %d)", c.BlockSize)}
-	}
-	if c.WordInvalidate && c.BlockSize > 64*WordSize {
-		return &ConfigError{"BlockSize", fmt.Sprintf(
-			"word-invalidate mode tracks at most 64 words per block (%d bytes); got %d",
-			64*WordSize, c.BlockSize)}
 	}
 	if c.CacheSize < c.BlockSize {
 		return &ConfigError{"CacheSize", fmt.Sprintf("must hold at least one block (%d bytes); got %d", c.BlockSize, c.CacheSize)}
@@ -154,26 +144,12 @@ func (c Config) Validate() error {
 				"sector invalidation tracks at most 64 sectors per block; %d-byte sectors in a %d-byte block need %d",
 				c.SectorSize, c.BlockSize, c.BlockSize/c.SectorSize)}
 		}
-		// Cross-field: word-invalidate mode IS sector invalidation at
-		// word granularity. A conflicting explicit SectorSize would
-		// make the two knobs silently fight over the same invalidation
-		// mask, so only the agreeing combination is accepted.
-		if c.WordInvalidate && c.SectorSize != WordSize {
-			return &ConfigError{"SectorSize", fmt.Sprintf(
-				"conflicts with WordInvalidate: word-invalidate mode fixes the invalidation granularity at %d bytes (got SectorSize %d)",
-				WordSize, c.SectorSize)}
-		}
 	}
-	if c.Protocol == WriteUpdate {
-		// An update protocol never invalidates remote copies, so both
-		// invalidation-granularity knobs are meaningless with it —
-		// reject the combination instead of silently ignoring a knob.
-		if c.WordInvalidate {
-			return &ConfigError{"Protocol", "write-update never invalidates; WordInvalidate does not apply"}
-		}
-		if c.SectorSize != 0 {
-			return &ConfigError{"Protocol", "write-update never invalidates; SectorSize does not apply"}
-		}
+	if c.Protocol == WriteUpdate && c.SectorSize != 0 {
+		// An update protocol never invalidates remote copies, so the
+		// invalidation granularity is meaningless with it — reject the
+		// combination instead of silently ignoring the knob.
+		return &ConfigError{"Protocol", "write-update never invalidates; SectorSize does not apply"}
 	}
 	if c.Topology == TopoTwoRing {
 		if c.RingSize < 0 {
@@ -363,10 +339,9 @@ type line struct {
 	valid bool
 	state byte // stateShared, stateModified or stateExclusive (MESI)
 	lru   int64
-	// invMask marks per-sector invalidations (WordInvalidate and
-	// SectorSize modes): bit s set means sector s of the block was
-	// written remotely and must be refetched before use. In
-	// word-invalidate mode a sector is one word.
+	// invMask marks per-sector invalidations (SectorSize set): bit s
+	// set means sector s of the block was written remotely and must be
+	// refetched before use.
 	invMask uint64
 	// invAt is the time of the oldest outstanding sector invalidation
 	// (the classification epoch for sector misses); invBy/invAddr
@@ -647,8 +622,8 @@ type Sim struct {
 	sharers sharerTable
 
 	// Protocol/topology/sector state (see protocol.go). sectored is
-	// set for both WordInvalidate and SectorSize modes; secShift is
-	// the log2 of the invalidation granularity (2 for word mode).
+	// set when SectorSize is; secShift is the log2 of the invalidation
+	// granularity (2 for word invalidation).
 	// ringMasks[r] is the sharer-vector footprint of ring r, in the
 	// same multi-word layout as the sharer table.
 	protocol  Protocol
@@ -688,8 +663,8 @@ type Sim struct {
 //
 // OnInvalidate fires once per cache line invalidated in another
 // processor's cache: writer performed the write of [addr, addr+size)
-// that cost victim its copy (in WordInvalidate mode, its copy of the
-// written words).
+// that cost victim its copy (with SectorSize set, its copy of the
+// written sectors).
 //
 // Callbacks run synchronously on the Access path; implementations
 // must be fast and must not call back into the Sim.
@@ -738,10 +713,7 @@ func New(cfg Config) (*Sim, error) {
 	for b := cfg.BlockSize; b > 1; b >>= 1 {
 		s.blkShift++
 	}
-	switch {
-	case cfg.WordInvalidate:
-		s.sectored, s.secShift = true, 2 // one word per sector
-	case cfg.SectorSize > 0:
+	if cfg.SectorSize > 0 {
 		s.sectored = true
 		for b := cfg.SectorSize; b > 1; b >>= 1 {
 			s.secShift++
@@ -846,7 +818,7 @@ func (s *Sim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 	kind := Hit
 	if hitWay >= 0 {
 		ln := &ways[hitWay]
-		// Sector modes (WordInvalidate, SectorSize): a resident line
+		// Sector invalidation (SectorSize): a resident line
 		// may hold remotely written (invalid) sectors; touching one
 		// refetches the block and classifies as a sharing miss.
 		if s.sectored && ln.invMask&s.sectorBits(addr, size) != 0 {
@@ -1023,14 +995,13 @@ func (s *Sim) invalidateOthers(proc int, block, addr, size int64) {
 }
 
 // sectorBits returns the per-sector bit mask covered by [addr,
-// addr+size) within its block (per-word in WordInvalidate mode).
+// addr+size) within its block.
 //
 // The w < 64 clamp below is load-bearing only because Validate caps a
-// block at 64 sectors (and WordInvalidate blocks at 64 words): the
-// widest legal geometry puts the block's last sector exactly at bit
-// 63, so the clamp never drops a sector of a valid configuration — it
-// only keeps the shift in range if a corrupted size ever reaches this
-// path. TestSectorBit63Exercised pins the 64-sector edge so a future
+// block at 64 sectors: the widest legal geometry puts the block's last
+// sector exactly at bit 63, so the clamp never drops a sector of a
+// valid configuration — it only keeps the shift in range if a
+// corrupted size ever reaches this path. TestSectorBit63Exercised pins the 64-sector edge so a future
 // relaxation of the Validate invariant cannot silently truncate here.
 func (s *Sim) sectorBits(addr, size int64) uint64 {
 	blockStart := addr >> s.blkShift << s.blkShift
@@ -1045,18 +1016,16 @@ func (s *Sim) sectorBits(addr, size int64) uint64 {
 
 // sectorMiss handles a reference that hit a resident line but touched
 // a remotely invalidated sector: the block refetches, counted as a
-// sharing miss. In word-invalidate mode the touched word itself was
-// remotely written, so the miss is always true sharing (the
-// historical classification). With coarser sectors the remote write
-// may have hit a *different* word of the same sector, so the miss
-// classifies at word granularity against the line's invalidation
-// epoch: true sharing when a covered word changed remotely since the
-// epoch, false sharing otherwise — sector granularity reintroduces
-// exactly the within-sector false sharing that word-invalidate
-// hardware eliminates.
+// sharing miss. The miss classifies at word granularity against the
+// line's invalidation epoch: true sharing when a covered word changed
+// remotely since the epoch, false sharing otherwise. With one-word
+// sectors the touched word itself was remotely written, so the miss is
+// always true sharing; coarser sectors reintroduce exactly the
+// within-sector false sharing that word-invalidate hardware
+// eliminates.
 func (s *Sim) sectorMiss(proc int, block, addr, size int64, write bool, ln *line) MissKind {
 	kind := TrueSharing
-	if !s.cfg.WordInvalidate && !s.modifiedByOtherSince(proc, addr, size, ln.invAt) {
+	if !s.modifiedByOtherSince(proc, addr, size, ln.invAt) {
 		kind = FalseSharing
 	}
 	invBy, invAddr := int(ln.invBy), ln.invAddr
@@ -1099,7 +1068,7 @@ func (s *Sim) sectorMiss(proc int, block, addr, size int64, write bool, ln *line
 }
 
 // invalidateSectors marks the written sectors invalid in every other
-// cache holding the block (WordInvalidate and SectorSize modes). A
+// cache holding the block (SectorSize set). A
 // line's first outstanding sector invalidation opens its
 // classification epoch (invAt) and records the write responsible.
 func (s *Sim) invalidateSectors(proc int, block, addr, size int64) {

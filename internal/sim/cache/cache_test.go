@@ -169,7 +169,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"non-power-of-two block", func(c *Config) { c.BlockSize = 48 }, "BlockSize"},
 		{"sub-word block", func(c *Config) { c.BlockSize = 2 }, "BlockSize"},
 		{"zero block", func(c *Config) { c.BlockSize = 0 }, "BlockSize"},
-		{"word-invalidate over 64 words", func(c *Config) { c.BlockSize = 512; c.WordInvalidate = true }, "BlockSize"},
+		{"word-invalidate over 64 words", func(c *Config) { c.BlockSize = 512; c.SectorSize = WordSize }, "SectorSize"},
 		{"no processors", func(c *Config) { c.NumProcs = 0 }, "NumProcs"},
 		{"negative processors", func(c *Config) { c.NumProcs = -3 }, "NumProcs"},
 		{"cache smaller than a block", func(c *Config) { c.CacheSize = 32 }, "CacheSize"},
@@ -199,7 +199,7 @@ func TestValidateAcceptsGoodConfigs(t *testing.T) {
 		DefaultConfig(1, 4),
 		DefaultConfig(56, 256),
 		{NumProcs: 2, BlockSize: 1024, CacheSize: 64 * 1024, Assoc: 8}, // big blocks fine without word-invalidate
-		{NumProcs: 4, BlockSize: 256, CacheSize: 32 * 1024, Assoc: 4, WordInvalidate: true},
+		{NumProcs: 4, BlockSize: 256, CacheSize: 32 * 1024, Assoc: 4, SectorSize: WordSize},
 		{NumProcs: 1, BlockSize: 64, CacheSize: 64}, // Assoc 0 defaults in New
 	}
 	for _, cfg := range good {

@@ -68,7 +68,7 @@ func TestPerProcMissTaxonomyInvariant(t *testing.T) {
 		{"dense-small-blocks", Config{NumProcs: 4, BlockSize: 16, CacheSize: 1024, Assoc: 2}, 4 * 1024, 20000, 8},
 		{"large-blocks", Config{NumProcs: 8, BlockSize: 128, CacheSize: 4096, Assoc: 4}, 64 * 1024, 20000, 8},
 		{"thrash-tiny-cache", Config{NumProcs: 3, BlockSize: 32, CacheSize: 256, Assoc: 1}, 32 * 1024, 20000, 4},
-		{"word-invalidate", Config{NumProcs: 6, BlockSize: 64, CacheSize: 2048, Assoc: 4, WordInvalidate: true}, 8 * 1024, 20000, 8},
+		{"word-invalidate", Config{NumProcs: 6, BlockSize: 64, CacheSize: 2048, Assoc: 4, SectorSize: WordSize}, 8 * 1024, 20000, 8},
 		{"spanning-accesses", Config{NumProcs: 4, BlockSize: 16, CacheSize: 2048, Assoc: 4}, 8 * 1024, 15000, 64},
 	}
 	for _, sc := range scenarios {

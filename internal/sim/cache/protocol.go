@@ -28,9 +28,9 @@
 //     every miss by where it was serviced.
 //
 // Sub-block (sector) invalidation is the third new axis: SectorSize
-// generalizes the all-or-nothing line invalidation to sectors, with
-// WordInvalidate remaining the historical word-granularity special
-// case. See Config.SectorSize.
+// generalizes the all-or-nothing line invalidation to sectors, down to
+// one word (SectorSize == WordSize), the word-invalidate hardware of
+// paper §6. See Config.SectorSize.
 package cache
 
 import (

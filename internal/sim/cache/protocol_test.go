@@ -317,8 +317,7 @@ func TestParseProtocolTopology(t *testing.T) {
 }
 
 // TestValidateProtocolTopologySector is the regression suite for the
-// new Validate cross-field checks, including the WordInvalidate /
-// SectorSize conflict this PR fixes. Every rejection must be a typed
+// Validate cross-field checks. Every rejection must be a typed
 // *ConfigError naming the offending field.
 func TestValidateProtocolTopologySector(t *testing.T) {
 	base := DefaultConfig(4, 64)
@@ -338,10 +337,7 @@ func TestValidateProtocolTopologySector(t *testing.T) {
 			c.RemoteLatency = 100
 		}, ""},
 		{"sector16", func(c *Config) { c.SectorSize = 16 }, ""},
-		{"word-invalidate-matching-sector", func(c *Config) {
-			c.WordInvalidate = true
-			c.SectorSize = WordSize
-		}, ""},
+		{"word-invalidate-matching-sector", func(c *Config) { c.SectorSize = WordSize }, ""},
 		{"bad-protocol", func(c *Config) { c.Protocol = protocolCount }, "Protocol"},
 		{"negative-protocol", func(c *Config) { c.Protocol = -1 }, "Protocol"},
 		{"bad-topology", func(c *Config) { c.Topology = topologyCount }, "Topology"},
@@ -352,16 +348,9 @@ func TestValidateProtocolTopologySector(t *testing.T) {
 			c.BlockSize = 1024
 			c.SectorSize = 4
 		}, "SectorSize"},
-		// The cross-field fix: word-invalidate mode IS 4-byte sector
-		// invalidation; a conflicting explicit granularity must be
-		// rejected, not silently resolved in favor of either knob.
-		{"word-invalidate-conflicting-sector", func(c *Config) {
-			c.WordInvalidate = true
-			c.SectorSize = 16
-		}, "SectorSize"},
 		{"write-update-word-invalidate", func(c *Config) {
 			c.Protocol = WriteUpdate
-			c.WordInvalidate = true
+			c.SectorSize = WordSize
 		}, "Protocol"},
 		{"write-update-sector", func(c *Config) {
 			c.Protocol = WriteUpdate

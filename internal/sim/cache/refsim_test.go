@@ -20,11 +20,15 @@ import (
 // way the pre-directory code did, so the directory walk is checked
 // against first principles rather than against itself.
 type refSim struct {
-	cfg      Config
-	nsets    int64
-	blkShift uint
-	setMask  int64
-	nrings   int
+	cfg Config
+	// wordInval models SectorSize == WordSize as plain word
+	// invalidation: every touched invalidated word is a true-sharing
+	// miss, with no word-granularity classifier to agree with.
+	wordInval bool
+	nsets     int64
+	blkShift  uint
+	setMask   int64
+	nrings    int
 
 	caches [][]line
 	meta   []map[int64]*refBlockMeta
@@ -67,6 +71,7 @@ func newRefSim(cfg Config) *refSim {
 	}
 	s := &refSim{
 		cfg:        cfg,
+		wordInval:  cfg.SectorSize == WordSize,
 		nsets:      nsets,
 		setMask:    nsets - 1,
 		wordWriter: map[int64]int32{},
@@ -136,7 +141,7 @@ func (s *refSim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 	kind := Hit
 	if hitWay >= 0 {
 		ln := &ways[hitWay]
-		if s.cfg.WordInvalidate && ln.invMask&s.wordBits(addr, size) != 0 {
+		if s.wordInval && ln.invMask&s.wordBits(addr, size) != 0 {
 			ln.invMask = 0
 			ln.lru = s.time
 			if write {
@@ -170,7 +175,7 @@ func (s *refSim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 			if s.cfg.Protocol == WriteUpdate {
 				s.updateOthers(proc, block)
 			}
-			if s.cfg.WordInvalidate {
+			if s.wordInval {
 				s.invalidateWords(proc, block, addr, size)
 			}
 			s.recordWrite(proc, addr, size)
@@ -234,7 +239,7 @@ func (s *refSim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 		} else {
 			s.invalidateOthers(proc, block)
 		}
-		if s.cfg.WordInvalidate {
+		if s.wordInval {
 			s.invalidateWords(proc, block, addr, size)
 		}
 		s.recordWrite(proc, addr, size)
@@ -252,7 +257,7 @@ func (s *refSim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 }
 
 func (s *refSim) invalidateOthers(proc int, block int64) {
-	if s.cfg.WordInvalidate {
+	if s.wordInval {
 		return
 	}
 	set := block & s.setMask
@@ -482,7 +487,9 @@ func TestFlatMatchesReference(t *testing.T) {
 				// Shrink the cache so replacements actually happen.
 				cfg.CacheSize = 4 * 1024
 				cfg.Assoc = 2
-				cfg.WordInvalidate = wi
+				if wi {
+					cfg.SectorSize = WordSize
+				}
 				flat, err := New(cfg)
 				if err != nil {
 					t.Fatalf("New(%+v): %v", cfg, err)

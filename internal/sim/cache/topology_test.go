@@ -209,36 +209,36 @@ func TestSectorMatrixInvariants(t *testing.T) {
 }
 
 // TestSectorWordSizeEqualsWordInvalidate pins the design equivalence:
-// SectorSize == WordSize is exactly the historical WordInvalidate
-// mode. Every touched invalid sector is a remotely written word, so
-// the word-granularity classifier agrees with the hardwired
-// always-true-sharing rule, and the stats must be byte-identical
-// (modulo the Config field naming the mode).
+// SectorSize == WordSize is exactly the historical word-invalidate
+// mode, whose hardwired rule — every touched invalidated word is a
+// true-sharing miss — lives on in the reference simulator. Every
+// touched invalid sector is a remotely written word, so the
+// word-granularity classifier must agree with that rule reference by
+// reference, and the stats must be byte-identical, under both
+// invalidating protocols.
 func TestSectorWordSizeEqualsWordInvalidate(t *testing.T) {
-	for _, nprocs := range []int{2, 4, 8} {
-		for _, block := range []int64{16, 64, 256} {
-			cfg := DefaultConfig(nprocs, block)
-			cfg.CacheSize = 4 * 1024
-			cfg.Assoc = 2
-			wcfg := cfg
-			wcfg.WordInvalidate = true
-			scfg := cfg
-			scfg.SectorSize = WordSize
-			wi := mustNew(t, wcfg)
-			sec := mustNew(t, scfg)
-			for i, r := range genTrace(int64(nprocs)*1000+block, nprocs, 25000) {
-				kw := wi.Access(r.proc, r.addr, r.size, r.write)
-				ks := sec.Access(r.proc, r.addr, r.size, r.write)
-				if kw != ks {
-					t.Fatalf("p%d b%d: ref %d (%+v): word-invalidate=%v sector4=%v",
-						nprocs, block, i, r, kw, ks)
+	for _, proto := range []Protocol{WriteInvalidate, MESI} {
+		for _, nprocs := range []int{2, 4, 8} {
+			for _, block := range []int64{16, 64, 256} {
+				cfg := DefaultConfig(nprocs, block)
+				cfg.CacheSize = 4 * 1024
+				cfg.Assoc = 2
+				cfg.Protocol = proto
+				cfg.SectorSize = WordSize
+				sec := mustNew(t, cfg)
+				wi := newRefSim(cfg)
+				for i, r := range genTrace(int64(nprocs)*1000+block, nprocs, 25000) {
+					ks := sec.Access(r.proc, r.addr, r.size, r.write)
+					kw := wi.Access(r.proc, r.addr, r.size, r.write)
+					if kw != ks {
+						t.Fatalf("%v p%d b%d: ref %d (%+v): word-invalidate=%v sector4=%v",
+							proto, nprocs, block, i, r, kw, ks)
+					}
 				}
-			}
-			ws, ss := *wi.Stats(), *sec.Stats()
-			ws.Config, ss.Config = Config{}, Config{}
-			if !reflect.DeepEqual(&ws, &ss) {
-				t.Errorf("p%d b%d: SectorSize=4 diverges from WordInvalidate\nword:   %ssector: %s",
-					nprocs, block, &ws, &ss)
+				if !reflect.DeepEqual(sec.Stats(), &wi.stats) {
+					t.Errorf("%v p%d b%d: SectorSize=4 diverges from word invalidation\nword:   %ssector: %s",
+						proto, nprocs, block, &wi.stats, sec.Stats())
+				}
 			}
 		}
 	}
@@ -276,7 +276,7 @@ func TestCoarseSectorsReintroduceFalseSharing(t *testing.T) {
 	}
 
 	word := base
-	word.WordInvalidate = true
+	word.SectorSize = WordSize
 	wsS := run(word)
 	if got := wsS.TrueShare + wsS.FalseShare; got != 0 {
 		t.Errorf("word-granularity invalidation still took %d sharing misses: %s", got, wsS)

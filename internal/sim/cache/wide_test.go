@@ -95,13 +95,13 @@ func TestMESIConservationWide(t *testing.T) {
 }
 
 // TestSectorBit63Exercised pins the widest legal sector geometry: a
-// 256-byte block in word-invalidate mode has exactly 64 words, so the
+// 256-byte block with one-word sectors has exactly 64 of them, so the
 // block's last word maps to invalidation-mask bit 63 — the edge the
 // w < 64 clamp in sectorBits sits on. If a future change relaxed the
 // Validate cap without widening the mask, this is the test that
 // catches the silent truncation.
 func TestSectorBit63Exercised(t *testing.T) {
-	cfg := Config{NumProcs: 2, BlockSize: 256, CacheSize: 32 * 1024, Assoc: 4, WordInvalidate: true}
+	cfg := Config{NumProcs: 2, BlockSize: 256, CacheSize: 32 * 1024, Assoc: 4, SectorSize: WordSize}
 	s := mustNew(t, cfg)
 	if got := s.sectorBits(252, 4); got != 1<<63 {
 		t.Fatalf("sectorBits(252, 4) = %#x, want bit 63 (%#x)", got, uint64(1)<<63)
@@ -121,13 +121,6 @@ func TestSectorBit63Exercised(t *testing.T) {
 	}
 	if k := s.Access(1, 252, 4, false); k != TrueSharing {
 		t.Errorf("read of remotely written word 63: got %v, want %v", k, TrueSharing)
-	}
-
-	// Same geometry via explicit 4-byte sectors (64 sectors per block).
-	scfg := Config{NumProcs: 2, BlockSize: 256, CacheSize: 32 * 1024, Assoc: 4, SectorSize: 4}
-	s2 := mustNew(t, scfg)
-	if got := s2.sectorBits(252, 4); got != 1<<63 {
-		t.Fatalf("SectorSize=4: sectorBits(252, 4) = %#x, want bit 63", got)
 	}
 }
 

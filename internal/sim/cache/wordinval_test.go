@@ -9,7 +9,7 @@ import (
 
 func wiSim(t testing.TB, nprocs int, block int64) *Sim {
 	cfg := DefaultConfig(nprocs, block)
-	cfg.WordInvalidate = true
+	cfg.SectorSize = WordSize
 	return mustNew(t, cfg)
 }
 
@@ -63,7 +63,9 @@ func TestWordInvalidateDoubleSpansWords(t *testing.T) {
 func TestProtocolInvariants(t *testing.T) {
 	run := func(seed int64, wordInval bool, nprocs int, block int64) *Stats {
 		cfg := DefaultConfig(nprocs, block)
-		cfg.WordInvalidate = wordInval
+		if wordInval {
+			cfg.SectorSize = WordSize
+		}
 		s := mustNew(t, cfg)
 		r := rand.New(rand.NewSource(seed))
 		for i := 0; i < 3000; i++ {

@@ -21,24 +21,18 @@ package ksr
 
 import (
 	"context"
-	"fmt"
 
 	"falseshare/internal/core"
 	"falseshare/internal/sim/cache"
 	"falseshare/internal/vm"
 )
 
-// Config holds the machine model parameters.
+// Config holds the machine model's cache geometry. The ring and timing
+// parameters are fixed by the paper; see phaseTime.
 type Config struct {
-	BlockSize     int64   // coherence unit (128 on the KSR2)
-	CacheSize     int64   // per-processor local (data) cache
-	Assoc         int     // associativity
-	LocalLatency  float64 // same-ring miss service, cycles
-	RemoteLatency float64 // cross-ring miss service, cycles
-	RingSize      int     // processors per ring
-	RingOccupancy float64 // ring cycles consumed per transaction
-	CPI           float64 // cycles per (non-stalled) instruction
-	MaxUtil       float64 // utilization cap for the queueing term
+	BlockSize int64 // coherence unit (128 on the KSR2)
+	CacheSize int64 // per-processor local (data) cache
+	Assoc     int   // associativity
 	// StepBudget caps per-process instructions on the underlying VM
 	// (0: the VM default); see vm.Machine.MaxInstrs.
 	StepBudget int64
@@ -46,17 +40,7 @@ type Config struct {
 
 // DefaultConfig returns the KSR2-like parameters.
 func DefaultConfig() Config {
-	return Config{
-		BlockSize:     128,
-		CacheSize:     256 * 1024,
-		Assoc:         4,
-		LocalLatency:  175,
-		RemoteLatency: 600,
-		RingSize:      32,
-		RingOccupancy: 12,
-		CPI:           1,
-		MaxUtil:       0.98,
-	}
+	return Config{BlockSize: 128, CacheSize: 256 * 1024, Assoc: 4}
 }
 
 // Result summarizes one execution-time simulation.
@@ -69,27 +53,19 @@ type Result struct {
 	Stats *cache.Stats
 	// Phases is the number of barrier-delimited phases accounted.
 	Phases int
-	// StallFrac is the fraction of cycles attributed to miss stalls
-	// on the critical path (diagnostic).
-	StallFrac float64
 }
 
 // phaseSnapshot captures per-processor counters at a phase boundary.
 type phaseSnapshot struct {
 	instrs []int64
 	misses []int64
-	remote []int64
 	txTot  int64 // misses + upgrades, ring transactions
 }
 
-// Execute runs the program (already compiled for its process count)
-// through the VM + cache simulator and applies the time model.
-func Execute(prog *core.Program, cfg Config) (*Result, error) {
-	return ExecuteCtx(context.Background(), prog, cfg)
-}
-
-// ExecuteCtx is Execute with cooperative cancellation: the VM checks
-// ctx periodically, so a cancelled sweep job stops mid-execution.
+// ExecuteCtx runs the program (already compiled for its process count)
+// through the VM + cache simulator and applies the time model. The VM
+// checks ctx periodically, so a cancelled sweep job stops
+// mid-execution.
 func ExecuteCtx(ctx context.Context, prog *core.Program, cfg Config) (*Result, error) {
 	nprocs := int(prog.Layout.Nprocs)
 	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
@@ -116,14 +92,12 @@ func ExecuteCtx(ctx context.Context, prog *core.Program, cfg Config) (*Result, e
 		s := phaseSnapshot{
 			instrs: make([]int64, nprocs),
 			misses: make([]int64, nprocs),
-			remote: make([]int64, nprocs),
 			txTot:  st.Misses() + st.Upgrades,
 		}
 		for i, p := range m.Procs() {
 			s.instrs[i] = p.Instrs
 		}
 		copy(s.misses, st.ProcMisses)
-		copy(s.remote, st.ProcRemote)
 		return s
 	}
 
@@ -141,21 +115,13 @@ func ExecuteCtx(ctx context.Context, prog *core.Program, cfg Config) (*Result, e
 	var prev phaseSnapshot
 	prev.instrs = make([]int64, nprocs)
 	prev.misses = make([]int64, nprocs)
-	prev.remote = make([]int64, nprocs)
 
-	var totalStall, totalCycles float64
 	for _, b := range boundaries {
-		t, stall := phaseTime(cfg, nprocs, prev, b)
-		totalCycles += t
-		totalStall += stall
+		res.Cycles += phaseTime(nprocs, prev, b)
 		prev = b
 	}
-	res.Cycles = totalCycles
 	for _, p := range m.Procs() {
 		res.Instrs += p.Instrs
-	}
-	if totalCycles > 0 {
-		res.StallFrac = totalStall / totalCycles
 	}
 	return res, nil
 }
@@ -163,7 +129,17 @@ func ExecuteCtx(ctx context.Context, prog *core.Program, cfg Config) (*Result, e
 // phaseTime computes the duration of one phase: the slowest
 // processor's compute plus miss stalls, with ring-contention-inflated
 // miss latency solved to a fixed point.
-func phaseTime(cfg Config, nprocs int, prev, cur phaseSnapshot) (cycles, stall float64) {
+func phaseTime(nprocs int, prev, cur phaseSnapshot) float64 {
+	// The KSR2 of paper §4: 32 processors per ring, 175 cycles for a
+	// miss serviced on the requester's ring and 600 across rings.
+	const (
+		ringSize      = cache.DefaultRingSize
+		localLatency  = cache.DefaultLocalLatency
+		remoteLatency = cache.DefaultRemoteLatency
+		ringOccupancy = 12   // ring cycles consumed per transaction
+		cpi           = 1    // cycles per (non-stalled) instruction
+		maxUtil       = 0.98 // utilization cap for the queueing term
+	)
 	tx := float64(cur.txTot - prev.txTot)
 
 	// Base service latency per miss for each processor: local-ring vs
@@ -172,38 +148,35 @@ func phaseTime(cfg Config, nprocs int, prev, cur phaseSnapshot) (cycles, stall f
 	// crosses rings with probability proportional to the other ring's
 	// share of processors.
 	crossFrac := 0.0
-	if nprocs > cfg.RingSize {
-		other := float64(nprocs - cfg.RingSize)
-		crossFrac = other / float64(nprocs) * 2 * (float64(cfg.RingSize) / float64(nprocs))
+	if nprocs > ringSize {
+		other := float64(nprocs - ringSize)
+		crossFrac = other / float64(nprocs) * 2 * (float64(ringSize) / float64(nprocs))
 		if crossFrac > 1 {
 			crossFrac = 1
 		}
 	}
-	baseLat := cfg.LocalLatency*(1-crossFrac) + cfg.RemoteLatency*crossFrac
+	baseLat := localLatency*(1-crossFrac) + remoteLatency*crossFrac
 
 	// Fixed point on the phase duration.
 	t := 1.0
 	for p := 0; p < nprocs; p++ {
-		c := float64(cur.instrs[p]-prev.instrs[p]) * cfg.CPI
+		c := float64(cur.instrs[p]-prev.instrs[p]) * cpi
 		if c > t {
 			t = c
 		}
 	}
-	var worstStall float64
 	for iter := 0; iter < 30; iter++ {
-		rho := tx * cfg.RingOccupancy / t
-		if rho > cfg.MaxUtil {
-			rho = cfg.MaxUtil
+		rho := tx * ringOccupancy / t
+		if rho > maxUtil {
+			rho = maxUtil
 		}
-		lat := baseLat + cfg.RingOccupancy*rho/(1-rho)
+		lat := baseLat + ringOccupancy*rho/(1-rho)
 		nt := 1.0
-		worstStall = 0
 		for p := 0; p < nprocs; p++ {
-			c := float64(cur.instrs[p]-prev.instrs[p]) * cfg.CPI
+			c := float64(cur.instrs[p]-prev.instrs[p]) * cpi
 			s := float64(cur.misses[p]-prev.misses[p]) * lat
 			if c+s > nt {
 				nt = c + s
-				worstStall = s
 			}
 		}
 		if diff := nt - t; diff < 0.5 && diff > -0.5 {
@@ -212,27 +185,7 @@ func phaseTime(cfg Config, nprocs int, prev, cur phaseSnapshot) (cycles, stall f
 		}
 		t = nt
 	}
-	return t, worstStall
-}
-
-// Sweep runs a program source across processor counts, compiling (and
-// optionally restructuring) for each count, and returns results
-// indexed like the given counts. compile maps a processor count to a
-// ready program.
-func Sweep(counts []int, compile func(p int) (*core.Program, error), cfg Config) ([]*Result, error) {
-	out := make([]*Result, 0, len(counts))
-	for _, p := range counts {
-		prog, err := compile(p)
-		if err != nil {
-			return nil, fmt.Errorf("ksr: compile for %d procs: %w", p, err)
-		}
-		r, err := Execute(prog, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ksr: run at %d procs: %w", p, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return t
 }
 
 // SpeedupCurve converts cycle counts to speedups relative to base

@@ -1,6 +1,7 @@
 package ksr
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,7 +25,7 @@ func compileAt(t *testing.T, src string, transformed bool) func(p int) (*core.Pr
 	t.Helper()
 	return func(p int) (*core.Program, error) {
 		if !transformed {
-			return core.Compile(src, core.Options{Nprocs: p, BlockSize: 128})
+			return core.CompileCtx(context.Background(), src, core.Options{Nprocs: p, BlockSize: 128})
 		}
 		res, err := core.Restructure(src, core.Options{Nprocs: p, BlockSize: 128})
 		if err != nil {
@@ -35,11 +36,11 @@ func compileAt(t *testing.T, src string, transformed bool) func(p int) (*core.Pr
 }
 
 func TestExecuteBasic(t *testing.T) {
-	prog, err := core.Compile(falselySharedSource, core.Options{Nprocs: 4, BlockSize: 128})
+	prog, err := core.CompileCtx(context.Background(), falselySharedSource, core.Options{Nprocs: 4, BlockSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Execute(prog, DefaultConfig())
+	r, err := ExecuteCtx(context.Background(), prog, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestTransformedRunsFasterUnderContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Execute(orig, cfg)
+	ro, err := ExecuteCtx(context.Background(), orig, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Execute(trans, cfg)
+	rt, err := ExecuteCtx(context.Background(), trans, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +86,24 @@ func TestScalabilityReversalAndRecovery(t *testing.T) {
 	cfg := DefaultConfig()
 	counts := []int{1, 2, 4, 8, 16}
 
-	runCurve := func(transformed bool) []float64 {
-		rs, err := Sweep(counts, compileAt(t, falselySharedSource, transformed), cfg)
+	execute := func(p int, transformed bool) *Result {
+		prog, err := compileAt(t, falselySharedSource, transformed)(p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		r, err := ExecuteCtx(context.Background(), prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	runCurve := func(transformed bool) []float64 {
+		var rs []*Result
+		for _, p := range counts {
+			rs = append(rs, execute(p, transformed))
 		}
 		// Base: uniprocessor run of the unoptimized version.
-		base, err := Sweep([]int{1}, compileAt(t, falselySharedSource, false), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return SpeedupCurve(rs, base[0].Cycles)
+		return SpeedupCurve(rs, execute(1, false).Cycles)
 	}
 
 	orig := runCurve(false)
@@ -125,47 +133,16 @@ void main() {
     for (int i = 0; i < 100; i = i + 1) { a[pid + 32] = a[pid + 32] + 1; }
 }
 `
-	prog, err := core.Compile(src, core.Options{Nprocs: 4, BlockSize: 128})
+	prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: 4, BlockSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Execute(prog, DefaultConfig())
+	r, err := ExecuteCtx(context.Background(), prog, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Phases != 2 {
 		t.Fatalf("phases = %d, want 2", r.Phases)
-	}
-}
-
-func TestCrossRingLatency(t *testing.T) {
-	// Above 32 processors misses get more expensive; just exercise the
-	// path and sanity-check monotone cost per miss.
-	cfg := DefaultConfig()
-	src := `
-shared int x[1024];
-void main() {
-    for (int i = 0; i < 50; i = i + 1) {
-        x[pid] = x[pid] + 1;
-    }
-}
-`
-	var perMiss [2]float64
-	for i, p := range []int{16, 48} {
-		prog, err := core.Compile(src, core.Options{Nprocs: p, BlockSize: 128})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Execute(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Stats.Misses() > 0 {
-			perMiss[i] = r.Cycles / float64(r.Stats.Misses())
-		}
-	}
-	if perMiss[1] <= perMiss[0] {
-		t.Logf("per-miss cost: 16p=%.1f 48p=%.1f", perMiss[0], perMiss[1])
 	}
 }
 

@@ -3,6 +3,8 @@ package ksr
 import (
 	"testing"
 	"testing/quick"
+
+	"falseshare/internal/sim/cache"
 )
 
 // snap builds a phase snapshot pair with one phase of work.
@@ -10,52 +12,35 @@ func snap(nprocs int, instrs, misses []int64, tx int64) (phaseSnapshot, phaseSna
 	prev := phaseSnapshot{
 		instrs: make([]int64, nprocs),
 		misses: make([]int64, nprocs),
-		remote: make([]int64, nprocs),
 	}
-	cur := phaseSnapshot{
-		instrs: instrs,
-		misses: misses,
-		remote: make([]int64, nprocs),
-		txTot:  tx,
-	}
+	cur := phaseSnapshot{instrs: instrs, misses: misses, txTot: tx}
 	return prev, cur
 }
 
 func TestPhaseTimeComputeBound(t *testing.T) {
-	cfg := DefaultConfig()
 	prev, cur := snap(2, []int64{1000, 500}, []int64{0, 0}, 0)
-	cycles, stall := phaseTime(cfg, 2, prev, cur)
-	if cycles != 1000 {
+	if cycles := phaseTime(2, prev, cur); cycles != 1000 {
 		t.Errorf("compute-bound phase = %.0f cycles, want 1000 (max over procs)", cycles)
-	}
-	if stall != 0 {
-		t.Errorf("no misses, stall = %f", stall)
 	}
 }
 
 func TestPhaseTimeMissBound(t *testing.T) {
-	cfg := DefaultConfig()
 	prev, cur := snap(2, []int64{100, 100}, []int64{10, 0}, 10)
-	cycles, stall := phaseTime(cfg, 2, prev, cur)
 	// At least compute plus 10 misses at base latency.
-	min := 100 + 10*cfg.LocalLatency
-	if cycles < min {
+	min := float64(100 + 10*cache.DefaultLocalLatency)
+	if cycles := phaseTime(2, prev, cur); cycles < min {
 		t.Errorf("miss-bound phase = %.0f, want >= %.0f", cycles, min)
-	}
-	if stall <= 0 {
-		t.Errorf("stall missing")
 	}
 }
 
 func TestContentionSuperlinear(t *testing.T) {
 	// Doubling transaction load more than doubles total miss cost per
 	// miss once the ring saturates.
-	cfg := DefaultConfig()
 	perMiss := func(misses int64) float64 {
 		prev, cur := snap(4,
 			[]int64{1000, 1000, 1000, 1000},
 			[]int64{misses, misses, misses, misses}, 4*misses)
-		cycles, _ := phaseTime(cfg, 4, prev, cur)
+		cycles := phaseTime(4, prev, cur)
 		return (cycles - 1000) / float64(misses)
 	}
 	light := perMiss(10)
@@ -66,7 +51,6 @@ func TestContentionSuperlinear(t *testing.T) {
 }
 
 func TestCrossRingRaisesLatency(t *testing.T) {
-	cfg := DefaultConfig()
 	mk := func(nprocs int) float64 {
 		instrs := make([]int64, nprocs)
 		misses := make([]int64, nprocs)
@@ -75,7 +59,7 @@ func TestCrossRingRaisesLatency(t *testing.T) {
 			misses[i] = 10
 		}
 		prev, cur := snap(nprocs, instrs, misses, 0) // no contention term
-		cycles, _ := phaseTime(cfg, nprocs, prev, cur)
+		cycles := phaseTime(nprocs, prev, cur)
 		return cycles
 	}
 	within := mk(16)
@@ -87,7 +71,6 @@ func TestCrossRingRaisesLatency(t *testing.T) {
 
 // Property: phase time is monotone in per-processor work and misses.
 func TestPhaseTimeMonotone(t *testing.T) {
-	cfg := DefaultConfig()
 	f := func(i1, i2, m1, m2 uint16) bool {
 		a := int64(i1)%10000 + 1
 		b := a + int64(i2)%10000
@@ -95,8 +78,8 @@ func TestPhaseTimeMonotone(t *testing.T) {
 		mb := ma + int64(m2)%500
 		prevA, curA := snap(1, []int64{a}, []int64{ma}, ma)
 		prevB, curB := snap(1, []int64{b}, []int64{mb}, mb)
-		ta, _ := phaseTime(cfg, 1, prevA, curA)
-		tb, _ := phaseTime(cfg, 1, prevB, curB)
+		ta := phaseTime(1, prevA, curA)
+		tb := phaseTime(1, prevB, curB)
 		return tb >= ta-0.001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

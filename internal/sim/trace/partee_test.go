@@ -130,7 +130,7 @@ func TestParTeeFaultPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			faultinject.Enable(s)
-			t.Cleanup(faultinject.Disable)
+			t.Cleanup(func() { faultinject.Enable(nil) })
 
 			before := runtime.NumGoroutine()
 			const sinks, n = 4, 100 * 64 // far more batches than the channels buffer

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestReplayFidelity(t *testing.T) {
 	if bm == nil {
 		t.Fatal("maxflow not registered")
 	}
-	prog, err := core.Compile(bm.Source(1), core.Options{Nprocs: nprocs, BlockSize: blocks[0]})
+	prog, err := core.CompileCtx(context.Background(), bm.Source(1), core.Options{Nprocs: nprocs, BlockSize: blocks[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 // Package trace provides utilities over the shared-memory reference
-// streams the VM produces: composable sinks (fan-out, filters,
-// counters) and a compact binary format for storing traces on disk,
-// mirroring the paper's use of stored traces for simulation [EKKL90].
+// streams the VM produces: fan-out sinks and a compact binary format
+// for storing traces on disk, mirroring the paper's use of stored
+// traces for simulation [EKKL90].
 package trace
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -25,55 +26,6 @@ func Tee(sinks ...Sink) Sink {
 	}
 }
 
-// FilterRange passes only references inside [lo, hi) — e.g. one data
-// structure's address span — to the wrapped sink.
-func FilterRange(lo, hi int64, s Sink) Sink {
-	return func(r vm.Ref) {
-		if r.Addr >= lo && r.Addr < hi {
-			s(r)
-		}
-	}
-}
-
-// FilterProc passes only one process's references.
-func FilterProc(proc int, s Sink) Sink {
-	return func(r vm.Ref) {
-		if r.Proc == proc {
-			s(r)
-		}
-	}
-}
-
-// Counter tallies a reference stream.
-type Counter struct {
-	Refs   int64
-	Reads  int64
-	Writes int64
-	// ByProc counts per process (grown on demand).
-	ByProc []int64
-}
-
-// Sink returns the counting sink.
-func (c *Counter) Sink() Sink {
-	return func(r vm.Ref) {
-		c.Refs++
-		if r.Write {
-			c.Writes++
-		} else {
-			c.Reads++
-		}
-		for r.Proc >= len(c.ByProc) {
-			c.ByProc = append(c.ByProc, 0)
-		}
-		c.ByProc[r.Proc]++
-	}
-}
-
-// String renders the counter.
-func (c *Counter) String() string {
-	return fmt.Sprintf("refs=%d reads=%d writes=%d procs=%d", c.Refs, c.Reads, c.Writes, len(c.ByProc))
-}
-
 // ---------------------------------------------------------------------------
 // Binary format: an 8-byte little-endian header
 //
@@ -90,11 +42,7 @@ func (c *Counter) String() string {
 //	write uint8 (0/1)
 //	pad   2 bytes (record alignment / future flags)
 //
-// Traces written before the header existed start directly with
-// records; Reader detects those by the missing magic and replays them
-// without per-record process validation. (The detection cannot
-// misfire: a legacy record starting with "FSTR" would claim process
-// 0x5346 = 21318, far beyond any simulated machine.)
+// Reader rejects a stream that does not start with the header.
 
 const (
 	recordSize = 14
@@ -104,6 +52,10 @@ const (
 )
 
 var magic = [4]byte{'F', 'S', 'T', 'R'}
+
+// ErrNotTrace reports a stream that does not start with the trace
+// header.
+var ErrNotTrace = errors.New("trace: not a trace file (no FSTR header)")
 
 // MapSidecar names the address-map sidecar conventionally stored next
 // to a trace file. A trace is a bare reference stream; replaying it
@@ -171,7 +123,7 @@ func (tw *Writer) Flush() (int64, error) {
 // instead of an index panic deep inside the simulator.
 type Reader struct {
 	r      *bufio.Reader
-	nprocs int   // from the header; 0 for legacy headerless traces
+	nprocs int   // from the header
 	n      int64 // records decoded, for error messages
 	gotHdr bool
 	hdrErr error
@@ -182,20 +134,16 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// readHeader consumes the header if the stream starts with the format
-// magic; headerless legacy streams are left untouched with nprocs 0.
+// readHeader consumes and checks the header; a stream that does not
+// start with the format magic fails with ErrNotTrace.
 func (tr *Reader) readHeader() error {
 	if tr.gotHdr {
 		return tr.hdrErr
 	}
 	tr.gotHdr = true
-	pk, err := tr.r.Peek(len(magic))
-	if len(pk) < len(magic) || [4]byte(pk) != magic {
-		// Legacy stream (or one too short to hold a header): records
-		// begin immediately. Read errors, including io.EOF on an empty
-		// stream, resurface from the first record read.
-		_ = err
-		return nil
+	if pk, _ := tr.r.Peek(len(magic)); len(pk) < len(magic) || [4]byte(pk) != magic {
+		tr.hdrErr = ErrNotTrace
+		return tr.hdrErr
 	}
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
@@ -215,8 +163,7 @@ func (tr *Reader) readHeader() error {
 }
 
 // Nprocs reports the process count declared by the trace header, or 0
-// for legacy headerless traces. (Any header error is also returned by
-// the first Next.)
+// when the header is missing or invalid (the first Next returns why).
 func (tr *Reader) Nprocs() int {
 	_ = tr.readHeader()
 	return tr.nprocs
@@ -243,7 +190,7 @@ func (tr *Reader) Next() (vm.Ref, error) {
 		Size:  int8(buf[10]),
 		Write: buf[11] != 0,
 	}
-	if tr.nprocs > 0 && r.Proc >= tr.nprocs {
+	if r.Proc >= tr.nprocs {
 		return vm.Ref{}, fmt.Errorf("trace: record %d: proc %d out of range (header declares %d processors)",
 			tr.n, r.Proc, tr.nprocs)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
@@ -85,39 +86,17 @@ func TestTruncatedTrace(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
-	if _, err := r.Next(); err != io.EOF {
+	// An empty stream has no header, so it is not a trace; a trace of
+	// no references is the bare header.
+	if _, err := NewReader(bytes.NewReader(nil)).Next(); !errors.Is(err, ErrNotTrace) {
+		t.Fatalf("err = %v, want ErrNotTrace", err)
+	}
+	var buf bytes.Buffer
+	if _, err := NewWriter(&buf, 4).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReader(&buf).Next(); err != io.EOF {
 		t.Fatalf("err = %v, want EOF", err)
-	}
-}
-
-func TestTeeAndFilters(t *testing.T) {
-	var all, low, p3 Counter
-	sink := Tee(
-		all.Sink(),
-		FilterRange(0, 0x2000, low.Sink()),
-		FilterProc(3, p3.Sink()),
-	)
-	sink(vm.Ref{Proc: 3, Addr: 0x1000, Size: 4, Write: true})
-	sink(vm.Ref{Proc: 1, Addr: 0x3000, Size: 4})
-	sink(vm.Ref{Proc: 3, Addr: 0x3000, Size: 8})
-	if all.Refs != 3 || all.Writes != 1 || all.Reads != 2 {
-		t.Errorf("all: %s", all.String())
-	}
-	if low.Refs != 1 {
-		t.Errorf("low: %s", low.String())
-	}
-	if p3.Refs != 2 || p3.ByProc[3] != 2 {
-		t.Errorf("p3: %s", p3.String())
-	}
-}
-
-func TestCounterGrowsByProc(t *testing.T) {
-	var c Counter
-	s := c.Sink()
-	s(vm.Ref{Proc: 55, Addr: 1, Size: 4})
-	if len(c.ByProc) != 56 || c.ByProc[55] != 1 {
-		t.Errorf("ByProc: %v", c.ByProc)
 	}
 }
 
@@ -138,21 +117,18 @@ func TestHeaderNprocs(t *testing.T) {
 }
 
 func TestLegacyHeaderlessTrace(t *testing.T) {
-	// A pre-header trace: raw records, no magic. It must replay (with
-	// Nprocs reporting 0 = unknown).
+	// A bare record stream with no header is rejected before any
+	// record reaches a sink, with Nprocs reporting 0.
 	raw := make([]byte, recordSize)
 	raw[0] = 7 // proc 7
 	raw[10] = 4
 	r := NewReader(bytes.NewReader(raw))
 	if n := r.Nprocs(); n != 0 {
-		t.Fatalf("legacy Nprocs = %d, want 0", n)
+		t.Fatalf("headerless Nprocs = %d, want 0", n)
 	}
-	ref, err := r.Next()
-	if err != nil || ref.Proc != 7 || ref.Size != 4 {
-		t.Fatalf("legacy record = %+v, %v", ref, err)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("err = %v, want EOF", err)
+	err := r.ForEach(func(vm.Ref) { t.Fatal("headerless record delivered") })
+	if !errors.Is(err, ErrNotTrace) || !strings.Contains(err.Error(), "not a trace file") {
+		t.Fatalf("err = %v, want ErrNotTrace", err)
 	}
 }
 

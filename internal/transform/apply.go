@@ -39,31 +39,19 @@ type Outcome struct {
 	Failed  []*DecisionFailure
 }
 
-// Apply executes a transformation plan: it mutates the AST (dimension
-// swaps, reshapes, grouping, indirection) and emits layout directives
-// (alignment and padding). The caller must re-run the type checker on
-// the mutated file.
+// ApplySafe executes a transformation plan: it mutates the AST
+// (dimension swaps, reshapes, grouping, indirection) and emits layout
+// directives (alignment and padding). The caller must re-run the type
+// checker on the mutated file.
 //
 // Decisions whose preconditions fail verification (e.g. an access the
 // rewrite cannot cover) are dropped and recorded in plan.Skipped —
 // transformations must apply universally or not at all (paper §2).
-// The returned slice holds the decisions actually applied.
+// Outcome.Applied holds the decisions actually applied.
 //
-// Apply fails fast: the first decision failure (including a contained
-// panic) aborts with its error. Callers that want per-object
-// degradation use ApplySafe.
-func Apply(file *ast.File, info *types.Info, plan *Plan, blockSize int64, nprocs int64) (*layout.Directives, []*Decision, error) {
-	out := ApplySafe(nil, file, info, plan, blockSize, nprocs, nil)
-	if len(out.Failed) > 0 {
-		return nil, nil, out.Failed[0]
-	}
-	return out.Dirs, out.Applied, nil
-}
-
-// ApplySafe executes a plan with per-decision fault containment: each
-// decision runs under recover and its transform.apply fault point, and
-// a failing decision is recorded in Outcome.Failed while the remaining
-// decisions still apply. skip, when non-nil, excludes decisions up
+// Each decision runs with fault containment: under recover and its
+// transform.apply fault point. A failing decision is recorded in
+// Outcome.Failed while the remaining decisions still apply. skip, when non-nil, excludes decisions up
 // front (the restructurer's degradation loop passes the already
 // degraded set).
 //

@@ -111,7 +111,7 @@ type Decision struct {
 	Globals []string // shared globals to pad (locks included)
 	HeapVia []string // shared global pointers whose heap elements pad
 
-	// GroupVar and GroupStruct are filled in by Apply for ShapeGroup
+	// GroupVar and GroupStruct are filled in by ApplySafe for ShapeGroup
 	// decisions: the synthesized record array and struct names. The
 	// translation validator uses them to remap grouped vectors.
 	GroupVar    string
@@ -120,7 +120,7 @@ type Decision struct {
 
 // Targets returns the shared global names the decision touches —
 // the arrays, padded globals and heap pointers from the plan, plus
-// the synthesized group variable once Apply has run. Indirection
+// the synthesized group variable once ApplySafe has run. Indirection
 // decisions target struct fields, not globals; they contribute
 // "Struct.field" keys (callers that need the pointer globals reaching
 // that struct resolve them against their own type info).

@@ -24,7 +24,7 @@ void main() {
 	if len(gt) != 1 || gt[0].Shape != ShapeCyclic || gt[0].Period != 8 {
 		t.Fatalf("plan:\n%s", pl)
 	}
-	dirs, applied, err := Apply(f, info, pl, 64, 8)
+	dirs, applied, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ void main() {
 	if len(gt) != 1 || gt[0].Shape != ShapeBlock || gt[0].Period != 12 {
 		t.Fatalf("plan:\n%s", pl)
 	}
-	_, applied, err := Apply(f, info, pl, 64, 8)
+	_, applied, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ void main() {
 	if len(gt) != 1 || gt[0].Shape != ShapeAlignRows {
 		t.Fatalf("plan:\n%s", pl)
 	}
-	dirs, _, err := Apply(f, info, pl, 128, 8)
+	dirs, _, err := apply(f, info, pl, 128, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ void main() {
 }
 `
 	f, info, pl := plan(t, src, Config{Nprocs: 8, BlockSize: 64})
-	dirs, applied, err := Apply(f, info, pl, 64, 8)
+	dirs, applied, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

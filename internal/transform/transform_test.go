@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,17 @@ import (
 	"falseshare/internal/lang/ast"
 	"falseshare/internal/lang/parser"
 	"falseshare/internal/lang/types"
+	"falseshare/internal/layout"
 )
+
+// apply runs ApplySafe and fails fast on the first failed decision.
+func apply(f *ast.File, info *types.Info, pl *Plan, blockSize, nprocs int64) (*layout.Directives, []*Decision, error) {
+	out := ApplySafe(context.Background(), f, info, pl, blockSize, nprocs, nil)
+	if len(out.Failed) > 0 {
+		return nil, nil, out.Failed[0]
+	}
+	return out.Dirs, out.Applied, nil
+}
 
 // plan runs the analysis + heuristics on src.
 func plan(t *testing.T, src string, cfgc Config) (*ast.File, *types.Info, *Plan) {
@@ -33,7 +44,7 @@ func plan(t *testing.T, src string, cfgc Config) (*ast.File, *types.Info, *Plan)
 	if err != nil {
 		t.Fatalf("nonconc: %v", err)
 	}
-	sum := sideeffect.Analyze(info, prog, pdvs, pr, ph, sideeffect.DefaultConfig(n))
+	sum := sideeffect.Analyze(info, prog, pdvs, pr, ph, sideeffect.Config{Nprocs: n, StaticProfiling: true})
 	return f, info, Decide(sum, info, cfgc)
 }
 
@@ -104,7 +115,7 @@ void main() {
 		t.Fatalf("expected a transpose decision:\n%s", pl)
 	}
 	// ...and applies fine, because w[3][4] is still full-rank.
-	dirs, applied, err := Apply(f, info, pl, 64, 8)
+	dirs, applied, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +141,7 @@ void main() {
 }
 `
 	f, info, pl := plan(t, src, Config{Nprocs: 8, BlockSize: 64})
-	_, applied, err := Apply(f, info, pl, 64, 8)
+	_, applied, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ void main() {
 }
 `
 	f, info, pl := plan(t, src, Config{Nprocs: 8, BlockSize: 64})
-	_, _, err := Apply(f, info, pl, 64, 8)
+	_, _, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +202,7 @@ void main() {
 }
 `
 	f, info, pl := plan(t, src, Config{Nprocs: 8, BlockSize: 64})
-	_, applied, err := Apply(f, info, pl, 64, 8)
+	_, applied, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +242,7 @@ void main() {
 	if len(pl.ByKind(KindIndirection)) != 1 {
 		t.Fatalf("expected indirection:\n%s", pl)
 	}
-	_, applied, err := Apply(f, info, pl, 64, 8)
+	_, applied, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +288,7 @@ void main() {
 	if len(pl.ByKind(KindIndirection)) != 1 {
 		t.Fatalf("expected indirection:\n%s", pl)
 	}
-	_, _, err := Apply(f, info, pl, 64, 8)
+	_, _, err := apply(f, info, pl, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

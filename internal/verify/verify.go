@@ -42,26 +42,14 @@ type Side struct {
 
 // Options configure a validation run.
 type Options struct {
-	// Nprocs is the process count to execute both sides at. Zero
-	// means min(DefaultNprocs, layout nprocs). Running below the
-	// layout's configured count is sound: the layout only sizes
-	// arrays, and cells no process writes stay zero on both sides.
-	Nprocs int
 	// StepBudget bounds each side's per-process instruction count.
 	// Zero means DefaultStepBudget. An original-side budget overrun
 	// makes the run inconclusive (Report.Skipped), not a failure.
 	StepBudget int64
-	// Tolerance is the relative tolerance for double comparisons.
-	// Zero means DefaultTolerance.
-	Tolerance float64
 }
 
-// Defaults for Options zero values.
-const (
-	DefaultNprocs     = 4
-	DefaultStepBudget = int64(50e6)
-	DefaultTolerance  = 1e-6
-)
+// DefaultStepBudget is the StepBudget of a zero Options.
+const DefaultStepBudget = int64(50e6)
 
 // Divergence pinpoints the first mismatching cell of an object.
 type Divergence struct {
@@ -165,20 +153,16 @@ func RunCtx(ctx context.Context, orig, trans Side, applied []*transform.Decision
 		trans.File == nil || trans.Info == nil || trans.Layout == nil {
 		return nil, fmt.Errorf("verify: both sides need file, info and layout")
 	}
-	nprocs := opts.Nprocs
-	if nprocs <= 0 {
-		nprocs = DefaultNprocs
-		if ln := int(orig.Layout.Nprocs); ln > 0 && ln < nprocs {
-			nprocs = ln
-		}
+	// Both sides run at min(4, layout nprocs) processes. Running below
+	// the layout's configured count is sound: the layout only sizes
+	// arrays, and cells no process writes stay zero on both sides.
+	nprocs := 4
+	if ln := int(orig.Layout.Nprocs); ln > 0 && ln < nprocs {
+		nprocs = ln
 	}
 	budget := opts.StepBudget
 	if budget <= 0 {
 		budget = DefaultStepBudget
-	}
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = DefaultTolerance
 	}
 	rep := &Report{Nprocs: nprocs, StepBudget: budget}
 
@@ -202,7 +186,7 @@ func RunCtx(ctx context.Context, orig, trans Side, applied []*transform.Decision
 		return rep, nil
 	}
 
-	c := &comparer{orig: orig, trans: trans, om: om, tm: tm, tol: tol}
+	c := &comparer{orig: orig, trans: trans, om: om, tm: tm}
 	c.indirected(applied)
 	for _, sym := range orig.Info.SharedGlobals() {
 		rep.Objects = append(rep.Objects, c.compareObject(sym, applied))
@@ -235,7 +219,6 @@ func execute(ctx context.Context, s Side, nprocs int, budget int64) (*vm.Machine
 type comparer struct {
 	orig, trans Side
 	om, tm      *vm.Machine
-	tol         float64
 	// indirect maps "Struct.field" to true for indirected heap fields
 	// (scalar on the original side, pointer-to-scalar on the
 	// transformed side).
@@ -411,7 +394,7 @@ func (c *comparer) compareStruct(v *Verdict, structName, name string, obase, tba
 				return false
 			}
 		default:
-			if !c.compareScalar2(v, of.Type, fname, oaddr, taddr, indirect) {
+			if !c.compareScalar(v, of.Type, fname, oaddr, taddr, indirect) {
 				return false
 			}
 		}
@@ -543,15 +526,11 @@ func (c *comparer) compareHeap(v *Verdict, sym *types.Symbol, ovl *layout.VarLay
 	}
 }
 
-// compareScalar compares one non-indirected scalar cell.
-func (c *comparer) compareScalar(v *Verdict, t *types.Type, name string, oaddr, taddr int64, indirect bool) bool {
-	return c.compareScalar2(v, t, name, oaddr, taddr, indirect)
-}
-
-// compareScalar2 compares one scalar cell; when indirect is set the
+// compareScalar compares one scalar cell; when indirect is set the
 // transformed side holds a pointer to the value (indirection) and is
-// dereferenced first.
-func (c *comparer) compareScalar2(v *Verdict, t *types.Type, name string, oaddr, taddr int64, indirect bool) bool {
+// dereferenced first. Doubles agree within a relative tolerance of
+// 1e-6, and two NaNs agree.
+func (c *comparer) compareScalar(v *Verdict, t *types.Type, name string, oaddr, taddr int64, indirect bool) bool {
 	if t.Kind == types.Pointer {
 		v.Skipped++
 		return true
@@ -571,7 +550,8 @@ func (c *comparer) compareScalar2(v *Verdict, t *types.Type, name string, oaddr,
 	switch t.Kind {
 	case types.Double:
 		a, b := c.om.ReadDouble(oaddr), c.tm.ReadDouble(taddr)
-		equal = a == b || math.Abs(a-b) <= c.tol*math.Max(math.Abs(a), math.Abs(b))
+		equal = a == b || math.Abs(a-b) <= 1e-6*math.Max(math.Abs(a), math.Abs(b)) ||
+			math.IsNaN(a) && math.IsNaN(b)
 	default: // Int, LockT
 		equal = c.om.ReadInt(oaddr) == c.tm.ReadInt(taddr)
 	}

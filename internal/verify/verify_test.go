@@ -35,7 +35,7 @@ func restructure(t *testing.T, src string, nprocs int) *core.Result {
 // tests can hand-craft "transformed" sides that genuinely diverge.
 func parseOnly(t *testing.T, src string, nprocs int) verify.Side {
 	t.Helper()
-	prog, err := core.Compile(src, core.Options{Nprocs: nprocs, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: nprocs, BlockSize: 64})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -227,6 +227,35 @@ void main() {
 	}
 	if rep.OK {
 		t.Fatalf("out-of-tolerance difference accepted:\n%s", rep)
+	}
+}
+
+// TestVerifyNaNCellsAgree: a double cell both sides leave NaN is not
+// a divergence, but NaN against a number still is.
+func TestVerifyNaNCellsAgree(t *testing.T) {
+	const template = `
+shared double x[4];
+void main() {
+    double z = VALUE;
+    x[pid] = z / z;
+}
+`
+	nan := parseOnly(t, strings.Replace(template, "VALUE", "0.0", 1), 4)
+	rep, err := verify.Run(nan, nan, nil, verify.Options{})
+	if err != nil {
+		t.Fatalf("verify.Run: %v", err)
+	}
+	if !rep.OK {
+		t.Fatalf("identical NaN cells rejected:\n%s", rep)
+	}
+
+	one := parseOnly(t, strings.Replace(template, "VALUE", "2.0", 1), 4)
+	rep, err = verify.Run(nan, one, nil, verify.Options{})
+	if err != nil {
+		t.Fatalf("verify.Run: %v", err)
+	}
+	if rep.OK {
+		t.Fatalf("NaN against 1.0 accepted:\n%s", rep)
 	}
 }
 

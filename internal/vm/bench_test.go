@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"context"
 	"testing"
 
 	"falseshare/internal/core"
@@ -14,7 +15,7 @@ import (
 // references emitted.
 func BenchmarkRun(b *testing.B) {
 	for _, w := range workload.All() {
-		prog, err := core.Compile(w.Source(1), core.Options{Nprocs: 12, BlockSize: 128})
+		prog, err := core.CompileCtx(context.Background(), w.Source(1), core.Options{Nprocs: 12, BlockSize: 128})
 		if err != nil {
 			b.Fatalf("%s: %v", w.Name, err)
 		}

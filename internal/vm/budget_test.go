@@ -29,7 +29,7 @@ void main() {
 // TestStepBudgetExceeded: a runaway program fails with a step-budget
 // error naming the instruction count and pc instead of hanging.
 func TestStepBudgetExceeded(t *testing.T) {
-	prog, err := core.Compile(spinSource, core.Options{Nprocs: 2, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), spinSource, core.Options{Nprocs: 2, BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestStepBudgetExceeded(t *testing.T) {
 // TestRunCancellation: cancelling the machine's context stops the run
 // promptly with the context's error.
 func TestRunCancellation(t *testing.T) {
-	prog, err := core.Compile(spinSource, core.Options{Nprocs: 2, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), spinSource, core.Options{Nprocs: 2, BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,9 @@ func TestRunFaultPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Enable(s)
-	t.Cleanup(faultinject.Disable)
+	t.Cleanup(func() { faultinject.Enable(nil) })
 
-	prog, err := core.Compile(spinSource, core.Options{Nprocs: 2, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), spinSource, core.Options{Nprocs: 2, BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,12 +178,3 @@ type Program struct {
 	// for (array extents may depend on it).
 	Nprocs int
 }
-
-// Disasm renders a function's code for debugging.
-func (f *Func) Disasm() string {
-	s := fmt.Sprintf("func %s (params=%d locals=%d)\n", f.Name, f.NParams, f.NLocals)
-	for i, in := range f.Code {
-		s += fmt.Sprintf("  %4d  %-9s %d %d\n", i, in.Op, in.A, in.B)
-	}
-	return s
-}

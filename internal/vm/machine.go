@@ -147,19 +147,9 @@ func (m *Machine) SetContext(ctx context.Context) { m.ctx = ctx }
 // Procs exposes the per-process counters after a run.
 func (m *Machine) Procs() []*Proc { return m.procs }
 
-// Mem returns a copy of the shared memory image, Size() bytes long
-// (for tests). Shared memory is allocated lazily, 4 KiB pages on first
-// write, and the image reads untouched pages as zero; building it
-// costs a full-size allocation, which the machine itself never makes.
-func (m *Machine) Mem() []byte { return m.mem.image() }
-
 // Size returns the size of the shared address space, the program's
-// SharedEnd: valid shared addresses lie in (0, Size()). Unlike
-// len(Mem()) it copies nothing.
+// SharedEnd: valid shared addresses lie in (0, Size()).
 func (m *Machine) Size() int64 { return m.mem.size }
-
-// Barriers returns the number of barrier episodes executed.
-func (m *Machine) Barriers() int64 { return m.barrierCount }
 
 // TotalInstrs sums executed instructions across processes.
 func (m *Machine) TotalInstrs() int64 {

@@ -133,14 +133,3 @@ func (l *lazyMem) zero(from, to int64) {
 		from = end
 	}
 }
-
-// image returns a full-size copy of the space.
-func (l *lazyMem) image() []byte {
-	out := make([]byte, l.size)
-	for i, pg := range l.pages {
-		if pg != nil {
-			copy(out[int64(i)<<pageShift:], pg[:])
-		}
-	}
-	return out
-}

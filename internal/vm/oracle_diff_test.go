@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -210,7 +211,7 @@ func TestOracleWorkloads(t *testing.T) {
 			for _, p := range procs {
 				t.Run(fmt.Sprintf("%s/%s/p%d", b.Name, ver, p), func(t *testing.T) {
 					t.Parallel()
-					prog, err := experiments.Program(b, ver, p, 1, 128, transform.Config{})
+					prog, err := experiments.ProgramCtx(context.Background(), b, ver, p, 1, 128, transform.Config{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -269,7 +270,7 @@ func FuzzVMOracle(f *testing.F) {
 
 func compileSrc(t *testing.T, src string, nprocs int) *vm.Program {
 	t.Helper()
-	prog, err := core.Compile(src, core.Options{Nprocs: nprocs, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: nprocs, BlockSize: 64})
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
@@ -427,7 +428,7 @@ void main() { int *a; a = allocpp(int, 4); a = allocpp(int, pid - 2); a[0] = 1; 
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := core.Compile(tc.src, core.Options{Nprocs: tc.nprocs, BlockSize: 64})
+			prog, err := core.CompileCtx(context.Background(), tc.src, core.Options{Nprocs: tc.nprocs, BlockSize: 64})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}

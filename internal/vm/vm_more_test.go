@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -48,7 +49,7 @@ void main() {
 }
 `
 	runOnce := func() []vm.Ref {
-		prog, err := core.Compile(src, core.Options{Nprocs: 6, BlockSize: 64})
+		prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: 6, BlockSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ void main() {
     }
 }
 `
-	prog, err := core.Compile(src, core.Options{Nprocs: 1, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: 1, BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestDisasmReadable(t *testing.T) {
 shared int x;
 void main() { x = 1 + 2; }
 `
-	prog, err := core.Compile(src, core.Options{Nprocs: 1, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: 1, BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ void main() {
 // runErr compiles and runs src, returning the run's error.
 func runErr(t *testing.T, src string, nprocs int) error {
 	t.Helper()
-	prog, err := core.Compile(src, core.Options{Nprocs: nprocs, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: nprocs, BlockSize: 64})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"context"
 	"testing"
 
 	"falseshare/internal/core"
@@ -11,7 +12,7 @@ import (
 // machine and the collected trace.
 func run(t *testing.T, src string, nprocs int) (*vm.Machine, []vm.Ref, *core.Program) {
 	t.Helper()
-	prog, err := core.Compile(src, core.Options{Nprocs: nprocs, BlockSize: 64})
+	prog, err := core.CompileCtx(context.Background(), src, core.Options{Nprocs: nprocs, BlockSize: 64})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -311,7 +312,7 @@ void main() { p->v = 1; }`, "null pointer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := core.Compile(tc.src, core.Options{Nprocs: 2, BlockSize: 64})
+			prog, err := core.CompileCtx(context.Background(), tc.src, core.Options{Nprocs: 2, BlockSize: 64})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"falseshare/internal/core"
@@ -43,7 +44,7 @@ func TestFmm(t *testing.T) {
 
 	// The under-padded programmer version must keep most of its false
 	// sharing at 128-byte blocks (the paper's P == N story).
-	pprog, err := core.Compile(b.ProgrammerSource(1), core.Options{Nprocs: 12, BlockSize: 128})
+	pprog, err := core.CompileCtx(context.Background(), b.ProgrammerSource(1), core.Options{Nprocs: 12, BlockSize: 128})
 	if err != nil {
 		t.Fatalf("P compile: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestRadiosity(t *testing.T) {
 	}
 
 	// P: partial grouping + packed locks keeps substantial FS.
-	pprog, err := core.Compile(b.ProgrammerSource(1), core.Options{Nprocs: 12, BlockSize: 128})
+	pprog, err := core.CompileCtx(context.Background(), b.ProgrammerSource(1), core.Options{Nprocs: 12, BlockSize: 128})
 	if err != nil {
 		t.Fatalf("P compile: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestRaytrace(t *testing.T) {
 	}
 
 	// P: good grouping but the padded scene costs read misses.
-	pprog, err := core.Compile(b.ProgrammerSource(1), core.Options{Nprocs: 12, BlockSize: 128})
+	pprog, err := core.CompileCtx(context.Background(), b.ProgrammerSource(1), core.Options{Nprocs: 12, BlockSize: 128})
 	if err != nil {
 		t.Fatalf("P compile: %v", err)
 	}

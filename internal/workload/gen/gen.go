@@ -65,16 +65,6 @@ func Patterns() []Pattern {
 	return []Pattern{Stride, Chunked, Migratory, ProdCons}
 }
 
-// ParsePattern maps a CLI spelling to a Pattern.
-func ParsePattern(s string) (Pattern, error) {
-	for _, p := range Patterns() {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("gen: unknown pattern %q (want stride, chunked, migratory or prodcons)", s)
-}
-
 // Params parameterizes one generated program. The zero value is
 // valid: Clamped fills every knob with its floor.
 type Params struct {

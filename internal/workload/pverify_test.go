@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"falseshare/internal/core"
@@ -33,7 +34,7 @@ func TestPverify(t *testing.T) {
 	// The programmer version must land between N and C on false
 	// sharing (padding helps but misses the real fixes).
 	const nprocs, block = 12, 128
-	pprog, err := core.Compile(b.ProgrammerSource(1), core.Options{Nprocs: nprocs, BlockSize: block})
+	pprog, err := core.CompileCtx(context.Background(), b.ProgrammerSource(1), core.Options{Nprocs: nprocs, BlockSize: block})
 	if err != nil {
 		t.Fatalf("P compile: %v", err)
 	}

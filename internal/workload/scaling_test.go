@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"falseshare/internal/core"
@@ -29,7 +30,7 @@ func TestStrongScaling(t *testing.T) {
 
 func totalInstrs(t *testing.T, b *Benchmark, nprocs int) int64 {
 	t.Helper()
-	prog, err := core.Compile(b.Source(1), core.Options{Nprocs: nprocs, BlockSize: 128})
+	prog, err := core.CompileCtx(context.Background(), b.Source(1), core.Options{Nprocs: nprocs, BlockSize: 128})
 	if err != nil {
 		t.Fatalf("%s at %d: %v", b.Name, nprocs, err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"falseshare/internal/core"
@@ -16,7 +17,7 @@ func TestSuiteRunsEverywhere(t *testing.T) {
 	for _, b := range All() {
 		for _, nprocs := range counts {
 			// N (or base) version.
-			prog, err := core.Compile(b.Source(1), core.Options{Nprocs: nprocs, BlockSize: 128})
+			prog, err := core.CompileCtx(context.Background(), b.Source(1), core.Options{Nprocs: nprocs, BlockSize: 128})
 			if err != nil {
 				t.Fatalf("%s base compile at %d: %v", b.Name, nprocs, err)
 			}
@@ -31,7 +32,7 @@ func TestSuiteRunsEverywhere(t *testing.T) {
 
 			// P version where distinct.
 			if b.PSource != nil {
-				pprog, err := core.Compile(b.PSource(1), core.Options{Nprocs: nprocs, BlockSize: 128})
+				pprog, err := core.CompileCtx(context.Background(), b.PSource(1), core.Options{Nprocs: nprocs, BlockSize: 128})
 				if err != nil {
 					t.Fatalf("%s P compile at %d: %v", b.Name, nprocs, err)
 				}
@@ -114,7 +115,7 @@ func TestScaleParameter(t *testing.T) {
 
 func compileN(t *testing.T, b *Benchmark, scale int) *core.Program {
 	t.Helper()
-	prog, err := core.Compile(b.Source(scale), core.Options{Nprocs: 4, BlockSize: 128})
+	prog, err := core.CompileCtx(context.Background(), b.Source(scale), core.Options{Nprocs: 4, BlockSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
