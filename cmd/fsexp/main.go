@@ -304,9 +304,9 @@ func main() {
 				CompileProcs: 12,
 				CompileReps:  5,
 			},
-			Faults:   faultSpec,
-			Policy:   cfg.Policy,
-			Recorder: fabricRec,
+			Faults:     faultSpec,
+			JobTimeout: *jobTimeout,
+			Recorder:   fabricRec,
 		})
 		check(coord.Start(ctx))
 		coordP.Store(coord)

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 )
@@ -35,20 +35,18 @@ type Options struct {
 	// Faults is the fault spec propagated to every worker (satellite:
 	// a -faults spec must not silently apply only to the parent).
 	Faults string
-	// Policy supplies the pool's failure semantics: Retries/Backoff
-	// bound error retries (transient errors only, exponential
-	// backoff), FailFast cancels the grid on the first hard failure,
-	// JobTimeout is the per-cell deadline (a cell exceeding it marks
-	// its worker hung: killed and the cell reassigned).
-	Policy pool.Policy
-	// MaxDeaths bounds reassignment per cell: a cell that kills this
-	// many workers fails instead of killing the whole fleet
+	// JobTimeout bounds each cell from its dispatch (0: none). A cell
+	// exceeding it marks its worker hung: the worker is killed and the
+	// cell dispatched again, like a cell whose worker died.
+	JobTimeout time.Duration
+	// MaxDeaths bounds re-dispatch per cell: a cell that loses more
+	// workers than this fails instead of killing the whole fleet
 	// (default 3).
 	MaxDeaths int
 	// Stderr receives spawned workers' stderr (default os.Stderr).
 	Stderr io.Writer
 	// Recorder receives the fabric's own telemetry spans — worker
-	// lifetimes, reassignments, retries. It is deliberately separate
+	// lifetimes and reassignments. It is deliberately separate
 	// from the experiment recorder: fabric scheduling is
 	// nondeterministic, and folding it into the figure manifests would
 	// break their byte-identity contract.
@@ -77,36 +75,43 @@ type Stats struct {
 	Spawned  int
 	Attached int
 	Deaths   int
-	// Cells counts dispatched cell executions (stored cells never
-	// reach the fabric); Reassigned counts cells re-queued after
-	// losing their worker; Retries counts error-retries.
+	// Cells counts dispatched cell executions, the pool's retries
+	// included (stored cells never reach the fabric); Reassigned
+	// counts cells dispatched again after losing their worker.
 	Cells      int
 	Reassigned int
-	Retries    int
 }
 
 // Summary renders the one-line run summary fsexp prints.
 func (s Stats) Summary() string {
 	return fmt.Sprintf(
-		"fabric: workers spawned=%d attached=%d deaths=%d | cells=%d reassigned=%d retries=%d",
-		s.Spawned, s.Attached, s.Deaths, s.Cells, s.Reassigned, s.Retries)
+		"fabric: workers spawned=%d attached=%d deaths=%d | cells=%d reassigned=%d",
+		s.Spawned, s.Attached, s.Deaths, s.Cells, s.Reassigned)
 }
 
-// Coordinator shards cells across worker processes. It implements
-// experiments.CellRunner, so plugging it into Config.Runner routes
-// every driver fan-out through the fabric.
+// Coordinator leases worker processes to cells. It implements
+// experiments.CellRunner: each cell is a pool job whose RunCell waits
+// for an idle worker, so plugging it into Config.Runner runs every
+// driver fan-out on the fabric under the experiment pool's policy.
+// The coordinator itself only manages processes — spawning, TCP
+// attach, heartbeats, the assign protocol, respawns — and re-dispatches
+// a cell whose worker is lost.
 type Coordinator struct {
 	opt  Options
 	ctx  context.Context
 	stop context.CancelFunc
 
+	// requests hands each dispatch to the next idle worker's driver.
+	requests chan request
+	// gone closes when the last worker is lost and no replacement or
+	// listener remains: waiting and later dispatches then fail at once.
+	gone chan struct{}
+
 	mu      sync.Mutex
-	cond    *sync.Cond
 	workers map[int]*workerHandle
 	nextID  int
 	live    int
 	spawned int // spawn attempts, bounded by 3×Workers+2
-	run     *cellRun
 	stats   Stats
 	closed  bool
 
@@ -114,6 +119,21 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 
 	span *obs.Span // fabric root span on opt.Recorder
+}
+
+// request is one dispatch of a cell; its driver answers on reply,
+// which is buffered so a caller that gave up never blocks the driver.
+type request struct {
+	key   string
+	reply chan outcome
+}
+
+// outcome is how one dispatch ended: the worker's report (res, err),
+// or lost when the worker died, hung or broke protocol first.
+type outcome struct {
+	res  experiments.CellResult
+	err  error
+	lost error
 }
 
 // workerHandle is the coordinator's view of one worker.
@@ -181,27 +201,14 @@ func (w *workerHandle) wasKilled() bool {
 	return w.killed
 }
 
-// cellRun is one RunCells invocation in flight.
-type cellRun struct {
-	keys    []string
-	state   []cellState
-	queue   []int // indices awaiting dispatch
-	pending int   // cells without a final outcome (incl. backoff + outstanding)
-	closed  bool  // results no longer accepted (cancelled / returned)
-	results []experiments.CellResult
-}
-
-type cellState struct {
-	attempts int // error retries so far
-	deaths   int // workers lost while owning this cell
-	final    bool
-}
-
 // NewCoordinator builds a Coordinator; Start launches it.
 func NewCoordinator(opt Options) *Coordinator {
-	c := &Coordinator{opt: opt, workers: map[int]*workerHandle{}}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+	return &Coordinator{
+		opt:      opt,
+		workers:  map[int]*workerHandle{},
+		requests: make(chan request),
+		gone:     make(chan struct{}),
+	}
 }
 
 // Start spawns the local workers and, if configured, starts the TCP
@@ -315,7 +322,7 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 
 // attach registers a connected worker and launches its goroutines:
 // reader (routes frames, tracks liveness), pinger (heartbeats +
-// dead-silence detection), driver (pulls cells and runs the
+// dead-silence detection), driver (takes dispatches and runs the
 // assignment protocol).
 func (c *Coordinator) attach(conn *Conn, cmd *exec.Cmd) {
 	c.mu.Lock()
@@ -332,11 +339,9 @@ func (c *Coordinator) attach(conn *Conn, cmd *exec.Cmd) {
 	w.lastHeard = time.Now()
 	c.workers[id] = w
 	c.live++
-	if c.span != nil {
-		w.span = c.span.Child(fmt.Sprintf("worker:%d", id))
-		if cmd == nil {
-			w.span.Set("tcp", 1)
-		}
+	w.span = c.span.Child(fmt.Sprintf("worker:%d", id))
+	if cmd == nil {
+		w.span.Set("tcp", 1)
 	}
 	c.mu.Unlock()
 
@@ -387,7 +392,7 @@ func (c *Coordinator) readLoop(w *workerHandle) {
 			select {
 			case w.results <- f:
 			default:
-				// No one waiting for this result (stale run, duplicate).
+				// No one waiting for this result (a duplicate).
 				obs.LogfCtx(c.ctx, "fabric: worker %d: dropping unexpected result %s", w.id, f.Key)
 			}
 		case TypePong:
@@ -428,64 +433,43 @@ func (c *Coordinator) pingLoop(w *workerHandle) {
 }
 
 // driveLoop owns one worker's assignment stream: wait for readiness,
-// then pull cells and run the assignment protocol until the worker or
-// the coordinator dies. On worker death it requeues the owned cell,
-// accounts the loss, and respawns a replacement if the budget allows.
+// then take the next dispatch and run the assignment protocol until
+// the worker is lost or the coordinator stops. Every dispatch taken
+// is answered.
 func (c *Coordinator) driveLoop(w *workerHandle) {
 	defer c.wg.Done()
-	alive := c.awaitReady(w)
-	for alive {
-		idx, run, ok := c.nextCell()
-		if !ok {
-			break
-		}
-		alive = c.assign(w, run, idx)
-	}
-	c.workerGone(w)
-}
-
-// awaitReady blocks until the worker acknowledged hello (or died).
-func (c *Coordinator) awaitReady(w *workerHandle) bool {
+	defer c.workerGone(w)
 	select {
 	case <-w.ready:
-		return true
 	case <-w.done:
-		return false
+		return
 	case <-c.ctx.Done():
-		return false
+		return
 	}
-}
-
-// nextCell blocks until a dispatchable cell exists, the coordinator
-// closes, or the context ends. ok=false means the driver should exit.
-func (c *Coordinator) nextCell() (int, *cellRun, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for {
-		if c.closed || c.ctx.Err() != nil {
-			return 0, nil, false
+		select {
+		case req := <-c.requests:
+			out := c.assign(w, req.key)
+			req.reply <- out
+			if out.lost != nil || c.ctx.Err() != nil {
+				return
+			}
+		case <-w.done:
+			return
+		case <-c.ctx.Done():
+			return
 		}
-		if r := c.run; r != nil && !r.closed && len(r.queue) > 0 {
-			idx := r.queue[0]
-			r.queue = r.queue[1:]
-			return idx, r, true
-		}
-		c.cond.Wait()
 	}
 }
 
-// assign runs the protocol for one cell on one worker. It returns
-// false when the worker is gone (the driver exits and the cell has
-// been requeued or failed).
-func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
-	key := run.keys[idx]
+// assign runs the protocol for one cell on one worker.
+func (c *Coordinator) assign(w *workerHandle, key string) outcome {
 	c.mu.Lock()
 	c.stats.Cells++
 	c.mu.Unlock()
 
 	if err := w.conn.Write(&Frame{Type: TypeAssign, Key: key}); err != nil {
-		c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: assign: %w", w.id, err))
-		return false
+		return outcome{lost: fmt.Errorf("fabric: worker %d: assign: %w", w.id, err)}
 	}
 	// Chaos: coord.kill SIGKILLs the worker that just received this
 	// assignment — a deterministic mid-cell worker death. Count/match
@@ -498,293 +482,122 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 	}
 
 	var deadline <-chan time.Time
-	if c.opt.Policy.JobTimeout > 0 {
-		t := time.NewTimer(c.opt.Policy.JobTimeout)
+	if c.opt.JobTimeout > 0 {
+		t := time.NewTimer(c.opt.JobTimeout)
 		defer t.Stop()
 		deadline = t.C
 	}
 	select {
 	case f := <-w.results:
-		if w.wasKilled() {
+		switch {
+		case w.wasKilled():
 			// A severed worker's report is void: the closed link
 			// cancels its running cell, which may still answer with
-			// that cancellation before the SIGKILL lands. The cell is
-			// reassigned like any other mid-cell death.
-			c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: killed mid-cell", w.id))
-			return false
-		}
-		if f.Key != key {
-			c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: result for %q while %q assigned", w.id, f.Key, key))
+			// that cancellation before the SIGKILL lands.
+			return outcome{lost: fmt.Errorf("fabric: worker %d: killed mid-cell", w.id)}
+		case f.Key != key:
 			w.kill()
-			return false
+			return outcome{lost: fmt.Errorf("fabric: worker %d: result for %q while %q assigned", w.id, f.Key, key)}
+		case f.Err != "":
+			return outcome{err: frameError(f)}
+		case f.Result == nil:
+			return outcome{err: fmt.Errorf("fabric: worker %d: result for %s carries no payload", w.id, key)}
 		}
-		c.complete(run, idx, f)
-		return true
+		return outcome{res: *f.Result}
 	case <-w.done:
 		err := w.lastErr()
 		if err == nil {
-			err = fmt.Errorf("fabric: worker %d: connection closed", w.id)
+			err = errors.New("connection closed")
 		}
-		c.requeueDeath(run, idx, w, err)
-		return false
+		return outcome{lost: fmt.Errorf("fabric: worker %d: %w", w.id, err)}
 	case <-deadline:
-		c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: cell %s exceeded %s deadline", w.id, key, c.opt.Policy.JobTimeout))
 		w.kill()
-		return false
+		return outcome{lost: fmt.Errorf("fabric: worker %d: cell %s exceeded %s deadline", w.id, key, c.opt.JobTimeout)}
 	case <-c.ctx.Done():
-		// The run is being abandoned; RunCells marks the leftovers.
-		return false
+		return outcome{err: c.stopped()}
 	}
 }
 
-// complete records one cell's reported outcome: success stores the
-// payload into the run; a transient error within the retry budget
-// requeues with exponential backoff; anything else is final.
-func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
-	err := frameError(f)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if run.closed || run.state[idx].final {
-		return
-	}
-	st := &run.state[idx]
-	if err != nil {
-		if pool.Transient(err) && st.attempts < c.opt.Policy.Retries {
-			st.attempts++
-			c.stats.Retries++
-			if c.span != nil {
-				c.span.Count("retries", 1)
-			}
-			run.results[idx].Retries = st.attempts
-			backoff := c.opt.Policy.RetryDelay(st.attempts - 1)
-			obs.LogfCtx(c.ctx, "fabric: retrying %s after transient failure (attempt %d): %v", run.keys[idx], st.attempts, err)
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				c.requeueAfter(run, idx, backoff)
-			}()
-			return
-		}
-		c.finalize(run, idx, experiments.CellResult{Key: run.keys[idx], Err: err, Retries: st.attempts})
-		return
-	}
-	res := experiments.CellResult{
-		Key:     run.keys[idx],
-		Data:    f.Data,
-		Spans:   f.Spans,
-		Retries: st.attempts,
-	}
-	if f.Events != nil {
-		res.Events = *f.Events
-	}
-	c.finalize(run, idx, res)
-}
-
-// finalize records a cell's final outcome. Callers hold c.mu.
-func (c *Coordinator) finalize(run *cellRun, idx int, res experiments.CellResult) {
-	if run.state[idx].final {
-		return
-	}
-	run.state[idx].final = true
-	run.results[idx] = res
-	run.pending--
-	if res.Err != nil && c.opt.Policy.FailFast {
-		c.abortLocked(run, fmt.Errorf("%w: fail-fast after %s", pool.ErrSkipped, res.Key))
-	}
-	c.cond.Broadcast()
-}
-
-// abortLocked marks every queued (not yet assigned) cell of the run
-// as skipped. Outstanding assignments finish naturally and report
-// their real outcome, mirroring the local pool's fail-fast drain.
-func (c *Coordinator) abortLocked(run *cellRun, err error) {
-	for _, idx := range run.queue {
-		if run.state[idx].final {
-			continue
-		}
-		run.state[idx].final = true
-		run.results[idx] = experiments.CellResult{Key: run.keys[idx], Err: err}
-		run.pending--
-	}
-	run.queue = nil
-	c.cond.Broadcast()
-}
-
-// requeueAfter re-dispatches a cell after its retry backoff.
-func (c *Coordinator) requeueAfter(run *cellRun, idx int, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-c.ctx.Done():
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if run.closed || run.state[idx].final {
-		return
-	}
-	run.queue = append(run.queue, idx)
-	c.cond.Broadcast()
-}
-
-// requeueDeath handles a cell orphaned by its worker's death: bounded
-// reassignment, then failure — one poison cell must not consume the
-// whole fleet.
-func (c *Coordinator) requeueDeath(run *cellRun, idx int, w *workerHandle, cause error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if run.closed || run.state[idx].final {
-		return
-	}
-	st := &run.state[idx]
-	st.deaths++
-	c.stats.Reassigned++
-	if c.span != nil {
-		c.span.Count("reassigned", 1)
-	}
-	if st.deaths > c.opt.maxDeaths() {
-		c.finalize(run, idx, experiments.CellResult{
-			Key: run.keys[idx],
-			Err: fmt.Errorf("fabric: cell %s lost %d workers (last: %w)", run.keys[idx], st.deaths, cause),
-		})
-		return
-	}
-	obs.LogfCtx(c.ctx, "fabric: reassigning %s after worker %d died: %v", run.keys[idx], w.id, cause)
-	// Front of the queue: a cell that already lost a worker should not
-	// wait behind the whole backlog.
-	run.queue = append([]int{idx}, run.queue...)
-	c.cond.Broadcast()
+// stopped is the error of a dispatch the coordinator's shutdown ended.
+func (c *Coordinator) stopped() error {
+	return fmt.Errorf("fabric: coordinator stopped: %w", c.ctx.Err())
 }
 
 // workerGone retires a worker handle: accounting, telemetry, and a
-// replacement spawn when the budget allows. When the last worker dies
-// with no replacement possible, the current run's undispatched cells
-// fail — never hang.
+// replacement spawn when the budget allows. When the last worker is
+// lost with no replacement or listener left, gone closes, so no
+// dispatch waits for a worker that will never come.
 func (c *Coordinator) workerGone(w *workerHandle) {
 	w.kill()
 	c.mu.Lock()
-	if _, ok := c.workers[w.id]; !ok {
-		c.mu.Unlock()
-		return
-	}
 	delete(c.workers, w.id)
 	c.live--
 	if !c.closed {
-		// A worker retiring during shutdown is not a death — only
-		// losing one mid-run counts.
+		// Only a worker lost mid-run counts as a death and fails its
+		// span; one retiring at shutdown does neither.
 		c.stats.Deaths++
-	}
-	if w.span != nil {
 		if werr := w.lastErr(); werr != nil && werr != io.EOF {
 			w.span.Fail(werr)
 		}
-		w.span.End()
 	}
+	w.span.End()
 	// Replacements are bounded at 2×Workers+2 across the run, so a
 	// crash loop terminates.
 	respawn := !c.closed && c.ctx.Err() == nil && w.cmd != nil &&
 		c.spawned < 3*c.opt.Workers+2
-	lastLight := c.live == 0 && !respawn && c.listener == nil
-	run := c.run
 	c.mu.Unlock()
 
 	if respawn {
 		if err := c.spawnWorker(); err != nil {
 			obs.LogfCtx(c.ctx, "fabric: respawn: %v", err)
-			c.mu.Lock()
-			lastLight = c.live == 0 && c.listener == nil
-			c.mu.Unlock()
 		}
 	}
-	if lastLight && run != nil {
-		c.mu.Lock()
-		if c.run == run && !run.closed {
-			c.abortLocked(run, fmt.Errorf("fabric: all workers dead"))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.live == 0 && c.listener == nil {
+		select {
+		case <-c.gone:
+		default:
+			close(c.gone)
 		}
-		c.mu.Unlock()
 	}
 }
 
-// RunCells implements experiments.CellRunner: queue every cell and
-// wait until each has a final outcome (or the context dies, which
-// marks the leftovers skipped).
-func (c *Coordinator) RunCells(ctx context.Context, section string, keys []string) ([]experiments.CellResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	run := &cellRun{
-		keys:    keys,
-		state:   make([]cellState, len(keys)),
-		results: make([]experiments.CellResult, len(keys)),
-		pending: len(keys),
-	}
-	for i := range keys {
-		run.queue = append(run.queue, i)
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("fabric: coordinator closed")
-	}
-	if run.pending == 0 {
-		c.mu.Unlock()
-		return run.results, nil
-	}
-	if c.run != nil {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("fabric: a run is already active")
-	}
-	c.run = run
-	c.cond.Broadcast()
-	c.mu.Unlock()
-
-	// Wake the wait loop when the caller's context dies.
-	cancelDone := make(chan struct{})
-	defer close(cancelDone)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
+// RunCell implements experiments.CellRunner: hand the cell to the next
+// idle worker and wait for its report. A cell whose worker is lost
+// mid-cell — dead, hung past JobTimeout, or off-protocol — is
+// dispatched again, behind the cells already waiting, until it has
+// lost MaxDeaths workers: one poison cell must not consume the fleet.
+func (c *Coordinator) RunCell(ctx context.Context, key string) (experiments.CellResult, error) {
+	for deaths := 1; ; deaths++ {
+		reply := make(chan outcome, 1)
 		select {
+		case c.requests <- request{key: key, reply: reply}:
+		case <-c.gone:
+			return experiments.CellResult{}, errors.New("fabric: all workers dead")
+		case <-c.ctx.Done():
+			return experiments.CellResult{}, c.stopped()
 		case <-ctx.Done():
-			c.mu.Lock()
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		case <-cancelDone:
+			return experiments.CellResult{}, ctx.Err()
 		}
-	}()
-
-	c.mu.Lock()
-	for run.pending > 0 && ctx.Err() == nil && c.ctx.Err() == nil && !c.closed {
-		c.cond.Wait()
+		var out outcome
+		select {
+		case out = <-reply:
+		case <-ctx.Done():
+			return experiments.CellResult{}, ctx.Err()
+		}
+		if out.lost == nil {
+			return out.res, out.err
+		}
+		c.mu.Lock()
+		c.stats.Reassigned++
+		c.mu.Unlock()
+		c.span.Count("reassigned", 1)
+		if deaths > c.opt.maxDeaths() {
+			return experiments.CellResult{}, fmt.Errorf("fabric: cell %s lost %d workers (last: %w)", key, deaths, out.lost)
+		}
+		obs.LogfCtx(c.ctx, "fabric: reassigning %s: %v", key, out.lost)
 	}
-	if run.pending > 0 {
-		// Cancelled (SIGINT, coordinator shutdown): mark what never got
-		// a final outcome as skipped, exactly like the local pool's
-		// drain.
-		cause := ctx.Err()
-		if cause == nil {
-			cause = c.ctx.Err()
-		}
-		if cause == nil {
-			cause = context.Canceled
-		}
-		for i := range run.state {
-			if !run.state[i].final {
-				run.state[i].final = true
-				run.results[i] = experiments.CellResult{
-					Key: keys[i],
-					Err: fmt.Errorf("%w: %w", pool.ErrSkipped, cause),
-				}
-				run.pending--
-			}
-		}
-	}
-	run.closed = true
-	c.run = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	return run.results, nil
 }
 
 // Close shuts the fabric down: shutdown frames to every worker, a
@@ -797,14 +610,10 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.run != nil {
-		c.run.closed = true
-	}
 	workers := make([]*workerHandle, 0, len(c.workers))
 	for _, w := range c.workers {
 		workers = append(workers, w)
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 
 	if c.listener != nil {
@@ -829,9 +638,7 @@ func (c *Coordinator) Close() error {
 		c.stop()
 	}
 	c.wg.Wait()
-	if c.span != nil {
-		c.span.End()
-	}
+	c.span.End()
 	return nil
 }
 

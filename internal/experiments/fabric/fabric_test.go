@@ -22,20 +22,22 @@ import (
 )
 
 // The integration suite re-execs this test binary as the worker
-// process: TestMain intercepts the child before any test runs, so a
-// spawned worker speaks the fabric protocol on stdio exactly like
-// fsexp -worker does. FABRIC_TEST_WORKER is exported for the whole
-// parent run, so every coordinator spawn (including mid-test respawns
-// after chaos kills) lands in worker mode.
+// process: startCoordinator spawns it with the single argument
+// workerArg, and TestMain intercepts such a child before any test
+// runs, so a spawned worker speaks the fabric protocol on stdio
+// exactly like fsexp -worker does. Respawns after chaos kills reuse
+// the same argv. Any other re-exec of the binary, such as a fuzzing
+// worker, runs as a test binary.
+const workerArg = "-fabric-test-worker"
+
 func TestMain(m *testing.M) {
-	if os.Getenv("FABRIC_TEST_WORKER") == "1" {
+	if len(os.Args) == 2 && os.Args[1] == workerArg {
 		if err := RunWorker(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "fabric test worker:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
 	}
-	os.Setenv("FABRIC_TEST_WORKER", "1")
 	os.Exit(m.Run())
 }
 
@@ -69,7 +71,7 @@ func gridKeys(t *testing.T, cfg experiments.Config, set experiments.SectionSet) 
 func startCoordinator(t *testing.T, opt Options) *Coordinator {
 	t.Helper()
 	if len(opt.WorkerCmd) == 0 {
-		opt.WorkerCmd = []string{os.Args[0]}
+		opt.WorkerCmd = []string{os.Args[0], workerArg}
 	}
 	c := NewCoordinator(opt)
 	if err := c.Start(context.Background()); err != nil {
@@ -177,7 +179,8 @@ func TestFabricManifestByteIdentity(t *testing.T) {
 	local := normManifest(t, "matrix", cfg, func() (any, error) { return experiments.Matrix(cfg, mopt) })
 
 	for _, workers := range []int{1, 4} {
-		coord := startCoordinator(t, Options{Workers: workers, Spec: cfg.Spec(), Set: set, Recorder: obs.NewRecorder()})
+		rec := obs.NewRecorder()
+		coord := startCoordinator(t, Options{Workers: workers, Spec: cfg.Spec(), Set: set, Recorder: rec})
 		fcfg := cfg
 		fcfg.Runner = coord
 		dist := normManifest(t, "matrix", fcfg, func() (any, error) { return experiments.Matrix(fcfg, mopt) })
@@ -192,7 +195,29 @@ func TestFabricManifestByteIdentity(t *testing.T) {
 		if err := coord.Close(); err != nil {
 			t.Errorf("-workers %d: close: %v", workers, err)
 		}
+		// Only a worker lost mid-run fails its span; retiring at a
+		// clean Close is not a failure.
+		for _, name := range failedWorkerSpans(rec.Spans()) {
+			t.Errorf("-workers %d: %s span marked failed after a clean run", workers, name)
+		}
 	}
+}
+
+// failedWorkerSpans names the worker:N spans carrying a failure class.
+func failedWorkerSpans(spans []*obs.Span) []string {
+	var out []string
+	for _, s := range spans {
+		if strings.HasPrefix(s.Name, "worker:") {
+			for _, class := range []string{"error", "cancelled", "timeout"} {
+				if s.Counters[class] != 0 {
+					out = append(out, s.Name)
+					break
+				}
+			}
+		}
+		out = append(out, failedWorkerSpans(s.Children)...)
+	}
+	return out
 }
 
 // TestFabricWorkerKillResume kills one worker mid-cell (the coord.kill
@@ -269,15 +294,15 @@ func TestFabricWorkerKillResume(t *testing.T) {
 	}
 }
 
-// TestFabricFaultPropagation is satellite 1: a -faults spec handed to
-// the coordinator reaches spawned workers, and a pool.worker rule
-// fires inside the worker process (this process never enables the
-// fault set, so the injected error can only have crossed the wire).
+// TestFabricFaultPropagation: a -faults spec handed to the
+// coordinator reaches spawned workers, and a worker.cell rule fires
+// inside the worker process (this process never enables the fault
+// set, so the injected error can only have crossed the wire).
 func TestFabricFaultPropagation(t *testing.T) {
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
 	victim := keys[0]
-	if faultinject.Fire(context.Background(), "pool.worker", victim) != nil {
+	if faultinject.Fire(context.Background(), "worker.cell", victim) != nil {
 		t.Fatal("fault injection unexpectedly enabled in the test process")
 	}
 
@@ -285,7 +310,7 @@ func TestFabricFaultPropagation(t *testing.T) {
 		Workers: 2,
 		Spec:    cfg.Spec(),
 		Set:     set,
-		Faults:  "pool.worker=" + victim + ":error",
+		Faults:  "worker.cell=" + victim + ":error",
 	})
 	fcfg := cfg
 	fcfg.Runner = coord
@@ -304,10 +329,10 @@ func TestFabricFaultPropagation(t *testing.T) {
 	if fe.Key != victim {
 		t.Errorf("failed cell %s, want %s", fe.Key, victim)
 	}
-	if !strings.Contains(fe.Err.Error(), "injected fault at pool.worker") {
+	if !strings.Contains(fe.Err.Error(), "injected fault at worker.cell") {
 		t.Errorf("error %q does not carry the worker-side injection", fe.Err)
 	}
-	if faultinject.Fire(context.Background(), "pool.worker", victim) != nil {
+	if faultinject.Fire(context.Background(), "worker.cell", victim) != nil {
 		t.Error("worker fault spec leaked into the coordinator process")
 	}
 }
@@ -409,12 +434,12 @@ func TestFabricChaosHang(t *testing.T) {
 	victim := keys[len(keys)-1]
 
 	coord := startCoordinator(t, Options{
-		Workers:   2,
-		Spec:      cfg.Spec(),
-		Set:       set,
-		Faults:    "worker.cell=" + victim + ":hang",
-		MaxDeaths: 1,
-		Policy:    pool.Policy{JobTimeout: 2 * time.Second},
+		Workers:    2,
+		Spec:       cfg.Spec(),
+		Set:        set,
+		Faults:     "worker.cell=" + victim + ":hang",
+		MaxDeaths:  1,
+		JobTimeout: 2 * time.Second,
 	})
 	fcfg := cfg
 	fcfg.Runner = coord
@@ -468,10 +493,11 @@ func TestFabricChaosCorrupt(t *testing.T) {
 	}
 }
 
-// TestFabricTransientRetry: a worker-reported transient error retries
-// under pool.Policy semantics (bounded, backed off) and succeeds on
-// the second attempt — the count=1 rule is exhausted within the single
-// worker process.
+// TestFabricTransientRetry: a worker-reported transient error keeps
+// its transience across the wire, so the experiment pool retries it
+// under Config.Policy (bounded, backed off) and the second dispatch
+// succeeds — the count=1 rule is exhausted within the single worker
+// process. The job span counts the retry.
 func TestFabricTransientRetry(t *testing.T) {
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
@@ -482,9 +508,11 @@ func TestFabricTransientRetry(t *testing.T) {
 		Spec:    cfg.Spec(),
 		Set:     set,
 		Faults:  "worker.cell=" + victim + ":error:transient:count=1",
-		Policy:  pool.Policy{Retries: 2, Backoff: 5 * time.Millisecond},
 	})
+	rec := obs.NewRecorder()
 	fcfg := cfg
+	fcfg.Ctx = obs.WithRecorder(context.Background(), rec)
+	fcfg.Policy = pool.Policy{Retries: 2, Backoff: 5 * time.Millisecond}
 	fcfg.Runner = coord
 	got, err := experiments.Matrix(fcfg, mopt)
 	if err != nil {
@@ -497,12 +525,60 @@ func TestFabricTransientRetry(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
 		t.Error("retried run differs from undisturbed run")
 	}
+	job := rec.Find("job:" + victim)
+	if job == nil {
+		t.Fatalf("no span for job %s", victim)
+	}
+	if n := job.Counters["retries"]; n != 1 {
+		t.Errorf("job span retries = %d, want 1", n)
+	}
 	st := coord.Stats()
-	if st.Retries != 1 {
-		t.Errorf("retries = %d, want 1", st.Retries)
+	if st.Cells != len(keys)+1 {
+		t.Errorf("cells = %d, want %d (every cell once, the victim twice)", st.Cells, len(keys)+1)
 	}
 	if st.Deaths != 0 {
 		t.Errorf("deaths = %d, want 0 (a retried error is not a dead worker)", st.Deaths)
+	}
+}
+
+// TestFabricFleetDeadFailsLaterRuns: once every worker is lost and the
+// respawn budget is spent, the run in flight fails — and so does every
+// later run, at once, instead of queueing cells no worker will take.
+func TestFabricFleetDeadFailsLaterRuns(t *testing.T) {
+	cfg, mopt, set := testGrid()
+	keys := gridKeys(t, cfg, set)
+	coord := startCoordinator(t, Options{
+		Workers:   1,
+		Spec:      cfg.Spec(),
+		Set:       set,
+		Faults:    "worker.cell:exit",
+		MaxDeaths: 100,
+	})
+	fcfg := cfg
+	fcfg.Runner = coord
+	if _, err := experiments.Matrix(fcfg, mopt); len(pool.Failures(err)) != len(keys) {
+		t.Fatalf("first run over a crashing fleet: want every cell failed, got %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := experiments.Matrix(fcfg, mopt)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("second run hangs on a dead fleet")
+	}
+	failures := pool.Failures(err)
+	if len(failures) != len(keys) {
+		t.Fatalf("second run: %d of %d cells failed: %v", len(failures), len(keys), err)
+	}
+	for _, f := range failures {
+		if !strings.Contains(f.Err.Error(), "fabric: all workers dead") {
+			t.Errorf("cell %s failed with %v, want all workers dead", f.Key, f.Err)
+		}
 	}
 }
 

@@ -1,26 +1,36 @@
 // Package fabric runs experiment cells in worker processes: a
-// coordinator shards a run's (program × version × procs × block ×
-// protocol × topology) grid across workers it spawns locally (fsexp
-// -worker over stdio) or that attach over TCP, and hands each cell's
-// payload — result, span subtree, events — back to the experiment
-// runner, which folds it into the same store, span trees and
-// manifests a single-process run produces: byte-identical modulo
+// coordinator leases workers it spawns locally (fsexp -worker over
+// stdio) or that attach over TCP to the cells of a run's (program ×
+// version × procs × block × protocol × topology) grid, and hands each
+// cell's payload — result, span subtree, events — back to the
+// experiment runner, which folds it into the same store, span trees
+// and manifests a single-process run produces: byte-identical modulo
 // timing.
+//
+// The coordinator does not schedule. Every cell stays a job of the
+// experiment pool (internal/experiments/pool), which calls
+// Coordinator.RunCell for it: so retries, fail-fast, skip-on-cancel
+// and the store work in a distributed run exactly as in a local one.
+// RunCell waits for an idle worker, dispatches the cell, and waits
+// for the worker's report.
 //
 // Robustness is the headline contract, because at fleet scale
 // something is always failing:
 //
-//   - per-worker heartbeats and per-cell deadlines detect dead and
-//     hung workers;
-//   - cells owned by a dead worker are reassigned automatically,
-//     bounded per cell so a poison cell cannot eat the fleet;
-//   - transient cell errors retry with exponential backoff under the
-//     same pool.Policy semantics as a local run.
+//   - per-worker heartbeats and per-cell deadlines (Options.JobTimeout)
+//     detect dead and hung workers;
+//   - a cell whose worker is lost is dispatched again, bounded per
+//     cell (Options.MaxDeaths) so a poison cell cannot eat the fleet;
+//   - a transient cell error stays transient across the wire, so the
+//     pool retries it under Config.Policy like a local one;
+//   - once the last worker is lost with no replacement possible, every
+//     waiting and later dispatch fails at once instead of hanging.
 //
 // Workers hold no state worth keeping: they never open the cell store
 // (experiments.Config.Store) — only the process that owns the run
 // does, storing each payload as it arrives — so a worker's death
-// loses at most the one cell it was running, which is reassigned.
+// loses at most the one cell it was running, which is dispatched
+// again.
 //
 // The wire protocol is deliberately minimal: 4-byte big-endian
 // length-prefixed JSON frames over any byte stream. Workers re-derive
@@ -32,6 +42,7 @@ package fabric
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -39,7 +50,6 @@ import (
 	"sync"
 
 	"falseshare/internal/experiments"
-	"falseshare/internal/obs"
 )
 
 // Frame types. The coordinator sends hello, assign, ping and
@@ -75,12 +85,9 @@ type Frame struct {
 	// assign + result
 	Key string `json:"key,omitempty"`
 
-	// result: a successful cell's payload — the same result, span
-	// subtree and events the coordinator's cell store keeps — or a
-	// failed cell's error
-	Data      json.RawMessage         `json:"data,omitempty"`
-	Spans     []*obs.Span             `json:"spans,omitempty"`
-	Events    *experiments.CellEvents `json:"events,omitempty"`
+	// result: a successful cell's payload — the CellResult the
+	// coordinator's cell store keeps — or a failed cell's error
+	Result    *experiments.CellResult `json:"result,omitempty"`
 	Err       string                  `json:"err,omitempty"`
 	Retryable bool                    `json:"retryable,omitempty"`
 
@@ -122,7 +129,9 @@ func (c *Conn) Close() error {
 
 // Read decodes the next frame. io.EOF means the peer closed cleanly
 // between frames; any mid-frame truncation or undecodable payload is
-// an error — the fabric treats both as a dead peer.
+// an error — the fabric treats both as a dead peer. The body buffer
+// grows with the bytes that arrive, not with the length the header
+// claims, so a torn frame costs only what was sent.
 func (c *Conn) Read() (*Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
@@ -135,12 +144,15 @@ func (c *Conn) Read() (*Frame, error) {
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("fabric: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, c.r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a torn body is not a clean close
+		}
 		return nil, fmt.Errorf("fabric: read frame body: %w", err)
 	}
 	f := &Frame{}
-	if err := json.Unmarshal(buf, f); err != nil {
+	if err := json.Unmarshal(body.Bytes(), f); err != nil {
 		return nil, fmt.Errorf("fabric: decode frame: %w", err)
 	}
 	if f.Type == "" {
@@ -194,8 +206,8 @@ func (c *Conn) writeRaw(b []byte) error {
 }
 
 // transientError is a worker-reported error whose transience survived
-// the wire (Frame.Retryable), so the coordinator's retry policy and
-// the pool's default classifier both still see it.
+// the wire (Frame.Retryable), so the pool's retry policy still sees
+// it.
 type transientError struct{ msg string }
 
 func (e *transientError) Error() string   { return e.msg }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,18 +21,24 @@ func pipeConn() (*Conn, *Conn) {
 	return NewConn(ar, aw), NewConn(br, bw)
 }
 
-func TestConnRoundTrip(t *testing.T) {
-	a, b := pipeConn()
-	frames := []*Frame{
+// roundTripFrames is one frame of every type, as the protocol sends
+// them.
+func roundTripFrames() []*Frame {
+	return []*Frame{
 		{Type: TypeHello, Spec: &experiments.ConfigSpec{Scale: 3}, Set: &experiments.SectionSet{Sections: []string{"matrix"}}, Faults: "pool.worker:error"},
 		{Type: TypeReady, Cells: 42},
 		{Type: TypeAssign, Key: "matrix/gen-001/mesi/flat"},
-		{Type: TypeResult, Key: "matrix/gen-001/mesi/flat", Data: json.RawMessage(`{"x":1}`), Spans: []*obs.Span{{Name: "job"}}},
+		{Type: TypeResult, Key: "matrix/gen-001/mesi/flat", Result: &experiments.CellResult{Key: "matrix/gen-001/mesi/flat", Data: json.RawMessage(`{"x":1}`), Spans: []*obs.Span{{Name: "job"}}}},
 		{Type: TypeResult, Key: "k", Err: "boom", Retryable: true},
 		{Type: TypePing},
 		{Type: TypePong},
 		{Type: TypeShutdown},
 	}
+}
+
+func TestConnRoundTrip(t *testing.T) {
+	a, b := pipeConn()
+	frames := roundTripFrames()
 	done := make(chan error, 1)
 	go func() {
 		for _, f := range frames {
@@ -77,7 +84,7 @@ func TestConnTransientSurvivesWire(t *testing.T) {
 // coordinator sees a protocol error (dead worker), not a hang.
 func TestConnMangledFrame(t *testing.T) {
 	a, b := pipeConn()
-	go a.writeMangled(&Frame{Type: TypeResult, Key: "k", Data: json.RawMessage(`{"x":1}`)})
+	go a.writeMangled(&Frame{Type: TypeResult, Key: "k", Result: &experiments.CellResult{Key: "k", Data: json.RawMessage(`{"x":1}`)}})
 	_, err := b.Read()
 	if err == nil {
 		t.Fatal("mangled frame decoded cleanly")
@@ -124,7 +131,94 @@ func TestConnEOFSemantics(t *testing.T) {
 func TestConnRejectsOversizeWrite(t *testing.T) {
 	c := NewConn(bytes.NewReader(nil), io.Discard)
 	big := json.RawMessage(`"` + strings.Repeat("x", MaxFrame) + `"`)
-	if err := c.Write(&Frame{Type: TypeResult, Data: big}); err == nil {
+	if err := c.Write(&Frame{Type: TypeResult, Result: &experiments.CellResult{Data: big}}); err == nil {
 		t.Error("oversize frame written without error")
 	}
+}
+
+// TestConnTornHeaderAllocatesLittle: a header that claims MaxFrame
+// with almost nothing behind it costs what arrived, not the claimed
+// length — any peer that reaches a -listen port can send one.
+func TestConnTornHeaderAllocatesLittle(t *testing.T) {
+	in := append(frameHeader(MaxFrame), `{"type":"result","key":"k"`...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewConn(bytes.NewReader(in), io.Discard).Read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("torn frame decoded")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("torn max-length frame allocated %d bytes, want < 1 MiB", d)
+	}
+}
+
+func frameHeader(n uint32) []byte {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], n)
+	return hdr[:]
+}
+
+// encodeFrame is f as Conn.Write puts it on the wire.
+func encodeFrame(t testing.TB, f *Frame) []byte {
+	var buf bytes.Buffer
+	if err := NewConn(nil, &buf).Write(f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wellFormed reports whether in starts with a whole in-range frame
+// whose body decodes to a frame with a type: exactly the inputs Read
+// must accept.
+func wellFormed(in []byte) bool {
+	if len(in) < 4 {
+		return false
+	}
+	n := binary.BigEndian.Uint32(in)
+	if n == 0 || n > MaxFrame || uint64(len(in)-4) < uint64(n) {
+		return false
+	}
+	var f Frame
+	return json.Unmarshal(in[4:4+n], &f) == nil && f.Type != ""
+}
+
+// FuzzConnRead: the frame decoder never panics, rejects every input
+// that is not a whole, in-range, typed frame, and a frame it accepts
+// encodes, decodes and encodes again to the same bytes.
+func FuzzConnRead(f *testing.F) {
+	for _, fr := range roundTripFrames() {
+		f.Add(encodeFrame(f, fr))
+	}
+	hello := encodeFrame(f, roundTripFrames()[0])
+	f.Add(hello[:2])                                     // torn header
+	f.Add(hello[:len(hello)/2])                          // torn body
+	f.Add(frameHeader(0))                                // zero length
+	f.Add(append(frameHeader(MaxFrame+1), hello[4:]...)) // oversize length
+	mangled := append([]byte(nil), hello...)
+	for i := 4; i < len(mangled); i++ {
+		mangled[i] ^= 0x5a
+	}
+	f.Add(mangled)                                   // mangled JSON
+	f.Add(append(frameHeader(11), `{"key":"k"}`...)) // no type
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := NewConn(bytes.NewReader(in), io.Discard).Read()
+		if ok := wellFormed(in); ok != (err == nil) {
+			t.Fatalf("well-formed=%v but Read returned err=%v", ok, err)
+		}
+		if err != nil {
+			if got != nil {
+				t.Fatalf("Read returned a frame with error %v", err)
+			}
+			return
+		}
+		first := encodeFrame(t, got)
+		again, err := NewConn(bytes.NewReader(first), io.Discard).Read()
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v\n%q", err, first)
+		}
+		if second := encodeFrame(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("frame does not round-trip:\n%q\n%q", first, second)
+		}
+	})
 }

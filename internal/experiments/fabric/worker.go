@@ -195,11 +195,7 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *
 		res.Err = err.Error()
 		res.Retryable = pool.Transient(err)
 	default:
-		res.Data = data
-		res.Spans = spans
-		if !ev.Empty() {
-			res.Events = &ev
-		}
+		res.Result = &experiments.CellResult{Key: a.Key, Data: data, Spans: spans, Events: ev}
 	}
 	if ferr := faultinject.Fire(ctx, "worker.send", a.Key); ferr != nil && faultinject.IsCorrupt(ferr) {
 		conn.writeMangled(res)

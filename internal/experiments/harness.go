@@ -95,8 +95,11 @@ type Config struct {
 	// Verify's events, a replayed cell's reports come back from Store.
 	Diag bool
 	// Runner, when non-nil, executes cells in other processes: every
-	// driver fan-out is dispatched through it instead of the local
-	// pool (cells already in Store still resolve locally first). The
+	// cell the store does not hold still runs as a pool job under
+	// Policy, but calls the runner instead of computing here. Each
+	// cell then gets its own goroutine and no pool deadline, because
+	// the runner's fleet bounds concurrency and times each cell from
+	// its dispatch: Workers and Policy.JobTimeout do not apply. The
 	// distributed fabric's coordinator implements it; see CellRunner.
 	Runner CellRunner
 
@@ -147,29 +150,26 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 }
 
 // runJobs routes every experiment's fan-out through the configured
-// context, failure policy, store and event log: cells already in
-// cfg.Store return their stored results without running, fresh
+// context, failure policy, store, event log and runner: cells already
+// in cfg.Store return their stored results without running, fresh
 // successes are stored as they finish, and every successful cell's
 // events are appended to cfg.Events in submission order.
 //
-// Two alternate modes branch here, both invisible to the drivers:
-// with cfg.enum set (Collect) the jobs are captured, not run, and the
-// driver sees zero-valued results behind an errCollected sentinel;
-// with cfg.Runner set the cells execute in other processes and the
-// results, spans and events are reassembled locally.
+// With cfg.Runner set the cells run in other processes, through the
+// same pool (see Config.Runner). With cfg.enum set (Collect) the jobs
+// are captured, not run, and the driver sees zero-valued results
+// behind an errCollected sentinel.
 func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
 	if cfg.enum != nil {
 		collectJobs(cfg.enum, jobs)
 		return make([]T, len(jobs)), errCollected
 	}
 	events := make([]CellEvents, len(jobs))
-	var results []T
-	var err error
+	workers, pol := cfg.Workers, cfg.Policy
 	if cfg.Runner != nil {
-		results, err = runRemote(cfg, name, jobs, events)
-	} else {
-		results, err = pool.RunPolicy(cfg.Ctx, name, cfg.Workers, cfg.Policy, cellJobs(cfg, jobs, events))
+		workers, pol.JobTimeout = len(jobs), 0
 	}
+	results, err := pool.RunPolicy(cfg.Ctx, name, workers, pol, cellJobs(cfg, jobs, events))
 	if cfg.Events != nil {
 		for _, ev := range events {
 			cfg.Events.Degraded = append(cfg.Events.Degraded, ev.Degraded...)

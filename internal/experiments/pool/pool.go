@@ -147,16 +147,16 @@ type Policy struct {
 
 // Transient reports whether err is worth retrying: some error in its
 // chain implements `Transient() bool` and reports true (injected
-// faults marked :transient do). The pool and the fabric both retry by
-// it.
+// faults marked :transient do, and the fabric keeps a worker-reported
+// error's transience across the wire). The pool retries by it.
 func Transient(err error) bool {
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()
 }
 
-// RetryDelay is the backoff before retry attempt+1: Backoff (default
+// retryDelay is the backoff before retry attempt+1: Backoff (default
 // 100ms), doubled per earlier attempt.
-func (p Policy) RetryDelay(attempt int) time.Duration {
+func (p Policy) retryDelay(attempt int) time.Duration {
 	d := p.Backoff
 	if d <= 0 {
 		d = 100 * time.Millisecond
@@ -164,9 +164,9 @@ func (p Policy) RetryDelay(attempt int) time.Duration {
 	return d << attempt
 }
 
-// Workers normalizes a -j style worker count: values <= 0 mean
+// workerCount normalizes a -j style worker count: values <= 0 mean
 // runtime.GOMAXPROCS(0).
-func Workers(n int) int {
+func workerCount(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -192,7 +192,7 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers = Workers(workers)
+	workers = workerCount(workers)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -282,7 +282,7 @@ func runOne[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[T]) 
 		}
 		span.Count("retries", 1)
 		obs.LogfCtx(ctx, "pool: retrying %s after transient failure: %v", job.Key, err)
-		if !sleep(ctx, pol.RetryDelay(attempt)) {
+		if !sleep(ctx, pol.retryDelay(attempt)) {
 			return result, err
 		}
 	}

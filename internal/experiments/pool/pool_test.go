@@ -446,10 +446,10 @@ func TestParallelPoolNoRecorder(t *testing.T) {
 
 // TestParallelWorkersDefault: the GOMAXPROCS default and clamping.
 func TestParallelWorkersDefault(t *testing.T) {
-	if Workers(0) < 1 || Workers(-3) < 1 {
-		t.Error("Workers must default to at least 1")
+	if workerCount(0) < 1 || workerCount(-3) < 1 {
+		t.Error("the worker count must default to at least 1")
 	}
-	if Workers(7) != 7 {
+	if workerCount(7) != 7 {
 		t.Error("explicit worker counts pass through")
 	}
 }

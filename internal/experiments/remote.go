@@ -11,19 +11,18 @@
 //     keyed by the job's pool key. A worker process, handed the same
 //     ConfigSpec and SectionSet as the coordinator, reconstructs the
 //     identical grid and can therefore execute any cell by key alone.
-//   - CellRunner is the coordinator side: runJobs hands the keys of
-//     the cells the store does not already hold to cfg.Runner and
-//     folds the returned (JSON result, span subtree, events) payloads
-//     back into results, the store, and the same "pool:<name>" /
-//     "job:<key>" span tree a local run records — so a distributed
-//     run's manifest is byte-identical to a single-process one,
-//     modulo timing.
+//   - CellRunner is the coordinator side. With Config.Runner set,
+//     runJobs still runs every cell as a pool job under Config.Policy;
+//     a cell the store does not hold calls RunCell instead of running
+//     here, and its CellResult — result JSON, span subtree, events —
+//     is then handled exactly as a replayed cell's: grafted under the
+//     same "pool:<name>" / "job:<key>" span tree, appended to
+//     Config.Events and stored. So a distributed run's manifest is
+//     byte-identical to a single-process one, modulo timing.
 //   - Each CellResult carries its cell's events (safe-mode
 //     degradations, miss-attribution reports) across the process
 //     boundary: a worker runs every cell under its own collector
-//     (WithEvents), and runJobs appends them to Config.Events exactly
-//     as it does for a local cell, so -verify / -diag summaries stay
-//     truthful.
+//     (WithEvents), so -verify / -diag summaries stay truthful.
 package experiments
 
 import (
@@ -36,7 +35,6 @@ import (
 	"runtime/debug"
 
 	"falseshare/internal/experiments/pool"
-	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/ksr"
 	"falseshare/internal/workload"
@@ -127,28 +125,13 @@ func (s SectionSet) compileReps() int {
 	return s.CompileReps
 }
 
-// CellResult is one executed cell: the result JSON, the span subtree
-// the execution recorded and the cell's side events — exactly the
-// payload the store keeps. Err is non-nil when the cell failed; Data,
-// Spans and Events are then empty.
-type CellResult struct {
-	Key    string
-	Data   json.RawMessage
-	Spans  []*obs.Span
-	Events CellEvents
-	Err    error
-	// Retries counts error-retries the runner performed before this
-	// outcome (surfaced on the job span like the local pool does).
-	Retries int
-}
-
 // CellRunner executes cells somewhere else — the distributed fabric's
-// coordinator implements it. RunCells must return one CellResult per
-// key, index-aligned, regardless of failures (per-cell errors go in
-// CellResult.Err); its own error is reserved for whole-run breakdowns
-// (no live workers, cancellation before any dispatch).
+// coordinator implements it. RunCell returns the cell's payload once
+// it has run in another process, or the reason it could not run. An
+// error that pool.Transient reports as transient is retried by the
+// pool under Config.Policy, exactly like a local cell's.
 type CellRunner interface {
-	RunCells(ctx context.Context, section string, keys []string) ([]CellResult, error)
+	RunCell(ctx context.Context, key string) (CellResult, error)
 }
 
 // errCollected is returned by runJobs in enumeration mode. Drivers'
@@ -157,8 +140,8 @@ var errCollected = errors.New("experiments: cells collected, not run")
 
 // CellFunc executes one enumerated cell: the job's result marshaled
 // to JSON plus the span subtree recorded while running it. The cell's
-// events go to the collector on ctx (WithEvents). It is safe to call
-// from any goroutine, once at a time per Enumeration.
+// events go to the collector on ctx (WithEvents). Cells share nothing
+// mutable, so any number may run at once, from any goroutines.
 type CellFunc func(ctx context.Context) (json.RawMessage, []*obs.Span, error)
 
 // Enumeration is a run's full cell grid, keyed by pool key. Sections
@@ -241,7 +224,8 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 // type-erased CellFuncs. The erased runner reproduces what one local
 // pool attempt does around a job: a private recorder on the job's
 // context (so the captured span subtree is exactly what the store
-// keeps), the pool.worker fault point, and panic containment.
+// keeps) and panic containment. The pool.worker fault point fires in
+// the pool that dispatches the cell, not here.
 func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 	for _, j := range jobs {
 		e.add(j.Key, func(ctx context.Context) (data json.RawMessage, spans []*obs.Span, err error) {
@@ -257,9 +241,6 @@ func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 					err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 				}
 			}()
-			if ferr := faultinject.Fire(ctx, "pool.worker", j.Key); ferr != nil {
-				return nil, nil, ferr
-			}
 			v, rerr := j.Run(ctx)
 			if rerr != nil {
 				return nil, nil, rerr
@@ -271,95 +252,6 @@ func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 			return b, nil, nil
 		})
 	}
-}
-
-// runRemote is runJobs' coordinator path: resolve stored cells
-// locally, hand the rest to cfg.Runner, and reassemble results, spans,
-// events, stored payloads and keyed errors so callers — and the
-// manifests — cannot tell the cells ran in other processes.
-func runRemote[T any](cfg Config, name string, jobs []pool.Job[T], events []CellEvents) ([]T, error) {
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	parent := obs.BeginCtx(ctx, "pool:"+name)
-	parent.Set("jobs", int64(len(jobs)))
-	workers := pool.Workers(cfg.Workers)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	parent.Set("workers", int64(workers))
-	defer parent.End()
-	spans := make([]*obs.Span, len(jobs))
-	for i, j := range jobs {
-		spans[i] = parent.Child("job:" + j.Key)
-	}
-
-	results := make([]T, len(jobs))
-	errs := make([]error, len(jobs))
-	var keys []string
-	var idx []int
-	for i, j := range jobs {
-		if v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, j.Fingerprint); ok {
-			results[i] = v
-			events[i] = p.Events
-			spans[i].Adopt(p.Spans)
-			spans[i].End()
-			continue
-		}
-		keys = append(keys, j.Key)
-		idx = append(idx, i)
-	}
-
-	var rres []CellResult
-	var rerr error
-	if len(keys) > 0 {
-		rres, rerr = cfg.Runner.RunCells(ctx, name, keys)
-	}
-	if rres == nil {
-		rres = make([]CellResult, len(keys))
-		for k := range rres {
-			cause := rerr
-			if cause == nil {
-				cause = errors.New("fabric: no result")
-			}
-			rres[k] = CellResult{Key: keys[k], Err: cause}
-		}
-	}
-	for k, res := range rres {
-		i := idx[k]
-		if res.Retries > 0 {
-			spans[i].Count("retries", int64(res.Retries))
-		}
-		if res.Err != nil {
-			errs[i] = res.Err
-			spans[i].Fail(res.Err)
-			spans[i].End()
-			continue
-		}
-		if uerr := json.Unmarshal(res.Data, &results[i]); uerr != nil {
-			errs[i] = fmt.Errorf("fabric: cell %s returned unreadable result: %w", jobs[i].Key, uerr)
-			spans[i].Fail(errs[i])
-			spans[i].End()
-			continue
-		}
-		spans[i].Adopt(res.Spans)
-		spans[i].End()
-		events[i] = res.Events
-		storeCell(ctx, cfg.Store, jobs[i].Fingerprint, cellPayload{Key: jobs[i].Key, Data: res.Data, Spans: res.Spans, Events: res.Events})
-	}
-
-	var failed []*pool.Error
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, &pool.Error{Key: jobs[i].Key, Err: err})
-		}
-	}
-	if failed != nil {
-		parent.Set("failed", int64(len(failed)))
-		return results, &pool.MultiError{Errors: failed, Jobs: len(jobs)}
-	}
-	return results, nil
 }
 
 // fingerprint assembles a cell's store key material: the section,

@@ -7,8 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"falseshare/internal/experiments/pool"
+	"falseshare/internal/obs"
 	"falseshare/internal/sim/ksr"
 )
 
@@ -17,28 +21,23 @@ import (
 // under its own event collector, its payload carrying result, spans
 // and events — but without crossing a process boundary: the cheapest
 // way to prove runJobs' Runner path reassembles results, spans,
-// events and errors faithfully.
+// events and errors faithfully. The pool calls it from one goroutine
+// per cell, so cells run concurrently.
 type localRunner struct {
 	enum *Enumeration
 	down bool // refuse every cell (simulates an unreachable fleet)
 }
 
-func (r *localRunner) RunCells(ctx context.Context, section string, keys []string) ([]CellResult, error) {
-	out := make([]CellResult, len(keys))
-	for i, key := range keys {
-		if r.down {
-			out[i] = CellResult{Key: key, Err: errors.New("fleet unreachable")}
-			continue
-		}
-		var ev CellEvents
-		data, spans, err, ok := r.enum.Run(WithEvents(ctx, &ev), key)
-		if !ok {
-			out[i] = CellResult{Key: key, Err: fmt.Errorf("no cell %q", key)}
-			continue
-		}
-		out[i] = CellResult{Key: key, Data: data, Spans: spans, Events: ev, Err: err}
+func (r *localRunner) RunCell(ctx context.Context, key string) (CellResult, error) {
+	if r.down {
+		return CellResult{}, errors.New("fleet unreachable")
 	}
-	return out, nil
+	var ev CellEvents
+	data, spans, err, ok := r.enum.Run(WithEvents(ctx, &ev), key)
+	if !ok {
+		return CellResult{}, fmt.Errorf("no cell %q", key)
+	}
+	return CellResult{Key: key, Data: data, Spans: spans, Events: ev}, err
 }
 
 func remoteTestGrid() (Config, MatrixOptions, SectionSet) {
@@ -222,26 +221,150 @@ func TestRunnerStoreShortCircuit(t *testing.T) {
 	}
 }
 
-// TestRunnerNilResultBackfill: a runner that returns (nil, err) — a
-// whole-fleet breakdown — must surface a per-cell error for every
-// requested cell, never a panic or silent zero results.
+// TestRunnerNilResultBackfill: a runner whose whole fleet is gone
+// fails every cell it is asked for, and each cell must surface that
+// error under its own key — never a panic or silent zero results.
 func TestRunnerNilResultBackfill(t *testing.T) {
-	cfg, mopt, _ := remoteTestGrid()
+	cfg, mopt, set := remoteTestGrid()
+	keys := remoteTestKeys(t, cfg, set)
 	rcfg := cfg
 	rcfg.Runner = brokenRunner{}
 	_, err := Matrix(rcfg, mopt)
-	if err == nil {
-		t.Fatal("fleet breakdown produced no error")
+	failures := pool.Failures(err)
+	if len(failures) != len(keys) {
+		t.Fatalf("%d of %d cells failed, want all: %v", len(failures), len(keys), err)
 	}
-	if !strings.Contains(err.Error(), "all workers dead") && !strings.Contains(err.Error(), "failed") {
-		t.Logf("breakdown error: %v", err)
+	for _, f := range failures {
+		if !errors.Is(f.Err, errFleetDead) {
+			t.Errorf("cell %s failed with %v, want the runner's error", f.Key, f.Err)
+		}
 	}
 }
 
+var errFleetDead = errors.New("fabric: all workers dead")
+
 type brokenRunner struct{}
 
-func (brokenRunner) RunCells(ctx context.Context, section string, keys []string) ([]CellResult, error) {
-	return nil, errors.New("fabric: all workers dead")
+func (brokenRunner) RunCell(ctx context.Context, key string) (CellResult, error) {
+	return CellResult{}, errFleetDead
+}
+
+// remoteTestKeys enumerates the grid's cell keys the way a worker does.
+func remoteTestKeys(t *testing.T, cfg Config, set SectionSet) []string {
+	t.Helper()
+	enum, err := Collect(cfg.Spec().Config(), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enum.Keys()
+}
+
+// blip is a transient error: the pool retries it.
+type blip struct{}
+
+func (blip) Error() string   { return "blip" }
+func (blip) Transient() bool { return true }
+
+// flakyRunner fails the first dispatch of one cell with a transient
+// error and runs everything else in process.
+type flakyRunner struct {
+	localRunner
+	key     string
+	tripped atomic.Bool
+}
+
+func (r *flakyRunner) RunCell(ctx context.Context, key string) (CellResult, error) {
+	if key == r.key && r.tripped.CompareAndSwap(false, true) {
+		return CellResult{}, blip{}
+	}
+	return r.localRunner.RunCell(ctx, key)
+}
+
+// TestRunnerTransientRetry: a runner's transient failure is retried by
+// the pool under Config.Policy, exactly like a local cell's, and the
+// job span counts the retry.
+func TestRunnerTransientRetry(t *testing.T) {
+	cfg, mopt, set := remoteTestGrid()
+	enum, err := Collect(cfg.Spec().Config(), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := enum.Keys()[0]
+	want, err := Matrix(cfg, mopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := obs.NewRecorder()
+	rcfg := cfg
+	rcfg.Ctx = obs.WithRecorder(context.Background(), rec)
+	rcfg.Policy = pool.Policy{Retries: 1, Backoff: time.Millisecond}
+	rcfg.Runner = &flakyRunner{localRunner: localRunner{enum: enum}, key: victim}
+	got, err := Matrix(rcfg, mopt)
+	if err != nil {
+		t.Fatalf("transient runner failure was not retried: %v", err)
+	}
+	if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, want)) {
+		t.Error("retried run differs from the local run")
+	}
+	job := rec.Find("job:" + victim)
+	if job == nil {
+		t.Fatalf("no span for job %s", victim)
+	}
+	if n := job.Counters["retries"]; n != 1 {
+		t.Errorf("job span retries = %d, want 1", n)
+	}
+}
+
+// blockingRunner fails one cell at once and holds every other cell
+// until its context ends, like a fleet busy with long cells.
+type blockingRunner struct{ fail string }
+
+func (r blockingRunner) RunCell(ctx context.Context, key string) (CellResult, error) {
+	if key == r.fail {
+		return CellResult{}, errors.New("cell broke")
+	}
+	<-ctx.Done()
+	return CellResult{}, ctx.Err()
+}
+
+// TestRunnerFailFastCancelsInFlight: under a fail-fast policy one
+// failing remote cell cancels the cells in flight, as it does local
+// ones, and the run returns with every other cell cancelled or
+// skipped.
+func TestRunnerFailFastCancelsInFlight(t *testing.T) {
+	cfg, mopt, set := remoteTestGrid()
+	keys := remoteTestKeys(t, cfg, set)
+	victim := keys[len(keys)/2]
+	rcfg := cfg
+	rcfg.Policy = pool.Policy{FailFast: true}
+	rcfg.Runner = blockingRunner{fail: victim}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := Matrix(rcfg, mopt)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("fail-fast did not end the cells in flight")
+	}
+	failures := pool.Failures(err)
+	if len(failures) != len(keys) {
+		t.Fatalf("%d of %d cells failed, want all: %v", len(failures), len(keys), err)
+	}
+	for _, f := range failures {
+		switch {
+		case f.Key == victim:
+			if !strings.Contains(f.Err.Error(), "cell broke") {
+				t.Errorf("failing cell %s reports %v", f.Key, f.Err)
+			}
+		case !errors.Is(f.Err, context.Canceled) && !errors.Is(f.Err, pool.ErrSkipped):
+			t.Errorf("cell %s failed with %v, want cancelled or skipped", f.Key, f.Err)
+		}
+	}
 }
 
 // TestFingerprintDeterminism pins the cache-key material: stable

@@ -14,6 +14,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 
 	"falseshare/internal/artifact"
 	"falseshare/internal/experiments/pool"
@@ -27,13 +28,13 @@ import (
 // results. The falseshare/bench schema idiom (see BenchSchema).
 const CellSchema = "falseshare/cell/v2"
 
-// cellPayload is one finished cell as the store keeps it: the result
-// JSON, the span subtree its execution recorded, and its side events
-// — the same four things a CellResult and a fabric worker's result
-// frame carry, so a replayed or remote cell reconstructs the same
-// manifest and the same -verify/-diag summaries as one computed in
-// process.
-type cellPayload struct {
+// CellResult is one finished cell: the result JSON, the span subtree
+// its execution recorded, and its side events. It is the one payload
+// the store keeps, a fabric worker's result frame carries and a
+// CellRunner returns, so a replayed or remote cell reconstructs the
+// same manifest and the same -verify/-diag summaries as one computed
+// in process.
+type CellResult struct {
 	Key    string          `json:"key"`
 	Data   json.RawMessage `json:"data"`
 	Spans  []*obs.Span     `json:"spans,omitempty"`
@@ -47,9 +48,6 @@ type CellEvents struct {
 	Degraded []DegradeEvent `json:"degraded,omitempty"`
 	Diag     []DiagCell     `json:"diag,omitempty"`
 }
-
-// Empty reports whether there is nothing recorded.
-func (ev CellEvents) Empty() bool { return len(ev.Degraded) == 0 && len(ev.Diag) == 0 }
 
 type eventsKey struct{}
 
@@ -68,23 +66,38 @@ func cellEvents(ctx context.Context) *CellEvents {
 	return ev
 }
 
-// cellJobs wraps each job for the store and the event log, inside the
-// pool attempt. A stored cell returns its result without running,
-// replaying its span subtree into the attempt's recorder and its
-// events into events[i]. A cell that runs records its events into
-// events[i] and, once it succeeds, is stored if it has a fingerprint.
-// The pool gives every attempt a private recorder whenever the run
-// has one; when it has none, a cell to be stored gets its own, so
-// every stored cell carries its span subtree.
+// cellJobs wraps each job for the store, the event log and the
+// runner, inside the pool attempt. A stored cell returns its result
+// without running, replaying its span subtree into the attempt's
+// recorder and its events into events[i]. With cfg.Runner set, any
+// other cell runs through it, and its result is stored and then
+// replayed the same way. Without one, a cell that runs records its
+// events into events[i] and, once it succeeds, is stored if it has a
+// fingerprint. The pool gives every attempt a private recorder
+// whenever the run has one; when it has none, a cell to be stored
+// gets its own, so every stored cell carries its span subtree.
 func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool.Job[T] {
-	if cfg.Store == nil && cfg.Events == nil {
+	if cfg.Store == nil && cfg.Events == nil && cfg.Runner == nil {
 		return jobs
 	}
 	out := make([]pool.Job[T], len(jobs))
 	for i, j := range jobs {
 		out[i] = j
 		out[i].Run = func(ctx context.Context) (T, error) {
-			if v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, j.Fingerprint); ok {
+			v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, j.Fingerprint)
+			if !ok && cfg.Runner != nil {
+				var err error
+				if p, err = cfg.Runner.RunCell(ctx, j.Key); err != nil {
+					return v, err
+				}
+				if err := json.Unmarshal(p.Data, &v); err != nil {
+					var zero T
+					return zero, fmt.Errorf("cell %s returned an unreadable result: %w", j.Key, err)
+				}
+				storeCell(ctx, cfg.Store, j.Fingerprint, p)
+				ok = true
+			}
+			if ok {
 				obs.FromContext(ctx).Adopt(p.Spans)
 				events[i] = p.Events
 				return v, nil
@@ -105,7 +118,7 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 				if data, merr := json.Marshal(v); merr != nil {
 					obs.LogfCtx(ctx, "store: %s: %v", j.Key, merr)
 				} else {
-					storeCell(ctx, cfg.Store, j.Fingerprint, cellPayload{Key: j.Key, Data: data, Spans: rec.Spans(), Events: ev})
+					storeCell(ctx, cfg.Store, j.Fingerprint, CellResult{Key: j.Key, Data: data, Spans: rec.Spans(), Events: ev})
 				}
 			}
 			return v, nil
@@ -117,7 +130,7 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 // loadCell returns the decoded cell stored under fingerprint fp. A
 // payload stored for another key, or whose result no longer decodes
 // into T, is a miss: the cost of a stale entry is one recomputation.
-func loadCell[T any](ctx context.Context, st *artifact.Store, key, fp string) (v T, p cellPayload, ok bool) {
+func loadCell[T any](ctx context.Context, st *artifact.Store, key, fp string) (v T, p CellResult, ok bool) {
 	raw, hit := st.Get(CellSchema, fp)
 	if !hit {
 		return v, p, false
@@ -125,7 +138,7 @@ func loadCell[T any](ctx context.Context, st *artifact.Store, key, fp string) (v
 	if json.Unmarshal(raw, &p) != nil || p.Key != key || json.Unmarshal(p.Data, &v) != nil {
 		obs.LogfCtx(ctx, "store: stale cell %s; recomputing", key)
 		var zero T
-		return zero, cellPayload{}, false
+		return zero, CellResult{}, false
 	}
 	return v, p, true
 }
@@ -134,7 +147,7 @@ func loadCell[T any](ctx context.Context, st *artifact.Store, key, fp string) (v
 // Unfingerprinted cells (compilecost's timings) are never stored. A
 // failed write is logged, not returned: it only costs a future
 // recomputation.
-func storeCell(ctx context.Context, st *artifact.Store, fp string, p cellPayload) {
+func storeCell(ctx context.Context, st *artifact.Store, fp string, p CellResult) {
 	if st == nil || fp == "" {
 		return
 	}

@@ -152,7 +152,7 @@ func TestStoreSpanRoundTrip(t *testing.T) {
 		Children: []*obs.Span{{Name: "vm", Counters: map[string]int64{"refs": 7}}},
 	}}
 	st := openStore(t, dir)
-	storeCell(context.Background(), st, "t:fp", cellPayload{Key: "k", Data: json.RawMessage(`{}`), Spans: spans})
+	storeCell(context.Background(), st, "t:fp", CellResult{Key: "k", Data: json.RawMessage(`{}`), Spans: spans})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestStoreSpanRoundTrip(t *testing.T) {
 // falls through to the job.
 func TestStoreStalePayloadIsMiss(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	for name, p := range map[string]cellPayload{
+	for name, p := range map[string]CellResult{
 		"undecodable": {Key: "fig3/maxflow/N/b128", Data: json.RawMessage(`"a plain string, not a cell"`)},
 		"other key":   {Key: "fig3/maxflow/C/b128", Data: json.RawMessage(`{"prog":"maxflow","miss":99}`)},
 	} {

@@ -22,7 +22,11 @@
 //	                                          that picks up that cell
 //	worker.send:corrupt:count=1               mangle one result frame
 //
-// Points: pool.worker, core.compile, core.restructure, vm.run,
+// Points: pool.worker (fired once per job attempt by the experiment
+// pool of the process that owns the run, before the job runs — with
+// fsexp -workers that is the coordinator, before the cell is
+// dispatched, so its count/after rules count across the whole run),
+// core.compile, core.restructure, vm.run,
 // trace.partee, transform.apply (detail: the decision's target key —
 // fail one transformation decision), transform.corrupt (same detail;
 // makes the applier emit a deliberately wrong rewrite, a seeded
