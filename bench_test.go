@@ -106,7 +106,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkAggregates regenerates the §1/§5 headline numbers at 128B.
 func BenchmarkAggregates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, err := experiments.ComputeAggregates(quickCfg(), 128)
+		a, err := experiments.ComputeAggregates(quickCfg())
 		if err != nil {
 			b.Fatal(err)
 		}

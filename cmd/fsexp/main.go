@@ -39,12 +39,14 @@
 //
 // The cell store: -cache dir keeps every finished cell — result, span
 // subtree, -verify/-diag events — in a crash-safe content-addressed
-// store keyed by everything the cell depends on (program source,
-// configuration, scale, budget, -verify, -diag). Any later run over
-// the same cells, local or distributed, replays them instead of
-// recomputing: that is how an interrupted run resumes, and how
-// overlapping runs dedup. A changed knob changes the key, so a cell
-// is never replayed into a run it does not belong to.
+// store. A cell's address is its key, the run's settings (scale,
+// budget, -verify, -diag, the KSR machine or -matrix options) and the
+// sha256 of the fsexp binary that computed it. Any later run of the
+// same build over the same cells, local or distributed, replays them
+// instead of recomputing: that is how an interrupted run resumes, and
+// how overlapping runs dedup. A changed setting or a rebuilt binary
+// changes the address, so a cell is never replayed into a run it does
+// not belong to; -compilecost timings are never stored.
 package main
 
 import (
@@ -99,7 +101,7 @@ func main() {
 		connect    = flag.String("connect", "", "with -worker: attach to a coordinator listening at this host:port")
 		workersN   = flag.Int("workers", 0, "distribute cells across this many spawned worker processes (0 = run in-process)")
 		listenAddr = flag.String("listen", "", "accept external fabric workers on this TCP host:port")
-		cacheDir   = flag.String("cache", "", "cell store directory: finished cells are stored there, and a run replays every cell already stored (resume, and dedup across runs and shards)")
+		cacheDir   = flag.String("cache", "", "cell store directory: finished cells are stored there, and a run of the same build replays every cell already stored (resume, and dedup across runs and shards)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "LRU byte budget for -cache: least-recently-used entries are evicted past this size (0 = unlimited)")
 
 		keepGoing  = flag.Bool("keep-going", false, "keep running after cell failures and render partial figures/tables (default: fail fast)")
@@ -293,17 +295,10 @@ func main() {
 			fabricRec.LogW = base.LogW
 		}
 		coord = fabric.NewCoordinator(fabric.Options{
-			Workers: *workersN,
-			Listen:  *listenAddr,
-			Spec:    cfg.Spec(),
-			Set: experiments.SectionSet{
-				Sections:     sections,
-				Matrix:       mopt,
-				Machine:      machine,
-				AggBlock:     128,
-				CompileProcs: 12,
-				CompileReps:  5,
-			},
+			Workers:    *workersN,
+			Listen:     *listenAddr,
+			Spec:       cfg.ConfigSpec,
+			Set:        experiments.SectionSet{Sections: sections, Matrix: mopt, Machine: machine},
 			Faults:     faultSpec,
 			JobTimeout: *jobTimeout,
 			Recorder:   fabricRec,
@@ -439,7 +434,7 @@ func main() {
 		}
 	}
 	if *aggr {
-		a := run("aggregates", func() (any, error) { return experiments.ComputeAggregates(cfg, 128) }).(*experiments.Aggregates)
+		a := run("aggregates", func() (any, error) { return experiments.ComputeAggregates(cfg) }).(*experiments.Aggregates)
 		fmt.Println(a.Render())
 	}
 	if *table2 {
@@ -473,7 +468,7 @@ func main() {
 		fmt.Println(experiments.RenderTable3(rows))
 	}
 	if *ccost {
-		rows := run("compilecost", func() (any, error) { return experiments.CompileCost(cfg, 12, 5) }).([]experiments.CompileCostRow)
+		rows := run("compilecost", func() (any, error) { return experiments.CompileCost(cfg) }).([]experiments.CompileCostRow)
 		fmt.Println(experiments.RenderCompileCost(rows))
 	}
 	if *matrix {

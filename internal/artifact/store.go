@@ -1,12 +1,15 @@
 // Package artifact is the crash-safe content-addressed artifact
 // store behind both the experiment cell store (fsexp -cache: every
-// finished cell, keyed by its fingerprint) and the fsd daemon's
+// finished cell, keyed by its cell address) and the fsd daemon's
 // per-stage response cache. One JSON file per artifact, addressed
-// by hash(schema version ‖ key): the schema names the
-// producing stage and its version (bumping it is a clean cache
-// flush without disturbing other generations), the key covers
-// everything the artifact depends on — source hash, configuration,
-// budgets.
+// by sha256(build ‖ schema ‖ key): build is the sha256 of the running
+// executable, so an entry is served only to the binary that computed
+// it and changed code starts cold with nothing to bump by hand (two
+// builds of one tree are identical and share entries); the schema
+// names the producing stage; the key covers the inputs — source
+// hash, configuration, budgets. The build is hashed once per
+// process, on the first Get or Put, never in Open; if the executable
+// cannot be read, Get misses and Put fails.
 //
 // Crash safety is the contract:
 //
@@ -14,9 +17,10 @@
 //     observes a torn entry and a writer killed mid-write loses at
 //     most the entry it was writing.
 //   - Open runs a recovery scan: orphaned tmp files are reaped and
-//     any entry that fails to parse or whose recorded (schema, key)
-//     disagrees with its address is dropped and counted, never
-//     served.
+//     any entry that fails to parse or whose recorded (build, schema,
+//     key) disagrees with its address is dropped and counted, never
+//     served. Entries of other builds are valid: they stay on disk as
+//     misses until LRU eviction takes them.
 //   - Reads validate; a corrupt entry found at read time is dropped
 //     (counted in CorruptDropped) and reported as a miss — the cost
 //     of corruption is one recomputation, never an error.
@@ -39,9 +43,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -96,8 +102,9 @@ type entry struct {
 
 // storedEntry is the on-disk format: self-describing, so the
 // recovery scan can validate an entry against its own address
-// without knowing which stage wrote it.
+// without knowing which stage or build wrote it.
 type storedEntry struct {
+	Build  string          `json:"build"`
 	Schema string          `json:"schema"`
 	Key    string          `json:"key"`
 	Data   json.RawMessage `json:"data"`
@@ -112,10 +119,37 @@ type indexFile struct {
 	Order []string `json:"order"`
 }
 
-// hashOf maps (schema, key) to the entry's content address.
-func hashOf(schema, key string) string {
-	sum := sha256.Sum256([]byte(schema + "\x00" + key))
+// hashOf maps (build, schema, key) to the entry's content address.
+func hashOf(build, schema, key string) string {
+	sum := sha256.Sum256([]byte(build + "\x00" + schema + "\x00" + key))
 	return hex.EncodeToString(sum[:])
+}
+
+// buildID is the identity of the running executable, hashed on first
+// use. Tests swap it.
+var buildID = sync.OnceValues(exeHash)
+
+// exeHash returns the sha256 of the running executable, streamed
+// through a small buffer. On Linux /proc/self/exe stays the running
+// file even if its path has since been replaced.
+func exeHash() (string, error) {
+	path := "/proc/self/exe"
+	if runtime.GOOS != "linux" {
+		var err error
+		if path, err = os.Executable(); err != nil {
+			return "", fmt.Errorf("artifact: build identity: %w", err)
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", fmt.Errorf("artifact: build identity: %w", err)
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("artifact: build identity: %w", err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Open opens (creating as needed) the store rooted at dir and runs
@@ -223,8 +257,8 @@ func (s *Store) recover() error {
 }
 
 // validate reads one entry file and checks it against its address:
-// parseable JSON whose recorded (schema, key) hash to the file's own
-// name. Returns the hash and file size on success.
+// parseable JSON whose recorded (build, schema, key) hash to the
+// file's own name. Returns the hash and file size on success.
 func (s *Store) validate(path string) (string, int64, bool) {
 	base := filepath.Base(path)
 	if !strings.HasSuffix(base, ".json") {
@@ -239,7 +273,7 @@ func (s *Store) validate(path string) (string, int64, bool) {
 		return "", 0, false
 	}
 	var e storedEntry
-	if json.Unmarshal(b, &e) != nil || e.Key == "" || hashOf(e.Schema, e.Key) != hash {
+	if json.Unmarshal(b, &e) != nil || e.Key == "" || e.Build == "" || hashOf(e.Build, e.Schema, e.Key) != hash {
 		return "", 0, false
 	}
 	return hash, int64(len(b)), true
@@ -252,19 +286,25 @@ func (s *Store) path(hash string) string {
 	return filepath.Join(s.dir, hash[:2], hash+".json")
 }
 
-// Get returns the artifact stored under (schema, key), if present
-// and intact. A torn, tampered, or mismatched entry is dropped and
-// reported as a miss, never an error.
+// Get returns the artifact this build stored under (schema, key), if
+// present and intact. A torn, tampered, or mismatched entry is dropped
+// and reported as a miss, never an error; so is every lookup when the
+// executable cannot be read.
 func (s *Store) Get(schema, key string) (json.RawMessage, bool) {
 	if s == nil || key == "" {
 		return nil, false
 	}
-	hash := hashOf(schema, key)
-	path := s.path(hash)
+	id, err := buildID()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	if err != nil {
+		s.misses++
+		return nil, false
+	}
+	hash := hashOf(id, schema, key)
+	path := s.path(hash)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		s.misses++
@@ -272,7 +312,7 @@ func (s *Store) Get(schema, key string) (json.RawMessage, bool) {
 		return nil, false
 	}
 	var e storedEntry
-	if json.Unmarshal(b, &e) != nil || e.Schema != schema || e.Key != key {
+	if json.Unmarshal(b, &e) != nil || e.Build != id || e.Schema != schema || e.Key != key {
 		// Corrupt on disk: drop it so the recomputed entry replaces
 		// it and the damage is visible in the counters.
 		os.Remove(path)
@@ -286,20 +326,24 @@ func (s *Store) Get(schema, key string) (json.RawMessage, bool) {
 	return e.Data, true
 }
 
-// Put stores an artifact under (schema, key), atomically: the entry
-// is fully written to a tmp file and renamed into place, so readers
-// never observe a torn entry and a crash loses at most this write.
-// Errors are advisory for cache-shaped callers — a failed Put only
-// costs future hits.
+// Put stores an artifact under (schema, key) for this build,
+// atomically: the entry is fully written to a tmp file and renamed
+// into place, so readers never observe a torn entry and a crash loses
+// at most this write. Errors are advisory for cache-shaped callers —
+// a failed Put only costs future hits.
 func (s *Store) Put(ctx context.Context, schema, key string, data json.RawMessage) error {
 	if s == nil || key == "" {
 		return nil
+	}
+	id, err := buildID()
+	if err != nil {
+		return err
 	}
 	corrupt, err := s.fire(ctx, "put/"+key)
 	if err != nil {
 		return err
 	}
-	b, err := json.Marshal(&storedEntry{Schema: schema, Key: key, Data: data})
+	b, err := json.Marshal(&storedEntry{Build: id, Schema: schema, Key: key, Data: data})
 	if err != nil {
 		return fmt.Errorf("artifact: put %s: %w", key, err)
 	}
@@ -308,7 +352,7 @@ func (s *Store) Put(ctx context.Context, schema, key string, data json.RawMessag
 		// the write proceeds so the read/recovery side must catch it.
 		b = b[:len(b)/2]
 	}
-	hash := hashOf(schema, key)
+	hash := hashOf(id, schema, key)
 	path := s.path(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("artifact: put %s: %w", key, err)

@@ -3,6 +3,8 @@ package artifact
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -50,7 +52,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if c.Hits != 1 || c.Misses != 2 || c.Entries != 1 || c.Bytes <= 0 {
 		t.Errorf("counters = %+v", c)
 	}
-	// Empty keys never enter the store (unfingerprinted work).
+	// Empty keys never enter the store.
 	put(t, s, "v1", "", `1`)
 	if _, ok := s.Get("v1", ""); ok {
 		t.Error("empty-key Get hit")
@@ -87,6 +89,100 @@ func TestStoreSchemaGenerationsCoexist(t *testing.T) {
 	}
 	if c := r.Counters(); c.CorruptDropped != 0 || c.Entries != 2 {
 		t.Errorf("reopen counters = %+v", c)
+	}
+}
+
+// address is the entry hash this build gives (schema, key).
+func address(t *testing.T, schema, key string) string {
+	t.Helper()
+	id, err := buildID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hashOf(id, schema, key)
+}
+
+// withBuild makes the store see the running executable as id, or as
+// unreadable when err is set, until the test ends.
+func withBuild(t *testing.T, id string, err error) {
+	prev := buildID
+	buildID = func() (string, error) { return id, err }
+	t.Cleanup(func() { buildID = prev })
+}
+
+// TestStoreOtherBuildIsMiss: an entry another build wrote is valid on
+// disk but never served: it is a miss for this build, survives the
+// recovery scan untouched, and is still served to its own build.
+func TestStoreOtherBuildIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	prev := buildID
+	buildID = func() (string, error) { return "other-build", nil }
+	put(t, s, "v1", "alpha", `1`)
+	buildID = prev
+
+	if _, ok := s.Get("v1", "alpha"); ok {
+		t.Fatal("another build's entry served")
+	}
+	put(t, s, "v1", "alpha", `2`)
+	if d, ok := s.Get("v1", "alpha"); !ok || string(d) != `2` {
+		t.Errorf("this build's entry = %s, %v", d, ok)
+	}
+
+	r := mustOpen(t, dir, Options{})
+	if c := r.Counters(); c.CorruptDropped != 0 || c.Entries != 2 {
+		t.Errorf("recovery scan over two builds' entries: %+v", c)
+	}
+	withBuild(t, "other-build", nil)
+	if d, ok := r.Get("v1", "alpha"); !ok || string(d) != `1` {
+		t.Errorf("other build's entry after reopen = %s, %v", d, ok)
+	}
+}
+
+// TestStoreEntryWithoutBuildDropped: an entry in the format before
+// entries recorded their build, addressed by hash(schema ‖ key), is
+// dropped as corrupt by the recovery scan.
+func TestStoreEntryWithoutBuildDropped(t *testing.T) {
+	dir := t.TempDir()
+	sum := sha256.Sum256([]byte("v1\x00alpha"))
+	old := hex.EncodeToString(sum[:])
+	path := filepath.Join(dir, old[:2], old+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(`{"schema":"v1","key":"alpha","data":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{})
+	if c := s.Counters(); c.CorruptDropped != 1 || c.Entries != 0 {
+		t.Errorf("counters = %+v, want the old entry dropped", c)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("old entry left on disk")
+	}
+	if _, ok := s.Get("v1", "alpha"); ok {
+		t.Error("old entry served")
+	}
+}
+
+// TestStoreUnreadableExecutable: without a build identity nothing is
+// served or stored — Get misses and Put fails, leaving no file.
+func TestStoreUnreadableExecutable(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	put(t, s, "v1", "alpha", `1`)
+	withBuild(t, "", errors.New("executable unreadable"))
+	if _, ok := s.Get("v1", "alpha"); ok {
+		t.Error("Get hit without a build identity")
+	}
+	if err := s.Put(ctx, "v1", "bravo", json.RawMessage(`2`)); err == nil {
+		t.Error("Put succeeded without a build identity")
+	}
+	if c := s.Counters(); c.Misses != 1 || c.Entries != 1 {
+		t.Errorf("counters = %+v", c)
+	}
+	if files := entryFiles(t, dir); len(files) != 1 {
+		t.Errorf("entry files = %v, want alpha's only", files)
 	}
 }
 
@@ -145,7 +241,7 @@ func TestStoreRecoveryScanDropsTornEntries(t *testing.T) {
 	put(t, s, "v1", "bravo", `2`)
 	// Tear bravo's file and plant an orphan tmp, as a crashed writer
 	// would leave them.
-	bh := hashOf("v1", "bravo")
+	bh := address(t, "v1", "bravo")
 	if err := os.WriteFile(s.path(bh), []byte(`{"schema":"v1","key":"bra`), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -41,48 +40,30 @@ type aggCell struct {
 	Other int64   `json:"other"`
 }
 
+// aggBlock is the block size of the aggregate numbers: 128 bytes, the
+// block the paper quotes them at.
+const aggBlock = 128
+
 // ComputeAggregates derives the headline numbers from fresh runs at
-// the given block size. Each (program × version) run is one job,
-// fanned out across cfg.Workers; the sums are accumulated after the
-// fan-out.
+// 128-byte blocks. Each (program × version) run is one job, fanned out
+// across cfg.Workers; the sums are accumulated after the fan-out.
 //
 // The aggregates compare each program's N and C runs, so when either
 // version of a program fails (and cfg.Policy keeps going) both its
 // cells are excluded from the sums — a one-sided contribution would
 // bias every headline number — and the *Partial error names the
 // failures.
-func ComputeAggregates(cfg Config, block int64) (*Aggregates, error) {
+func ComputeAggregates(cfg Config) (*Aggregates, error) {
 	var jobs []pool.Job[aggCell]
 	for _, b := range workload.Unoptimizable() {
-		procs := cfg.Fig3Procs
-		if b.Name == "topopt" && cfg.Fig3ProcsTopopt > 0 {
-			procs = cfg.Fig3ProcsTopopt
-		}
 		for _, ver := range []Version{VersionN, VersionC} {
 			key := fmt.Sprintf("aggregates/%s/%s", b.Name, ver)
-			jobs = append(jobs, pool.Job[aggCell]{
-				Key: key,
-				Fingerprint: fingerprint("aggregates",
-					"prog="+b.Name, "ver="+string(ver),
-					fmt.Sprintf("procs=%d", procs), fmt.Sprintf("blk=%d", block),
-					fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-					fmt.Sprintf("verify=%v", cfg.Verify),
-					"src="+srcHash(b.Source(cfg.Scale))),
-				Run: func(ctx context.Context) (aggCell, error) {
-					prog, err := cfg.buildProgram(ctx, key, b, ver, procs, block, transform.Config{})
-					if err != nil {
-						return aggCell{}, err
-					}
-					st, err := MeasureConfig(ctx, prog, cache.DefaultConfig(procs, block), cfg.StepBudget)
-					if err != nil {
-						return aggCell{}, err
-					}
-					return aggCell{Prog: b.Name, Ver: ver, FS: st.FalseShare, Other: st.Misses() - st.FalseShare}, nil
-				},
-			})
+			jobs = append(jobs, missJob(cfg, key, b, ver, transform.Config{}, aggBlock, false, func(st *cache.Stats) aggCell {
+				return aggCell{Prog: b.Name, Ver: ver, FS: st.FalseShare, Other: st.Misses() - st.FalseShare}
+			}))
 		}
 	}
-	cells, err := runJobs(cfg, "aggregates", jobs)
+	cells, err := runJobs(cfg, "aggregates", nil, jobs)
 	failed := failedKeys(err)
 	excluded := map[string]bool{}
 	for _, j := range jobs {
@@ -108,7 +89,7 @@ func ComputeAggregates(cfg Config, block int64) (*Aggregates, error) {
 			otherC += c.Other
 		}
 	}
-	a := &Aggregates{Block: block}
+	a := &Aggregates{Block: aggBlock}
 	if fsN+otherN > 0 {
 		a.FSFractionOfMisses = float64(fsN) / float64(fsN+otherN)
 	}

@@ -40,16 +40,15 @@ void main() {
 `
 
 // chaosJobs builds n identical compile→run→simulate jobs over the
-// chaos program, each with its own fingerprint so the store keeps
-// them apart.
+// chaos program, each under its own key so the store keeps them
+// apart.
 func chaosJobs(n int) []pool.Job[int64] {
 	const block = 64
 	jobs := make([]pool.Job[int64], n)
 	for i := range jobs {
 		key := fmt.Sprintf("chaos/cell%d", i)
 		jobs[i] = pool.Job[int64]{
-			Key:         key,
-			Fingerprint: fingerprint("chaos", key),
+			Key: key,
 			Run: func(ctx context.Context) (int64, error) {
 				prog, err := core.CompileCtx(ctx, chaosSource, core.Options{Nprocs: 4, BlockSize: block})
 				if err != nil {
@@ -106,7 +105,7 @@ func TestChaosMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			faultinject.Enable(s)
-			results, err := runJobs(cfg, "chaos", chaosJobs(nJobs))
+			results, err := runJobs(cfg, "chaos", nil, chaosJobs(nJobs))
 			faultinject.Enable(nil)
 
 			if tc.wantFail == 0 {
@@ -143,7 +142,7 @@ func TestChaosMatrix(t *testing.T) {
 				t.Errorf("store has %d cells, want %d", n, nJobs-tc.wantFail)
 			}
 			for _, j := range chaosJobs(nJobs) {
-				if _, ok := store.Get(CellSchema, j.Fingerprint); ok && failedSet[j.Key] {
+				if _, ok := store.Get(cellSchema, cellAddress(cfg, j.Key, nil)); ok && failedSet[j.Key] {
 					t.Errorf("failed cell %s was stored", j.Key)
 				}
 			}
@@ -151,11 +150,11 @@ func TestChaosMatrix(t *testing.T) {
 			// Resume with faults off: only the failed cells re-run, and
 			// the final results match an undisturbed run.
 			cfg.Store = openStore(t, dir)
-			resumed, err := runJobs(cfg, "chaos", chaosJobs(nJobs))
+			resumed, err := runJobs(cfg, "chaos", nil, chaosJobs(nJobs))
 			if err != nil {
 				t.Fatalf("resume failed: %v", err)
 			}
-			clean, err := runJobs(Config{Workers: 4}, "chaos", chaosJobs(nJobs))
+			clean, err := runJobs(Config{Workers: 4}, "chaos", nil, chaosJobs(nJobs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +182,7 @@ func TestChaosFailFastDrain(t *testing.T) {
 	cfg := Config{Workers: 1, Policy: pool.Policy{FailFast: true}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := runJobs(cfg, "chaos", chaosJobs(8))
+		_, err := runJobs(cfg, "chaos", nil, chaosJobs(8))
 		done <- err
 	}()
 	select {

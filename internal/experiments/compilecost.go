@@ -38,20 +38,20 @@ func (r CompileCostRow) Overhead() float64 {
 }
 
 // CompileCost measures front-end vs full-restructurer time over the
-// suite with ecfg's scale, workers and policy, repeating
-// each measurement and keeping the minimum (the usual noise-robust
-// choice for microtimings). One job per benchmark; the minimum-of-reps
-// absorbs most of the scheduling noise concurrent timing adds, but
-// the steadiest numbers come from ecfg.Workers == 1.
+// suite with ecfg's scale, workers and policy, restructuring for 12
+// processors and 128-byte blocks. Each measurement repeats five times
+// and keeps the minimum (the usual noise-robust choice for
+// microtimings). One job per benchmark; the minimum-of-reps absorbs
+// most of the scheduling noise concurrent timing adds, but the
+// steadiest numbers come from ecfg.Workers == 1.
 //
 // When some benchmarks fail (and ecfg.Policy keeps going), the
 // surviving rows are returned with a *Partial error naming the rest.
-// The jobs carry no fingerprint, so timings are never stored: every
+// The jobs run without ecfg.Store, so timings are never stored: every
 // run, resumed or not, measures afresh.
-func CompileCost(ecfg Config, nprocs, reps int) ([]CompileCostRow, error) {
-	if reps < 1 {
-		reps = 3
-	}
+func CompileCost(ecfg Config) ([]CompileCostRow, error) {
+	const nprocs, reps = 12, 5
+	ecfg.Store = nil
 	scale := ecfg.Scale
 	var jobs []pool.Job[CompileCostRow]
 	for _, b := range workload.All() {
@@ -91,7 +91,7 @@ func CompileCost(ecfg Config, nprocs, reps int) ([]CompileCostRow, error) {
 			},
 		})
 	}
-	rows, err := runJobs(ecfg, "compilecost", jobs)
+	rows, err := runJobs(ecfg, "compilecost", nil, jobs)
 	if err == nil {
 		return rows, nil
 	}

@@ -6,10 +6,10 @@ import (
 )
 
 func TestCompileCost(t *testing.T) {
-	// One worker and the minimum of three timings: a single timing
+	// One worker and the minimum of five timings: a single timing
 	// taken while other jobs share the CPU can land on a scheduling or
 	// GC pause and put the front end above the whole restructurer.
-	rows, err := CompileCost(Config{Scale: 1, Workers: 1}, 12, 3)
+	rows, err := CompileCost(Config{ConfigSpec: ConfigSpec{Scale: 1}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func TestDeterminismTable3(t *testing.T) {
 // same way (cheap, so it rides along even though the issue names only
 // the four figures/tables).
 func TestDeterminismAggregates(t *testing.T) {
-	assertDeterministic(t, "aggregates", func(cfg Config) (any, error) { return ComputeAggregates(cfg, 128) })
+	assertDeterministic(t, "aggregates", func(cfg Config) (any, error) { return ComputeAggregates(cfg) })
 }
 
 // TestDeterminismMatrix extends the manifest guarantee to the
@@ -188,7 +188,7 @@ func TestDeterminismEvents(t *testing.T) {
 	serial := run("j1", withEvents(determinismConfig(1)))
 	parallel := run("j8", withEvents(determinismConfig(8)))
 	rcfg := withEvents(determinismConfig(8))
-	enum, err := Collect(rcfg.Spec().Config(), SectionSet{Sections: []string{"fig3", "matrix"}, Matrix: opt})
+	enum, err := Collect(Config{ConfigSpec: rcfg.ConfigSpec}, SectionSet{Sections: []string{"fig3", "matrix"}, Matrix: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"falseshare/internal/core"
 	"falseshare/internal/sim/attr"
-	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
 )
 
@@ -37,31 +35,6 @@ func recordDiag(ctx context.Context, c DiagCell) {
 	if col := cellEvents(ctx); col != nil {
 		col.Diag = append(col.Diag, c)
 	}
-}
-
-// measureCell is the per-cell measurement behind the Figure 3 and
-// Table 2 jobs: plain stats normally, attributed stats recorded under
-// the cell key in the cell's event collector when diag is set.
-func (cfg Config) measureCell(ctx context.Context, key, program string, ver Version, procs int, blk int64, prog *core.Program, diag bool) (*cache.Stats, error) {
-	ccfg := cache.DefaultConfig(procs, blk)
-	if !diag {
-		return MeasureConfig(ctx, prog, ccfg, cfg.StepBudget)
-	}
-	st, rep, err := MeasureConfigAttr(ctx, prog, ccfg, cfg.StepBudget)
-	if err != nil {
-		return nil, err
-	}
-	recordDiag(ctx, DiagCell{
-		Key:            key,
-		Program:        program,
-		Version:        ver,
-		Block:          blk,
-		Procs:          procs,
-		Applied:        decisionStrings(prog.Applied),
-		AppliedTargets: decisionTargets(prog.Applied),
-		Report:         rep,
-	})
-	return st, nil
 }
 
 func decisionStrings(ds []*transform.Decision) []string {

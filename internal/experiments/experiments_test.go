@@ -59,7 +59,7 @@ func TestFigure3ShapesMatchPaper(t *testing.T) {
 }
 
 func TestAggregatesMatchPaperBands(t *testing.T) {
-	a, err := ComputeAggregates(testConfig(), 128)
+	a, err := ComputeAggregates(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +202,41 @@ func TestSpeedupCurvesKeyProperties(t *testing.T) {
 	}
 	if c.MaxSpeed <= p.MaxSpeed {
 		t.Errorf("compiler must beat programmer: C=%.2f P=%.2f", c.MaxSpeed, p.MaxSpeed)
+	}
+}
+
+// TestSweepBaselineOnce: a sweep that includes one processor divides
+// by its baseline version's own p1 point, so it runs that point once;
+// a sweep without p1 runs the baseline as an extra first job. Both
+// yield the same speedups — for pverify, whose baseline is N, and for
+// mp3d, which has no N and measures against P.
+func TestSweepBaselineOnce(t *testing.T) {
+	machine := ksr.DefaultConfig()
+	for _, name := range []string{"pverify", "mp3d"} {
+		b := workload.Get(name)
+		with, without := testConfig(), testConfig()
+		with.SweepCounts, without.SweepCounts = []int{1, 2}, []int{2}
+		if jobs, _ := sweepJobs(b, with, machine); len(jobs) != 2*len(Versions(b)) {
+			t.Errorf("%s: sweep over {1, 2} has %d jobs, want %d", name, len(jobs), 2*len(Versions(b)))
+		}
+		if jobs, _ := sweepJobs(b, without, machine); len(jobs) != 1+len(Versions(b)) {
+			t.Errorf("%s: sweep over {2} has %d jobs, want %d", name, len(jobs), 1+len(Versions(b)))
+		}
+		a, err := SpeedupCurves(b, with, machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := SpeedupCurves(b, without, machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			if a[i].Version == Baseline(b) && a[i].Speedup[0] != 1 {
+				t.Errorf("%s: baseline %s speedup at p1 = %v, want 1", name, a[i].Version, a[i].Speedup[0])
+			}
+			if a[i].Speedup[1] != c[i].Speedup[0] {
+				t.Errorf("%s %s: speedup at p2 is %v with p1 in the sweep, %v without", name, a[i].Version, a[i].Speedup[1], c[i].Speedup[0])
+			}
+		}
 	}
 }

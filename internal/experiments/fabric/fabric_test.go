@@ -43,7 +43,7 @@ func TestMain(m *testing.M) {
 
 // testGrid is the shared small grid: a 2-workload protocol/topology
 // matrix at minimal scale — a few dozen cheap cells with full fabric
-// coverage (fingerprints, spans, deterministic keys).
+// coverage (cell addresses, spans, deterministic keys).
 func testGrid() (experiments.Config, experiments.MatrixOptions, experiments.SectionSet) {
 	cfg := experiments.DefaultConfig()
 	cfg.Workers = 4
@@ -55,7 +55,7 @@ func testGrid() (experiments.Config, experiments.MatrixOptions, experiments.Sect
 // gridKeys enumerates the grid's cell keys the same way a worker does.
 func gridKeys(t *testing.T, cfg experiments.Config, set experiments.SectionSet) []string {
 	t.Helper()
-	enum, err := experiments.Collect(cfg.Spec().Config(), set)
+	enum, err := experiments.Collect(experiments.Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFabricManifestByteIdentity(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		rec := obs.NewRecorder()
-		coord := startCoordinator(t, Options{Workers: workers, Spec: cfg.Spec(), Set: set, Recorder: rec})
+		coord := startCoordinator(t, Options{Workers: workers, Spec: cfg.ConfigSpec, Set: set, Recorder: rec})
 		fcfg := cfg
 		fcfg.Runner = coord
 		dist := normManifest(t, "matrix", fcfg, func() (any, error) { return experiments.Matrix(fcfg, mopt) })
@@ -243,7 +243,7 @@ func TestFabricWorkerKillResume(t *testing.T) {
 	defer faultinject.Enable(nil)
 
 	runDir := t.TempDir()
-	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
+	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.ConfigSpec, Set: set})
 	fcfg := cfg
 	fcfg.Runner = coord
 	fcfg.Store = openStore(t, runDir)
@@ -308,7 +308,7 @@ func TestFabricFaultPropagation(t *testing.T) {
 
 	coord := startCoordinator(t, Options{
 		Workers: 2,
-		Spec:    cfg.Spec(),
+		Spec:    cfg.ConfigSpec,
 		Set:     set,
 		Faults:  "worker.cell=" + victim + ":error",
 	})
@@ -355,7 +355,7 @@ func workerPids(c *Coordinator) []int {
 // path) leaves no orphaned worker processes.
 func TestFabricKillReapsWorkers(t *testing.T) {
 	cfg, _, set := testGrid()
-	coord := startCoordinator(t, Options{Workers: 3, Spec: cfg.Spec(), Set: set})
+	coord := startCoordinator(t, Options{Workers: 3, Spec: cfg.ConfigSpec, Set: set})
 	pids := workerPids(coord)
 	if len(pids) != 3 {
 		t.Fatalf("got %d worker pids, want 3", len(pids))
@@ -392,7 +392,7 @@ func TestFabricChaosExit(t *testing.T) {
 
 	coord := startCoordinator(t, Options{
 		Workers:   2,
-		Spec:      cfg.Spec(),
+		Spec:      cfg.ConfigSpec,
 		Set:       set,
 		Faults:    "worker.cell=" + victim + ":exit",
 		MaxDeaths: 1,
@@ -435,7 +435,7 @@ func TestFabricChaosHang(t *testing.T) {
 
 	coord := startCoordinator(t, Options{
 		Workers:    2,
-		Spec:       cfg.Spec(),
+		Spec:       cfg.ConfigSpec,
 		Set:        set,
 		Faults:     "worker.cell=" + victim + ":hang",
 		MaxDeaths:  1,
@@ -473,7 +473,7 @@ func TestFabricChaosCorrupt(t *testing.T) {
 
 	coord := startCoordinator(t, Options{
 		Workers:   2,
-		Spec:      cfg.Spec(),
+		Spec:      cfg.ConfigSpec,
 		Set:       set,
 		Faults:    "worker.send=" + victim + ":corrupt:count=1",
 		MaxDeaths: 1,
@@ -505,7 +505,7 @@ func TestFabricTransientRetry(t *testing.T) {
 
 	coord := startCoordinator(t, Options{
 		Workers: 1,
-		Spec:    cfg.Spec(),
+		Spec:    cfg.ConfigSpec,
 		Set:     set,
 		Faults:  "worker.cell=" + victim + ":error:transient:count=1",
 	})
@@ -549,7 +549,7 @@ func TestFabricFleetDeadFailsLaterRuns(t *testing.T) {
 	keys := gridKeys(t, cfg, set)
 	coord := startCoordinator(t, Options{
 		Workers:   1,
-		Spec:      cfg.Spec(),
+		Spec:      cfg.ConfigSpec,
 		Set:       set,
 		Faults:    "worker.cell:exit",
 		MaxDeaths: 100,
@@ -585,7 +585,8 @@ func TestFabricFleetDeadFailsLaterRuns(t *testing.T) {
 // TestFabricCacheDedup is the cell-store acceptance on the fabric: a
 // second run over the same grid serves every cell from the store
 // (>= 90% required; 100% expected) without dispatching any, with
-// identical results — and a schema bump forces full recomputation.
+// identical results. That entries of another build never serve is
+// the artifact store's own contract, tested there.
 func TestFabricCacheDedup(t *testing.T) {
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
@@ -593,7 +594,7 @@ func TestFabricCacheDedup(t *testing.T) {
 
 	runWith := func(st *artifact.Store) ([]experiments.MatrixCell, Stats, artifact.Counters) {
 		t.Helper()
-		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
+		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.ConfigSpec, Set: set})
 		fcfg := cfg
 		fcfg.Runner = coord
 		fcfg.Store = st
@@ -621,37 +622,6 @@ func TestFabricCacheDedup(t *testing.T) {
 		t.Error("store-served results differ from computed ones")
 	}
 
-	// A schema bump must miss every entry and recompute: a store
-	// holding every cell, but under another schema generation than
-	// experiments.CellSchema, serves none of them.
-	bumped := openStore(t, t.TempDir())
-	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.json"))
-	for _, f := range files {
-		var e struct {
-			Key  string          `json:"key"`
-			Data json.RawMessage `json:"data"`
-		}
-		b, err := os.ReadFile(f)
-		if err == nil {
-			err = json.Unmarshal(b, &e)
-		}
-		if err == nil {
-			err = bumped.Put(context.Background(), experiments.CellSchema+"-bumped", e.Key, e.Data)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := int(bumped.Counters().Entries); n != len(keys) {
-		t.Fatalf("bumped store holds %d cells, want %d", n, len(keys))
-	}
-	third, _, c3 := runWith(bumped)
-	if c3.Hits != 0 || c3.Misses != int64(len(keys)) {
-		t.Errorf("bumped-schema run: hits=%d misses=%d, want 0/%d", c3.Hits, c3.Misses, len(keys))
-	}
-	if !bytes.Equal(mustJSON(t, first), mustJSON(t, third)) {
-		t.Error("recomputed results differ")
-	}
 }
 
 // TestCacheRoundTrip: cells the fleet computes round-trip through the
@@ -663,7 +633,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	keys := gridKeys(t, cfg, set)
 	dir := t.TempDir()
 
-	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
+	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.ConfigSpec, Set: set})
 	fcfg := cfg
 	fcfg.Runner = coord
 	fcfg.Store = openStore(t, dir)
@@ -709,7 +679,7 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 
 	runWith := func(st *artifact.Store) ([]experiments.MatrixCell, Stats) {
 		t.Helper()
-		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set})
+		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.ConfigSpec, Set: set})
 		fcfg := cfg
 		fcfg.Runner = coord
 		fcfg.Store = st
@@ -760,7 +730,7 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 // -connect) instead of spawning: same protocol, same results.
 func TestFabricTCPWorker(t *testing.T) {
 	cfg, mopt, set := testGrid()
-	coord := startCoordinator(t, Options{Listen: "127.0.0.1:0", Spec: cfg.Spec(), Set: set})
+	coord := startCoordinator(t, Options{Listen: "127.0.0.1:0", Spec: cfg.ConfigSpec, Set: set})
 	if coord.Addr() == "" {
 		t.Fatal("no listener address")
 	}
@@ -832,7 +802,7 @@ func TestFabricTCPWorkerRetriesUntilCoordinatorUp(t *testing.T) {
 	}
 
 	cfg, mopt, set := testGrid()
-	coord := startCoordinator(t, Options{Listen: addr, Spec: cfg.Spec(), Set: set})
+	coord := startCoordinator(t, Options{Listen: addr, Spec: cfg.ConfigSpec, Set: set})
 
 	fcfg := cfg
 	fcfg.Runner = coord

@@ -41,7 +41,7 @@ func RunWorker(in io.Reader, out io.Writer) error {
 		}
 		faultinject.Enable(set)
 	}
-	enum, err := experiments.Collect(hello.Spec.Config(), *hello.Set)
+	enum, err := experiments.Collect(experiments.Config{ConfigSpec: *hello.Spec}, *hello.Set)
 	if err != nil {
 		return fmt.Errorf("fabric: worker: %w", err)
 	}

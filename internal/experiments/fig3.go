@@ -6,6 +6,8 @@ import (
 	"strings"
 
 	"falseshare/internal/experiments/pool"
+	"falseshare/internal/sim/attr"
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
 	"falseshare/internal/workload"
 )
@@ -44,49 +46,28 @@ func (c Fig3Cell) TotalRate() float64 { return c.FSRate + c.OtherRate }
 func Figure3(cfg Config) ([]Fig3Cell, error) {
 	var jobs []pool.Job[Fig3Cell]
 	for _, b := range workload.Unoptimizable() {
-		procs := cfg.Fig3Procs
-		if b.Name == "topopt" && cfg.Fig3ProcsTopopt > 0 {
-			procs = cfg.Fig3ProcsTopopt
-		}
 		for _, ver := range []Version{VersionN, VersionC} {
 			// Block size affects the C version's padding, so compile
 			// per block size.
 			for _, blk := range cfg.Fig3Blocks {
 				key := fmt.Sprintf("fig3/%s/%s/b%d", b.Name, ver, blk)
-				jobs = append(jobs, pool.Job[Fig3Cell]{
-					Key: key,
-					Fingerprint: fingerprint("fig3",
-						"prog="+b.Name, "ver="+string(ver),
-						fmt.Sprintf("procs=%d", procs), fmt.Sprintf("blk=%d", blk),
-						fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-						fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", cfg.Diag),
-						"src="+srcHash(b.Source(cfg.Scale))),
-					Run: func(ctx context.Context) (Fig3Cell, error) {
-						prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, transform.Config{})
-						if err != nil {
-							return Fig3Cell{}, fmt.Errorf("fig3 %s/%s: %w", b.Name, ver, err)
-						}
-						st, err := cfg.measureCell(ctx, key, b.Name, ver, procs, blk, prog, cfg.Diag)
-						if err != nil {
-							return Fig3Cell{}, fmt.Errorf("fig3 %s/%s run: %w", b.Name, ver, err)
-						}
-						return Fig3Cell{
-							Program:     b.Name,
-							Version:     ver,
-							Block:       blk,
-							Procs:       procs,
-							Refs:        st.Refs,
-							FSMisses:    st.FalseShare,
-							OtherMisses: st.Misses() - st.FalseShare,
-							FSRate:      100 * st.FSRate(),
-							OtherRate:   100 * st.OtherRate(),
-						}, nil
-					},
-				})
+				jobs = append(jobs, missJob(cfg, key, b, ver, transform.Config{}, blk, cfg.Diag, func(st *cache.Stats) Fig3Cell {
+					return Fig3Cell{
+						Program:     b.Name,
+						Version:     ver,
+						Block:       blk,
+						Procs:       fig3Procs(b),
+						Refs:        st.Refs,
+						FSMisses:    st.FalseShare,
+						OtherMisses: st.Misses() - st.FalseShare,
+						FSRate:      100 * st.FSRate(),
+						OtherRate:   100 * st.OtherRate(),
+					}
+				}))
 			}
 		}
 	}
-	cells, err := runJobs(cfg, "fig3", jobs)
+	cells, err := runJobs(cfg, "fig3", nil, jobs)
 	if err == nil {
 		return cells, nil
 	}
@@ -99,6 +80,46 @@ func Figure3(cfg Config) ([]Fig3Cell, error) {
 		}
 	}
 	return ok, partial(err, len(jobs))
+}
+
+// missJob builds the one kind of cell behind Figure 3, Table 2 and the
+// aggregates: b's version ver, built with heuristics heur for block
+// size blk, run on the Figure 3 machine and measured under the default
+// cache. With diag the measurement is attributed and the report
+// recorded under the cell key. finish turns the statistics into the
+// section's payload.
+func missJob[T any](cfg Config, key string, b *workload.Benchmark, ver Version, heur transform.Config, blk int64, diag bool, finish func(*cache.Stats) T) pool.Job[T] {
+	return pool.Job[T]{Key: key, Run: func(ctx context.Context) (T, error) {
+		var zero T
+		procs := fig3Procs(b)
+		prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, heur)
+		if err != nil {
+			return zero, err
+		}
+		ccfg := cache.DefaultConfig(procs, blk)
+		var st *cache.Stats
+		if diag {
+			var rep *attr.Report
+			if st, rep, err = MeasureConfigAttr(ctx, prog, ccfg, cfg.StepBudget); err == nil {
+				recordDiag(ctx, DiagCell{
+					Key:            key,
+					Program:        b.Name,
+					Version:        ver,
+					Block:          blk,
+					Procs:          procs,
+					Applied:        decisionStrings(prog.Applied),
+					AppliedTargets: decisionTargets(prog.Applied),
+					Report:         rep,
+				})
+			}
+		} else {
+			st, err = MeasureConfig(ctx, prog, ccfg, cfg.StepBudget)
+		}
+		if err != nil {
+			return zero, err
+		}
+		return finish(st), nil
+	}}
 }
 
 // RenderFigure3 formats the cells like the paper's bar chart, as an

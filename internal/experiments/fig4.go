@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"falseshare/internal/experiments/pool"
@@ -23,11 +24,10 @@ type Curve struct {
 }
 
 // sweepJobs enumerates every (version × processor count) execution a
-// benchmark's Figure 4 curves need — the baseline uniprocessor run
-// first, then each version across cfg.SweepCounts — and returns the
-// assembler that turns the results, indexed like the jobs, back into
-// curves. Splitting enumeration from assembly lets Figure4 and Table3
-// fan the sweeps of *all* their benchmarks into one pool.
+// benchmark's Figure 4 curves need, and returns the assembler that
+// turns the results, indexed like the jobs, back into curves.
+// Splitting enumeration from assembly lets Figure4 and Table3 fan the
+// sweeps of *all* their benchmarks into one pool.
 func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Job[*ksr.Result], func([]*ksr.Result) []Curve) {
 	if machine.StepBudget == 0 {
 		machine.StepBudget = cfg.StepBudget
@@ -36,11 +36,6 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 		key := fmt.Sprintf("fig4/%s/%s/p%d", b.Name, ver, p)
 		return pool.Job[*ksr.Result]{
 			Key: key,
-			Fingerprint: fingerprint("fig4",
-				"prog="+b.Name, "ver="+string(ver), fmt.Sprintf("procs=%d", p),
-				fmt.Sprintf("machine=%+v", machine),
-				fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("verify=%v", cfg.Verify),
-				"src="+srcHash(verSource(b, ver, cfg.Scale))),
 			Run: func(ctx context.Context) (*ksr.Result, error) {
 				prog, err := cfg.buildProgram(ctx, key, b, ver, p, machine.BlockSize, transform.Config{})
 				if err != nil {
@@ -55,9 +50,17 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 		}
 	}
 
-	// Job 0: uniprocessor run of the unoptimized (or original)
-	// version — the denominator of every speedup.
-	jobs := []pool.Job[*ksr.Result]{execute(Baseline(b), 1)}
+	// The denominator of every speedup is the baseline version's
+	// uniprocessor run: the sweep's own p1 point when the sweep has
+	// one, else an extra first job.
+	var jobs []pool.Job[*ksr.Result]
+	base := 0
+	if p1 := slices.Index(cfg.SweepCounts, 1); p1 >= 0 {
+		base = slices.Index(Versions(b), Baseline(b))*len(cfg.SweepCounts) + p1
+	} else {
+		jobs = append(jobs, execute(Baseline(b), 1))
+	}
+	sweep := len(jobs)
 	for _, ver := range Versions(b) {
 		for _, p := range cfg.SweepCounts {
 			jobs = append(jobs, execute(ver, p))
@@ -65,9 +68,9 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 	}
 
 	assemble := func(results []*ksr.Result) []Curve {
-		base := results[0].Cycles
+		baseCycles := results[base].Cycles
 		var curves []Curve
-		i := 1
+		i := sweep
 		for _, ver := range Versions(b) {
 			rs := results[i : i+len(cfg.SweepCounts)]
 			i += len(cfg.SweepCounts)
@@ -75,7 +78,7 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 			for _, r := range rs {
 				c.Cycles = append(c.Cycles, r.Cycles)
 			}
-			c.Speedup = ksr.SpeedupCurve(rs, base)
+			c.Speedup = ksr.SpeedupCurve(rs, baseCycles)
 			c.MaxSpeed, c.MaxAt = ksr.MaxSpeedup(cfg.SweepCounts, c.Speedup)
 			curves = append(curves, c)
 		}
@@ -91,7 +94,7 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 // fan out across cfg.Workers.
 func SpeedupCurves(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]Curve, error) {
 	jobs, assemble := sweepJobs(b, cfg, machine)
-	results, err := runJobs(cfg, "fig4:"+b.Name, jobs)
+	results, err := runJobs(cfg, "fig4:"+b.Name, machine, jobs)
 	if err != nil {
 		// A speedup curve is meaningless with holes (every point is
 		// relative to the baseline run), so a single benchmark's sweep
@@ -113,15 +116,15 @@ func benchCurves(name string, benches []*workload.Benchmark, cfg Config, machine
 		lo, hi   int
 		assemble func([]*ksr.Result) []Curve
 	}
-	slices := make([]slice, len(benches))
+	parts := make([]slice, len(benches))
 	for i, b := range benches {
 		js, assemble := sweepJobs(b, cfg, machine)
-		slices[i] = slice{lo: len(jobs), hi: len(jobs) + len(js), assemble: assemble}
+		parts[i] = slice{lo: len(jobs), hi: len(jobs) + len(js), assemble: assemble}
 		jobs = append(jobs, js...)
 	}
-	results, err := runJobs(cfg, name, jobs)
+	results, err := runJobs(cfg, name, machine, jobs)
 	out := make([][]Curve, len(benches))
-	for i, s := range slices {
+	for i, s := range parts {
 		complete := true
 		for _, r := range results[s.lo:s.hi] {
 			if r == nil {

@@ -35,27 +35,49 @@ const (
 	VersionP Version = "P"
 )
 
-// Config parameterizes the experiment harness.
-type Config struct {
+// ConfigSpec is the part of Config that decides what the cells
+// compute. It is plain data: the fabric ships it to every worker, which
+// rebuilds the coordinator's exact job grid from it, and the cell store
+// addresses each cell by it (see cellAddress).
+type ConfigSpec struct {
 	// Scale multiplies workload sizes (1 = paper-shaped experiment
 	// runs; tests use smaller).
-	Scale int
+	Scale int `json:"scale"`
+	// Fig3Blocks are the block sizes shown in Figure 3.
+	Fig3Blocks []int64 `json:"fig3_blocks,omitempty"`
+	// Table2Blocks are the block sizes Table 2 averages over.
+	Table2Blocks []int64 `json:"table2_blocks,omitempty"`
+	// SweepCounts are the processor counts for Figure 4 / Table 3.
+	SweepCounts []int `json:"sweep_counts,omitempty"`
+	// StepBudget caps per-process VM instructions per execution
+	// (0: the VM default of 1e9), so runaway programs fail instead of
+	// hanging a job forever.
+	StepBudget int64 `json:"step_budget,omitempty"`
+	// Verify enables safe mode for every compiler-restructured cell:
+	// each C program is translation-validated against its original,
+	// and objects that fail validation (or whose transformation fails
+	// to apply) are degraded to the identity layout and recorded as a
+	// DegradeEvent in Events. A cell replayed from Store replays its
+	// events with it.
+	Verify bool `json:"verify,omitempty"`
+	// Diag enables miss attribution for the Figure 3, Table 2 and
+	// matrix cells: each measured simulation carries an
+	// attr.Collector, and the per-object reports are recorded against
+	// the cell key as DiagCells in Events — see RenderDiag. Like
+	// Verify's events, a replayed cell's reports come back from Store.
+	Diag bool `json:"diag,omitempty"`
+}
+
+// Config parameterizes the experiment harness: the spec of what to
+// compute, and how this process runs it.
+type Config struct {
+	ConfigSpec
 	// Workers bounds the experiment pool's concurrency (fsexp -j).
 	// Zero or negative means runtime.GOMAXPROCS; 1 runs every job
 	// serially in submission order on the calling goroutine. Results
 	// are identical at any worker count — the jobs share nothing but
 	// read-only workload sources.
 	Workers int
-	// Fig3Procs is the Figure 3 processor count (12 in the paper;
-	// Topopt ran on 9).
-	Fig3Procs       int
-	Fig3ProcsTopopt int
-	// Fig3Blocks are the block sizes shown in Figure 3.
-	Fig3Blocks []int64
-	// Table2Blocks are the block sizes Table 2 averages over.
-	Table2Blocks []int64
-	// SweepCounts are the processor counts for Figure 4 / Table 3.
-	SweepCounts []int
 
 	// Ctx, when non-nil, cancels the whole run: jobs in flight observe
 	// the cancellation through their context, unstarted jobs are
@@ -65,35 +87,18 @@ type Config struct {
 	// vs keep-going, per-job deadlines, retries. The zero value runs
 	// every job with no deadline (the historical behavior).
 	Policy pool.Policy
-	// Store, when non-nil, keeps every successful cell that has a
-	// fingerprint (fsexp -cache): a cell already stored returns its
-	// result, span subtree and events without running, so an
-	// interrupted run resumes and a later run over the same cells —
-	// local or distributed — dedups through it. Only the process that
-	// owns the run opens the store; fabric workers never do.
+	// Store, when non-nil, keeps every successful cell (fsexp -cache):
+	// a cell this build already stored returns its result, span
+	// subtree and events without running, so an interrupted run
+	// resumes and a later run over the same cells — local or
+	// distributed — dedups through it. Only the process that owns the
+	// run opens the store; fabric workers never do.
 	Store *artifact.Store
 	// Events, when non-nil, receives every successful cell's side
 	// events, appended in job submission order after each fan-out —
 	// whether the cell ran here, ran in a fabric worker, or was
 	// replayed from Store. The caller owns it and reads it per section.
 	Events *CellEvents
-	// StepBudget caps per-process VM instructions per execution
-	// (0: the VM default of 1e9), so runaway programs fail instead of
-	// hanging a job forever.
-	StepBudget int64
-	// Verify enables safe mode for every compiler-restructured cell:
-	// each C program is translation-validated against its original,
-	// and objects that fail validation (or whose transformation fails
-	// to apply) are degraded to the identity layout and recorded as a
-	// DegradeEvent in Events. A cell replayed from Store replays its
-	// events with it.
-	Verify bool
-	// Diag enables miss attribution for the Figure 3, Table 2 and
-	// matrix cells: each measured simulation carries an
-	// attr.Collector, and the per-object reports are recorded against
-	// the cell key as DiagCells in Events — see RenderDiag. Like
-	// Verify's events, a replayed cell's reports come back from Store.
-	Diag bool
 	// Runner, when non-nil, executes cells in other processes: every
 	// cell the store does not hold still runs as a pool job under
 	// Policy, but calls the runner instead of computing here. Each
@@ -111,14 +116,22 @@ type Config struct {
 
 // DefaultConfig returns the paper's experimental setup.
 func DefaultConfig() Config {
-	return Config{
-		Scale:           1,
-		Fig3Procs:       12,
-		Fig3ProcsTopopt: 9,
-		Fig3Blocks:      []int64{16, 128},
-		Table2Blocks:    []int64{8, 16, 32, 64, 128, 256},
-		SweepCounts:     []int{1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 56},
+	return Config{ConfigSpec: ConfigSpec{
+		Scale:        1,
+		Fig3Blocks:   []int64{16, 128},
+		Table2Blocks: []int64{8, 16, 32, 64, 128, 256},
+		SweepCounts:  []int{1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 56},
+	}}
+}
+
+// fig3Procs is the processor count of the Figure 3 machine, on which
+// Figure 3, Table 2 and the aggregates run: 12 as in the paper, except
+// Topopt, which ran on 9.
+func fig3Procs(b *workload.Benchmark) int {
+	if b.Name == "topopt" {
+		return 9
 	}
+	return 12
 }
 
 // ProgramCtx builds one version of a benchmark, compiled and laid out
@@ -150,16 +163,19 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 }
 
 // runJobs routes every experiment's fan-out through the configured
-// context, failure policy, store, event log and runner: cells already
-// in cfg.Store return their stored results without running, fresh
-// successes are stored as they finish, and every successful cell's
-// events are appended to cfg.Events in submission order.
+// context, failure policy, store, event log and runner: cells this
+// build already stored in cfg.Store return their stored results
+// without running, fresh successes are stored as they finish, and
+// every successful cell's events are appended to cfg.Events in
+// submission order. params are the section's own parameters beyond
+// cfg (the KSR machine, the matrix options, or nil); they are part of
+// every cell's store address.
 //
 // With cfg.Runner set the cells run in other processes, through the
 // same pool (see Config.Runner). With cfg.enum set (Collect) the jobs
 // are captured, not run, and the driver sees zero-valued results
 // behind an errCollected sentinel.
-func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
+func runJobs[T any](cfg Config, name string, params any, jobs []pool.Job[T]) ([]T, error) {
 	if cfg.enum != nil {
 		collectJobs(cfg.enum, jobs)
 		return make([]T, len(jobs)), errCollected
@@ -169,7 +185,7 @@ func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
 	if cfg.Runner != nil {
 		workers, pol.JobTimeout = len(jobs), 0
 	}
-	results, err := pool.RunPolicy(cfg.Ctx, name, workers, pol, cellJobs(cfg, jobs, events))
+	results, err := pool.RunPolicy(cfg.Ctx, name, workers, pol, cellJobs(cfg, params, jobs, events))
 	if cfg.Events != nil {
 		for _, ev := range events {
 			cfg.Events.Degraded = append(cfg.Events.Degraded, ev.Degraded...)

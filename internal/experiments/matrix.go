@@ -186,12 +186,6 @@ func Matrix(cfg Config, opt MatrixOptions) ([]MatrixCell, error) {
 				key := fmt.Sprintf("matrix/%s/%s/%s", bench.Name, proto, topo)
 				jobs = append(jobs, pool.Job[MatrixCell]{
 					Key: key,
-					Fingerprint: fingerprint("matrix",
-						"wl="+bench.Name, "proto="+proto.String(), "topo="+topo.String(),
-						fmt.Sprintf("procs=%d", opt.Procs), fmt.Sprintf("blk=%d", opt.Block),
-						fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-						fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", cfg.Diag),
-						"src="+srcHash(bench.Source(cfg.Scale))),
 					Run: func(ctx context.Context) (MatrixCell, error) {
 						return cfg.matrixCell(ctx, key, p, bench, proto, topo, opt.Procs, opt.Block)
 					},
@@ -199,7 +193,7 @@ func Matrix(cfg Config, opt MatrixOptions) ([]MatrixCell, error) {
 			}
 		}
 	}
-	cells, err := runJobs(cfg, "matrix", jobs)
+	cells, err := runJobs(cfg, "matrix", opt, jobs)
 	if err == nil {
 		return cells, nil
 	}

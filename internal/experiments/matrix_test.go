@@ -18,7 +18,7 @@ func smallMatrixOptions() MatrixOptions {
 // sharing misses, and the two-ring topology is a pure cost observer
 // whose service counts and cycle cost satisfy their exact identities.
 func TestMatrixInvariants(t *testing.T) {
-	cfg := Config{Scale: 1, Workers: 4, Verify: true, Events: &CellEvents{}}
+	cfg := Config{ConfigSpec: ConfigSpec{Scale: 1, Verify: true}, Workers: 4, Events: &CellEvents{}}
 	opt := smallMatrixOptions()
 	cells, err := Matrix(cfg, opt)
 	if err != nil {
@@ -116,11 +116,11 @@ func TestMatrixInvariants(t *testing.T) {
 // contract: the cell slice is byte-identical at any worker count.
 func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 	opt := MatrixOptions{Workloads: 2, Seed: 9, Procs: 4, Block: 64, ScaleMin: true}
-	a, err := Matrix(Config{Scale: 1, Workers: 1}, opt)
+	a, err := Matrix(Config{ConfigSpec: ConfigSpec{Scale: 1}, Workers: 1}, opt)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	b, err := Matrix(Config{Scale: 1, Workers: 8}, opt)
+	b, err := Matrix(Config{ConfigSpec: ConfigSpec{Scale: 1}, Workers: 8}, opt)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestMatrixDeterministicAcrossWorkers(t *testing.T) {
 // sums close — under every protocol and topology, not just the
 // default configuration the figure drivers use.
 func TestMatrixAttributionInvariants(t *testing.T) {
-	cfg := Config{Scale: 1, Workers: 1, Diag: true, Events: &CellEvents{}}
+	cfg := Config{ConfigSpec: ConfigSpec{Scale: 1, Diag: true}, Workers: 1, Events: &CellEvents{}}
 	opt := MatrixOptions{Workloads: 2, Seed: 5, Procs: 4, Block: 64, ScaleMin: true}
 	cells, err := Matrix(cfg, opt)
 	if err != nil {

@@ -39,16 +39,11 @@ import (
 // ("fig3/maxflow/N/b128"); Run produces its result. Run must honor
 // ctx: the pool cancels it on fail-fast, per-job deadline, or an
 // external cancellation (Ctrl-C), and relies on the job to return.
+// The experiment runner also derives each cell's store address from
+// its key.
 type Job[T any] struct {
 	Key string
 	Run func(ctx context.Context) (T, error)
-	// Fingerprint, when non-empty, is a content hash of everything the
-	// job's result and side events depend on (program source, cell
-	// configuration, stage version). The pool itself ignores it; the
-	// experiment runner keys its cell store with it, so a cell with a
-	// stored fingerprint never computes twice. Jobs without one (the
-	// compile-cost timings) are never stored.
-	Fingerprint string
 }
 
 // Error wraps a job failure with the job's key.

@@ -27,8 +27,6 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,56 +35,7 @@ import (
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/ksr"
-	"falseshare/internal/workload"
 )
-
-// ConfigSpec is the JSON-serializable subset of Config a worker needs
-// to rebuild the coordinator's exact job grid. Runtime-only fields
-// (context, policy callbacks, store, event log, runner) deliberately
-// have no place here: workers run cells, they do not make policy.
-type ConfigSpec struct {
-	Scale           int     `json:"scale"`
-	Fig3Procs       int     `json:"fig3_procs"`
-	Fig3ProcsTopopt int     `json:"fig3_procs_topopt"`
-	Fig3Blocks      []int64 `json:"fig3_blocks"`
-	Table2Blocks    []int64 `json:"table2_blocks"`
-	SweepCounts     []int   `json:"sweep_counts"`
-	StepBudget      int64   `json:"step_budget,omitempty"`
-	Verify          bool    `json:"verify,omitempty"`
-	Diag            bool    `json:"diag,omitempty"`
-}
-
-// Spec extracts the serializable grid parameters of a Config.
-func (cfg Config) Spec() ConfigSpec {
-	return ConfigSpec{
-		Scale:           cfg.Scale,
-		Fig3Procs:       cfg.Fig3Procs,
-		Fig3ProcsTopopt: cfg.Fig3ProcsTopopt,
-		Fig3Blocks:      cfg.Fig3Blocks,
-		Table2Blocks:    cfg.Table2Blocks,
-		SweepCounts:     cfg.SweepCounts,
-		StepBudget:      cfg.StepBudget,
-		Verify:          cfg.Verify,
-		Diag:            cfg.Diag,
-	}
-}
-
-// Config rebuilds a worker-side Config from the spec. Workers execute
-// one cell at a time in the calling goroutine.
-func (s ConfigSpec) Config() Config {
-	return Config{
-		Scale:           s.Scale,
-		Workers:         1,
-		Fig3Procs:       s.Fig3Procs,
-		Fig3ProcsTopopt: s.Fig3ProcsTopopt,
-		Fig3Blocks:      s.Fig3Blocks,
-		Table2Blocks:    s.Table2Blocks,
-		SweepCounts:     s.SweepCounts,
-		StepBudget:      s.StepBudget,
-		Verify:          s.Verify,
-		Diag:            s.Diag,
-	}
-}
 
 // SectionSet names the experiments a distributed run covers, plus the
 // per-section parameters that are not part of Config. It must round-
@@ -97,32 +46,6 @@ type SectionSet struct {
 	Sections []string      `json:"sections"`
 	Matrix   MatrixOptions `json:"matrix,omitempty"`
 	Machine  ksr.Config    `json:"machine"`
-	// AggBlock is ComputeAggregates' block size (fsexp uses 128).
-	AggBlock int64 `json:"agg_block,omitempty"`
-	// CompileProcs/CompileReps parameterize CompileCost (fsexp: 12, 5).
-	CompileProcs int `json:"compile_procs,omitempty"`
-	CompileReps  int `json:"compile_reps,omitempty"`
-}
-
-func (s SectionSet) aggBlock() int64 {
-	if s.AggBlock <= 0 {
-		return 128
-	}
-	return s.AggBlock
-}
-
-func (s SectionSet) compileProcs() int {
-	if s.CompileProcs <= 0 {
-		return 12
-	}
-	return s.CompileProcs
-}
-
-func (s SectionSet) compileReps() int {
-	if s.CompileReps <= 0 {
-		return 5
-	}
-	return s.CompileReps
 }
 
 // CellRunner executes cells somewhere else — the distributed fabric's
@@ -199,7 +122,7 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 		case "fig3":
 			_, err = Figure3(cfg)
 		case "aggregates":
-			_, err = ComputeAggregates(cfg, set.aggBlock())
+			_, err = ComputeAggregates(cfg)
 		case "table2":
 			_, err = Table2(cfg)
 		case "fig4":
@@ -207,7 +130,7 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 		case "table3":
 			_, err = Table3(cfg, set.Machine)
 		case "compilecost":
-			_, err = CompileCost(cfg, set.compileProcs(), set.compileReps())
+			_, err = CompileCost(cfg)
 		case "matrix":
 			_, err = Matrix(cfg, set.Matrix)
 		default:
@@ -252,33 +175,4 @@ func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 			return b, nil, nil
 		})
 	}
-}
-
-// fingerprint assembles a cell's store key material: the section,
-// every configuration knob the result or its events depend on, and
-// the program source hash. Deterministic by construction — no maps.
-func fingerprint(section string, kv ...string) string {
-	h := sha256.New()
-	h.Write([]byte(section))
-	for _, s := range kv {
-		h.Write([]byte{0})
-		h.Write([]byte(s))
-	}
-	return section + ":" + hex.EncodeToString(h.Sum(nil))
-}
-
-// srcHash hashes a program source for fingerprints.
-func srcHash(src string) string {
-	h := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(h[:])
-}
-
-// verSource returns the source text a version compiles from, for
-// fingerprint hashing: P uses the hand-optimized program, N and C both
-// start from the unoptimized source.
-func verSource(b *workload.Benchmark, ver Version, scale int) string {
-	if ver == VersionP {
-		return b.ProgrammerSource(scale)
-	}
-	return b.Source(scale)
 }

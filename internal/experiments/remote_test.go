@@ -52,11 +52,11 @@ func remoteTestGrid() (Config, MatrixOptions, SectionSet) {
 // rebuild the coordinator's grid from the shipped spec alone.
 func TestCollectDeterministic(t *testing.T) {
 	cfg, _, set := remoteTestGrid()
-	a, err := Collect(cfg.Spec().Config(), set)
+	a, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Collect(cfg.Spec().Config(), set)
+	b, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestCollectDeterministic(t *testing.T) {
 // hello frame) without changing the grid.
 func TestCollectSpecRoundTrip(t *testing.T) {
 	cfg, _, set := remoteTestGrid()
-	direct, err := Collect(cfg.Spec().Config(), set)
+	direct, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sb, err := json.Marshal(cfg.Spec())
+	sb, err := json.Marshal(cfg.ConfigSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCollectSpecRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(tb, &set2); err != nil {
 		t.Fatal(err)
 	}
-	wired, err := Collect(spec.Config(), set2)
+	wired, err := Collect(Config{ConfigSpec: spec}, set2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCollectUnknownSection(t *testing.T) {
 
 func TestEnumerationUnknownKey(t *testing.T) {
 	cfg, _, set := remoteTestGrid()
-	enum, err := Collect(cfg.Spec().Config(), set)
+	enum, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRunnerManifestMatchesLocal(t *testing.T) {
 	cfg, mopt, set := remoteTestGrid()
 	local := manifestBytes(t, "matrix", cfg, func() (any, error) { return Matrix(cfg, mopt) })
 
-	enum, err := Collect(cfg.Spec().Config(), set)
+	enum, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestRunnerManifestMatchesLocal(t *testing.T) {
 // completes even when the whole fleet is unreachable.
 func TestRunnerStoreShortCircuit(t *testing.T) {
 	cfg, mopt, set := remoteTestGrid()
-	enum, err := Collect(cfg.Spec().Config(), set)
+	enum, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func (brokenRunner) RunCell(ctx context.Context, key string) (CellResult, error)
 // remoteTestKeys enumerates the grid's cell keys the way a worker does.
 func remoteTestKeys(t *testing.T, cfg Config, set SectionSet) []string {
 	t.Helper()
-	enum, err := Collect(cfg.Spec().Config(), set)
+	enum, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func (r *flakyRunner) RunCell(ctx context.Context, key string) (CellResult, erro
 // job span counts the retry.
 func TestRunnerTransientRetry(t *testing.T) {
 	cfg, mopt, set := remoteTestGrid()
-	enum, err := Collect(cfg.Spec().Config(), set)
+	enum, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,30 +364,5 @@ func TestRunnerFailFastCancelsInFlight(t *testing.T) {
 		case !errors.Is(f.Err, context.Canceled) && !errors.Is(f.Err, pool.ErrSkipped):
 			t.Errorf("cell %s failed with %v, want cancelled or skipped", f.Key, f.Err)
 		}
-	}
-}
-
-// TestFingerprintDeterminism pins the cache-key material: stable
-// across calls, sensitive to every field, and section-prefixed so a
-// cache directory is greppable by experiment.
-func TestFingerprintDeterminism(t *testing.T) {
-	a := fingerprint("fig3", "prog=maxflow", "procs=12")
-	b := fingerprint("fig3", "prog=maxflow", "procs=12")
-	if a != b {
-		t.Errorf("fingerprint not stable: %q vs %q", a, b)
-	}
-	if !strings.HasPrefix(a, "fig3:") {
-		t.Errorf("fingerprint %q not section-prefixed", a)
-	}
-	if c := fingerprint("fig3", "prog=maxflow", "procs=16"); c == a {
-		t.Error("fingerprint insensitive to a field change")
-	}
-	if c := fingerprint("table2", "prog=maxflow", "procs=12"); c == a {
-		t.Error("fingerprint insensitive to the section")
-	}
-	// Field-boundary safety: the separator keeps "ab"+"c" distinct
-	// from "a"+"bc".
-	if fingerprint("s", "ab", "c") == fingerprint("s", "a", "bc") {
-		t.Error("fingerprint concatenates fields without separation")
 	}
 }

@@ -24,7 +24,7 @@ func TestBuildProgramRecordsDegradation(t *testing.T) {
 	if b == nil {
 		t.Fatal("pverify workload missing")
 	}
-	cfg := Config{Scale: 1, Verify: true}
+	cfg := Config{ConfigSpec: ConfigSpec{Scale: 1, Verify: true}}
 	const key = "safemode/pverify/C/b128"
 	var ev CellEvents
 	prog, err := cfg.buildProgram(WithEvents(context.Background(), &ev), key, b, VersionC, 8, 128, transform.Config{})
@@ -51,7 +51,7 @@ func TestBuildProgramRecordsDegradation(t *testing.T) {
 // cells record no degrade events; and the N version never verifies.
 func TestBuildProgramCleanRecordsNothing(t *testing.T) {
 	b := workload.Get("pverify")
-	cfg := Config{Scale: 1, Verify: true}
+	cfg := Config{ConfigSpec: ConfigSpec{Scale: 1, Verify: true}}
 	var ev CellEvents
 	ctx := WithEvents(context.Background(), &ev)
 	for _, ver := range []Version{VersionN, VersionC} {

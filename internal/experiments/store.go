@@ -6,10 +6,10 @@ package experiments
 // events. A cell records its events into the collector carried
 // on its context; runJobs gathers them per job and appends them, in
 // submission order, to the caller's Config.Events log. With
-// Config.Store set, every fingerprinted cell is looked up before it
+// Config.Store set, every cell is looked up by its address before it
 // runs and kept after it succeeds, so an interrupted run resumes, and
-// any later run over the same cells replays result, spans and events
-// exactly.
+// any later run of the same build over the same cells replays result,
+// spans and events exactly.
 
 import (
 	"context"
@@ -21,12 +21,29 @@ import (
 	"falseshare/internal/obs"
 )
 
-// CellSchema versions the stored cell format. It is part of every
-// store address (alongside the cell fingerprint), so bumping it — on
-// any change to what cells compute or how payloads are encoded —
-// invalidates every stored cell at once instead of serving stale
-// results. The falseshare/bench schema idiom (see BenchSchema).
-const CellSchema = "falseshare/cell/v2"
+// cellSchema is the artifact schema of stored cells. It carries no
+// version: the store serves an entry only to the build that wrote it.
+const cellSchema = "falseshare/cell"
+
+// cellAddress is the one store key of a cell: its pool key, the run's
+// spec minus the grid lists (the key already names the grid point),
+// and the section's own parameters. All else a cell depends on — the
+// sources, the restructurer, the simulators — is code, which the store
+// covers by keying every entry to the build that computed it.
+func cellAddress(cfg Config, key string, params any) string {
+	spec := cfg.ConfigSpec
+	spec.Fig3Blocks, spec.Table2Blocks, spec.SweepCounts = nil, nil, nil
+	b, err := json.Marshal(struct {
+		Key    string     `json:"key"`
+		Spec   ConfigSpec `json:"spec"`
+		Params any        `json:"params,omitempty"`
+	}{key, spec, params})
+	if err != nil {
+		// Section parameters are plain structs of numbers and lists.
+		panic(fmt.Sprintf("experiments: cell %s: %v", key, err))
+	}
+	return string(b)
+}
 
 // CellResult is one finished cell: the result JSON, the span subtree
 // its execution recorded, and its side events. It is the one payload
@@ -72,19 +89,23 @@ func cellEvents(ctx context.Context) *CellEvents {
 // recorder and its events into events[i]. With cfg.Runner set, any
 // other cell runs through it, and its result is stored and then
 // replayed the same way. Without one, a cell that runs records its
-// events into events[i] and, once it succeeds, is stored if it has a
-// fingerprint. The pool gives every attempt a private recorder
-// whenever the run has one; when it has none, a cell to be stored
-// gets its own, so every stored cell carries its span subtree.
-func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool.Job[T] {
+// events into events[i] and, once it succeeds, is stored. The pool
+// gives every attempt a private recorder whenever the run has one;
+// when it has none, a cell to be stored gets its own, so every stored
+// cell carries its span subtree.
+func cellJobs[T any](cfg Config, params any, jobs []pool.Job[T], events []CellEvents) []pool.Job[T] {
 	if cfg.Store == nil && cfg.Events == nil && cfg.Runner == nil {
 		return jobs
 	}
 	out := make([]pool.Job[T], len(jobs))
 	for i, j := range jobs {
+		var addr string
+		if cfg.Store != nil {
+			addr = cellAddress(cfg, j.Key, params)
+		}
 		out[i] = j
 		out[i].Run = func(ctx context.Context) (T, error) {
-			v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, j.Fingerprint)
+			v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, addr)
 			if !ok && cfg.Runner != nil {
 				var err error
 				if p, err = cfg.Runner.RunCell(ctx, j.Key); err != nil {
@@ -94,7 +115,7 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 					var zero T
 					return zero, fmt.Errorf("cell %s returned an unreadable result: %w", j.Key, err)
 				}
-				storeCell(ctx, cfg.Store, j.Fingerprint, p)
+				storeCell(ctx, cfg.Store, addr, p)
 				ok = true
 			}
 			if ok {
@@ -102,9 +123,8 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 				events[i] = p.Events
 				return v, nil
 			}
-			keep := cfg.Store != nil && j.Fingerprint != ""
 			rec := obs.FromContext(ctx)
-			if keep && rec == nil {
+			if cfg.Store != nil && rec == nil {
 				rec = obs.NewRecorder()
 				ctx = obs.WithRecorder(ctx, rec)
 			}
@@ -114,11 +134,11 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 				return v, err
 			}
 			events[i] = ev
-			if keep {
+			if cfg.Store != nil {
 				if data, merr := json.Marshal(v); merr != nil {
 					obs.LogfCtx(ctx, "store: %s: %v", j.Key, merr)
 				} else {
-					storeCell(ctx, cfg.Store, j.Fingerprint, CellResult{Key: j.Key, Data: data, Spans: rec.Spans(), Events: ev})
+					storeCell(ctx, cfg.Store, addr, CellResult{Key: j.Key, Data: data, Spans: rec.Spans(), Events: ev})
 				}
 			}
 			return v, nil
@@ -127,11 +147,11 @@ func cellJobs[T any](cfg Config, jobs []pool.Job[T], events []CellEvents) []pool
 	return out
 }
 
-// loadCell returns the decoded cell stored under fingerprint fp. A
-// payload stored for another key, or whose result no longer decodes
-// into T, is a miss: the cost of a stale entry is one recomputation.
-func loadCell[T any](ctx context.Context, st *artifact.Store, key, fp string) (v T, p CellResult, ok bool) {
-	raw, hit := st.Get(CellSchema, fp)
+// loadCell returns the decoded cell stored at address addr. A payload
+// stored for another key, or whose result does not decode into T, is
+// a miss: the cost of a bad entry is one recomputation.
+func loadCell[T any](ctx context.Context, st *artifact.Store, key, addr string) (v T, p CellResult, ok bool) {
+	raw, hit := st.Get(cellSchema, addr)
 	if !hit {
 		return v, p, false
 	}
@@ -143,17 +163,15 @@ func loadCell[T any](ctx context.Context, st *artifact.Store, key, fp string) (v
 	return v, p, true
 }
 
-// storeCell keeps one successful cell under its fingerprint.
-// Unfingerprinted cells (compilecost's timings) are never stored. A
-// failed write is logged, not returned: it only costs a future
-// recomputation.
-func storeCell(ctx context.Context, st *artifact.Store, fp string, p CellResult) {
-	if st == nil || fp == "" {
+// storeCell keeps one successful cell at its address. A failed write
+// is logged, not returned: it only costs a future recomputation.
+func storeCell(ctx context.Context, st *artifact.Store, addr string, p CellResult) {
+	if st == nil {
 		return
 	}
 	b, err := json.Marshal(&p)
 	if err == nil {
-		err = st.Put(ctx, CellSchema, fp, b)
+		err = st.Put(ctx, cellSchema, addr, b)
 	}
 	if err != nil {
 		obs.LogfCtx(ctx, "store: %s: %v", p.Key, err)

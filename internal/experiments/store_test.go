@@ -15,6 +15,7 @@ import (
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
+	"falseshare/internal/sim/ksr"
 )
 
 // openStore opens a cell store on dir, closed when the test ends.
@@ -36,12 +37,13 @@ type storeCellT struct {
 	Miss int64  `json:"miss"`
 }
 
-// storeJob is one fingerprinted job that records a span and counts
-// its executions.
-func storeJob(runs *int, fp string) pool.Job[storeCellT] {
+// storeKey is the key of storeJob's cell.
+const storeKey = "fig3/maxflow/N/b128"
+
+// storeJob is one job that records a span and counts its executions.
+func storeJob(runs *int) pool.Job[storeCellT] {
 	return pool.Job[storeCellT]{
-		Key:         "fig3/maxflow/N/b128",
-		Fingerprint: fp,
+		Key: storeKey,
 		Run: func(ctx context.Context) (storeCellT, error) {
 			*runs++
 			sp := obs.BeginCtx(ctx, "measure")
@@ -58,7 +60,7 @@ func runRecorded(t *testing.T, cfg Config, jobs []pool.Job[storeCellT]) ([]store
 	t.Helper()
 	rec := obs.NewRecorder()
 	cfg.Ctx = obs.WithRecorder(cfg.Ctx, rec)
-	res, err := runJobs(cfg, "t", jobs)
+	res, err := runJobs(cfg, "t", nil, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +84,13 @@ func TestStoreHitGraftsSpans(t *testing.T) {
 	dir := t.TempDir()
 	var runs int
 	cfg := Config{Workers: 1, Store: openStore(t, dir)}
-	first, firstSpans := runRecorded(t, cfg, []pool.Job[storeCellT]{storeJob(&runs, "t:fp1")})
+	first, firstSpans := runRecorded(t, cfg, []pool.Job[storeCellT]{storeJob(&runs)})
 	if runs != 1 || storedCells(cfg.Store) != 1 {
 		t.Fatalf("runs = %d, stored = %d; want 1, 1", runs, storedCells(cfg.Store))
 	}
 
 	cfg.Store = openStore(t, dir)
-	second, secondSpans := runRecorded(t, cfg, []pool.Job[storeCellT]{storeJob(&runs, "t:fp1")})
+	second, secondSpans := runRecorded(t, cfg, []pool.Job[storeCellT]{storeJob(&runs)})
 	if runs != 1 {
 		t.Fatalf("a stored cell re-ran (runs = %d)", runs)
 	}
@@ -104,7 +106,7 @@ func TestStoreHitGraftsSpans(t *testing.T) {
 }
 
 // TestStoreRoundTrip: a stored cell survives closing and reopening
-// the store and decodes to the value that was stored; a fingerprint
+// the store and decodes to the value that was stored; an address
 // never stored stays a miss.
 func TestStoreRoundTrip(t *testing.T) {
 	type cell struct {
@@ -114,11 +116,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	want := cell{Prog: "maxflow", Miss: 12345, Ratio: 1.5}
-	job := pool.Job[cell]{Key: "fig3/maxflow/N/b128", Fingerprint: "t:fp1", Run: func(ctx context.Context) (cell, error) {
+	job := pool.Job[cell]{Key: storeKey, Run: func(ctx context.Context) (cell, error) {
 		return want, nil
 	}}
 	st := openStore(t, dir)
-	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[cell]{job}); err != nil {
+	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", nil, []pool.Job[cell]{job}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -129,15 +131,16 @@ func TestStoreRoundTrip(t *testing.T) {
 	if n := storedCells(st2); n != 1 {
 		t.Fatalf("reopened store holds %d cells, want 1", n)
 	}
-	got, _, ok := loadCell[cell](context.Background(), st2, job.Key, job.Fingerprint)
+	got, _, ok := loadCell[cell](context.Background(), st2, job.Key, cellAddress(Config{}, job.Key, nil))
 	if !ok {
 		t.Fatal("cell missing after reopen")
 	}
 	if got != want {
 		t.Errorf("round trip: got %+v, want %+v", got, want)
 	}
-	if _, _, ok := loadCell[cell](context.Background(), st2, job.Key, "t:fp2"); ok {
-		t.Error("hit for a fingerprint never stored")
+	other := Config{ConfigSpec: ConfigSpec{Scale: 2}}
+	if _, _, ok := loadCell[cell](context.Background(), st2, job.Key, cellAddress(other, job.Key, nil)); ok {
+		t.Error("hit for an address never stored")
 	}
 }
 
@@ -152,12 +155,12 @@ func TestStoreSpanRoundTrip(t *testing.T) {
 		Children: []*obs.Span{{Name: "vm", Counters: map[string]int64{"refs": 7}}},
 	}}
 	st := openStore(t, dir)
-	storeCell(context.Background(), st, "t:fp", CellResult{Key: "k", Data: json.RawMessage(`{}`), Spans: spans})
+	storeCell(context.Background(), st, "t:addr", CellResult{Key: "k", Data: json.RawMessage(`{}`), Spans: spans})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, p, ok := loadCell[storeCellT](context.Background(), openStore(t, dir), "k", "t:fp")
+	_, p, ok := loadCell[storeCellT](context.Background(), openStore(t, dir), "k", "t:addr")
 	if !ok {
 		t.Fatal("cell missing after reopen")
 	}
@@ -179,12 +182,12 @@ func TestStoreSpanRoundTrip(t *testing.T) {
 func TestStoreStalePayloadIsMiss(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	for name, p := range map[string]CellResult{
-		"undecodable": {Key: "fig3/maxflow/N/b128", Data: json.RawMessage(`"a plain string, not a cell"`)},
+		"undecodable": {Key: storeKey, Data: json.RawMessage(`"a plain string, not a cell"`)},
 		"other key":   {Key: "fig3/maxflow/C/b128", Data: json.RawMessage(`{"prog":"maxflow","miss":99}`)},
 	} {
-		storeCell(context.Background(), st, "t:"+name, p)
+		storeCell(context.Background(), st, cellAddress(Config{}, storeKey, nil), p)
 		var runs int
-		got, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{storeJob(&runs, "t:"+name)})
+		got, err := runJobs(Config{Workers: 1, Store: st}, "t", nil, []pool.Job[storeCellT]{storeJob(&runs)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,41 +201,14 @@ func TestStoreStalePayloadIsMiss(t *testing.T) {
 // resumed run retries it.
 func TestStoreFailureNotStored(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	job := pool.Job[storeCellT]{Key: "k", Fingerprint: "t:fp", Run: func(ctx context.Context) (storeCellT, error) {
+	job := pool.Job[storeCellT]{Key: "k", Run: func(ctx context.Context) (storeCellT, error) {
 		return storeCellT{}, errors.New("boom")
 	}}
-	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{job}); err == nil {
+	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", nil, []pool.Job[storeCellT]{job}); err == nil {
 		t.Fatal("want error")
 	}
 	if n := storedCells(st); n != 0 {
 		t.Errorf("failure was stored (%d entries)", n)
-	}
-}
-
-// TestStoreSchemaBumpForcesRecomputation: CellSchema is part of every
-// store address, so entries written under an earlier schema are never
-// served — the cell recomputes and is stored under the current one,
-// and both generations coexist.
-func TestStoreSchemaBumpForcesRecomputation(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	const oldSchema = "falseshare/cell/v1"
-	old := []byte(`{"key":"fig3/maxflow/N/b128","data":{"prog":"stale","miss":1}}`)
-	if err := st.Put(context.Background(), oldSchema, "t:fp", old); err != nil {
-		t.Fatal(err)
-	}
-	var runs int
-	got, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{storeJob(&runs, "t:fp")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 || got[0].Prog != "maxflow" {
-		t.Fatalf("old-schema entry served: runs = %d, result %+v", runs, got[0])
-	}
-	if _, ok := st.Get(CellSchema, "t:fp"); !ok {
-		t.Error("recomputed cell not stored under the current schema")
-	}
-	if b, ok := st.Get(oldSchema, "t:fp"); !ok || !bytes.Equal(b, old) {
-		t.Errorf("old-schema entry disturbed: ok=%v data=%s", ok, b)
 	}
 }
 
@@ -242,8 +218,8 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	var runs int
-	jobs := []pool.Job[storeCellT]{storeJob(&runs, "t:fp")}
-	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", jobs); err != nil {
+	jobs := []pool.Job[storeCellT]{storeJob(&runs)}
+	if _, err := runJobs(Config{Workers: 1, Store: st}, "t", nil, jobs); err != nil {
 		t.Fatal(err)
 	}
 	var files []string
@@ -259,7 +235,7 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := runJobs(Config{Workers: 1, Store: st}, "t", jobs)
+	got, err := runJobs(Config{Workers: 1, Store: st}, "t", nil, jobs)
 	if err != nil {
 		t.Fatalf("corrupt entry surfaced as an error: %v", err)
 	}
@@ -271,21 +247,64 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
-// TestStoreUnfingerprintedNeverStored: a job without a fingerprint
-// (compilecost's timings) runs every time and never enters the store.
-func TestStoreUnfingerprintedNeverStored(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	var runs int
-	for i := 0; i < 2; i++ {
-		if _, err := runJobs(Config{Workers: 1, Store: st}, "t", []pool.Job[storeCellT]{storeJob(&runs, "")}); err != nil {
-			t.Fatal(err)
+// TestCellAddress pins the one store key of a cell: stable, and
+// sensitive to the cell key, to every spec setting that changes what
+// a cell computes and to the section's parameters; blind to the
+// worker count and to the grid lists, which the key already names.
+func TestCellAddress(t *testing.T) {
+	const key = "fig4/raytrace/N/p4"
+	base := DefaultConfig()
+	machine := ksr.DefaultConfig()
+	a := cellAddress(base, key, machine)
+	if b := cellAddress(base, key, machine); b != a {
+		t.Errorf("address not stable: %q vs %q", a, b)
+	}
+	same := base
+	same.Workers = 8
+	same.Fig3Blocks, same.Table2Blocks, same.SweepCounts = []int64{64}, nil, []int{4}
+	if b := cellAddress(same, key, machine); b != a {
+		t.Errorf("address depends on the workers or the grid lists:\n%s\n%s", a, b)
+	}
+
+	for name, change := range map[string]func(*Config){
+		"scale":  func(c *Config) { c.Scale = 2 },
+		"budget": func(c *Config) { c.StepBudget = 1_000_000 },
+		"verify": func(c *Config) { c.Verify = true },
+		"diag":   func(c *Config) { c.Diag = true },
+	} {
+		c := base
+		change(&c)
+		if cellAddress(c, key, machine) == a {
+			t.Errorf("address ignores %s", name)
 		}
 	}
-	if runs != 2 {
-		t.Errorf("runs = %d, want 2", runs)
+	if cellAddress(base, "fig4/raytrace/N/p8", machine) == a {
+		t.Error("address ignores the key")
 	}
-	if n := storedCells(st); n != 0 {
-		t.Errorf("unfingerprinted cell stored (%d entries)", n)
+	bigger := machine
+	bigger.CacheSize *= 2
+	if cellAddress(base, key, bigger) == a || cellAddress(base, key, nil) == a {
+		t.Error("address ignores the KSR machine")
+	}
+	mopt := MatrixOptions{}.withDefaults()
+	reseeded := mopt
+	reseeded.Seed++
+	if cellAddress(base, key, mopt) == cellAddress(base, key, reseeded) {
+		t.Error("address ignores the matrix options")
+	}
+}
+
+// TestStoreSkipsCompileCost: compile-cost timings are neither looked
+// up in nor written to the cell store, so every run measures afresh.
+func TestStoreSkipsCompileCost(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.Store = openStore(t, t.TempDir())
+	if _, err := CompileCost(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c := cfg.Store.Counters(); c != (artifact.Counters{}) {
+		t.Errorf("compile cost touched the cell store: %+v", c)
 	}
 }
 
@@ -298,7 +317,7 @@ func smallFig3() Config {
 }
 
 // TestStoreScaleChangeRecomputes: the scale is part of every cell's
-// fingerprint, so a run at another scale over the same store
+// address, so a run at another scale over the same store
 // recomputes every cell and matches a clean run at that scale.
 func TestStoreScaleChangeRecomputes(t *testing.T) {
 	dir := t.TempDir()
@@ -404,7 +423,7 @@ func TestStoreReplaysDiag(t *testing.T) {
 	}
 }
 
-// TestStoreDiagMismatchMisses: Diag is part of the fingerprint, so a
+// TestStoreDiagMismatchMisses: Diag is part of the address, so a
 // store filled without it serves no cell to a Diag run — every cell
 // recomputes and records its attribution.
 func TestStoreDiagMismatchMisses(t *testing.T) {

@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"falseshare/internal/experiments/pool"
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
 	"falseshare/internal/workload"
 )
@@ -83,53 +83,27 @@ func Table2(cfg Config) ([]Table2Row, error) {
 
 	var jobs []pool.Job[int64]
 	var keys []table2Key
-	add := func(b *workload.Benchmark, procs int, blk int64, variant string, hc transform.Config) {
-		keys = append(keys, table2Key{prog: b.Name, block: blk, variant: variant})
-		ver := VersionC
-		if variant == "N" {
-			ver = VersionN
-		}
-		key := fmt.Sprintf("table2/%s/b%d/%s", b.Name, blk, variant)
-		jobs = append(jobs, pool.Job[int64]{
-			Key: key,
-			Fingerprint: fingerprint("table2",
-				"prog="+b.Name, fmt.Sprintf("blk=%d", blk), "variant="+variant,
-				fmt.Sprintf("procs=%d", procs), fmt.Sprintf("heur=%+v", hc),
-				fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-				fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", cfg.Diag),
-				"src="+srcHash(b.Source(cfg.Scale))),
-			Run: func(ctx context.Context) (int64, error) {
-				prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, hc)
-				if err != nil {
-					return 0, fmt.Errorf("table2 %s %s: %w", b.Name, variant, err)
+	falseShare := func(st *cache.Stats) int64 { return st.FalseShare }
+	for _, b := range workload.Unoptimizable() {
+		for _, blk := range cfg.Table2Blocks {
+			for _, variant := range append([]string{"N"}, names...) {
+				keys = append(keys, table2Key{prog: b.Name, block: blk, variant: variant})
+				key := fmt.Sprintf("table2/%s/b%d/%s", b.Name, blk, variant)
+				ver := VersionC
+				if variant == "N" {
+					ver = VersionN
 				}
 				// Attribution covers the reference and the fully
 				// transformed variant; the single-transformation
 				// ablations stay plain (their deltas are Table 2's
 				// own columns).
 				diag := cfg.Diag && (variant == "N" || variant == "all")
-				st, err := cfg.measureCell(ctx, key, b.Name, ver, procs, blk, prog, diag)
-				if err != nil {
-					return 0, err
-				}
-				return st.FalseShare, nil
-			},
-		})
-	}
-	for _, b := range workload.Unoptimizable() {
-		procs := cfg.Fig3Procs
-		if b.Name == "topopt" && cfg.Fig3ProcsTopopt > 0 {
-			procs = cfg.Fig3ProcsTopopt
-		}
-		for _, blk := range cfg.Table2Blocks {
-			add(b, procs, blk, "N", transform.Config{})
-			for _, name := range names {
-				add(b, procs, blk, name, variants[name])
+				jobs = append(jobs, missJob(cfg, key, b, ver, variants[variant], blk, diag, falseShare))
 			}
 		}
 	}
 
-	fsCounts, err := runJobs(cfg, "table2", jobs)
+	fsCounts, err := runJobs(cfg, "table2", nil, jobs)
 	failed := failedKeys(err)
 	fs := make(map[table2Key]int64, len(keys))
 	have := make(map[table2Key]bool, len(keys))

@@ -12,8 +12,9 @@
 // malformed or adversarial programs into typed JSON errors with the
 // failing stage, the VM's step budget and the per-request deadline
 // bound runaway programs, and results are cached in the crash-safe
-// artifact store keyed by sha256(stage version ‖ budget ‖ source
-// body) — a warm repeat of an identical request never recomputes.
+// artifact store keyed by sha256(fsd build ‖ stage ‖ budget ‖ source
+// body) — a warm repeat of an identical request to the same build
+// never recomputes.
 //
 // The robustness envelope:
 //
@@ -59,8 +60,10 @@ import (
 	"falseshare/internal/vm"
 )
 
-// Stage version strings: part of every cache key, so bumping one
-// flushes exactly that endpoint's cached responses.
+// Stage names: the artifact schema of each endpoint's responses. The
+// store keys every entry to the fsd build that wrote it, so a changed
+// pipeline starts cold by itself and these never need a bump; the
+// "vN" suffixes are historical.
 const (
 	analyzeSchema   = "fsd/analyze/v1"
 	transformSchema = "fsd/transform/v1"
@@ -358,9 +361,9 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		sp := rec.Begin("serve." + name)
 		defer sp.End()
 
-		srcHash := bodyHash(body)
+		bodySum := bodyHash(body)
 		budget := s.effectiveBudget(body)
-		key := fmt.Sprintf("budget=%d|sha256=%s", budget, srcHash)
+		key := fmt.Sprintf("budget=%d|sha256=%s", budget, bodySum)
 
 		// Response cache first: a warm repeat of an identical request
 		// is served without touching the pipeline (sub-millisecond).
@@ -375,12 +378,12 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		// fast-failed, exactly like the fabric's per-cell death
 		// budget. Checked after the cache: a cached success is proof
 		// the input is fine.
-		if s.isQuarantined(srcHash) {
+		if s.isQuarantined(bodySum) {
 			s.bump(func(m *metrics) { m.QuarantineFails++ })
 			s.writeError(w, name, start, &ErrorBody{
 				Status:      http.StatusUnprocessableEntity,
 				Stage:       "quarantine",
-				Reason:      fmt.Sprintf("source %s exceeded the poison budget (%d strikes); quarantined", short(srcHash), s.opt.PoisonBudget),
+				Reason:      fmt.Sprintf("source %s exceeded the poison budget (%d strikes); quarantined", short(bodySum), s.opt.PoisonBudget),
 				Quarantined: true,
 			})
 			return
@@ -392,7 +395,7 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		ctx, cancel := s.requestCtx(r)
 		defer cancel()
 		ctx = obs.WithRecorder(ctx, rec)
-		jobKey := name + "/" + short(srcHash)
+		jobKey := name + "/" + short(bodySum)
 		jobs := []pool.Job[json.RawMessage]{{
 			Key: jobKey,
 			Run: func(ctx context.Context) (json.RawMessage, error) {
@@ -408,7 +411,7 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		}}
 		res, err := pool.RunPolicy(ctx, "serve", 1, pool.Policy{}, jobs)
 		if err != nil {
-			eb := s.classify(ctx, srcHash, err)
+			eb := s.classify(ctx, bodySum, err)
 			s.writeError(w, name, start, eb)
 			return
 		}
@@ -425,7 +428,7 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 // classify maps a pipeline failure to its typed error, and feeds the
 // poison breaker: contained panics and blown step budgets are
 // strikes against the source hash.
-func (s *Server) classify(ctx context.Context, srcHash string, err error) *ErrorBody {
+func (s *Server) classify(ctx context.Context, bodySum string, err error) *ErrorBody {
 	cause := err
 	if fails := pool.Failures(err); len(fails) > 0 {
 		cause = fails[0].Err
@@ -456,7 +459,7 @@ func (s *Server) classify(ctx context.Context, srcHash string, err error) *Error
 		// request degrades to a typed 500, and the input earns a
 		// poison strike.
 		s.bump(func(m *metrics) { m.Panics++ })
-		s.strike(srcHash)
+		s.strike(bodySum)
 		return &ErrorBody{Status: http.StatusInternalServerError, Stage: ie.Stage,
 			Reason: "internal error (contained panic): " + ie.Value}
 	}
@@ -464,7 +467,7 @@ func (s *Server) classify(ctx context.Context, srcHash string, err error) *Error
 		// A panic the pool contained outside core's guards (handler
 		// code, simulator): same posture.
 		s.bump(func(m *metrics) { m.Panics++ })
-		s.strike(srcHash)
+		s.strike(bodySum)
 		if i := strings.IndexByte(msg, '\n'); i > 0 {
 			msg = msg[:i]
 		}
@@ -476,7 +479,7 @@ func (s *Server) classify(ctx context.Context, srcHash string, err error) *Error
 	if errors.As(cause, &re) {
 		if strings.Contains(re.Msg, "step budget exceeded") {
 			s.bump(func(m *metrics) { m.BudgetBlown++ })
-			s.strike(srcHash)
+			s.strike(bodySum)
 		}
 		return &ErrorBody{Status: http.StatusUnprocessableEntity, Stage: "vm", Reason: cause.Error()}
 	}
@@ -583,20 +586,20 @@ func (s *Server) releaseClient(client string) {
 	}
 }
 
-func (s *Server) isQuarantined(srcHash string) bool {
+func (s *Server) isQuarantined(bodySum string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.quarantined[srcHash]
+	return s.quarantined[bodySum]
 }
 
 // strike charges one poison strike against a source hash; at the
 // budget, the hash is quarantined for the daemon's lifetime.
-func (s *Server) strike(srcHash string) {
+func (s *Server) strike(bodySum string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.strikes[srcHash]++
-	if s.strikes[srcHash] >= s.opt.PoisonBudget {
-		s.quarantined[srcHash] = true
+	s.strikes[bodySum]++
+	if s.strikes[bodySum] >= s.opt.PoisonBudget {
+		s.quarantined[bodySum] = true
 	}
 }
 
