@@ -220,7 +220,11 @@ func main() {
 	// processes behind.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.Ctx = ctx
+	// One measurement memo for the whole run: a cell whose program
+	// another section already measured under the same configuration
+	// (Table 3 repeating Figure 4's sweeps, Table 2 and the aggregates
+	// repeating Figure 3's cells) takes that result.
+	cfg.Ctx = experiments.WithMeasureMemo(ctx)
 	var coordP atomic.Pointer[fabric.Coordinator]
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -54,6 +54,9 @@ const aggBlock = 128
 // bias every headline number — and the *Partial error names the
 // failures.
 func ComputeAggregates(cfg Config) (*Aggregates, error) {
+	// The aggregates never attribute misses: -diag stays out of their
+	// cell addresses.
+	cfg.Diag = false
 	var jobs []pool.Job[aggCell]
 	for _, b := range workload.Unoptimizable() {
 		for _, ver := range []Version{VersionN, VersionC} {

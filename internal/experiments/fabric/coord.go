@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"falseshare/internal/artifact"
 	"falseshare/internal/experiments"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
@@ -43,7 +44,8 @@ type Options struct {
 	// workers than this fails instead of killing the whole fleet
 	// (default 3).
 	MaxDeaths int
-	// Stderr receives spawned workers' stderr (default os.Stderr).
+	// Stderr receives spawned workers' stderr and the coordinator's
+	// refusals of workers of another build (default os.Stderr).
 	Stderr io.Writer
 	// Recorder receives the fabric's own telemetry spans — worker
 	// lifetimes and reassignments. It is deliberately separate
@@ -385,6 +387,10 @@ func (c *Coordinator) readLoop(w *workerHandle) {
 		switch f.Type {
 		case TypeReady:
 			if !readyClosed {
+				if err := c.admit(w, f.Build); err != nil {
+					w.setErr(err)
+					return
+				}
 				readyClosed = true
 				close(w.ready)
 			}
@@ -401,6 +407,27 @@ func (c *Coordinator) readLoop(w *workerHandle) {
 			obs.LogfCtx(c.ctx, "fabric: worker %d: ignoring frame %q", w.id, f.Type)
 		}
 	}
+}
+
+// admit checks a ready worker's build against the coordinator's own.
+// The coordinator stores every result under its own build identity, so
+// a worker built from other code, or one that names no build, could
+// store figures this build never computed: it is refused, with both
+// identities logged, before it is assigned a cell.
+func (c *Coordinator) admit(w *workerHandle, build string) error {
+	own, err := artifact.BuildID()
+	if err == nil && build == own {
+		return nil
+	}
+	if err != nil {
+		own = err.Error()
+	}
+	if build == "" {
+		build = "(none)"
+	}
+	err = fmt.Errorf("fabric: refusing worker %d: its build %s is not this build %s", w.id, build, own)
+	fmt.Fprintln(c.opt.stderr(), err)
+	return err
 }
 
 // pingLoop pings the worker every 500ms and kills it after 10s of

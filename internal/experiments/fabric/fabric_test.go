@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -724,6 +725,103 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	if !bytes.Equal(mustJSON(t, first), mustJSON(t, second)) {
 		t.Error("results over a damaged store differ from computed ones")
 	}
+}
+
+// TestFabricRefusesOtherBuild: with cells waiting for a worker, one
+// whose ready frame names another build, or none, is dropped with
+// both identities logged and never assigned a cell; a worker of this
+// build then runs the whole grid.
+func TestFabricRefusesOtherBuild(t *testing.T) {
+	cfg, mopt, set := testGrid()
+	var log syncBuffer
+	coord := startCoordinator(t, Options{Listen: "127.0.0.1:0", Spec: cfg.ConfigSpec, Set: set, Stderr: &log})
+	fcfg := cfg
+	fcfg.Runner = coord
+	type run struct {
+		cells []experiments.MatrixCell
+		err   error
+	}
+	done := make(chan run, 1)
+	go func() {
+		cells, err := experiments.Matrix(fcfg, mopt)
+		done <- run{cells, err}
+	}()
+
+	for _, build := range []string{"another-build", ""} {
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := NewConn(conn, conn)
+		if f, err := fc.Read(); err != nil || f.Type != TypeHello {
+			t.Fatalf("want hello, got %v, %v", f, err)
+		}
+		if err := fc.Write(&Frame{Type: TypeReady, Cells: 1, Build: build}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		for {
+			f, err := fc.Read()
+			if err != nil {
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("worker of build %q was neither refused nor assigned", build)
+				}
+				break // refused: the coordinator closed the link
+			}
+			if f.Type == TypeAssign {
+				t.Fatalf("worker of build %q was assigned %s", build, f.Key)
+			}
+		}
+		conn.Close()
+	}
+	own, err := artifact.BuildID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"another-build", "(none)", own} {
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("refusal log %q does not name %s", log.String(), want)
+		}
+	}
+
+	go RunWorkerTCP(coord.Addr())
+	var got run
+	select {
+	case got = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the run did not finish on a worker of this build")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	want, err := experiments.Matrix(cfg, mopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got.cells), mustJSON(t, want)) {
+		t.Error("results differ from a local run")
+	}
+	if st := coord.Stats(); st.Attached != 3 {
+		t.Errorf("attached=%d, want 3", st.Attached)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the coordinator's goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestFabricTCPWorker attaches a worker over TCP (fsexp -worker

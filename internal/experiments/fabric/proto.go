@@ -24,7 +24,11 @@
 //   - a transient cell error stays transient across the wire, so the
 //     pool retries it under Config.Policy like a local one;
 //   - once the last worker is lost with no replacement possible, every
-//     waiting and later dispatch fails at once instead of hanging.
+//     waiting and later dispatch fails at once instead of hanging;
+//   - a worker whose ready frame names another build than the
+//     coordinator's (artifact.BuildID), or none, is dropped before it
+//     is assigned a cell, since its results would be stored under the
+//     coordinator's build.
 //
 // Workers hold no state worth keeping: they never open the cell store
 // (experiments.Config.Store) — only the process that owns the run
@@ -59,7 +63,7 @@ const (
 	// Always the first frame on a connection.
 	TypeHello = "hello"
 	// TypeReady acknowledges hello: the worker enumerated its grid and
-	// accepts assignments.
+	// accepts assignments, if the coordinator admits its build.
 	TypeReady = "ready"
 	// TypeAssign hands one cell (by key) to the worker.
 	TypeAssign = "assign"
@@ -91,8 +95,10 @@ type Frame struct {
 	Err       string                  `json:"err,omitempty"`
 	Retryable bool                    `json:"retryable,omitempty"`
 
-	// ready
-	Cells int `json:"cells,omitempty"`
+	// ready: the grid size and the worker's build identity
+	// (artifact.BuildID); the coordinator refuses any other build
+	Cells int    `json:"cells,omitempty"`
+	Build string `json:"build,omitempty"`
 }
 
 // MaxFrame bounds a frame's encoded size: anything larger is a

@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"time"
 
+	"falseshare/internal/artifact"
 	"falseshare/internal/experiments"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
@@ -45,7 +46,10 @@ func RunWorker(in io.Reader, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("fabric: worker: %w", err)
 	}
-	if err := conn.Write(&Frame{Type: TypeReady, Cells: enum.Len()}); err != nil {
+	// An unreadable executable reports no build, which the coordinator
+	// refuses like another build's.
+	build, _ := artifact.BuildID()
+	if err := conn.Write(&Frame{Type: TypeReady, Cells: enum.Len(), Build: build}); err != nil {
 		return err
 	}
 

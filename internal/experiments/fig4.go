@@ -28,6 +28,9 @@ type Curve struct {
 // turns the results, indexed like the jobs, back into curves.
 // Splitting enumeration from assembly lets Figure4 and Table3 fan the
 // sweeps of *all* their benchmarks into one pool.
+//
+// The sweeps never attribute misses, so their callers clear cfg.Diag:
+// -diag stays out of the sweep cells' store addresses.
 func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Job[*ksr.Result], func([]*ksr.Result) []Curve) {
 	if machine.StepBudget == 0 {
 		machine.StepBudget = cfg.StepBudget
@@ -41,7 +44,7 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 				if err != nil {
 					return nil, fmt.Errorf("fig4 %s/%s: %w", b.Name, ver, err)
 				}
-				r, err := ksr.ExecuteCtx(ctx, prog, machine)
+				r, err := execute(ctx, prog, machine)
 				if err != nil {
 					return nil, fmt.Errorf("fig4 %s/%s at %d procs: %w", b.Name, ver, p, err)
 				}
@@ -93,6 +96,7 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 // exactly as the paper's Figure 4 plots them. The sweep's executions
 // fan out across cfg.Workers.
 func SpeedupCurves(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]Curve, error) {
+	cfg.Diag = false
 	jobs, assemble := sweepJobs(b, cfg, machine)
 	results, err := runJobs(cfg, "fig4:"+b.Name, machine, jobs)
 	if err != nil {
@@ -111,6 +115,7 @@ func SpeedupCurves(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]Cur
 // benchmark — while unaffected benchmarks assemble normally. The
 // failed keys come back in the *Partial error.
 func benchCurves(name string, benches []*workload.Benchmark, cfg Config, machine ksr.Config) ([][]Curve, error) {
+	cfg.Diag = false
 	var jobs []pool.Job[*ksr.Result]
 	type slice struct {
 		lo, hi   int

@@ -65,6 +65,8 @@ type ConfigSpec struct {
 	// attr.Collector, and the per-object reports are recorded against
 	// the cell key as DiagCells in Events — see RenderDiag. Like
 	// Verify's events, a replayed cell's reports come back from Store.
+	// The other sections clear it, so it enters only these three
+	// sections' cell addresses.
 	Diag bool `json:"diag,omitempty"`
 }
 
@@ -81,7 +83,8 @@ type Config struct {
 
 	// Ctx, when non-nil, cancels the whole run: jobs in flight observe
 	// the cancellation through their context, unstarted jobs are
-	// skipped. The CLIs route Ctrl-C through here.
+	// skipped. The CLIs route Ctrl-C through here. A measurement memo
+	// on it (WithMeasureMemo) is shared by every fan-out run under it.
 	Ctx context.Context
 	// Policy governs the experiment pool's failure handling: fail-fast
 	// vs keep-going, per-job deadlines, retries. The zero value runs
@@ -169,7 +172,10 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 // every successful cell's events are appended to cfg.Events in
 // submission order. params are the section's own parameters beyond
 // cfg (the KSR machine, the matrix options, or nil); they are part of
-// every cell's store address.
+// every cell's store address. Cells measure through the memo on
+// cfg.Ctx (see WithMeasureMemo), or else through one that lives as
+// long as this fan-out, so cells that execute the same program under
+// the same configuration run it once.
 //
 // With cfg.Runner set the cells run in other processes, through the
 // same pool (see Config.Runner). With cfg.enum set (Collect) the jobs
@@ -180,12 +186,16 @@ func runJobs[T any](cfg Config, name string, params any, jobs []pool.Job[T]) ([]
 		collectJobs(cfg.enum, jobs)
 		return make([]T, len(jobs)), errCollected
 	}
+	ctx := cfg.Ctx
+	if memoFrom(ctx) == nil {
+		ctx = WithMeasureMemo(ctx)
+	}
 	events := make([]CellEvents, len(jobs))
 	workers, pol := cfg.Workers, cfg.Policy
 	if cfg.Runner != nil {
 		workers, pol.JobTimeout = len(jobs), 0
 	}
-	results, err := pool.RunPolicy(cfg.Ctx, name, workers, pol, cellJobs(cfg, params, jobs, events))
+	results, err := pool.RunPolicy(ctx, name, workers, pol, cellJobs(cfg, params, jobs, events))
 	if cfg.Events != nil {
 		for _, ev := range events {
 			cfg.Events.Degraded = append(cfg.Events.Degraded, ev.Degraded...)
@@ -222,8 +232,12 @@ func Versions(b *workload.Benchmark) []Version {
 // cache configuration, the simulator fed inline on the VM's goroutine.
 // NumProcs is taken from the program's layout; ctx cancels the VM
 // mid-run and budget caps per-process instructions (0: the VM
-// default). Every experiment cell, fsc -diag and fsd measure through
-// it or MeasureConfigAttr; fssim drives its own multi-block sweeps.
+// default). The statistics are a copy detached from the simulator.
+// Under a measurement memo (WithMeasureMemo) a program already
+// measured under the same configuration and budget is not run again:
+// the kept statistics come back, shared and read-only. Every
+// experiment cell, fsc -diag and fsd measure through it or
+// MeasureConfigAttr; fssim drives its own multi-block sweeps.
 func MeasureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, error) {
 	st, _, err := measureConfig(ctx, prog, ccfg, budget, false)
 	return st, err
@@ -231,7 +245,9 @@ func MeasureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 
 // MeasureConfigAttr is MeasureConfig with miss attribution: the
 // simulator carries a collector over an address map fed by the live
-// machine. Attribution never changes the statistics.
+// machine. Attribution never changes the statistics. It always runs:
+// the report maps addresses through prog's own layout, so it is never
+// shared.
 func MeasureConfigAttr(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, *attr.Report, error) {
 	return measureConfig(ctx, prog, ccfg, budget, true)
 }
@@ -245,6 +261,20 @@ func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 	if err != nil {
 		return nil, nil, err
 	}
+	rec := obs.FromContext(ctx)
+	if m := memoFrom(ctx); m != nil && !attributed {
+		st, err := share(ctx, m, programKey(bc, ccfg, budget), sp.Adopt, func(ctx context.Context) (*cache.Stats, error) {
+			st, _, err := simulate(ctx, rec, prog, bc, ccfg, budget, false)
+			return st, err
+		})
+		return st, nil, err
+	}
+	return simulate(ctx, rec, prog, bc, ccfg, budget, attributed)
+}
+
+// simulate runs bc on ctx and feeds its references to a simulator
+// under ccfg, streaming progress to rec when it is non-nil.
+func simulate(ctx context.Context, rec *obs.Recorder, prog *core.Program, bc *vm.Program, ccfg cache.Config, budget int64, attributed bool) (*cache.Stats, *attr.Report, error) {
 	sim, err := cache.New(ccfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: MeasureConfig: %w", err)
@@ -262,17 +292,18 @@ func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 		col = attr.NewCollector(amap, ccfg.BlockSize)
 		sim.SetAttributor(col)
 	}
-	installMetrics(ctx, sim)
+	installMetrics(rec, sim)
 	if err := m.Run(func(r vm.Ref) {
 		sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
 	}); err != nil {
 		return nil, nil, err
 	}
+	st := *sim.Stats()
 	if !attributed {
-		return sim.Stats(), nil, nil
+		return &st, nil, nil
 	}
 	amap.ResolveOwners()
-	return sim.Stats(), col.Report(nprocs), nil
+	return &st, col.Report(ccfg.NumProcs), nil
 }
 
 // metricsEvery is the streaming-metrics period in block references:
@@ -281,10 +312,9 @@ func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 const metricsEvery = 5_000_000
 
 // installMetrics wires the simulator's sampler to the progress
-// stream of ctx's recorder. No recorder: no sampler, and the
-// simulator hot path keeps its zero-cost disabled branch.
-func installMetrics(ctx context.Context, sim *cache.Sim) {
-	rec := obs.FromContext(ctx)
+// stream of rec. No recorder: no sampler, and the simulator hot path
+// keeps its zero-cost disabled branch.
+func installMetrics(rec *obs.Recorder, sim *cache.Sim) {
 	if rec == nil {
 		return
 	}

@@ -27,7 +27,8 @@ const cellSchema = "falseshare/cell"
 
 // cellAddress is the one store key of a cell: its pool key, the run's
 // spec minus the grid lists (the key already names the grid point),
-// and the section's own parameters. All else a cell depends on — the
+// and the section's own parameters. Sections that never attribute
+// misses clear Diag first. All else a cell depends on — the
 // sources, the restructurer, the simulators — is code, which the store
 // covers by keying every entry to the build that computed it.
 func cellAddress(cfg Config, key string, params any) string {

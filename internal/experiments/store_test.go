@@ -250,7 +250,8 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 // TestCellAddress pins the one store key of a cell: stable, and
 // sensitive to the cell key, to every spec setting that changes what
 // a cell computes and to the section's parameters; blind to the
-// worker count and to the grid lists, which the key already names.
+// worker count, to the grid lists, which the key already names, and
+// to -diag in the sections that never attribute.
 func TestCellAddress(t *testing.T) {
 	const key = "fig4/raytrace/N/p4"
 	base := DefaultConfig()
@@ -292,6 +293,46 @@ func TestCellAddress(t *testing.T) {
 	if cellAddress(base, key, mopt) == cellAddress(base, key, reseeded) {
 		t.Error("address ignores the matrix options")
 	}
+
+	// -diag enters the addresses of the sections that attribute misses
+	// (fig3, table2 and matrix; see "diag" above) and no others: a
+	// -diag rerun replays every cell of the aggregates and Figure 4
+	// from a store a plain run filled, and none of Figure 3's.
+	t.Run("diag", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Workers = 4
+		cfg.SweepCounts = []int{1, 2}
+		cfg.Fig3Blocks = []int64{128}
+		cfg.Store = openStore(t, t.TempDir())
+		plain := func(cfg Config) {
+			t.Helper()
+			if _, err := ComputeAggregates(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Figure4(cfg, machine); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fig3 := func(cfg Config) {
+			t.Helper()
+			if _, err := Figure3(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plain(cfg)
+		cells := cfg.Store.Counters().Misses
+		fig3(cfg)
+		cfg.Diag = true
+		plain(cfg)
+		if c := cfg.Store.Counters(); c.Hits != cells {
+			t.Errorf("a -diag rerun replayed %d of the aggregates' and Figure 4's %d cells", c.Hits, cells)
+		}
+		before := cfg.Store.Counters()
+		fig3(cfg)
+		if c := cfg.Store.Counters(); c.Hits != before.Hits || c.Misses != before.Misses+12 {
+			t.Errorf("a -diag rerun of Figure 3 replayed plain cells: %+v, then %+v", before, c)
+		}
+	})
 }
 
 // TestStoreSkipsCompileCost: compile-cost timings are neither looked

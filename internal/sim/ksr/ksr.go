@@ -49,7 +49,9 @@ type Result struct {
 	Cycles float64
 	// Instrs is the total instruction count across processors.
 	Instrs int64
-	// Stats is the cache simulation underlying the time model.
+	// Stats is the cache simulation underlying the time model: a copy
+	// detached from the simulator, so a kept Result does not hold the
+	// simulator's line arrays and block metadata live.
 	Stats *cache.Stats
 	// Phases is the number of barrier-delimited phases accounted.
 	Phases int
@@ -111,7 +113,8 @@ func ExecuteCtx(ctx context.Context, prog *core.Program, cfg Config) (*Result, e
 	}
 	boundaries = append(boundaries, snap()) // final phase
 
-	res := &Result{P: nprocs, Stats: sim.Stats(), Phases: len(boundaries)}
+	st := *sim.Stats()
+	res := &Result{P: nprocs, Stats: &st, Phases: len(boundaries)}
 	var prev phaseSnapshot
 	prev.instrs = make([]int64, nprocs)
 	prev.misses = make([]int64, nprocs)
