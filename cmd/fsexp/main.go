@@ -24,10 +24,14 @@
 // cells in flight stop at their next cancellation check, finished
 // cells stay stored when -cache is set, and a second interrupt exits
 // immediately (reaping any spawned worker processes). -job-timeout
-// bounds each cell, -retries re-runs transiently failed cells,
-// -step-budget caps VM instructions so a runaway program fails instead
-// of hanging. -faults (or the FSEXP_FAULTS environment variable)
-// injects deterministic faults for testing; see internal/faultinject.
+// bounds each cell, -step-budget caps VM instructions so a runaway
+// program fails instead of hanging. A failed cell fails the same way
+// on every attempt, since the simulation is deterministic: by default
+// the first failure stops the run, -keep-going renders what survives,
+// and a re-run with -cache runs only the cells that did not finish. A
+// failed run exits 1, an interrupted one 130. -faults (or the
+// FSEXP_FAULTS environment variable) injects deterministic faults for
+// testing; see internal/faultinject.
 //
 // Distributed runs: -workers N shards the cells across N spawned
 // worker processes (fsexp -worker over stdio); -listen additionally
@@ -106,7 +110,6 @@ func main() {
 
 		keepGoing  = flag.Bool("keep-going", false, "keep running after cell failures and render partial figures/tables (default: fail fast)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-cell deadline, e.g. 90s (0 = none)")
-		retries    = flag.Int("retries", 0, "retry a transiently failed cell up to this many times")
 		stepBudget = flag.Int64("step-budget", 0, "per-process VM instruction cap (0 = the VM default of 1e9)")
 		verifyRuns = flag.Bool("verify", false, "translation-validate every compiler-restructured cell; failing objects degrade to the identity layout and are reported")
 		diagRuns   = flag.Bool("diag", false, "attribute misses to objects in every fig3/table2 cell and print which objects' false sharing each transformation eliminated")
@@ -174,7 +177,6 @@ func main() {
 	cfg.Policy = pool.Policy{
 		FailFast:   !*keepGoing,
 		JobTimeout: *jobTimeout,
-		Retries:    *retries,
 	}
 	if *quick {
 		cfg.SweepCounts = []int{1, 2, 4, 8, 12, 16, 20, 28}
@@ -351,14 +353,15 @@ func main() {
 	interrupted := false
 
 	// fatal ends the run on an experiment error: store flushed, resume
-	// hint printed, exit code 130 for an interrupted run and 1
-	// otherwise.
+	// hint printed, exit code 130 for a run the signal handler
+	// cancelled and 1 otherwise. A fail-fast stop also leaves cells
+	// cancelled, but only the handler cancels ctx itself.
 	fatal := func(name string, err error) {
 		shutdownFabric()
 		closeStore()
 		fmt.Fprintf(os.Stderr, "fsexp: %s: %v\n", name, err)
 		code := 1
-		if errors.Is(err, context.Canceled) {
+		if ctx.Err() != nil {
 			code = 130
 		}
 		if *cacheDir != "" {
@@ -373,12 +376,14 @@ func main() {
 	// into its own manifest (stage spans plus the result rows) written
 	// as <dir>/<name>.json — even for a failed or partial run, so an
 	// interrupted invocation still leaves its manifests behind. With
-	// -keep-going a *Partial failure renders whatever survived and the
-	// failed cell keys are reported (and recorded in the manifest under
-	// "failed"); any other failure is fatal.
+	// -keep-going a failure of some cells (a *pool.MultiError) renders
+	// whatever survived and the failed cell keys are reported (and
+	// recorded in the manifest under "failed"); any other failure is
+	// fatal.
 	run := func(name string, fn func() (any, error)) any {
 		var v any
 		var err error
+		var merr *pool.MultiError
 		seenDegraded := len(events.Degraded)
 		seenDiag := len(events.Diag)
 		if *reportDir == "" {
@@ -386,8 +391,12 @@ func main() {
 		} else {
 			var rep *obs.Report
 			rep, err = experiments.RunManifest("fsexp", name, experiments.ConfigMap(cfg), fn)
-			if p, ok := experiments.AsPartial(err); ok {
-				rep.AddData("failed", p.Failed)
+			if errors.As(err, &merr) {
+				var keys []string
+				for _, e := range merr.Errors {
+					keys = append(keys, e.Key)
+				}
+				rep.AddData("failed", keys)
 			}
 			if len(events.Degraded) > seenDegraded {
 				// Safe mode rolled objects back in this section: record
@@ -414,14 +423,17 @@ func main() {
 			v = rep.Data["result"]
 		}
 		if err != nil {
-			p, ok := experiments.AsPartial(err)
-			if !ok || !*keepGoing {
+			if !errors.As(err, &merr) || !*keepGoing {
 				fatal(name, err)
 			}
-			if errors.Is(err, context.Canceled) {
+			if ctx.Err() != nil {
 				interrupted = true
 			}
-			failSections = append(failSections, fmt.Sprintf("%s: %d of %d cells failed:\n%s", name, len(p.Failed), p.Total, p.Details()))
+			section := fmt.Sprintf("%s: %d of %d cells failed:\n", name, len(merr.Errors), merr.Jobs)
+			for _, e := range merr.Errors {
+				section += "  " + e.Error() + "\n"
+			}
+			failSections = append(failSections, section)
 		}
 		return v
 	}

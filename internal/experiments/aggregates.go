@@ -51,8 +51,8 @@ const aggBlock = 128
 // The aggregates compare each program's N and C runs, so when either
 // version of a program fails (and cfg.Policy keeps going) both its
 // cells are excluded from the sums — a one-sided contribution would
-// bias every headline number — and the *Partial error names the
-// failures.
+// bias every headline number — and the pool's *pool.MultiError names
+// the failures.
 func ComputeAggregates(cfg Config) (*Aggregates, error) {
 	// The aggregates never attribute misses: -diag stays out of their
 	// cell addresses.
@@ -76,7 +76,7 @@ func ComputeAggregates(cfg Config) (*Aggregates, error) {
 		}
 	}
 	if err != nil && len(excluded) == len(workload.Unoptimizable()) {
-		return nil, partial(err, len(jobs))
+		return nil, err
 	}
 
 	var fsN, otherN, fsC, otherC int64
@@ -105,7 +105,7 @@ func ComputeAggregates(cfg Config) (*Aggregates, error) {
 	if fsN+otherN > 0 {
 		a.TotalMissReduction = 1 - float64(fsC+otherC)/float64(fsN+otherN)
 	}
-	return a, partial(err, len(jobs))
+	return a, err
 }
 
 // progOfAggKey extracts the program name from an "aggregates/<prog>/<ver>"

@@ -46,7 +46,8 @@ func (r CompileCostRow) Overhead() float64 {
 // steadiest numbers come from ecfg.Workers == 1.
 //
 // When some benchmarks fail (and ecfg.Policy keeps going), the
-// surviving rows are returned with a *Partial error naming the rest.
+// surviving rows are returned with the pool's *pool.MultiError naming
+// the rest.
 // The jobs run without ecfg.Store, so timings are never stored: every
 // run, resumed or not, measures afresh.
 func CompileCost(ecfg Config) ([]CompileCostRow, error) {
@@ -102,7 +103,7 @@ func CompileCost(ecfg Config) ([]CompileCostRow, error) {
 			ok = append(ok, rows[i])
 		}
 	}
-	return ok, partial(err, len(jobs))
+	return ok, err
 }
 
 func minTime(reps int, f func() error) (time.Duration, error) {

@@ -77,9 +77,9 @@ type Stats struct {
 	Spawned  int
 	Attached int
 	Deaths   int
-	// Cells counts dispatched cell executions, the pool's retries
-	// included (stored cells never reach the fabric); Reassigned
-	// counts cells dispatched again after losing their worker.
+	// Cells counts dispatched cell executions, re-dispatches included
+	// (stored cells never reach the fabric); Reassigned counts cells
+	// dispatched again after losing their worker.
 	Cells      int
 	Reassigned int
 }

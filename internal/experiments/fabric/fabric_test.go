@@ -494,54 +494,6 @@ func TestFabricChaosCorrupt(t *testing.T) {
 	}
 }
 
-// TestFabricTransientRetry: a worker-reported transient error keeps
-// its transience across the wire, so the experiment pool retries it
-// under Config.Policy (bounded, backed off) and the second dispatch
-// succeeds — the count=1 rule is exhausted within the single worker
-// process. The job span counts the retry.
-func TestFabricTransientRetry(t *testing.T) {
-	cfg, mopt, set := testGrid()
-	keys := gridKeys(t, cfg, set)
-	victim := keys[0]
-
-	coord := startCoordinator(t, Options{
-		Workers: 1,
-		Spec:    cfg.ConfigSpec,
-		Set:     set,
-		Faults:  "worker.cell=" + victim + ":error:transient:count=1",
-	})
-	rec := obs.NewRecorder()
-	fcfg := cfg
-	fcfg.Ctx = obs.WithRecorder(context.Background(), rec)
-	fcfg.Policy = pool.Policy{Retries: 2, Backoff: 5 * time.Millisecond}
-	fcfg.Runner = coord
-	got, err := experiments.Matrix(fcfg, mopt)
-	if err != nil {
-		t.Fatalf("transient fault was not retried: %v", err)
-	}
-	want, err := experiments.Matrix(cfg, mopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
-		t.Error("retried run differs from undisturbed run")
-	}
-	job := rec.Find("job:" + victim)
-	if job == nil {
-		t.Fatalf("no span for job %s", victim)
-	}
-	if n := job.Counters["retries"]; n != 1 {
-		t.Errorf("job span retries = %d, want 1", n)
-	}
-	st := coord.Stats()
-	if st.Cells != len(keys)+1 {
-		t.Errorf("cells = %d, want %d (every cell once, the victim twice)", st.Cells, len(keys)+1)
-	}
-	if st.Deaths != 0 {
-		t.Errorf("deaths = %d, want 0 (a retried error is not a dead worker)", st.Deaths)
-	}
-}
-
 // TestFabricFleetDeadFailsLaterRuns: once every worker is lost and the
 // respawn budget is spent, the run in flight fails — and so does every
 // later run, at once, instead of queueing cells no worker will take.

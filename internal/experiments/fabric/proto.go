@@ -9,8 +9,9 @@
 //
 // The coordinator does not schedule. Every cell stays a job of the
 // experiment pool (internal/experiments/pool), which calls
-// Coordinator.RunCell for it: so retries, fail-fast, skip-on-cancel
-// and the store work in a distributed run exactly as in a local one.
+// Coordinator.RunCell for it: so fail-fast, keep-going,
+// skip-on-cancel and the store work in a distributed run exactly as
+// in a local one.
 // RunCell waits for an idle worker, dispatches the cell, and waits
 // for the worker's report.
 //
@@ -21,8 +22,6 @@
 //     detect dead and hung workers;
 //   - a cell whose worker is lost is dispatched again, bounded per
 //     cell (Options.MaxDeaths) so a poison cell cannot eat the fleet;
-//   - a transient cell error stays transient across the wire, so the
-//     pool retries it under Config.Policy like a local one;
 //   - once the last worker is lost with no replacement possible, every
 //     waiting and later dispatch fails at once instead of hanging;
 //   - a worker whose ready frame names another build than the
@@ -49,6 +48,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -91,9 +91,8 @@ type Frame struct {
 
 	// result: a successful cell's payload — the CellResult the
 	// coordinator's cell store keeps — or a failed cell's error
-	Result    *experiments.CellResult `json:"result,omitempty"`
-	Err       string                  `json:"err,omitempty"`
-	Retryable bool                    `json:"retryable,omitempty"`
+	Result *experiments.CellResult `json:"result,omitempty"`
+	Err    string                  `json:"err,omitempty"`
 
 	// ready: the grid size and the worker's build identity
 	// (artifact.BuildID); the coordinator refuses any other build
@@ -211,21 +210,10 @@ func (c *Conn) writeRaw(b []byte) error {
 	return nil
 }
 
-// transientError is a worker-reported error whose transience survived
-// the wire (Frame.Retryable), so the pool's retry policy still sees
-// it.
-type transientError struct{ msg string }
-
-func (e *transientError) Error() string   { return e.msg }
-func (e *transientError) Transient() bool { return true }
-
 // frameError reconstructs a worker-reported error.
 func frameError(f *Frame) error {
 	if f.Err == "" {
 		return nil
 	}
-	if f.Retryable {
-		return &transientError{msg: f.Err}
-	}
-	return fmt.Errorf("%s", f.Err)
+	return errors.New(f.Err)
 }

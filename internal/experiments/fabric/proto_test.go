@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/pool"
 	"falseshare/internal/obs"
 )
 
@@ -29,7 +28,7 @@ func roundTripFrames() []*Frame {
 		{Type: TypeReady, Cells: 42},
 		{Type: TypeAssign, Key: "matrix/gen-001/mesi/flat"},
 		{Type: TypeResult, Key: "matrix/gen-001/mesi/flat", Result: &experiments.CellResult{Key: "matrix/gen-001/mesi/flat", Data: json.RawMessage(`{"x":1}`), Spans: []*obs.Span{{Name: "job"}}}},
-		{Type: TypeResult, Key: "k", Err: "boom", Retryable: true},
+		{Type: TypeResult, Key: "k", Err: "boom"},
 		{Type: TypePing},
 		{Type: TypePong},
 		{Type: TypeShutdown},
@@ -59,23 +58,12 @@ func TestConnRoundTrip(t *testing.T) {
 		if !bytes.Equal(wb, gb) {
 			t.Errorf("frame %q did not round-trip:\nsent %s\ngot  %s", want.Type, wb, gb)
 		}
+		if ferr := frameError(got); (ferr == nil) != (want.Err == "") || ferr != nil && ferr.Error() != want.Err {
+			t.Errorf("frame %q: frameError = %v, want %q", want.Type, ferr, want.Err)
+		}
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConnTransientSurvivesWire(t *testing.T) {
-	f := &Frame{Type: TypeResult, Key: "k", Err: "flaky", Retryable: true}
-	if err := frameError(f); !pool.Transient(err) {
-		t.Errorf("retryable frame error lost its transience: %v", err)
-	}
-	f.Retryable = false
-	if err := frameError(f); pool.Transient(err) {
-		t.Errorf("non-retryable frame error became transient: %v", err)
-	}
-	if err := frameError(&Frame{Type: TypeResult, Key: "k"}); err != nil {
-		t.Errorf("success frame produced error %v", err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"falseshare/internal/artifact"
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 )
@@ -183,7 +182,6 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *
 	res := &Frame{Type: TypeResult, Key: a.Key}
 	if ferr := faultinject.Fire(ctx, "worker.cell", a.Key); ferr != nil {
 		res.Err = ferr.Error()
-		res.Retryable = pool.Transient(ferr)
 		conn.Write(res)
 		return
 	}
@@ -197,7 +195,6 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *
 		res.Err = fmt.Sprintf("worker has no cell %q (grid mismatch?)", a.Key)
 	case err != nil:
 		res.Err = err.Error()
-		res.Retryable = pool.Transient(err)
 	default:
 		res.Result = &experiments.CellResult{Key: a.Key, Data: data, Spans: spans, Events: ev}
 	}

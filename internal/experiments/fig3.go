@@ -41,8 +41,8 @@ func (c Fig3Cell) TotalRate() float64 { return c.FSRate + c.OtherRate }
 // out across cfg.Workers, with the cell order fixed by enumeration.
 //
 // When some cells fail (and cfg.Policy keeps going), the surviving
-// cells are returned alongside a *Partial error naming the failed
-// ones, so callers can render the bars they have.
+// cells are returned alongside the pool's *pool.MultiError naming the
+// failed ones, so callers can render the bars they have.
 func Figure3(cfg Config) ([]Fig3Cell, error) {
 	var jobs []pool.Job[Fig3Cell]
 	for _, b := range workload.Unoptimizable() {
@@ -71,7 +71,7 @@ func Figure3(cfg Config) ([]Fig3Cell, error) {
 	if err == nil {
 		return cells, nil
 	}
-	// Partial assembly: keep the cells whose jobs succeeded.
+	// Keep the cells whose jobs succeeded.
 	failed := failedKeys(err)
 	var ok []Fig3Cell
 	for i, j := range jobs {
@@ -79,7 +79,7 @@ func Figure3(cfg Config) ([]Fig3Cell, error) {
 			ok = append(ok, cells[i])
 		}
 	}
-	return ok, partial(err, len(jobs))
+	return ok, err
 }
 
 // missJob builds the one kind of cell behind Figure 3, Table 2 and the

@@ -103,7 +103,7 @@ func SpeedupCurves(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]Cur
 		// A speedup curve is meaningless with holes (every point is
 		// relative to the baseline run), so a single benchmark's sweep
 		// is all or nothing.
-		return nil, partial(err, len(jobs))
+		return nil, err
 	}
 	return assemble(results), nil
 }
@@ -113,7 +113,7 @@ func SpeedupCurves(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]Cur
 // benchmark that lost any sweep job to a failure gets nil curves —
 // curves are relative measurements, so one hole invalidates the whole
 // benchmark — while unaffected benchmarks assemble normally. The
-// failed keys come back in the *Partial error.
+// failed keys come back in the pool's *pool.MultiError.
 func benchCurves(name string, benches []*workload.Benchmark, cfg Config, machine ksr.Config) ([][]Curve, error) {
 	cfg.Diag = false
 	var jobs []pool.Job[*ksr.Result]
@@ -141,7 +141,7 @@ func benchCurves(name string, benches []*workload.Benchmark, cfg Config, machine
 			out[i] = s.assemble(results[s.lo:s.hi])
 		}
 	}
-	return out, partial(err, len(jobs))
+	return out, err
 }
 
 // Figure4 regenerates the paper's Figure 4: speedup curves for the

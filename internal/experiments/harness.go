@@ -87,8 +87,8 @@ type Config struct {
 	// on it (WithMeasureMemo) is shared by every fan-out run under it.
 	Ctx context.Context
 	// Policy governs the experiment pool's failure handling: fail-fast
-	// vs keep-going, per-job deadlines, retries. The zero value runs
-	// every job with no deadline (the historical behavior).
+	// vs keep-going and per-job deadlines. The zero value runs every
+	// job with no deadline (the historical behavior).
 	Policy pool.Policy
 	// Store, when non-nil, keeps every successful cell (fsexp -cache):
 	// a cell this build already stored returns its result, span
@@ -203,6 +203,20 @@ func runJobs[T any](cfg Config, name string, params any, jobs []pool.Job[T]) ([]
 		}
 	}
 	return results, err
+}
+
+// failedKeys is the set of cell keys a runJobs error names, for
+// drivers that must know which result slots are valid.
+func failedKeys(err error) map[string]bool {
+	failures := pool.Failures(err)
+	if len(failures) == 0 {
+		return nil
+	}
+	set := make(map[string]bool, len(failures))
+	for _, f := range failures {
+		set[f.Key] = true
+	}
+	return set
 }
 
 // Baseline returns the version speedups are measured against: N when

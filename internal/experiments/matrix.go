@@ -204,7 +204,7 @@ func Matrix(cfg Config, opt MatrixOptions) ([]MatrixCell, error) {
 			ok = append(ok, cells[i])
 		}
 	}
-	return ok, partial(err, len(jobs))
+	return ok, err
 }
 
 // matrixCell runs one grid cell: build N and C, measure both under the

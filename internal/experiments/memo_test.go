@@ -385,14 +385,14 @@ func TestChaosSharedMeasurementCounts(t *testing.T) {
 				}
 				enableFaults(t, "vm.run:error")
 				_, err := Table3(run, machine)
-				p, ok := AsPartial(err)
-				if !ok || len(p.Failed) != 48 || p.Total != 75 {
+				var merr *pool.MultiError
+				if !errors.As(err, &merr) || len(merr.Errors) != 48 || merr.Jobs != 75 {
 					t.Fatalf("want 48 of 75 cells failed, got %v", err)
 				}
-				for _, key := range p.Failed {
+				for _, e := range merr.Errors {
 					for _, fig4 := range []string{"raytrace", "fmm", "pverify"} {
-						if strings.HasPrefix(key, "fig4/"+fig4+"/") {
-							t.Errorf("%s failed, but Figure 4 already measured it", key)
+						if strings.HasPrefix(e.Key, "fig4/"+fig4+"/") {
+							t.Errorf("%s failed, but Figure 4 already measured it", e.Key)
 						}
 					}
 				}

@@ -8,9 +8,11 @@
 //     completion order, so every figure renders identically at any -j;
 //   - a panicking job is recovered and surfaced as that job's error
 //     (with its stack), never a crashed process;
-//   - every job failure is kept, keyed, in submission order — the
-//     returned error unwraps to all of them, so callers can render the
-//     cells that succeeded and report exactly the ones that did not;
+//   - each job runs once, since a deterministic job that failed would
+//     fail the same way again, and every failure is kept, keyed, in
+//     submission order: the returned *MultiError names them all and
+//     unwraps to each, so callers can render the cells that succeeded
+//     and report exactly the ones that did not, with their causes;
 //   - cancellation (a signal, a fail-fast policy) drains promptly:
 //     running jobs see their context cancelled, unstarted jobs are
 //     skipped and marked, and the pool always returns a complete
@@ -120,43 +122,17 @@ func Failures(err error) []*Error {
 // Policy configures how a pool run treats failure and time.
 //
 // The zero value reproduces the historical behavior: every job runs
-// regardless of other jobs' failures, with no deadlines and no
-// retries.
+// regardless of other jobs' failures, with no deadlines.
 type Policy struct {
 	// FailFast cancels the remaining jobs after the first failure:
 	// running jobs see their context cancelled, unstarted jobs are
 	// skipped (ErrSkipped). Without it the pool keeps going and runs
 	// everything.
 	FailFast bool
-	// JobTimeout bounds each job attempt with a context deadline
-	// (0: none). Enforcement is cooperative — the job must honor its
-	// context, as the VM and the restructurer do.
+	// JobTimeout bounds each job with a context deadline (0: none).
+	// Enforcement is cooperative — the job must honor its context, as
+	// the VM and the restructurer do.
 	JobTimeout time.Duration
-	// Retries re-runs a failed job attempt up to this many extra
-	// times, but only when the error is transient (see Transient).
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per
-	// attempt (default 100ms when Retries > 0).
-	Backoff time.Duration
-}
-
-// Transient reports whether err is worth retrying: some error in its
-// chain implements `Transient() bool` and reports true (injected
-// faults marked :transient do, and the fabric keeps a worker-reported
-// error's transience across the wire). The pool retries by it.
-func Transient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
-// retryDelay is the backoff before retry attempt+1: Backoff (default
-// 100ms), doubled per earlier attempt.
-func (p Policy) retryDelay(attempt int) time.Duration {
-	d := p.Backoff
-	if d <= 0 {
-		d = 100 * time.Millisecond
-	}
-	return d << attempt
 }
 
 // workerCount normalizes a -j style worker count: values <= 0 mean
@@ -261,31 +237,11 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 	return results, nil
 }
 
-// runOne executes a single job — retrying transient failures per the
-// policy — and owns the job span's lifetime.
+// runOne executes a single job under its own recorder and deadline,
+// converting a panic into the job's error, and owns the job span's
+// lifetime.
 func runOne[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[T]) (result T, err error) {
 	start := time.Now()
-	defer func() {
-		span.SetWall(time.Since(start))
-		span.Fail(err)
-		span.End()
-	}()
-	for attempt := 0; ; attempt++ {
-		result, err = runAttempt(ctx, pol, span, job)
-		if err == nil || attempt >= pol.Retries || !Transient(err) || ctx.Err() != nil {
-			return result, err
-		}
-		span.Count("retries", 1)
-		obs.LogfCtx(ctx, "pool: retrying %s after transient failure: %v", job.Key, err)
-		if !sleep(ctx, pol.retryDelay(attempt)) {
-			return result, err
-		}
-	}
-}
-
-// runAttempt is one attempt of a job under its own recorder and
-// deadline, converting a panic into the job's error.
-func runAttempt[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[T]) (result T, err error) {
 	if pol.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, pol.JobTimeout)
@@ -306,21 +262,12 @@ func runAttempt[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 			span.Set("panic", 1)
 		}
+		span.SetWall(time.Since(start))
+		span.Fail(err)
+		span.End()
 	}()
 	if ferr := faultinject.Fire(ctx, "pool.worker", job.Key); ferr != nil {
 		return result, ferr
 	}
 	return job.Run(ctx)
-}
-
-// sleep waits for d, returning false if ctx is cancelled first.
-func sleep(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

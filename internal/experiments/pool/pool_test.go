@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 )
 
@@ -261,93 +260,6 @@ func TestPoolJobTimeout(t *testing.T) {
 	fails := Failures(err)
 	if len(fails) != 1 || fails[0].Key != "stuck" || !errors.Is(fails[0], context.DeadlineExceeded) {
 		t.Fatalf("expected stuck/deadline, got %v", err)
-	}
-}
-
-// flaky is a job error that declares itself transient.
-type flaky struct{ error }
-
-func (flaky) Transient() bool { return true }
-
-// TestPoolRetryTransient: transient failures are retried with
-// backoff until the budget runs out; non-transient failures are not
-// retried at all.
-func TestPoolRetryTransient(t *testing.T) {
-	var attempts atomic.Int64
-	jobs := []Job[int]{{
-		Key: "flaky",
-		Run: func(context.Context) (int, error) {
-			if attempts.Add(1) < 3 {
-				return 0, flaky{errors.New("transient blip")}
-			}
-			return 42, nil
-		},
-	}}
-	pol := Policy{Retries: 3, Backoff: time.Millisecond}
-	got, err := RunPolicy(context.Background(), "retry", 1, pol, jobs)
-	if err != nil || got[0] != 42 {
-		t.Fatalf("retries should have recovered: %v %v", got, err)
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("took %d attempts, want 3", n)
-	}
-
-	// Budget exhausted: the last error surfaces.
-	attempts.Store(0)
-	alwaysBad := []Job[int]{{
-		Key: "hopeless",
-		Run: func(context.Context) (int, error) {
-			attempts.Add(1)
-			return 0, flaky{errors.New("always")}
-		},
-	}}
-	if _, err := RunPolicy(context.Background(), "retry2", 1, Policy{Retries: 2, Backoff: time.Millisecond}, alwaysBad); err == nil {
-		t.Fatal("expected failure after retries exhausted")
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("%d attempts, want 1+2 retries", n)
-	}
-
-	// Non-transient: one attempt only.
-	attempts.Store(0)
-	solid := []Job[int]{{
-		Key: "solid",
-		Run: func(context.Context) (int, error) {
-			attempts.Add(1)
-			return 0, errors.New("permanent")
-		},
-	}}
-	if _, err := RunPolicy(context.Background(), "retry3", 1, Policy{Retries: 5, Backoff: time.Millisecond}, solid); err == nil {
-		t.Fatal("expected failure")
-	}
-	if n := attempts.Load(); n != 1 {
-		t.Errorf("non-transient error retried (%d attempts)", n)
-	}
-}
-
-// TestPoolDefaultTransient: injected faults marked :transient expose
-// Transient() bool and are retried.
-func TestPoolDefaultTransient(t *testing.T) {
-	s, err := faultinject.Parse("pool.worker=blip:error:transient:count=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Enable(s)
-	t.Cleanup(func() { faultinject.Enable(nil) })
-
-	var ran atomic.Int64
-	jobs := []Job[int]{{
-		Key: "blip",
-		Run: func(context.Context) (int, error) { ran.Add(1); return 7, nil },
-	}}
-	got, err := RunPolicy(context.Background(), "transient", 1, Policy{Retries: 1, Backoff: time.Millisecond}, jobs)
-	if err != nil || got[0] != 7 {
-		t.Fatalf("transient injected fault not retried: %v %v", got, err)
-	}
-	if ran.Load() != 1 {
-		// First attempt died at the injection point (before Run);
-		// the retry succeeded.
-		t.Errorf("job body ran %d times, want 1", ran.Load())
 	}
 }
 

@@ -50,15 +50,16 @@ type SectionSet struct {
 
 // CellRunner executes cells somewhere else — the distributed fabric's
 // coordinator implements it. RunCell returns the cell's payload once
-// it has run in another process, or the reason it could not run. An
-// error that pool.Transient reports as transient is retried by the
-// pool under Config.Policy, exactly like a local cell's.
+// it has run in another process, or the reason it could not run; the
+// pool treats that error under Config.Policy exactly like a local
+// cell's.
 type CellRunner interface {
 	RunCell(ctx context.Context, key string) (CellResult, error)
 }
 
 // errCollected is returned by runJobs in enumeration mode. Drivers'
-// partial-failure paths pass it through wrapped; Collect unwraps it.
+// partial-failure paths return it, wrapped or not, and Collect
+// recognizes it with errors.Is.
 var errCollected = errors.New("experiments: cells collected, not run")
 
 // CellFunc executes one enumerated cell: the job's result marshaled
@@ -144,8 +145,8 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 }
 
 // collectJobs captures a driver's jobs into the enumeration as
-// type-erased CellFuncs. The erased runner reproduces what one local
-// pool attempt does around a job: a private recorder on the job's
+// type-erased CellFuncs. The erased runner reproduces what the local
+// pool does around a job: a private recorder on the job's
 // context (so the captured span subtree is exactly what the store
 // keeps) and panic containment. The pool.worker fault point fires in
 // the pool that dispatches the cell, not here.

@@ -7,12 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"falseshare/internal/experiments/pool"
-	"falseshare/internal/obs"
 	"falseshare/internal/sim/ksr"
 )
 
@@ -257,63 +255,6 @@ func remoteTestKeys(t *testing.T, cfg Config, set SectionSet) []string {
 		t.Fatal(err)
 	}
 	return enum.Keys()
-}
-
-// blip is a transient error: the pool retries it.
-type blip struct{}
-
-func (blip) Error() string   { return "blip" }
-func (blip) Transient() bool { return true }
-
-// flakyRunner fails the first dispatch of one cell with a transient
-// error and runs everything else in process.
-type flakyRunner struct {
-	localRunner
-	key     string
-	tripped atomic.Bool
-}
-
-func (r *flakyRunner) RunCell(ctx context.Context, key string) (CellResult, error) {
-	if key == r.key && r.tripped.CompareAndSwap(false, true) {
-		return CellResult{}, blip{}
-	}
-	return r.localRunner.RunCell(ctx, key)
-}
-
-// TestRunnerTransientRetry: a runner's transient failure is retried by
-// the pool under Config.Policy, exactly like a local cell's, and the
-// job span counts the retry.
-func TestRunnerTransientRetry(t *testing.T) {
-	cfg, mopt, set := remoteTestGrid()
-	enum, err := Collect(Config{ConfigSpec: cfg.ConfigSpec}, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := enum.Keys()[0]
-	want, err := Matrix(cfg, mopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec := obs.NewRecorder()
-	rcfg := cfg
-	rcfg.Ctx = obs.WithRecorder(context.Background(), rec)
-	rcfg.Policy = pool.Policy{Retries: 1, Backoff: time.Millisecond}
-	rcfg.Runner = &flakyRunner{localRunner: localRunner{enum: enum}, key: victim}
-	got, err := Matrix(rcfg, mopt)
-	if err != nil {
-		t.Fatalf("transient runner failure was not retried: %v", err)
-	}
-	if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, want)) {
-		t.Error("retried run differs from the local run")
-	}
-	job := rec.Find("job:" + victim)
-	if job == nil {
-		t.Fatalf("no span for job %s", victim)
-	}
-	if n := job.Counters["retries"]; n != 1 {
-		t.Errorf("job span retries = %d, want 1", n)
-	}
 }
 
 // blockingRunner fails one cell at once and holds every other cell

@@ -85,13 +85,13 @@ func cellEvents(ctx context.Context) *CellEvents {
 }
 
 // cellJobs wraps each job for the store, the event log and the
-// runner, inside the pool attempt. A stored cell returns its result
-// without running, replaying its span subtree into the attempt's
+// runner, inside the pool's run of the job. A stored cell returns its
+// result without running, replaying its span subtree into the job's
 // recorder and its events into events[i]. With cfg.Runner set, any
 // other cell runs through it, and its result is stored and then
 // replayed the same way. Without one, a cell that runs records its
 // events into events[i] and, once it succeeds, is stored. The pool
-// gives every attempt a private recorder whenever the run has one;
+// gives every job a private recorder whenever the run has one;
 // when it has none, a cell to be stored gets its own, so every stored
 // cell carries its span subtree.
 func cellJobs[T any](cfg Config, params any, jobs []pool.Job[T], events []CellEvents) []pool.Job[T] {

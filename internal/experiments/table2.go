@@ -72,7 +72,7 @@ type table2Key struct {
 // When some measurements fail (and cfg.Policy keeps going), a block
 // size is dropped from a program's average when its reference or any
 // variant is missing, and the row itself is dropped when no block
-// size survives; a *Partial error names the failed cells.
+// size survives; the pool's *pool.MultiError names the failed cells.
 func Table2(cfg Config) ([]Table2Row, error) {
 	variants := onlyConfigs()
 	names := make([]string, 0, len(variants))
@@ -158,7 +158,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		row.Locks = 100 * mean(reductions["locks"])
 		rows = append(rows, row)
 	}
-	return rows, partial(err, len(jobs))
+	return rows, err
 }
 
 func mean(xs []float64) float64 {

@@ -27,7 +27,7 @@ type Table3Row struct {
 // When some sweep jobs fail (and cfg.Policy keeps going), programs
 // whose sweeps completed still get rows; a program missing any sweep
 // point is dropped (its maxima would be bogus) and reported through
-// the *Partial error.
+// the pool's *pool.MultiError.
 func Table3(cfg Config, machine ksr.Config) ([]Table3Row, error) {
 	benches := workload.All()
 	perBench, err := benchCurves("table3", benches, cfg, machine)

@@ -3,26 +3,25 @@
 // the pipeline (the pool's workers, the restructurer, the VM, the
 // trace fan-out) call Fire at well-known point names; a fault set
 // parsed from -faults or a command's environment variable (Setup)
-// decides — purely from the spec, hit counts, and a seeded hash of
-// the site detail, never from wall clock or scheduling — whether that
-// hit errors, panics, delays, or hangs.
+// decides — purely from the spec, hit counts, and the site detail,
+// never from wall clock or scheduling — whether that hit errors,
+// panics, delays, or hangs.
 //
 // A spec is a semicolon-separated list of rules:
 //
-//	point[=match]:mode[=duration][:after=N][:count=N][:p=F[:seed=N]][:transient]
+//	point[=match]:mode[=duration][:after=N][:count=N]
 //
 //	pool.worker=fig3/maxflow/N/b16:error      fail exactly that job
+//	pool.worker=maxflow:error                 fail every maxflow job
 //	vm.run:error:after=2:count=1              fail only the 3rd VM run
 //	core.restructure:panic:count=1            panic the first restructure
 //	pool.worker:delay=5ms                     slow every job by 5ms
 //	vm.run:hang:count=1                       hang one run until cancelled
-//	pool.worker:error:transient:count=2       two retryable failures
-//	pool.worker:error:p=0.25:seed=7           a deterministic 25% of keys
 //	worker.cell=matrix/gen-003:exit           kill the worker process
 //	                                          that picks up that cell
 //	worker.send:corrupt:count=1               mangle one result frame
 //
-// Points: pool.worker (fired once per job attempt by the experiment
+// Points: pool.worker (fired once per job by the experiment
 // pool of the process that owns the run, before the job runs — with
 // fsexp -workers that is the coordinator, before the cell is
 // dispatched, so its count/after rules count across the whole run),
@@ -52,8 +51,8 @@
 //
 // Determinism: `after`/`count` count hits on a per-rule atomic counter
 // (exact under -j 1; under parallel runs the set of firing hits can
-// vary with schedule), while `match` and `p`+`seed` depend only on the
-// site detail string — those select the same victims at any -j.
+// vary with schedule), while `match` depends only on the site detail
+// string — it selects the same victims at any -j.
 //
 // When no fault set is enabled, Fire is one atomic load.
 package faultinject
@@ -62,7 +61,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"strconv"
 	"strings"
@@ -114,12 +112,10 @@ func (m Mode) String() string {
 }
 
 // Error is an injected failure. It unwraps nothing — it IS the root
-// cause — and reports itself transient when the rule says so, which
-// the pool's default retry classifier honors.
+// cause.
 type Error struct {
-	Point     string
-	Detail    string
-	Retryable bool
+	Point  string
+	Detail string
 	// Corrupted marks a ModeCorrupt injection: the site should mangle
 	// its payload rather than fail, if it knows how.
 	Corrupted bool
@@ -132,9 +128,6 @@ func (e *Error) Error() string {
 	return "injected fault at " + e.Point
 }
 
-// Transient reports whether the fault was declared retryable.
-func (e *Error) Transient() bool { return e.Retryable }
-
 // IsCorrupt reports whether err carries a ModeCorrupt injection.
 func IsCorrupt(err error) bool {
 	var fe *Error
@@ -143,16 +136,13 @@ func IsCorrupt(err error) bool {
 
 // Rule is one parsed fault rule.
 type Rule struct {
-	Point     string        // site name, or "*"
-	Match     string        // substring the site detail must contain
-	Mode      Mode          // what to do
-	Delay     time.Duration // ModeDelay duration
-	ExitCode  int           // ModeExit status (default 3)
-	After     int64         // skip the first After matching hits
-	Count     int64         // fire at most Count times (0: unlimited)
-	P         float64       // fire probability over details (0: always)
-	Seed      uint64        // seed for the P hash
-	Transient bool          // injected errors report Transient() == true
+	Point    string        // site name, or "*"
+	Match    string        // substring the site detail must contain
+	Mode     Mode          // what to do
+	Delay    time.Duration // ModeDelay duration
+	ExitCode int           // ModeExit status (default 3)
+	After    int64         // skip the first After matching hits
+	Count    int64         // fire at most Count times (0: unlimited)
 
 	hits  atomic.Int64
 	fires atomic.Int64
@@ -253,23 +243,6 @@ func parseRule(spec string) (*Rule, error) {
 				return nil, fmt.Errorf("count needs a positive integer, got %q", val)
 			}
 			r.Count = n
-		case "p":
-			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
-				return nil, fmt.Errorf("p needs a probability in [0,1], got %q", val)
-			}
-			r.P = p
-		case "seed":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("seed needs an unsigned integer, got %q", val)
-			}
-			r.Seed = n
-		case "transient":
-			if val != "" {
-				return nil, fmt.Errorf("transient takes no value")
-			}
-			r.Transient = true
 		default:
 			return nil, fmt.Errorf("unknown option %q", key)
 		}
@@ -316,19 +289,19 @@ func Fire(ctx context.Context, point, detail string) error {
 		if !r.matches(point, detail) {
 			continue
 		}
-		if !r.take(detail) {
+		if !r.take() {
 			continue
 		}
 		switch r.Mode {
 		case ModeError:
-			return &Error{Point: point, Detail: detail, Retryable: r.Transient}
+			return &Error{Point: point, Detail: detail}
 		case ModePanic:
 			panic(fmt.Sprintf("faultinject: injected panic at %s (%s)", point, detail))
 		case ModeDelay:
 			sleep(ctx, r.Delay)
 		case ModeHang:
 			if ctx == nil {
-				return &Error{Point: point, Detail: detail, Retryable: r.Transient}
+				return &Error{Point: point, Detail: detail}
 			}
 			<-ctx.Done()
 			return ctx.Err()
@@ -336,7 +309,7 @@ func Fire(ctx context.Context, point, detail string) error {
 			fmt.Fprintf(os.Stderr, "faultinject: injected exit(%d) at %s (%s)\n", r.ExitCode, point, detail)
 			osExit(r.ExitCode)
 		case ModeCorrupt:
-			return &Error{Point: point, Detail: detail, Retryable: r.Transient, Corrupted: true}
+			return &Error{Point: point, Detail: detail, Corrupted: true}
 		}
 	}
 	return nil
@@ -355,10 +328,7 @@ func (r *Rule) matches(point, detail string) bool {
 }
 
 // take counts a matching hit and decides whether the rule fires on it.
-func (r *Rule) take(detail string) bool {
-	if r.P > 0 && hashP(r.Seed, detail) >= r.P {
-		return false
-	}
+func (r *Rule) take() bool {
 	hit := r.hits.Add(1)
 	if hit <= r.After {
 		return false
@@ -367,27 +337,6 @@ func (r *Rule) take(detail string) bool {
 		return false
 	}
 	return true
-}
-
-// hashP maps (seed, detail) to [0,1) deterministically: the same
-// detail fires or not regardless of scheduling or worker count.
-func hashP(seed uint64, detail string) float64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(seed >> (8 * i))
-	}
-	h.Write(b[:])
-	h.Write([]byte(detail))
-	// FNV alone diffuses a short input's last bytes only into the low
-	// bits; finish with a splitmix64-style mix so the top bits vary.
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // sleep waits for d or until ctx is cancelled.

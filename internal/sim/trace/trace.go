@@ -170,8 +170,10 @@ func (tr *Reader) Nprocs() int {
 }
 
 // Next returns the next reference; io.EOF ends the stream. Records
-// naming a process outside the header's range, or with a non-positive
-// size, yield an error identifying the offending record.
+// naming a process outside the header's range, an address no shared
+// reference can have, or a non-positive size yield an error
+// identifying the offending record. The VM traces only shared
+// addresses, which are never negative and never carry vm.PrivTag.
 func (tr *Reader) Next() (vm.Ref, error) {
 	if err := tr.readHeader(); err != nil {
 		return vm.Ref{}, err
@@ -193,6 +195,9 @@ func (tr *Reader) Next() (vm.Ref, error) {
 	if r.Proc >= tr.nprocs {
 		return vm.Ref{}, fmt.Errorf("trace: record %d: proc %d out of range (header declares %d processors)",
 			tr.n, r.Proc, tr.nprocs)
+	}
+	if r.Addr < 0 || r.Addr >= vm.PrivTag {
+		return vm.Ref{}, fmt.Errorf("trace: record %d: address %#x out of range", tr.n, uint64(r.Addr))
 	}
 	if r.Size < 1 {
 		return vm.Ref{}, fmt.Errorf("trace: record %d: invalid size %d", tr.n, buf[10])

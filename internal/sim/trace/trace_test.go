@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -150,6 +151,31 @@ func TestCorruptProcOutOfRange(t *testing.T) {
 	_, err := r.Next()
 	if err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), "proc 9") {
 		t.Fatalf("err = %v, want record-2 proc-out-of-range", err)
+	}
+}
+
+// TestCorruptAddressOutOfRange: a record whose address no shared
+// reference can have (bit 63 set reads as negative, bit 62 is the
+// VM's private-space tag) fails with a record-level diagnosis instead
+// of reaching a simulator or attributor that indexes by it.
+func TestCorruptAddressOutOfRange(t *testing.T) {
+	for _, addr := range []uint64{0xffffff0000000000, 1 << 63, 1 << 62} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, 2)
+		w.Write(vm.Ref{Proc: 0, Addr: 0x1000, Size: 4})
+		w.Write(vm.Ref{Proc: 1, Addr: int64(addr), Size: 4})
+		if _, err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var got []vm.Ref
+		err := NewReader(bytes.NewReader(buf.Bytes())).ForEach(func(r vm.Ref) { got = append(got, r) })
+		want := fmt.Sprintf("trace: record 2: address %#x out of range", addr)
+		if err == nil || err.Error() != want {
+			t.Errorf("address %#x: err = %v, want %q", addr, err, want)
+		}
+		if len(got) != 1 {
+			t.Errorf("address %#x: %d records delivered, want only the valid first one", addr, len(got))
+		}
 	}
 }
 
