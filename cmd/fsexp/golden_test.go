@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"falseshare/internal/experiments"
@@ -57,7 +56,7 @@ func TestGoldenTable2Output(t *testing.T) {
 // TestGoldenFig4Output pins the exact text `fsexp -fig4` prints on the
 // -scale-min sweep, mirroring the fig3 and table2 golden tests: the
 // header line plus one RenderCurves block per program in sorted order,
-// exactly as main() assembles them.
+// rendered by RenderFigure4 as main() does.
 func TestGoldenFig4Output(t *testing.T) {
 	checkGolden(t, "fig4", renderFig4(t, 4, 1, 2, 4))
 }
@@ -70,8 +69,7 @@ func TestGoldenFig4RingsOutput(t *testing.T) {
 }
 
 // renderFig4 is what main() prints for -fig4 over the given processor
-// counts: the header line plus one RenderCurves block per program in
-// sorted order.
+// counts.
 func renderFig4(t *testing.T, workers int, counts ...int) string {
 	t.Helper()
 	cfg := experiments.DefaultConfig()
@@ -81,16 +79,7 @@ func renderFig4(t *testing.T, workers int, counts ...int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, 0, len(curves))
-	for n := range curves {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	got := "Figure 4: speedup curves (N=unoptimized C=compiler P=programmer)\n"
-	for _, n := range names {
-		got += experiments.RenderCurves(curves[n]) + "\n"
-	}
-	return got
+	return experiments.RenderFigure4(curves)
 }
 
 // TestGoldenMatrixOutput pins the exact text `fsexp -matrix` prints on

@@ -463,20 +463,17 @@ func main() {
 	}
 	if *fig4 {
 		curves := run("fig4", func() (any, error) { return experiments.Figure4(cfg, machine) }).(map[string][]experiments.Curve)
-		names := make([]string, 0, len(curves))
-		for n := range curves {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		if !*csv {
-			fmt.Println("Figure 4: speedup curves (N=unoptimized C=compiler P=programmer)")
-		}
-		for _, n := range names {
-			if *csv {
-				fmt.Print(experiments.CSVCurves(curves[n]))
-			} else {
-				fmt.Println(experiments.RenderCurves(curves[n]))
+		if *csv {
+			names := make([]string, 0, len(curves))
+			for n := range curves {
+				names = append(names, n)
 			}
+			sort.Strings(names)
+			for _, n := range names {
+				fmt.Print(experiments.CSVCurves(curves[n]))
+			}
+		} else {
+			fmt.Print(experiments.RenderFigure4(curves))
 		}
 	}
 	if *table3 {

@@ -95,6 +95,35 @@ func TestGoldenPverify(t *testing.T) {
 	}
 }
 
+// TestDiagKeepsBlockLines runs one sweep twice. Without -diag its
+// simulators run on their own goroutines; with it they run in turn on
+// the VM's, because attribution shares one address map. The block
+// lines must not move. fssim shards a sweep by itself, so it has no
+// -j flag.
+func TestDiagKeepsBlockLines(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-bench", "pverify", "-p", "4", "-blocks", "16,64,128"}
+	blockLines := func(out string) string {
+		var kept []string
+		for _, line := range strings.SplitAfter(out, "\n") {
+			if strings.HasPrefix(line, "block ") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "")
+	}
+	plain := blockLines(mustRun(t, dir, args...))
+	if n := strings.Count(plain, "\n"); n != 3 {
+		t.Fatalf("printed %d block lines, want 3:\n%s", n, plain)
+	}
+	if diag := blockLines(mustRun(t, dir, append(args, "-diag")...)); diag != plain {
+		t.Errorf("-diag changed the block lines\n-diag:\n%s\nwithout:\n%s", diag, plain)
+	}
+	if _, errs, code := fssim(t, dir, append(args, "-j", "2")...); code != 2 || !strings.Contains(errs, "flag provided but not defined: -j") {
+		t.Errorf("fssim -j 2: exit %d, stderr %q; want exit 2 for an unknown flag", code, errs)
+	}
+}
+
 // TestReplay captures a trace with its address-map sidecar and
 // replays it: with -diag the replay prints the live run's block
 // statistics and attribution tables byte for byte, and each way a

@@ -9,13 +9,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 
 	"falseshare/internal/core"
+	"falseshare/internal/experiments"
 	"falseshare/internal/sim/cache"
-	"falseshare/internal/vm"
 	"falseshare/internal/workload"
 )
 
@@ -35,24 +36,15 @@ func main() {
 	}
 
 	measure := func(prog *core.Program, wordInval bool) *cache.Stats {
-		bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
-		if err != nil {
-			log.Fatal(err)
-		}
 		cfg := cache.DefaultConfig(nprocs, block)
 		if wordInval {
 			cfg.SectorSize = cache.WordSize
 		}
-		sim, err := cache.New(cfg)
+		st, err := experiments.MeasureConfig(context.Background(), prog, cfg, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := vm.New(bc).Run(func(r vm.Ref) {
-			sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return sim.Stats()
+		return st
 	}
 
 	rows := []struct {

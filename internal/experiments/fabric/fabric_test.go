@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -335,6 +336,26 @@ func TestFabricFaultPropagation(t *testing.T) {
 	}
 	if faultinject.Fire(context.Background(), "worker.cell", victim) != nil {
 		t.Error("worker fault spec leaked into the coordinator process")
+	}
+}
+
+// TestFabricWorkerMeasuresEachProgramOnce runs Table 2 on one worker
+// whose 57th VM run fails. Its 72 cells execute 56 distinct programs,
+// so a worker that measures each program once, as a local run does,
+// fails no cell.
+func TestFabricWorkerMeasuresEachProgramOnce(t *testing.T) {
+	cfg := experiments.DefaultConfig()
+	cfg.Table2Blocks = []int64{32, 128}
+	coord := startCoordinator(t, Options{
+		Workers: 1,
+		Spec:    cfg.ConfigSpec,
+		Set:     experiments.SectionSet{Sections: []string{"table2"}},
+		Faults:  "vm.run:error:after=56",
+	})
+	fcfg := cfg
+	fcfg.Runner = coord
+	if _, err := experiments.Table2(fcfg); err != nil {
+		t.Errorf("the worker ran more than 56 VM runs: %v", err)
 	}
 }
 
@@ -819,18 +840,21 @@ func TestFabricTCPWorker(t *testing.T) {
 
 // TestFabricTCPWorkerRetriesUntilCoordinatorUp is the start-order
 // regression test: a worker launched before the coordinator's
-// -listen socket exists must retry with backoff and attach once the
-// listener appears, instead of dying on the first refused dial.
+// -listen socket exists must retry with backoff, saying so on its
+// stderr, and attach once the listener appears, instead of dying on
+// the first refused dial.
 func TestFabricTCPWorkerRetriesUntilCoordinatorUp(t *testing.T) {
 	// Tighten the dial policy so the test is fast; the schedule is
 	// still real retries against a real refused port.
-	defer func(to time.Duration, n int, b, m time.Duration) {
-		tcpDialTimeout, tcpDialAttempts, tcpDialBackoff, tcpDialBackoffMax = to, n, b, m
-	}(tcpDialTimeout, tcpDialAttempts, tcpDialBackoff, tcpDialBackoffMax)
+	defer func(to time.Duration, n int, b, m time.Duration, w io.Writer) {
+		tcpDialTimeout, tcpDialAttempts, tcpDialBackoff, tcpDialBackoffMax, tcpDialLog = to, n, b, m, w
+	}(tcpDialTimeout, tcpDialAttempts, tcpDialBackoff, tcpDialBackoffMax, tcpDialLog)
 	tcpDialTimeout = 2 * time.Second
 	tcpDialAttempts = 60
 	tcpDialBackoff = 25 * time.Millisecond
 	tcpDialBackoffMax = 100 * time.Millisecond
+	var dialLog syncBuffer
+	tcpDialLog = &dialLog
 
 	// Reserve an address nothing is listening on yet.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -849,6 +873,9 @@ func TestFabricTCPWorkerRetriesUntilCoordinatorUp(t *testing.T) {
 	case err := <-workerErr:
 		t.Fatalf("worker gave up before the coordinator started: %v", err)
 	default:
+	}
+	if want := "fabric: worker: dial " + addr + " failed ("; !strings.Contains(dialLog.String(), want) {
+		t.Errorf("worker reported no retry; its log is %q, want a line with %q", dialLog.String(), want)
 	}
 
 	cfg, mopt, set := testGrid()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"syscall"
 	"time"
 
@@ -57,7 +58,10 @@ func RunWorker(in io.Reader, out io.Writer) error {
 	// coordinator keeps one cell outstanding per worker, the buffer
 	// only decouples the loops), pings answer immediately so a busy
 	// worker still proves liveness.
-	ctx, cancel := context.WithCancel(context.Background())
+	// One measurement memo for the worker's lifetime: cells that
+	// execute a program this worker already measured take its result,
+	// as the cells of a local run do.
+	ctx, cancel := context.WithCancel(experiments.WithMeasureMemo(context.Background()))
 	defer cancel()
 	assigns := make(chan *Frame, 4)
 	runnerDone := make(chan struct{})
@@ -121,14 +125,16 @@ func peerGone(err error) bool {
 // Dial policy for RunWorkerTCP: workers are routinely started before
 // the coordinator's -listen socket is up (init systems, parallel ssh
 // fan-out), so a refused dial retries with exponential backoff and
-// jitter instead of dying. Package variables so tests can tighten
-// them.
+// jitter instead of dying. Each retry is reported on tcpDialLog, the
+// worker's stderr: a worker waits before any recorder exists. Package
+// variables so tests can tighten and capture them.
 var (
-	tcpDialTimeout    = 10 * time.Second
-	tcpDialAttempts   = 8
-	tcpDialBackoff    = 250 * time.Millisecond
-	tcpDialBackoffMax = 3 * time.Second
-	tcpDialNow        = time.Now // only the jitter reads the clock
+	tcpDialTimeout              = 10 * time.Second
+	tcpDialAttempts             = 8
+	tcpDialBackoff              = 250 * time.Millisecond
+	tcpDialBackoffMax           = 3 * time.Second
+	tcpDialNow                  = time.Now // only the jitter reads the clock
+	tcpDialLog        io.Writer = os.Stderr
 )
 
 // dialCoordinator dials addr with bounded retry: tcpDialAttempts
@@ -142,7 +148,7 @@ func dialCoordinator(addr string) (net.Conn, error) {
 	for attempt := 0; attempt < tcpDialAttempts; attempt++ {
 		if attempt > 0 {
 			jitter := time.Duration(tcpDialNow().UnixNano()) % (backoff / 2)
-			obs.Default().Logf("fabric: worker: dial %s failed (%v), retry %d/%d in %v",
+			fmt.Fprintf(tcpDialLog, "fabric: worker: dial %s failed (%v), retry %d/%d in %v\n",
 				addr, lastErr, attempt, tcpDialAttempts-1, backoff+jitter)
 			time.Sleep(backoff + jitter)
 			if backoff *= 2; backoff > tcpDialBackoffMax {

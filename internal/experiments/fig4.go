@@ -159,9 +159,6 @@ func Figure4(cfg Config, machine ksr.Config) (map[string][]Curve, error) {
 		benches[i] = b
 	}
 	curves, err := benchCurves("fig4", benches, cfg, machine)
-	if err != nil && curves == nil {
-		return nil, err
-	}
 	out := map[string][]Curve{}
 	for i, name := range names {
 		if curves[i] != nil {
@@ -172,6 +169,24 @@ func Figure4(cfg Config, machine ksr.Config) (map[string][]Curve, error) {
 		return nil, err
 	}
 	return out, err
+}
+
+// RenderFigure4 formats Figure 4 as fsexp -fig4 prints it: a header
+// line, then each program's RenderCurves block and a blank line, in
+// program name order.
+func RenderFigure4(curves map[string][]Curve) string {
+	names := make([]string, 0, len(curves))
+	for name := range curves {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var sb strings.Builder
+	sb.WriteString("Figure 4: speedup curves (N=unoptimized C=compiler P=programmer)\n")
+	for _, name := range names {
+		sb.WriteString(RenderCurves(curves[name]))
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }
 
 // RenderCurves formats speedup curves as aligned columns (one row per

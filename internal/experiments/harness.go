@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"falseshare/internal/artifact"
 	"falseshare/internal/core"
@@ -18,6 +19,7 @@ import (
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/attr"
 	"falseshare/internal/sim/cache"
+	"falseshare/internal/sim/trace"
 	"falseshare/internal/transform"
 	"falseshare/internal/vm"
 	"falseshare/internal/workload"
@@ -251,7 +253,7 @@ func Versions(b *workload.Benchmark) []Version {
 // measured under the same configuration and budget is not run again:
 // the kept statistics come back, shared and read-only. Every
 // experiment cell, fsc -diag and fsd measure through it or
-// MeasureConfigAttr; fssim drives its own multi-block sweeps.
+// MeasureConfigAttr.
 func MeasureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, error) {
 	st, _, err := measureConfig(ctx, prog, ccfg, budget, false)
 	return st, err
@@ -275,49 +277,112 @@ func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := obs.FromContext(ctx)
+	// run executes bc on ctx and simulates its references under ccfg.
+	run := func(ctx context.Context) (*cache.Stats, *attr.Report, error) {
+		m := vm.New(bc)
+		m.SetContext(ctx)
+		if budget > 0 {
+			m.MaxInstrs = budget
+		}
+		var amap *attr.Map
+		if attributed {
+			amap = attr.NewMap(prog.Layout)
+			amap.AttachMachine(m)
+		}
+		stats, reports, err := SimulateStream(ctx, sp, func(s trace.Sink) error { return m.Run(s) }, []cache.Config{ccfg}, amap)
+		if err != nil {
+			return nil, nil, err
+		}
+		var rep *attr.Report
+		if attributed {
+			rep = reports[0]
+		}
+		return stats[0], rep, nil
+	}
 	if m := memoFrom(ctx); m != nil && !attributed {
 		st, err := share(ctx, m, programKey(bc, ccfg, budget), sp.Adopt, func(ctx context.Context) (*cache.Stats, error) {
-			st, _, err := simulate(ctx, rec, prog, bc, ccfg, budget, false)
+			st, _, err := run(ctx)
 			return st, err
 		})
 		return st, nil, err
 	}
-	return simulate(ctx, rec, prog, bc, ccfg, budget, attributed)
+	return run(ctx)
 }
 
-// simulate runs bc on ctx and feeds its references to a simulator
-// under ccfg, streaming progress to rec when it is non-nil.
-func simulate(ctx context.Context, rec *obs.Recorder, prog *core.Program, bc *vm.Program, ccfg cache.Config, budget int64, attributed bool) (*cache.Stats, *attr.Report, error) {
-	sim, err := cache.New(ccfg)
+// SimulateStream feeds the references stream delivers to one cache
+// simulator per configuration, and to every extra sink (a trace
+// writer), and returns each simulator's statistics, detached from it.
+// stream is the VM's Run or a stored trace's ForEach. With amap, each
+// simulator carries a miss collector over it, and the reports come
+// back in configuration order once the stream has ended and amap has
+// named its heap owners.
+//
+// The delivery follows from the sinks. One sink is the stream's sink
+// itself, as for every experiment cell. Several sinks without
+// attribution, on more than one CPU, each run on their own goroutine
+// behind a trace.ParTee, each simulator with a "sim:b<block>" span
+// under sp. Otherwise a trace.Tee feeds them in turn on the stream's
+// goroutine: attribution resolves every miss through amap, which is
+// not safe for concurrent use. The results are the same either way.
+// A verbose recorder on ctx gets each simulator's progress as obs
+// metrics.
+func SimulateStream(ctx context.Context, sp *obs.Span, stream func(trace.Sink) error, cfgs []cache.Config, amap *attr.Map, extra ...trace.Sink) ([]*cache.Stats, []*attr.Report, error) {
+	rec := obs.FromContext(ctx)
+	sims := make([]*cache.Sim, len(cfgs))
+	cols := make([]*attr.Collector, 0, len(cfgs))
+	sinks := make([]trace.Sink, 0, len(cfgs)+len(extra))
+	for i, c := range cfgs {
+		sim, err := cache.New(c)
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: %w", err)
+		}
+		if amap != nil {
+			col := attr.NewCollector(amap, c.BlockSize)
+			sim.SetAttributor(col)
+			cols = append(cols, col)
+		}
+		installMetrics(rec, sim)
+		sims[i] = sim
+		sinks = append(sinks, func(r vm.Ref) { sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write) })
+	}
+	sinks = append(sinks, extra...)
+
+	finish := func() error { return nil }
+	var sink trace.Sink
+	switch {
+	case len(sinks) == 1:
+		sink = sinks[0]
+	case amap == nil && runtime.GOMAXPROCS(0) > 1:
+		pt := trace.NewParTee(0, sinks...)
+		for i, c := range cfgs {
+			pt.SetSpan(i, sp.Child(fmt.Sprintf("sim:b%d", c.BlockSize)))
+		}
+		sink, finish = pt.Sink(), pt.Close
+	default:
+		sink = trace.Tee(sinks...)
+	}
+	err := stream(sink)
+	if ferr := finish(); err == nil {
+		err = ferr
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: MeasureConfig: %w", err)
-	}
-	m := vm.New(bc)
-	m.SetContext(ctx)
-	if budget > 0 {
-		m.MaxInstrs = budget
-	}
-	var amap *attr.Map
-	var col *attr.Collector
-	if attributed {
-		amap = attr.NewMap(prog.Layout)
-		amap.AttachMachine(m)
-		col = attr.NewCollector(amap, ccfg.BlockSize)
-		sim.SetAttributor(col)
-	}
-	installMetrics(rec, sim)
-	if err := m.Run(func(r vm.Ref) {
-		sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
-	}); err != nil {
 		return nil, nil, err
 	}
-	st := *sim.Stats()
-	if !attributed {
-		return &st, nil, nil
+
+	stats := make([]*cache.Stats, len(sims))
+	for i, sim := range sims {
+		st := *sim.Stats()
+		stats[i] = &st
+	}
+	if amap == nil {
+		return stats, nil, nil
 	}
 	amap.ResolveOwners()
-	return &st, col.Report(ccfg.NumProcs), nil
+	reports := make([]*attr.Report, len(cols))
+	for i, col := range cols {
+		reports[i] = col.Report(cfgs[i].NumProcs)
+	}
+	return stats, reports, nil
 }
 
 // metricsEvery is the streaming-metrics period in block references:
@@ -326,10 +391,11 @@ func simulate(ctx context.Context, rec *obs.Recorder, prog *core.Program, bc *vm
 const metricsEvery = 5_000_000
 
 // installMetrics wires the simulator's sampler to the progress
-// stream of rec. No recorder: no sampler, and the simulator hot path
-// keeps its zero-cost disabled branch.
+// stream of rec. A recorder that is not verbose prints no metrics, so
+// it gets no sampler either, and the simulator hot path keeps its
+// zero-cost disabled branch.
 func installMetrics(rec *obs.Recorder, sim *cache.Sim) {
-	if rec == nil {
+	if rec == nil || !rec.Verbose {
 		return
 	}
 	src := fmt.Sprintf("sim:b%d", sim.Stats().Config.BlockSize)

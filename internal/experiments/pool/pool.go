@@ -76,13 +76,27 @@ type MultiError struct {
 	Jobs int
 }
 
+// Error counts as failed only the jobs whose error is not a
+// cancellation, and names those with their causes; cancelled and
+// skipped jobs are only counted. So a fail-fast stop reads "1 of 24
+// jobs failed, 23 cancelled or skipped; <key>: <cause>", root cause
+// first, whichever job the cancellation reached first.
 func (m *MultiError) Error() string {
 	const show = 5
+	var failed []*Error
+	for _, e := range m.Errors {
+		if !errors.Is(e.Err, context.Canceled) {
+			failed = append(failed, e)
+		}
+	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d of %d jobs failed", len(m.Errors), m.Jobs)
-	for i, e := range m.Errors {
+	fmt.Fprintf(&sb, "%d of %d jobs failed", len(failed), m.Jobs)
+	if n := len(m.Errors) - len(failed); n > 0 {
+		fmt.Fprintf(&sb, ", %d cancelled or skipped", n)
+	}
+	for i, e := range failed {
 		if i == show {
-			fmt.Fprintf(&sb, "; ... and %d more", len(m.Errors)-show)
+			fmt.Fprintf(&sb, "; ... and %d more", len(failed)-show)
 			break
 		}
 		sb.WriteString("; ")

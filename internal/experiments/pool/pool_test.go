@@ -146,6 +146,53 @@ func TestPoolMultiError(t *testing.T) {
 	}
 }
 
+// TestPoolMultiErrorText: the error text counts as failed only the
+// jobs that did not stop for a cancellation and names only those, even
+// when a cancelled job comes earlier in submission order.
+func TestPoolMultiErrorText(t *testing.T) {
+	jobs := make([]Job[int], 8)
+	for i := range jobs {
+		i := i
+		jobs[i] = Job[int]{
+			Key: fmt.Sprintf("j%02d", i),
+			Run: func(ctx context.Context) (int, error) {
+				if i == 1 {
+					return 0, errors.New("root cause")
+				}
+				// j00 runs beside j01 and is cancelled mid-run by its
+				// failure; the rest are skipped.
+				<-ctx.Done()
+				return 0, ctx.Err()
+			},
+		}
+	}
+	_, err := RunPolicy(context.Background(), "text", 2, Policy{FailFast: true}, jobs)
+	var merr *MultiError
+	if !errors.As(err, &merr) || len(merr.Errors) != 8 || merr.Jobs != 8 {
+		t.Fatalf("want all 8 jobs in the MultiError, got %v", err)
+	}
+	if want := "1 of 8 jobs failed, 7 cancelled or skipped; j01: root cause"; err.Error() != want {
+		t.Errorf("fail-fast text\n got %q\nwant %q", err, want)
+	}
+
+	many := &MultiError{Jobs: 9}
+	for i := 0; i < 7; i++ {
+		many.Errors = append(many.Errors, &Error{Key: fmt.Sprintf("k%d", i), Err: errors.New("boom")})
+	}
+	many.Errors = append(many.Errors, &Error{Key: "k7", Err: fmt.Errorf("%w: %w", ErrSkipped, context.Canceled)})
+	if want := "7 of 9 jobs failed, 1 cancelled or skipped; k0: boom; k1: boom; k2: boom; k3: boom; k4: boom; ... and 2 more"; many.Error() != want {
+		t.Errorf("capped text\n got %q\nwant %q", many, want)
+	}
+
+	stopped := &MultiError{Jobs: 3, Errors: []*Error{
+		{Key: "a", Err: context.Canceled},
+		{Key: "b", Err: fmt.Errorf("%w: %w", ErrSkipped, context.Canceled)},
+	}}
+	if want := "0 of 3 jobs failed, 2 cancelled or skipped"; stopped.Error() != want {
+		t.Errorf("interrupted text\n got %q\nwant %q", stopped, want)
+	}
+}
+
 // TestPoolFailFast: after the first failure the remaining jobs are
 // skipped (marked ErrSkipped + cancelled), and the drain is prompt.
 func TestPoolFailFast(t *testing.T) {

@@ -31,9 +31,6 @@ type Table3Row struct {
 func Table3(cfg Config, machine ksr.Config) ([]Table3Row, error) {
 	benches := workload.All()
 	perBench, err := benchCurves("table3", benches, cfg, machine)
-	if err != nil && perBench == nil {
-		return nil, fmt.Errorf("table3: %w", err)
-	}
 	var rows []Table3Row
 	for i, b := range benches {
 		curves := perBench[i]

@@ -14,6 +14,7 @@ package attr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -295,7 +296,9 @@ func (m *Map) heapEntry(sp vm.Span) entry {
 // and the span holding its value takes the global's name and element
 // type — the same resolution the translation validator uses to walk
 // heap structures. Spans no global reaches keep their "heap@0x…"
-// names. Safe to call with no machine attached (no-op).
+// names. Calling it again changes nothing, so a caller may resolve
+// before writing the map out (WriteFile resolves too). Safe to call
+// with no machine attached (no-op).
 func (m *Map) ResolveOwners() {
 	if m.mach == nil {
 		return
@@ -320,7 +323,7 @@ func (m *Map) ResolveOwners() {
 		}
 		if strings.HasPrefix(e.object, "heap@") || strings.HasPrefix(e.object, "heap:") {
 			e.object = pg.name
-		} else if e.object != pg.name {
+		} else if !slices.Contains(strings.Split(e.object, ","), pg.name) {
 			e.object += "," + pg.name
 		}
 		if e.structName == "" {

@@ -181,6 +181,43 @@ func TestHeapOwners(t *testing.T) {
 	}
 }
 
+// TestResolveOwnersTwice points two shared globals at one heap span:
+// the span takes both names, and a second ResolveOwners, such as
+// WriteFile's after a diagnostic run resolved, keeps them as they are.
+func TestResolveOwnersTwice(t *testing.T) {
+	const src = `
+struct Rec {
+    int a;
+    int b;
+};
+shared struct Rec *p;
+shared struct Rec *q;
+void main() {
+    p = alloc(struct Rec);
+    q = p;
+    p->a = 1;
+}
+`
+	f, l := buildLayout(t, src, nil, 1)
+	m := NewMap(l)
+	bc, err := vm.Compile(f, l.Info, l, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := vm.New(bc)
+	m.AttachMachine(mach)
+	if err := mach.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	start := mach.AllocSpans()[0].Start
+	for i := 1; i <= 2; i++ {
+		m.ResolveOwners()
+		if got := m.Object(m.Resolve(start).ID); got != "p,q" {
+			t.Errorf("after resolve %d the span is named %q, want p,q", i, got)
+		}
+	}
+}
+
 // TestMapFileRoundTrip checks the trace sidecar: a map written after a
 // run and reloaded without a machine resolves the same addresses to
 // the same objects and fields.

@@ -92,8 +92,8 @@ func BenchmarkAccessReference(b *testing.B) {
 }
 
 // BenchmarkSweep measures a block-size sweep: the same reference fed
-// to one simulator per block size (16/64/128/256), as fssim -j 1
-// does. One op = one reference through all four simulators.
+// to one simulator per block size (16/64/128/256), as an fssim sweep
+// does with -diag or on one CPU. One op = one reference through all four simulators.
 func BenchmarkSweep(b *testing.B) {
 	blocks := []int64{16, 64, 128, 256}
 	sims := make([]*Sim, len(blocks))

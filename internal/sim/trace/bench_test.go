@@ -6,9 +6,9 @@ import (
 	"falseshare/internal/vm"
 )
 
-// BenchmarkParTee measures the batched fan-out path that fssim -j uses
-// to feed one simulator goroutine per block size. The
-// sinks are deliberately trivial so the number isolates the delivery
+// BenchmarkParTee measures the batched fan-out path that an fssim
+// sweep uses on more than one CPU to feed one simulator goroutine per
+// block size. The sinks are deliberately trivial so the number isolates the delivery
 // cost per reference per sink, not simulator work.
 func BenchmarkParTee(b *testing.B) {
 	refs := randRefs(3, 1<<14)
