@@ -16,88 +16,83 @@ import (
 //	go test ./cmd/fsexp -run Golden -update
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
 
+// The goldens print through fsexp's own section table, so each file
+// holds exactly what fsexp prints for its section. The simulation is
+// deterministic, so the files are stable across runs, worker counts
+// and platforms.
+
 // TestGoldenFig3Output pins the exact text `fsexp -fig3` prints on a
 // tiny configuration, so CLI formatting regressions (column widths,
-// headers, bar glyphs, float precision) are caught by diff. The
-// simulation itself is deterministic, so the file is stable across
-// runs, worker counts, and platforms.
+// headers, bar glyphs, float precision) are caught by diff.
 func TestGoldenFig3Output(t *testing.T) {
-	cfg := experiments.DefaultConfig()
-	cfg.Workers = 4 // golden output must not depend on parallelism
+	cfg := goldenConfig(4)
 	cfg.Fig3Blocks = []int64{16, 128}
-	cells, err := experiments.Figure3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exactly what main() prints for -fig3 (fmt.Println adds the
-	// trailing newline).
-	got := experiments.RenderFigure3(cells) + "\n"
-
-	checkGolden(t, "fig3", got)
+	checkGolden(t, "fig3", printSection(t, "fig3", cfg, experiments.SectionSet{}))
 }
 
 // TestGoldenTable2Output pins the exact text `fsexp -table2` prints on
-// a reduced block set (the -scale-min configuration), mirroring
-// TestGoldenFig3Output: deterministic simulation, so any diff is a
+// a reduced block set (the -scale-min configuration): any diff is a
 // formatting or classification change.
 func TestGoldenTable2Output(t *testing.T) {
-	cfg := experiments.DefaultConfig()
-	cfg.Workers = 4 // golden output must not depend on parallelism
+	cfg := goldenConfig(4)
 	cfg.Table2Blocks = []int64{32, 128}
-	rows, err := experiments.Table2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := experiments.RenderTable2(rows) + "\n"
-
-	checkGolden(t, "table2", got)
+	checkGolden(t, "table2", printSection(t, "table2", cfg, experiments.SectionSet{}))
 }
 
 // TestGoldenFig4Output pins the exact text `fsexp -fig4` prints on the
-// -scale-min sweep, mirroring the fig3 and table2 golden tests: the
-// header line plus one RenderCurves block per program in sorted order,
-// rendered by RenderFigure4 as main() does.
+// -scale-min sweep: the header line plus one RenderCurves block per
+// program in sorted order.
 func TestGoldenFig4Output(t *testing.T) {
-	checkGolden(t, "fig4", renderFig4(t, 4, 1, 2, 4))
+	checkGolden(t, "fig4", printFig4(t, 4, 1, 2, 4))
 }
 
 // TestGoldenFig4RingsOutput pins Fig 4 above 32 processors, where the
 // KSR2 model's second ring comes in: the 32-processor point is one
 // ring, 40 and 56 span two.
 func TestGoldenFig4RingsOutput(t *testing.T) {
-	checkGolden(t, "fig4_rings", renderFig4(t, 2, 32, 40, 56))
+	checkGolden(t, "fig4_rings", printFig4(t, 2, 32, 40, 56))
 }
 
-// renderFig4 is what main() prints for -fig4 over the given processor
+// printFig4 is what fsexp prints for -fig4 over the given processor
 // counts.
-func renderFig4(t *testing.T, workers int, counts ...int) string {
+func printFig4(t *testing.T, workers int, counts ...int) string {
 	t.Helper()
-	cfg := experiments.DefaultConfig()
-	cfg.Workers = workers // golden output must not depend on parallelism
+	cfg := goldenConfig(workers)
 	cfg.SweepCounts = counts
-	curves, err := experiments.Figure4(cfg, ksr.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return experiments.RenderFigure4(curves)
+	return printSection(t, "fig4", cfg, experiments.SectionSet{Machine: ksr.DefaultConfig()})
 }
 
 // TestGoldenMatrixOutput pins the exact text `fsexp -matrix` prints on
 // a small generated population (the -scale-min program sizes): the
-// aggregated protocol × topology grid plus the pattern summary. The
-// generator and simulation are both deterministic, so the file is
-// stable across runs, worker counts, and platforms.
+// aggregated protocol × topology grid plus the pattern summary.
 func TestGoldenMatrixOutput(t *testing.T) {
-	cfg := experiments.DefaultConfig()
-	cfg.Workers = 4 // golden output must not depend on parallelism
 	opt := experiments.MatrixOptions{Workloads: 8, Seed: 1, Procs: 8, Block: 64, ScaleMin: true}
-	cells, err := experiments.Matrix(cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := experiments.RenderMatrix(cells) + "\n"
+	checkGolden(t, "matrix", printSection(t, "matrix", goldenConfig(4), experiments.SectionSet{Matrix: opt}))
+}
 
-	checkGolden(t, "matrix", got)
+// goldenConfig is the default configuration on the given number of
+// workers; golden output must not depend on it.
+func goldenConfig(workers int) experiments.Config {
+	cfg := experiments.DefaultConfig()
+	cfg.Workers = workers
+	return cfg
+}
+
+// printSection runs the named section of the table under cfg and set
+// and returns what fsexp prints for it.
+func printSection(t *testing.T, name string, cfg experiments.Config, set experiments.SectionSet) string {
+	t.Helper()
+	for _, s := range experiments.Sections {
+		if s.Name == name {
+			v, err := s.Run(cfg, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Print(v, false)
+		}
+	}
+	t.Fatalf("no section %q", name)
+	return ""
 }
 
 // checkGolden compares got with testdata/<name>.golden, or rewrites

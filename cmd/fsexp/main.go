@@ -1,10 +1,12 @@
-// Command fsexp regenerates the paper's evaluation: Figure 3,
-// Table 2, Figure 4, Table 3, and the Section 1/5 aggregate numbers.
+// Command fsexp regenerates the paper's evaluation (Table 1, Figure 3,
+// Table 2, Figure 4, Table 3, the Section 1/5 aggregates), the §3.1
+// compile-cost check and the protocol matrix: one flag per entry of
+// experiments.Sections, run and printed in the table's order.
 //
 // Usage:
 //
 //	fsexp -fig3 -table2 -fig4 -table3 -aggregates    # pick any subset
-//	fsexp -all                                        # everything
+//	fsexp -all                                        # all but -matrix
 //	fsexp -all -j 8                                   # 8 parallel jobs
 //	fsexp -all -quick                                 # reduced sweeps
 //	fsexp -all -scale-min -j 4                        # smoke-test config
@@ -77,20 +79,17 @@ import (
 )
 
 func main() {
+	// One flag per section of the table.
+	selected := map[string]*bool{}
+	for _, s := range experiments.Sections {
+		selected[s.Name] = flag.Bool(s.Name, false, s.Help)
+	}
 	var (
-		table1 = flag.Bool("table1", false, "print Table 1 (the benchmark suite)")
-		fig3   = flag.Bool("fig3", false, "regenerate Figure 3 (miss-rate bars)")
-		table2 = flag.Bool("table2", false, "regenerate Table 2 (FS reduction by transformation)")
-		fig4   = flag.Bool("fig4", false, "regenerate Figure 4 (speedup curves)")
-		table3 = flag.Bool("table3", false, "regenerate Table 3 (maximum speedups)")
-		aggr   = flag.Bool("aggregates", false, "regenerate the §1/§5 aggregate numbers")
-		ccost  = flag.Bool("compilecost", false, "measure front-end vs restructuring time (§3.1 claim)")
-		all    = flag.Bool("all", false, "regenerate everything")
-		matrix = flag.Bool("matrix", false, "sweep generated workloads across every coherence protocol and topology")
-		quick  = flag.Bool("quick", false, "smaller processor sweeps (faster)")
-		csv    = flag.Bool("csv", false, "emit CSV instead of formatted tables (fig3/fig4/table2)")
-		scale  = flag.Int("scale", 1, "workload scale")
-		jobs   = flag.Int("j", runtime.GOMAXPROCS(0), "parallel experiment jobs (1 = serial)")
+		all   = flag.Bool("all", false, "regenerate every section except -matrix")
+		quick = flag.Bool("quick", false, "smaller processor sweeps (faster)")
+		csv   = flag.Bool("csv", false, "emit CSV instead of formatted tables (fig3, table2, fig4, matrix)")
+		scale = flag.Int("scale", 1, "workload scale")
+		jobs  = flag.Int("j", runtime.GOMAXPROCS(0), "parallel experiment jobs (1 = serial)")
 
 		scaleMin = flag.Bool("scale-min", false, "minimal sweeps and block sets (CI smoke runs)")
 
@@ -142,10 +141,17 @@ func main() {
 		check(fmt.Errorf("-connect requires -worker"))
 	}
 
-	if *all {
-		*table1, *fig3, *table2, *fig4, *table3, *aggr, *ccost = true, true, true, true, true, true, true
+	// The selected sections, in table order: each one flagged, and
+	// under -all each one the table marks for it.
+	var sections []experiments.Section
+	set := experiments.SectionSet{Machine: ksr.DefaultConfig()}
+	for _, s := range experiments.Sections {
+		if *selected[s.Name] || *all && s.All {
+			sections = append(sections, s)
+			set.Sections = append(set.Sections, s.Name)
+		}
 	}
-	if !*table1 && !*fig3 && !*table2 && !*fig4 && !*table3 && !*aggr && !*ccost && !*matrix {
+	if len(sections) == 0 {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -187,12 +193,11 @@ func main() {
 		cfg.Table2Blocks = []int64{32, 128}
 		cfg.Fig3Blocks = []int64{16, 128}
 	}
-	machine := ksr.DefaultConfig()
 
 	// -matrix axes: explicit subsets parse up front so a typo fails
 	// before any cell runs; -scale-min shrinks the generated programs,
 	// never the population (the matrix's value is breadth).
-	mopt := experiments.MatrixOptions{
+	set.Matrix = experiments.MatrixOptions{
 		Workloads: *matrixWorkloads,
 		Seed:      *matrixSeed,
 		Procs:     *matrixProcs,
@@ -203,14 +208,14 @@ func main() {
 		for _, s := range splitList(*protocols) {
 			p, err := cache.ParseProtocol(s)
 			check(err)
-			mopt.Protocols = append(mopt.Protocols, p)
+			set.Matrix.Protocols = append(set.Matrix.Protocols, p)
 		}
 	}
 	if *topologies != "" {
 		for _, s := range splitList(*topologies) {
 			tp, err := cache.ParseTopology(s)
 			check(err)
-			mopt.Topologies = append(mopt.Topologies, tp)
+			set.Matrix.Topologies = append(set.Matrix.Topologies, tp)
 		}
 	}
 
@@ -270,31 +275,6 @@ func main() {
 	var coord *fabric.Coordinator
 	var fabricRec *obs.Recorder
 	if *workersN > 0 || *listenAddr != "" {
-		var sections []string
-		if *fig3 {
-			sections = append(sections, "fig3")
-		}
-		if *aggr {
-			sections = append(sections, "aggregates")
-		}
-		if *table2 {
-			sections = append(sections, "table2")
-		}
-		if *fig4 {
-			sections = append(sections, "fig4")
-		}
-		if *table3 {
-			sections = append(sections, "table3")
-		}
-		if *ccost {
-			sections = append(sections, "compilecost")
-		}
-		if *matrix {
-			sections = append(sections, "matrix")
-		}
-		if len(sections) == 0 {
-			check(fmt.Errorf("-workers/-listen: no distributable sections selected (fig3, aggregates, table2, fig4, table3, compilecost, matrix)"))
-		}
 		fabricRec = obs.NewRecorder()
 		if base := obs.Default(); base != nil {
 			fabricRec.Verbose = base.Verbose
@@ -304,7 +284,7 @@ func main() {
 			Workers:    *workersN,
 			Listen:     *listenAddr,
 			Spec:       cfg.ConfigSpec,
-			Set:        experiments.SectionSet{Sections: sections, Matrix: mopt, Machine: machine},
+			Set:        set,
 			Faults:     faultSpec,
 			JobTimeout: *jobTimeout,
 			Recorder:   fabricRec,
@@ -438,59 +418,9 @@ func main() {
 		return v
 	}
 
-	if *table1 {
-		fmt.Println(experiments.RenderTable1(experiments.Table1()))
-	}
-	if *fig3 {
-		cells := run("fig3", func() (any, error) { return experiments.Figure3(cfg) }).([]experiments.Fig3Cell)
-		if *csv {
-			fmt.Print(experiments.CSVFigure3(cells))
-		} else {
-			fmt.Println(experiments.RenderFigure3(cells))
-		}
-	}
-	if *aggr {
-		a := run("aggregates", func() (any, error) { return experiments.ComputeAggregates(cfg) }).(*experiments.Aggregates)
-		fmt.Println(a.Render())
-	}
-	if *table2 {
-		rows := run("table2", func() (any, error) { return experiments.Table2(cfg) }).([]experiments.Table2Row)
-		if *csv {
-			fmt.Print(experiments.CSVTable2(rows))
-		} else {
-			fmt.Println(experiments.RenderTable2(rows))
-		}
-	}
-	if *fig4 {
-		curves := run("fig4", func() (any, error) { return experiments.Figure4(cfg, machine) }).(map[string][]experiments.Curve)
-		if *csv {
-			names := make([]string, 0, len(curves))
-			for n := range curves {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				fmt.Print(experiments.CSVCurves(curves[n]))
-			}
-		} else {
-			fmt.Print(experiments.RenderFigure4(curves))
-		}
-	}
-	if *table3 {
-		rows := run("table3", func() (any, error) { return experiments.Table3(cfg, machine) }).([]experiments.Table3Row)
-		fmt.Println(experiments.RenderTable3(rows))
-	}
-	if *ccost {
-		rows := run("compilecost", func() (any, error) { return experiments.CompileCost(cfg) }).([]experiments.CompileCostRow)
-		fmt.Println(experiments.RenderCompileCost(rows))
-	}
-	if *matrix {
-		cells := run("matrix", func() (any, error) { return experiments.Matrix(cfg, mopt) }).([]experiments.MatrixCell)
-		if *csv {
-			fmt.Print(experiments.CSVMatrix(cells))
-		} else {
-			fmt.Println(experiments.RenderMatrix(cells))
-		}
+	for _, s := range sections {
+		v := run(s.Name, func() (any, error) { return s.Run(cfg, set) })
+		fmt.Print(s.Print(v, *csv))
 	}
 
 	// Aggregate diagnosis: pair each section's unoptimized and

@@ -177,7 +177,8 @@ func replayTrace(ctx context.Context, path string, nprocs int, cfgs []cache.Conf
 		fatal(fmt.Errorf("trace %s was captured with %d processes; rerun with -p %d or more", path, n, n))
 	}
 	sp := obs.BeginCtx(ctx, "replay")
-	stats, reports, err := experiments.SimulateStream(ctx, sp, tr.ForEach, cfgs, amap)
+	stream := func(s trace.Sink) error { return tr.ForEachCtx(ctx, s) }
+	stats, reports, err := experiments.SimulateStream(ctx, sp, stream, cfgs, amap)
 	sp.End()
 	if err != nil {
 		fatal(err)

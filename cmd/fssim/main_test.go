@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"falseshare/internal/sim/trace"
 	"falseshare/internal/vm"
@@ -192,4 +193,64 @@ func TestReplay(t *testing.T) {
 		wantFailure(t, dir, want, "-replay", "wild.trc", "-p", "2", "-blocks", "64")
 		wantFailure(t, dir, want, "-replay", "wild.trc", "-p", "2", "-blocks", "64", "-diag")
 	})
+}
+
+// TestReplayStopsOnInterrupt replays an endless trace fed through a
+// pipe and interrupts it: the replay must stop and exit 130, as a
+// live run does, instead of reading on.
+func TestReplayStopsOnInterrupt(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	cmd := exec.Command(exe, mainArg, "-replay", "/dev/stdin", "-p", "2", "-blocks", "64")
+	cmd.Dir = t.TempDir()
+	cmd.Env = append(os.Environ(), "FSEXP_FAULTS=")
+	cmd.Stdin = r
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+
+	// Write records until fssim closes its end of the pipe. 64Ki
+	// records are far more than the pipe and the reader buffer hold,
+	// so by then fssim is replaying, its signal handler in place.
+	tw := trace.NewWriter(w, 2)
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; ; i++ {
+		tw.Write(vm.Ref{Proc: i % 2, Addr: int64(i%64) * 8, Size: 4, Write: i%3 == 0})
+		if i == 1<<16 {
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%4096 != 0 {
+			continue
+		}
+		if _, err := tw.Flush(); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			<-exited
+			t.Fatalf("replay still reading 20 s after the interrupt\n%s", errb.String())
+		}
+	}
+	err = <-exited
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Errorf("exit %v, want 130\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "context canceled") {
+		t.Errorf("stderr does not name the cancellation:\n%s", errb.String())
+	}
 }

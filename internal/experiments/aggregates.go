@@ -118,10 +118,15 @@ func progOfAggKey(key string) string {
 	return key
 }
 
-// Render formats the aggregates against the paper's claims.
+// Render formats the aggregates against the paper's claims. A nil
+// *Aggregates, as ComputeAggregates returns when every program lost a
+// cell, renders the header alone.
 func (a *Aggregates) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Aggregate results at %d-byte blocks (paper values at 128B in parentheses):\n", a.Block)
+	fmt.Fprintf(&sb, "Aggregate results at %d-byte blocks (paper values at 128B in parentheses):\n", aggBlock)
+	if a == nil {
+		return sb.String()
+	}
 	fmt.Fprintf(&sb, "  false sharing as fraction of all misses (unoptimized): %5.1f%%  (paper: ~70%%)\n", 100*a.FSFractionOfMisses)
 	fmt.Fprintf(&sb, "  false-sharing misses eliminated:                        %5.1f%%  (paper: ~80%%)\n", 100*a.FSEliminated)
 	fmt.Fprintf(&sb, "  increase in other misses:                               %5.1f%%  (paper: ~19%%)\n", 100*a.OtherIncrease)

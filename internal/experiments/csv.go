@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// CSVFigure3 renders Figure 3 cells as CSV for external plotting.
-func CSVFigure3(cells []Fig3Cell) string {
+// csvFigure3 renders Figure 3 cells as CSV for external plotting.
+func csvFigure3(cells []Fig3Cell) string {
 	var sb strings.Builder
 	sb.WriteString("program,version,block,procs,refs,fs_misses,other_misses,fs_rate_pct,other_rate_pct\n")
 	for _, c := range cells {
@@ -16,20 +16,8 @@ func CSVFigure3(cells []Fig3Cell) string {
 	return sb.String()
 }
 
-// CSVCurves renders speedup curves as CSV (long format).
-func CSVCurves(curves []Curve) string {
-	var sb strings.Builder
-	sb.WriteString("program,version,procs,speedup,cycles\n")
-	for _, c := range curves {
-		for i, p := range c.Counts {
-			fmt.Fprintf(&sb, "%s,%s,%d,%.4f,%.0f\n", c.Program, c.Version, p, c.Speedup[i], c.Cycles[i])
-		}
-	}
-	return sb.String()
-}
-
-// CSVTable2 renders Table 2 rows as CSV.
-func CSVTable2(rows []Table2Row) string {
+// csvTable2 renders Table 2 rows as CSV.
+func csvTable2(rows []Table2Row) string {
 	var sb strings.Builder
 	sb.WriteString("program,total_pct,group_transpose_pct,indirection_pct,pad_align_pct,locks_pct\n")
 	for _, r := range rows {

@@ -171,20 +171,32 @@ func Figure4(cfg Config, machine ksr.Config) (map[string][]Curve, error) {
 	return out, err
 }
 
-// RenderFigure4 formats Figure 4 as fsexp -fig4 prints it: a header
-// line, then each program's RenderCurves block and a blank line, in
-// program name order.
-func RenderFigure4(curves map[string][]Curve) string {
+// printFigure4 prints Figure 4 as fsexp -fig4 does: a header line,
+// then each program's RenderCurves block and a blank line, in program
+// name order. As CSV (long format) it is one header line, then every
+// program's rows in the same order.
+func printFigure4(v any, csv bool) string {
+	curves := v.(map[string][]Curve)
 	names := make([]string, 0, len(curves))
 	for name := range curves {
 		names = append(names, name)
 	}
 	slices.Sort(names)
 	var sb strings.Builder
-	sb.WriteString("Figure 4: speedup curves (N=unoptimized C=compiler P=programmer)\n")
+	if !csv {
+		sb.WriteString("Figure 4: speedup curves (N=unoptimized C=compiler P=programmer)\n")
+		for _, name := range names {
+			sb.WriteString(RenderCurves(curves[name]) + "\n")
+		}
+		return sb.String()
+	}
+	sb.WriteString("program,version,procs,speedup,cycles\n")
 	for _, name := range names {
-		sb.WriteString(RenderCurves(curves[name]))
-		sb.WriteString("\n")
+		for _, c := range curves[name] {
+			for i, p := range c.Counts {
+				fmt.Fprintf(&sb, "%s,%s,%d,%.4f,%.0f\n", c.Program, c.Version, p, c.Speedup[i], c.Cycles[i])
+			}
+		}
 	}
 	return sb.String()
 }

@@ -327,8 +327,8 @@ func RenderMatrix(cells []MatrixCell) string {
 	return sb.String()
 }
 
-// CSVMatrix emits the raw cells as CSV (fsexp -matrix -csv).
-func CSVMatrix(cells []MatrixCell) string {
+// csvMatrix emits the raw cells as CSV (fsexp -matrix -csv).
+func csvMatrix(cells []MatrixCell) string {
 	var sb strings.Builder
 	sb.WriteString("workload,pattern,protocol,topology,procs,block,refsN,missN,missC,fsN,fsC,upgN,upgC,updatesN,costN,costC,topfs\n")
 	for _, c := range cells {

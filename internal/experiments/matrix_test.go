@@ -106,7 +106,7 @@ func TestMatrixInvariants(t *testing.T) {
 	if !strings.Contains(out, "By pattern") {
 		t.Errorf("render missing pattern summary:\n%s", out)
 	}
-	csv := CSVMatrix(cells)
+	csv := csvMatrix(cells)
 	if got := strings.Count(csv, "\n"); got != len(cells)+1 {
 		t.Errorf("CSV has %d lines, want %d", got, len(cells)+1)
 	}

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/obs"
@@ -41,8 +42,7 @@ import (
 // per-section parameters that are not part of Config. It must round-
 // trip JSON: the coordinator ships it to every worker.
 type SectionSet struct {
-	// Sections are driver names in fsexp order: "fig3", "aggregates",
-	// "table2", "fig4", "table3", "compilecost", "matrix".
+	// Sections names entries of the Sections table, in its order.
 	Sections []string      `json:"sections"`
 	Matrix   MatrixOptions `json:"matrix,omitempty"`
 	Machine  ksr.Config    `json:"machine"`
@@ -106,10 +106,11 @@ func (e *Enumeration) add(key string, fn CellFunc) {
 }
 
 // Collect enumerates every cell the given sections would run under
-// cfg, without executing any of them. The drivers run their normal
-// enumeration code — same loops, same keys, same order — but each
-// pool job is captured instead of executed, so a worker process
-// reconstructs exactly the grid its coordinator dispatches from.
+// cfg, without executing any of them. Each section's driver, looked up
+// in Sections, runs its normal enumeration code — same loops, same
+// keys, same order — but each pool job is captured instead of
+// executed, so a worker process reconstructs exactly the grid its
+// coordinator dispatches from.
 func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 	e := &Enumeration{cells: map[string]CellFunc{}}
 	cfg.enum = e
@@ -117,28 +118,13 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 	cfg.Store = nil
 	cfg.Events = nil
 	cfg.Ctx = nil
-	for _, s := range set.Sections {
-		var err error
-		switch s {
-		case "fig3":
-			_, err = Figure3(cfg)
-		case "aggregates":
-			_, err = ComputeAggregates(cfg)
-		case "table2":
-			_, err = Table2(cfg)
-		case "fig4":
-			_, err = Figure4(cfg, set.Machine)
-		case "table3":
-			_, err = Table3(cfg, set.Machine)
-		case "compilecost":
-			_, err = CompileCost(cfg)
-		case "matrix":
-			_, err = Matrix(cfg, set.Matrix)
-		default:
-			return nil, fmt.Errorf("experiments: Collect: unknown section %q", s)
+	for _, name := range set.Sections {
+		i := slices.IndexFunc(Sections, func(s Section) bool { return s.Name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("experiments: Collect: unknown section %q", name)
 		}
-		if err != nil && !errors.Is(err, errCollected) {
-			return nil, fmt.Errorf("experiments: Collect %s: %w", s, err)
+		if _, err := Sections[i].Run(cfg, set); err != nil && !errors.Is(err, errCollected) {
+			return nil, fmt.Errorf("experiments: Collect %s: %w", name, err)
 		}
 	}
 	return e, nil

@@ -6,6 +6,7 @@ package trace
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -206,8 +207,16 @@ func (tr *Reader) Next() (vm.Ref, error) {
 }
 
 // ForEach replays a stored trace into a sink.
-func (tr *Reader) ForEach(s Sink) error {
-	for {
+func (tr *Reader) ForEach(s Sink) error { return tr.ForEachCtx(context.Background(), s) }
+
+// ForEachCtx is ForEach stopping with ctx's error once ctx is done,
+// which it checks every 4096 records, so an interrupt ends a long
+// replay.
+func (tr *Reader) ForEachCtx(ctx context.Context, s Sink) error {
+	for n := 0; ; n++ {
+		if n%4096 == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
 		r, err := tr.Next()
 		if err == io.EOF {
 			return nil
