@@ -59,7 +59,7 @@ func main() {
 		obs.Install(rec)
 	}
 
-	if _, err := faultinject.Setup(*faults, ""); err != nil {
+	if err := faultinject.Setup(*faults, ""); err != nil {
 		fatal(err)
 	}
 

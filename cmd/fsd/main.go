@@ -45,7 +45,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if _, err := faultinject.Setup(*faults, "FSD_FAULTS"); err != nil {
+	if err := faultinject.Setup(*faults, "FSD_FAULTS"); err != nil {
 		fmt.Fprintf(os.Stderr, "fsd: %v\n", err)
 		os.Exit(2)
 	}

@@ -25,34 +25,29 @@
 // Fault tolerance: Ctrl-C (or SIGTERM) cancels the run cooperatively —
 // cells in flight stop at their next cancellation check, finished
 // cells stay stored when -cache is set, and a second interrupt exits
-// immediately (reaping any spawned worker processes). -job-timeout
-// bounds each cell, -step-budget caps VM instructions so a runaway
-// program fails instead of hanging. A failed cell fails the same way
-// on every attempt, since the simulation is deterministic: by default
-// the first failure stops the run, -keep-going renders what survives,
-// and a re-run with -cache runs only the cells that did not finish. A
-// failed run exits 1, an interrupted one 130. -faults (or the
-// FSEXP_FAULTS environment variable) injects deterministic faults for
-// testing; see internal/faultinject.
-//
-// Distributed runs: -workers N shards the cells across N spawned
-// worker processes (fsexp -worker over stdio); -listen additionally
-// accepts external workers started with `fsexp -worker -connect`.
-// Dead or hung workers are detected by heartbeat and per-cell
-// deadline, their cells reassigned, and the resulting manifests are
-// byte-identical (modulo timing) to a single-process run. See
-// internal/experiments/fabric.
+// immediately. -job-timeout bounds each cell, -step-budget caps VM
+// instructions so a runaway program fails instead of hanging. A
+// failed cell fails the same way on every attempt, since the
+// simulation is deterministic: by default the first failure stops the
+// run, -keep-going renders what survives, and a re-run with -cache
+// runs only the cells that did not finish. A failed run exits 1, an
+// interrupted one 130. -faults (or the FSEXP_FAULTS environment
+// variable) injects deterministic faults for testing; see
+// internal/faultinject. Out-of-range numbers (-scale, -matrix-workloads
+// or -matrix-procs below 1, a -matrix-block that is not a power of
+// two) fail before any cell runs.
 //
 // The cell store: -cache dir keeps every finished cell — result, span
 // subtree, -verify/-diag events — in a crash-safe content-addressed
 // store. A cell's address is its key, the run's settings (scale,
 // budget, -verify, -diag, the KSR machine or -matrix options) and the
 // sha256 of the fsexp binary that computed it. Any later run of the
-// same build over the same cells, local or distributed, replays them
-// instead of recomputing: that is how an interrupted run resumes, and
-// how overlapping runs dedup. A changed setting or a rebuilt binary
-// changes the address, so a cell is never replayed into a run it does
-// not belong to; -compilecost timings are never stored.
+// same build over the same cells replays them instead of recomputing:
+// that is how an interrupted run resumes, and how overlapping runs
+// dedup. A changed setting or a rebuilt binary changes the address, so
+// a cell is never replayed into a run it does not belong to; a stored
+// cell that no longer decodes is recomputed and overwritten, and
+// -compilecost timings are never stored.
 package main
 
 import (
@@ -65,12 +60,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"falseshare/internal/artifact"
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/fabric"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
@@ -100,11 +93,7 @@ func main() {
 		protocols       = flag.String("protocols", "", "comma-separated protocol subset for -matrix (default: all)")
 		topologies      = flag.String("topologies", "", "comma-separated topology subset for -matrix (default: all)")
 
-		workerMode = flag.Bool("worker", false, "run as a fabric worker process (spawned by -workers, or started by hand with -connect)")
-		connect    = flag.String("connect", "", "with -worker: attach to a coordinator listening at this host:port")
-		workersN   = flag.Int("workers", 0, "distribute cells across this many spawned worker processes (0 = run in-process)")
-		listenAddr = flag.String("listen", "", "accept external fabric workers on this TCP host:port")
-		cacheDir   = flag.String("cache", "", "cell store directory: finished cells are stored there, and a run of the same build replays every cell already stored (resume, and dedup across runs and shards)")
+		cacheDir   = flag.String("cache", "", "cell store directory: finished cells are stored there, and a run of the same build replays every cell already stored (resume, and dedup across runs)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "LRU byte budget for -cache: least-recently-used entries are evicted past this size (0 = unlimited)")
 
 		keepGoing  = flag.Bool("keep-going", false, "keep running after cell failures and render partial figures/tables (default: fail fast)")
@@ -121,34 +110,12 @@ func main() {
 	)
 	flag.Parse()
 
-	// Worker mode: no sections, no flags beyond the link — everything
-	// a worker needs (grid spec, sections, fault spec) arrives in the
-	// coordinator's hello frame.
-	if *workerMode {
-		var err error
-		if *connect != "" {
-			err = fabric.RunWorkerTCP(*connect)
-		} else {
-			err = fabric.RunWorker(os.Stdin, os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsexp: worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *connect != "" {
-		check(fmt.Errorf("-connect requires -worker"))
-	}
-
 	// The selected sections, in table order: each one flagged, and
 	// under -all each one the table marks for it.
 	var sections []experiments.Section
-	set := experiments.SectionSet{Machine: ksr.DefaultConfig()}
 	for _, s := range experiments.Sections {
 		if *selected[s.Name] || *all && s.All {
 			sections = append(sections, s)
-			set.Sections = append(set.Sections, s.Name)
 		}
 	}
 	if len(sections) == 0 {
@@ -165,12 +132,7 @@ func main() {
 		obs.Install(rec)
 	}
 
-	// faultSpec is the effective spec — also what the coordinator
-	// propagates to every worker process, so a -faults (or
-	// FSEXP_FAULTS) rule targeting a worker-side point fires inside
-	// the workers, not just the parent.
-	faultSpec, err := faultinject.Setup(*faults, "FSEXP_FAULTS")
-	check(err)
+	check(faultinject.Setup(*faults, "FSEXP_FAULTS"))
 
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = *scale
@@ -194,16 +156,18 @@ func main() {
 		cfg.Fig3Blocks = []int64{16, 128}
 	}
 
-	// -matrix axes: explicit subsets parse up front so a typo fails
-	// before any cell runs; -scale-min shrinks the generated programs,
-	// never the population (the matrix's value is breadth).
-	set.Matrix = experiments.MatrixOptions{
+	// Numeric settings and the -matrix axes are checked up front so a
+	// typo fails before any cell runs; -scale-min shrinks the
+	// generated programs, never the population (the matrix's value is
+	// breadth).
+	check(checkNumbers(*scale, *matrixWorkloads, *matrixProcs, *matrixBlock))
+	set := experiments.SectionSet{Machine: ksr.DefaultConfig(), Matrix: experiments.MatrixOptions{
 		Workloads: *matrixWorkloads,
 		Seed:      *matrixSeed,
 		Procs:     *matrixProcs,
 		Block:     *matrixBlock,
 		ScaleMin:  *scaleMin,
-	}
+	}}
 	if *protocols != "" {
 		for _, s := range splitList(*protocols) {
 			p, err := cache.ParseProtocol(s)
@@ -221,10 +185,8 @@ func main() {
 
 	// First interrupt: cancel the run cooperatively — cells in flight
 	// stop at their next check, the store index and any partial
-	// manifests are flushed on the way out. Second interrupt:
-	// exit immediately — but reap spawned workers first, so an
-	// impatient Ctrl-C Ctrl-C never leaves orphan fsexp -worker
-	// processes behind.
+	// manifests are flushed on the way out. Second interrupt: exit
+	// immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// One measurement memo for the whole run: a cell whose program
@@ -232,7 +194,6 @@ func main() {
 	// (Table 3 repeating Figure 4's sweeps, Table 2 and the aggregates
 	// repeating Figure 3's cells) takes that result.
 	cfg.Ctx = experiments.WithMeasureMemo(ctx)
-	var coordP atomic.Pointer[fabric.Coordinator]
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -240,14 +201,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fsexp: interrupt — draining (interrupt again to exit immediately)")
 		cancel()
 		<-sigc
-		if c := coordP.Load(); c != nil {
-			c.Kill()
-		}
 		exit(130)
 	}()
 
-	// The cell store: opened (and recovered) only here, in the process
-	// that owns the run — fabric workers never touch it.
+	// The cell store, opened (and recovered) before any cell runs.
 	var store *artifact.Store
 	if *cacheDir != "" {
 		store, err = artifact.Open(*cacheDir, artifact.Options{MaxBytes: *cacheBytes, FaultPoint: "cell.store"})
@@ -268,64 +225,6 @@ func main() {
 		store = nil
 	}
 
-	// Distributed mode: spawn/accept fabric workers and route every
-	// driver fan-out through the coordinator. The workers re-enumerate
-	// the same grid from cfg's spec, so results — and manifests — are
-	// byte-identical to an in-process run.
-	var coord *fabric.Coordinator
-	var fabricRec *obs.Recorder
-	if *workersN > 0 || *listenAddr != "" {
-		fabricRec = obs.NewRecorder()
-		if base := obs.Default(); base != nil {
-			fabricRec.Verbose = base.Verbose
-			fabricRec.LogW = base.LogW
-		}
-		coord = fabric.NewCoordinator(fabric.Options{
-			Workers:    *workersN,
-			Listen:     *listenAddr,
-			Spec:       cfg.ConfigSpec,
-			Set:        set,
-			Faults:     faultSpec,
-			JobTimeout: *jobTimeout,
-			Recorder:   fabricRec,
-		})
-		check(coord.Start(ctx))
-		coordP.Store(coord)
-		cfg.Runner = coord
-		if *listenAddr != "" {
-			fmt.Fprintf(os.Stderr, "fsexp: fabric: accepting workers on %s (start them with: fsexp -worker -connect %s)\n", coord.Addr(), coord.Addr())
-		}
-	}
-
-	// shutdownFabric drains the fabric exactly once: shutdown frames,
-	// the stderr summary line, and (with -reportdir) a separate fabric
-	// manifest. The fabric's telemetry lives in its own manifest
-	// because scheduling is nondeterministic — folding it into the
-	// figure manifests would break their byte-identity.
-	fabricDone := false
-	shutdownFabric := func() {
-		if coord == nil || fabricDone {
-			return
-		}
-		fabricDone = true
-		if err := coord.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fsexp: fabric: %v\n", err)
-		}
-		st := coord.Stats()
-		fmt.Fprintln(os.Stderr, "fsexp: "+st.Summary())
-		if *reportDir != "" {
-			rep := fabricRec.Report("fsexp")
-			rep.AddData("name", "fabric")
-			rep.AddData("stats", st)
-			if path, werr := experiments.WriteManifest(*reportDir, "fabric", rep); werr != nil {
-				fmt.Fprintf(os.Stderr, "fsexp: fabric manifest: %v\n", werr)
-			} else if *verbose {
-				fmt.Fprintf(os.Stderr, "fsexp: fabric manifest -> %s\n", path)
-			}
-		}
-	}
-	defer shutdownFabric()
-
 	// failSections collects per-experiment partial-failure reports; they
 	// are printed after every rendered figure/table, and make the run
 	// exit nonzero.
@@ -337,7 +236,6 @@ func main() {
 	// cancelled and 1 otherwise. A fail-fast stop also leaves cells
 	// cancelled, but only the handler cancels ctx itself.
 	fatal := func(name string, err error) {
-		shutdownFabric()
 		closeStore()
 		fmt.Fprintf(os.Stderr, "fsexp: %s: %v\n", name, err)
 		code := 1
@@ -441,7 +339,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fsexp: verify: %d objects degraded\n", experiments.DegradedObjects(events.Degraded))
 	}
 
-	shutdownFabric()
 	closeStore()
 	check(stopProfiles())
 
@@ -489,4 +386,22 @@ func splitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// checkNumbers rejects the numeric settings no run can use: a scale,
+// matrix population or matrix processor count below 1, and a matrix
+// block that is not a power of two of at least one word.
+func checkNumbers(scale, workloads, procs int, block int64) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-scale", scale}, {"-matrix-workloads", workloads}, {"-matrix-procs", procs}} {
+		if f.v < 1 {
+			return fmt.Errorf("%s must be at least 1 (got %d)", f.name, f.v)
+		}
+	}
+	if block < cache.WordSize || block&(block-1) != 0 {
+		return fmt.Errorf("-matrix-block must be a power of two of at least %d bytes (got %d)", cache.WordSize, block)
+	}
+	return nil
 }

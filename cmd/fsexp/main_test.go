@@ -112,3 +112,23 @@ func TestNoSectionPrintsUsage(t *testing.T) {
 		t.Errorf("exit %d, stderr:\n%s\nwant exit 2 and the section flags", code, errs)
 	}
 }
+
+// TestRejectsOutOfRangeNumbers: a numeric flag no run can use fails
+// before any cell runs, with exit 1, nothing on stdout and a message
+// naming the flag, instead of running on a silent default or failing
+// every cell.
+func TestRejectsOutOfRangeNumbers(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-scale", "0"},
+		{"-matrix-workloads", "-3"},
+		{"-matrix-procs", "0"},
+		{"-matrix-block", "48"},
+	} {
+		t.Run(tc.flag[1:], func(t *testing.T) {
+			out, errs, code := fsexp(t, "-matrix", "-scale-min", "-matrix-workloads", "2", tc.flag, tc.value)
+			if code != 1 || out != "" || !strings.Contains(errs, "fsexp: "+tc.flag+" must be ") {
+				t.Errorf("%s %s: exit %d, stdout:\n%s\nstderr:\n%s\nwant exit 1, no output and an error naming %s", tc.flag, tc.value, code, out, errs, tc.flag)
+			}
+		})
+	}
+}

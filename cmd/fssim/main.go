@@ -69,7 +69,7 @@ func main() {
 	}
 	stopProfiles = stop
 
-	if _, err := faultinject.Setup(*faults, "FSEXP_FAULTS"); err != nil {
+	if err := faultinject.Setup(*faults, "FSEXP_FAULTS"); err != nil {
 		fatal(err)
 	}
 

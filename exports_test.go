@@ -45,10 +45,10 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		if skipTree(path, d) {
+			return filepath.SkipDir
+		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

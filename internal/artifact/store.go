@@ -129,12 +129,6 @@ func hashOf(build, schema, key string) string {
 // use. Tests swap it.
 var buildID = sync.OnceValues(exeHash)
 
-// BuildID returns the identity of the running executable, the sha256
-// of its bytes, hashed once per process. The store keys every entry to
-// it, and the fabric coordinator admits only workers that report its
-// own.
-func BuildID() (string, error) { return buildID() }
-
 // exeHash returns the sha256 of the running executable, streamed
 // through a small buffer. On Linux /proc/self/exe stays the running
 // file even if its path has since been replaced.

@@ -38,9 +38,8 @@ const (
 )
 
 // ConfigSpec is the part of Config that decides what the cells
-// compute. It is plain data: the fabric ships it to every worker, which
-// rebuilds the coordinator's exact job grid from it, and the cell store
-// addresses each cell by it (see cellAddress).
+// compute. It is plain data: the cell store addresses each cell by it
+// (see cellAddress).
 type ConfigSpec struct {
 	// Scale multiplies workload sizes (1 = paper-shaped experiment
 	// runs; tests use smaller).
@@ -95,23 +94,13 @@ type Config struct {
 	// Store, when non-nil, keeps every successful cell (fsexp -cache):
 	// a cell this build already stored returns its result, span
 	// subtree and events without running, so an interrupted run
-	// resumes and a later run over the same cells — local or
-	// distributed — dedups through it. Only the process that owns the
-	// run opens the store; fabric workers never do.
+	// resumes and a later run over the same cells dedups through it.
 	Store *artifact.Store
 	// Events, when non-nil, receives every successful cell's side
 	// events, appended in job submission order after each fan-out —
-	// whether the cell ran here, ran in a fabric worker, or was
-	// replayed from Store. The caller owns it and reads it per section.
+	// whether the cell ran or was replayed from Store. The caller owns
+	// it and reads it per section.
 	Events *CellEvents
-	// Runner, when non-nil, executes cells in other processes: every
-	// cell the store does not hold still runs as a pool job under
-	// Policy, but calls the runner instead of computing here. Each
-	// cell then gets its own goroutine and no pool deadline, because
-	// the runner's fleet bounds concurrency and times each cell from
-	// its dispatch: Workers and Policy.JobTimeout do not apply. The
-	// distributed fabric's coordinator implements it; see CellRunner.
-	Runner CellRunner
 
 	// enum, when non-nil, switches runJobs into enumeration mode:
 	// jobs are captured into the grid instead of executed. Set only
@@ -168,7 +157,7 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 }
 
 // runJobs routes every experiment's fan-out through the configured
-// context, failure policy, store, event log and runner: cells this
+// context, failure policy, store and event log: cells this
 // build already stored in cfg.Store return their stored results
 // without running, fresh successes are stored as they finish, and
 // every successful cell's events are appended to cfg.Events in
@@ -179,10 +168,8 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 // long as this fan-out, so cells that execute the same program under
 // the same configuration run it once.
 //
-// With cfg.Runner set the cells run in other processes, through the
-// same pool (see Config.Runner). With cfg.enum set (Collect) the jobs
-// are captured, not run, and the driver sees zero-valued results
-// behind an errCollected sentinel.
+// With cfg.enum set (Collect) the jobs are captured, not run, and the
+// driver sees zero-valued results behind an errCollected sentinel.
 func runJobs[T any](cfg Config, name string, params any, jobs []pool.Job[T]) ([]T, error) {
 	if cfg.enum != nil {
 		collectJobs(cfg.enum, jobs)
@@ -193,11 +180,7 @@ func runJobs[T any](cfg Config, name string, params any, jobs []pool.Job[T]) ([]
 		ctx = WithMeasureMemo(ctx)
 	}
 	events := make([]CellEvents, len(jobs))
-	workers, pol := cfg.Workers, cfg.Policy
-	if cfg.Runner != nil {
-		workers, pol.JobTimeout = len(jobs), 0
-	}
-	results, err := pool.RunPolicy(ctx, name, workers, pol, cellJobs(cfg, params, jobs, events))
+	results, err := pool.RunPolicy(ctx, name, cfg.Workers, cfg.Policy, cellJobs(cfg, params, jobs, events))
 	if cfg.Events != nil {
 		for _, ev := range events {
 			cfg.Events.Degraded = append(cfg.Events.Degraded, ev.Degraded...)

@@ -11,9 +11,9 @@ package experiments
 //
 // The memo is scoped by a context, never by a package variable or a
 // Config field: runJobs gives each fan-out one unless the caller's
-// context already carries one, fsexp gives its whole run one, and a
-// fabric worker gives its whole lifetime one. Without a memo on the
-// context (fsd, fsc) every cell measures as if alone.
+// context already carries one, and fsexp gives its whole run one.
+// Without a memo on the context (fsd, fsc) every cell measures as if
+// alone.
 
 import (
 	"context"

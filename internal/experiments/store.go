@@ -1,9 +1,8 @@
 package experiments
 
-// One store, one event path. Every finished cell — computed here,
-// computed in a fabric worker, or replayed from the store — is one
-// payload: its result JSON, the span subtree it recorded and its side
-// events. A cell records its events into the collector carried
+// One store, one event path. Every finished cell — computed or
+// replayed from the store — is one payload: its result JSON, the span
+// subtree it recorded and its side events. A cell records its events into the collector carried
 // on its context; runJobs gathers them per job and appends them, in
 // submission order, to the caller's Config.Events log. With
 // Config.Store set, every cell is looked up by its address before it
@@ -47,11 +46,9 @@ func cellAddress(cfg Config, key string, params any) string {
 }
 
 // CellResult is one finished cell: the result JSON, the span subtree
-// its execution recorded, and its side events. It is the one payload
-// the store keeps, a fabric worker's result frame carries and a
-// CellRunner returns, so a replayed or remote cell reconstructs the
-// same manifest and the same -verify/-diag summaries as one computed
-// in process.
+// its execution recorded, and its side events. It is the payload the
+// store keeps, so a replayed cell reconstructs the same manifest and
+// the same -verify/-diag summaries as one computed afresh.
 type CellResult struct {
 	Key    string          `json:"key"`
 	Data   json.RawMessage `json:"data"`
@@ -71,8 +68,8 @@ type eventsKey struct{}
 
 // WithEvents returns ctx carrying ev as the event collector of the
 // cell run under it: that cell's degradations and attribution reports
-// are appended to *ev. Give every cell its own collector — runJobs
-// and the fabric worker do.
+// are appended to *ev. Give every cell its own collector, as runJobs
+// does.
 func WithEvents(ctx context.Context, ev *CellEvents) context.Context {
 	return context.WithValue(ctx, eventsKey{}, ev)
 }
@@ -84,18 +81,16 @@ func cellEvents(ctx context.Context) *CellEvents {
 	return ev
 }
 
-// cellJobs wraps each job for the store, the event log and the
-// runner, inside the pool's run of the job. A stored cell returns its
-// result without running, replaying its span subtree into the job's
-// recorder and its events into events[i]. With cfg.Runner set, any
-// other cell runs through it, and its result is stored and then
-// replayed the same way. Without one, a cell that runs records its
-// events into events[i] and, once it succeeds, is stored. The pool
-// gives every job a private recorder whenever the run has one;
-// when it has none, a cell to be stored gets its own, so every stored
-// cell carries its span subtree.
+// cellJobs wraps each job for the store and the event log, inside
+// the pool's run of the job. A stored cell returns its result without
+// running, replaying its span subtree into the job's recorder and its
+// events into events[i]. Any other cell runs, records its events into
+// events[i] and, once it succeeds, is stored. The pool gives every job
+// a private recorder whenever the run has one; when it has none, a
+// cell to be stored gets its own, so every stored cell carries its
+// span subtree.
 func cellJobs[T any](cfg Config, params any, jobs []pool.Job[T], events []CellEvents) []pool.Job[T] {
-	if cfg.Store == nil && cfg.Events == nil && cfg.Runner == nil {
+	if cfg.Store == nil && cfg.Events == nil {
 		return jobs
 	}
 	out := make([]pool.Job[T], len(jobs))
@@ -106,20 +101,7 @@ func cellJobs[T any](cfg Config, params any, jobs []pool.Job[T], events []CellEv
 		}
 		out[i] = j
 		out[i].Run = func(ctx context.Context) (T, error) {
-			v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, addr)
-			if !ok && cfg.Runner != nil {
-				var err error
-				if p, err = cfg.Runner.RunCell(ctx, j.Key); err != nil {
-					return v, err
-				}
-				if err := json.Unmarshal(p.Data, &v); err != nil {
-					var zero T
-					return zero, fmt.Errorf("cell %s returned an unreadable result: %w", j.Key, err)
-				}
-				storeCell(ctx, cfg.Store, addr, p)
-				ok = true
-			}
-			if ok {
+			if v, p, ok := loadCell[T](ctx, cfg.Store, j.Key, addr); ok {
 				obs.FromContext(ctx).Adopt(p.Spans)
 				events[i] = p.Events
 				return v, nil
@@ -149,19 +131,42 @@ func cellJobs[T any](cfg Config, params any, jobs []pool.Job[T], events []CellEv
 }
 
 // loadCell returns the decoded cell stored at address addr. A payload
-// stored for another key, or whose result does not decode into T, is
-// a miss: the cost of a bad entry is one recomputation.
+// stored for another key, whose result does not decode into T, or that
+// the replay cannot use (see replayable) is a miss: the cost of a bad
+// entry is one recomputation, which overwrites it.
 func loadCell[T any](ctx context.Context, st *artifact.Store, key, addr string) (v T, p CellResult, ok bool) {
 	raw, hit := st.Get(cellSchema, addr)
 	if !hit {
 		return v, p, false
 	}
-	if json.Unmarshal(raw, &p) != nil || p.Key != key || json.Unmarshal(p.Data, &v) != nil {
+	if json.Unmarshal(raw, &p) != nil || p.Key != key || json.Unmarshal(p.Data, &v) != nil || !p.replayable() {
 		obs.LogfCtx(ctx, "store: stale cell %s; recomputing", key)
 		var zero T
 		return zero, CellResult{}, false
 	}
 	return v, p, true
+}
+
+// replayable reports whether every span of p's tree is present and
+// every attribution event carries its report. The store validates an
+// entry's address, not its payload, and a replay grafts the spans into
+// the run's tree and renders the reports.
+func (p *CellResult) replayable() bool {
+	for _, d := range p.Events.Diag {
+		if d.Report == nil {
+			return false
+		}
+	}
+	return spansPresent(p.Spans)
+}
+
+func spansPresent(spans []*obs.Span) bool {
+	for _, s := range spans {
+		if s == nil || !spansPresent(s.Children) {
+			return false
+		}
+	}
+	return true
 }
 
 // storeCell keeps one successful cell at its address. A failed write

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 )
 
 // openStore opens a cell store on dir, closed when the test ends.
-func openStore(t *testing.T, dir string) *artifact.Store {
+func openStore(t testing.TB, dir string) *artifact.Store {
 	t.Helper()
 	st, err := artifact.Open(dir, artifact.Options{})
 	if err != nil {
@@ -247,6 +248,98 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
+// unreplayable are the damages a stored payload can carry while its
+// entry still validates, since the store hashes only build, schema and
+// key: a null span in the tree, and an attribution event without its
+// report. Each edits a payload decoded as JSON.
+var unreplayable = []struct {
+	name string
+	edit func(p map[string]any)
+}{
+	{"null span", func(p map[string]any) {
+		spans, _ := p["spans"].([]any)
+		p["spans"] = append([]any{nil}, spans...)
+	}},
+	{"diag without report", func(p map[string]any) {
+		p["events"].(map[string]any)["diag"].([]any)[0].(map[string]any)["report"] = nil
+	}},
+}
+
+// damaged returns the payload raw with edit applied.
+func damaged(t testing.TB, raw []byte, edit func(map[string]any)) []byte {
+	t.Helper()
+	var p map[string]any
+	if err := json.Unmarshal(raw, &p); err != nil {
+		t.Fatal(err)
+	}
+	edit(p)
+	return mustMarshal(t, p)
+}
+
+// TestStoreUnreplayablePayloadIsMiss: a stored Figure 3 cell whose
+// payload carries an unreplayable damage is a miss, not a crash of the
+// run's recorder or a silent gap in the diagnosis: the cell recomputes
+// under a verbose recorder, overwrites the entry, and the run's
+// results and diagnosis match the run that filled the store.
+func TestStoreUnreplayablePayloadIsMiss(t *testing.T) {
+	const key = "fig3/fmm/N/b128"
+	const stale = "store: stale cell " + key + "; recomputing"
+	for _, u := range unreplayable {
+		t.Run(u.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := smallFig3()
+			cfg.Workers = 1 // one goroutine writes the log
+			cfg.Diag = true
+			run := func() ([]Fig3Cell, string, string) {
+				t.Helper()
+				var log bytes.Buffer
+				rec := obs.NewRecorder()
+				rec.Verbose, rec.LogW = true, &log
+				c := cfg
+				c.Store = openStore(t, dir)
+				c.Events = &CellEvents{}
+				c.Ctx = obs.WithRecorder(context.Background(), rec)
+				cells, err := Figure3(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Store.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return cells, RenderDiag(c.Events.Diag), log.String()
+			}
+			want, wantDiag, _ := run()
+
+			st := openStore(t, dir)
+			addr := cellAddress(cfg, key, nil)
+			raw, ok := st.Get(cellSchema, addr)
+			if !ok {
+				t.Fatalf("no stored cell %s", key)
+			}
+			if err := st.Put(context.Background(), cellSchema, addr, damaged(t, raw, u.edit)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			got, diag, log := run()
+			if !strings.Contains(log, stale) {
+				t.Errorf("the damaged cell was replayed, not recomputed")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("results differ from the filling run:\n%+v\n%+v", got, want)
+			}
+			if diag != wantDiag {
+				t.Errorf("diagnosis differs from the filling run:\n%s\n---\n%s", diag, wantDiag)
+			}
+			if _, _, log := run(); strings.Contains(log, "stale cell") {
+				t.Errorf("the recomputed cell did not overwrite the damaged entry")
+			}
+		})
+	}
+}
+
 // TestCellAddress pins the one store key of a cell: stable, and
 // sensitive to the cell key, to every spec setting that changes what
 // a cell computes and to the section's parameters; blind to the
@@ -432,7 +525,7 @@ func TestStoreReplaysDegradeEvents(t *testing.T) {
 // TestStoreReplaysDiag: the attribution a Diag run records is stored
 // with each cell, so the rendered diagnosis and the per-section
 // attribution are byte-identical between a computed run and its
-// replay — locally and through a runner whose fleet is gone.
+// replay.
 func TestStoreReplaysDiag(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smallFig3()
@@ -447,20 +540,19 @@ func TestStoreReplaysDiag(t *testing.T) {
 		t.Fatal("Diag run recorded no attribution")
 	}
 
-	for name, runner := range map[string]CellRunner{"local": nil, "runner": &localRunner{down: true}} {
-		rcfg := cfg
-		rcfg.Runner = runner
-		rcfg.Store = openStore(t, dir)
-		rcfg.Events = &CellEvents{}
-		if _, err := Figure3(rcfg); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if a, b := RenderDiag(computed), RenderDiag(rcfg.Events.Diag); a != b {
-			t.Errorf("%s: replayed diagnosis differs:\n%s\n---\n%s", name, a, b)
-		}
-		if a, b := mustMarshal(t, computed), mustMarshal(t, rcfg.Events.Diag); !bytes.Equal(a, b) {
-			t.Errorf("%s: replayed attribution differs", name)
-		}
+	cfg.Store = openStore(t, dir)
+	cfg.Events = &CellEvents{}
+	if _, err := Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if c := cfg.Store.Counters(); c.Misses != 0 {
+		t.Fatalf("replay recomputed %d cells", c.Misses)
+	}
+	if a, b := RenderDiag(computed), RenderDiag(cfg.Events.Diag); a != b {
+		t.Errorf("replayed diagnosis differs:\n%s\n---\n%s", a, b)
+	}
+	if a, b := mustMarshal(t, computed), mustMarshal(t, cfg.Events.Diag); !bytes.Equal(a, b) {
+		t.Error("replayed attribution differs")
 	}
 }
 
@@ -517,7 +609,7 @@ func TestStoreSpansWithoutRecorder(t *testing.T) {
 	}
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
+func mustMarshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

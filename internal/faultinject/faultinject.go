@@ -17,31 +17,20 @@
 //	core.restructure:panic:count=1            panic the first restructure
 //	pool.worker:delay=5ms                     slow every job by 5ms
 //	vm.run:hang:count=1                       hang one run until cancelled
-//	worker.cell=matrix/gen-003:exit           kill the worker process
-//	                                          that picks up that cell
-//	worker.send:corrupt:count=1               mangle one result frame
+//	cell.store=rename/:exit:count=1           die mid-commit of a stored cell
+//	cell.store=put/:corrupt:count=1           store one damaged cell
 //
 // Points: pool.worker (fired once per job by the experiment
-// pool of the process that owns the run, before the job runs — with
-// fsexp -workers that is the coordinator, before the cell is
-// dispatched, so its count/after rules count across the whole run),
-// core.compile, core.restructure, vm.run,
+// pool, before the job runs), core.compile, core.restructure, vm.run,
 // trace.partee, transform.apply (detail: the decision's target key —
 // fail one transformation decision), transform.corrupt (same detail;
 // makes the applier emit a deliberately wrong rewrite, a seeded
 // miscompile for translation-validation tests), and layout (detail:
-// the shared global being laid out). The distributed fabric adds
-// worker.cell (fired in a worker process at the start of every
-// assigned cell — exit and hang simulate worker crashes and wedges),
-// worker.send (the worker's result transmission; corrupt mangles the
-// frame so the coordinator must treat the worker as failed), and
-// coord.kill (fired in the coordinator at each assignment; an error
-// firing there makes the coordinator SIGKILL the assigned worker
-// mid-cell — a deterministic, fires-once-globally worker kill).
-// The fsd daemon adds serve.handler (fired inside every admitted
-// request's pooled job, detail "<endpoint>/<source-hash>" — panic
-// and hang exercise containment and deadlines) and serve.drain (fired
-// at the start of graceful drain). The artifact store fires its point
+// the shared global being laid out). The fsd daemon adds
+// serve.handler (fired inside every admitted request's pooled job,
+// detail "<endpoint>/<source-hash>" — panic and hang exercise
+// containment and deadlines) and serve.drain (fired at the start of
+// graceful drain). The artifact store fires its point
 // in Put — serve.cache for fsd's response cache, cell.store for the
 // experiment cell store (fsexp -cache) — with details "put/<key>"
 // and, inside the commit window between the tmp write and the
@@ -82,14 +71,14 @@ const (
 	// returns the context error.
 	ModeHang
 	// ModeExit terminates the process with the rule's exit code
-	// (default 3) — the fabric's worker-crash chaos mode. Only sites
-	// that are legitimate whole-process kill points (worker cells)
-	// should be targeted with it; the site cannot intercept it.
+	// (default 3), as kill -9 would. Target it at a legitimate
+	// whole-process kill point, such as the artifact store's commit
+	// window ("rename/<key>"); the site cannot intercept it.
 	ModeExit
 	// ModeCorrupt returns an *Error marked Corrupted. Sites that
-	// support corruption (the fabric worker's result send) check
-	// IsCorrupt and deliberately mangle their payload instead of
-	// failing; other sites treat it as a plain injected error.
+	// support corruption (the artifact store's Put) check IsCorrupt
+	// and deliberately mangle their payload instead of failing; other
+	// sites treat it as a plain injected error.
 	ModeCorrupt
 )
 
@@ -252,26 +241,24 @@ func parseRule(spec string) (*Rule, error) {
 
 // Setup enables the fault spec a command was given: flagSpec when
 // set, else the value of the environment variable envVar ("" names
-// none). It returns the effective spec, which fsexp forwards to its
-// fabric workers. A parse error of the variable's value names the
-// variable.
-func Setup(flagSpec, envVar string) (effective string, err error) {
+// none). A parse error of the variable's value names the variable.
+func Setup(flagSpec, envVar string) error {
 	spec := flagSpec
 	if spec == "" && envVar != "" {
 		spec = os.Getenv(envVar)
 	}
 	if spec == "" {
-		return "", nil
+		return nil
 	}
 	s, err := Parse(spec)
 	if err != nil {
 		if flagSpec == "" {
 			err = fmt.Errorf("%s: %w", envVar, err)
 		}
-		return "", err
+		return err
 	}
 	Enable(s)
-	return spec, nil
+	return nil
 }
 
 // Fire evaluates the enabled fault set at one site hit. It returns a

@@ -156,11 +156,11 @@ func TestSetup(t *testing.T) {
 	const env = "FAULTINJECT_TEST_FAULTS"
 	cases := []struct {
 		name, flag, env string
-		want            string // effective spec
+		want            string // point of the enabled rule, "" for none
 		wantErr         string // substring of the error, "" for none
 	}{
-		{"flag wins", "vm.run:error", "core.compile:error", "vm.run:error", ""},
-		{"env fallback", "", "core.compile:error", "core.compile:error", ""},
+		{"flag wins", "vm.run:error", "core.compile:error", "vm.run", ""},
+		{"env fallback", "", "core.compile:error", "core.compile", ""},
 		{"env error names the variable", "", "garbage", "", env + ": faultinject"},
 		{"flag error", "garbage", "", "", "faultinject"},
 		{"unset", "", "", "", ""},
@@ -169,10 +169,10 @@ func TestSetup(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Cleanup(func() { Enable(nil) })
 			t.Setenv(env, tc.env)
-			got, err := Setup(tc.flag, env)
+			err := Setup(tc.flag, env)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("Setup = %q, %v; want an error containing %q", got, err, tc.wantErr)
+					t.Fatalf("Setup = %v; want an error containing %q", err, tc.wantErr)
 				}
 				if tc.flag != "" && strings.Contains(err.Error(), env) {
 					t.Errorf("flag error names the variable: %v", err)
@@ -182,11 +182,18 @@ func TestSetup(t *testing.T) {
 				}
 				return
 			}
-			if err != nil || got != tc.want {
-				t.Fatalf("Setup = %q, %v; want %q", got, err, tc.want)
+			if err != nil {
+				t.Fatalf("Setup = %v", err)
 			}
-			if active := enabled.Load() != nil; active != (tc.want != "") {
-				t.Errorf("enabled = %v after Setup(%q)", active, got)
+			var got string
+			if s := enabled.Load(); s != nil {
+				if len(s.Rules) != 1 {
+					t.Fatalf("Setup enabled %d rules, want 1", len(s.Rules))
+				}
+				got = s.Rules[0].Point
+			}
+			if got != tc.want {
+				t.Errorf("enabled rule at %q, want %q", got, tc.want)
 			}
 		})
 	}

@@ -25,8 +25,7 @@
 //     remote host) and request body size limits (413).
 //   - A circuit breaker quarantines source hashes that repeatedly
 //     panicked the pipeline or blew their step budget — the poison
-//     budget, mirroring the fabric's per-cell death budget. Further
-//     requests for that hash fast-fail with 422.
+//     budget. Further requests for that hash fast-fail with 422.
 //   - Graceful drain: Drain stops admissions, lets in-flight
 //     requests finish until the deadline, then cancels their
 //     contexts, and flushes the cache index.
@@ -375,9 +374,8 @@ func (s *Server) api(name, schema string, fn apiFunc) http.HandlerFunc {
 		}
 
 		// Poison breaker: hashes that repeatedly killed workers are
-		// fast-failed, exactly like the fabric's per-cell death
-		// budget. Checked after the cache: a cached success is proof
-		// the input is fine.
+		// fast-failed. Checked after the cache: a cached success is
+		// proof the input is fine.
 		if s.isQuarantined(bodySum) {
 			s.bump(func(m *metrics) { m.QuarantineFails++ })
 			s.writeError(w, name, start, &ErrorBody{

@@ -336,7 +336,7 @@ func TestInjectedFaultTypedError(t *testing.T) {
 
 // TestQuarantinePoisonHash: a source that keeps blowing its step
 // budget earns strikes; at the poison budget the hash is quarantined
-// and fast-failed, mirroring the fabric's per-cell death budget.
+// and fast-failed.
 func TestQuarantinePoisonHash(t *testing.T) {
 	_, ts := newEnv(t, serve.Options{PoisonBudget: 2})
 
