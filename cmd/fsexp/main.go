@@ -34,8 +34,9 @@
 // interrupted one 130. -faults (or the FSEXP_FAULTS environment
 // variable) injects deterministic faults for testing; see
 // internal/faultinject. Out-of-range numbers (-scale, -matrix-workloads
-// or -matrix-procs below 1, a -matrix-block that is not a power of
-// two) fail before any cell runs.
+// or -matrix-procs below 1, -matrix-procs above the generated
+// programs' 64 processes, a -matrix-block that is not a power of two
+// or that the 32 KB cache cannot hold) fail before any cell runs.
 //
 // The cell store: -cache dir keeps every finished cell — result, span
 // subtree, -verify/-diag events — in a crash-safe content-addressed
@@ -69,6 +70,7 @@ import (
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/cache"
 	"falseshare/internal/sim/ksr"
+	"falseshare/internal/workload/gen"
 )
 
 func main() {
@@ -389,8 +391,9 @@ func splitList(s string) []string {
 }
 
 // checkNumbers rejects the numeric settings no run can use: a scale,
-// matrix population or matrix processor count below 1, and a matrix
-// block that is not a power of two of at least one word.
+// matrix population or matrix processor count below 1, a matrix
+// processor count above what the generated programs declare, and a
+// matrix block that the cells' simulated cache rejects.
 func checkNumbers(scale, workloads, procs int, block int64) error {
 	for _, f := range []struct {
 		name string
@@ -400,8 +403,11 @@ func checkNumbers(scale, workloads, procs int, block int64) error {
 			return fmt.Errorf("%s must be at least 1 (got %d)", f.name, f.v)
 		}
 	}
-	if block < cache.WordSize || block&(block-1) != 0 {
-		return fmt.Errorf("-matrix-block must be a power of two of at least %d bytes (got %d)", cache.WordSize, block)
+	if procs > gen.MaxProcs {
+		return fmt.Errorf("-matrix-procs must be at most %d, the generated programs' process limit (got %d)", gen.MaxProcs, procs)
+	}
+	if err := cache.DefaultConfig(procs, block).Validate(); err != nil {
+		return fmt.Errorf("-matrix-block must be a block size the matrix's cache can simulate (got %d): %v", block, err)
 	}
 	return nil
 }

@@ -122,7 +122,9 @@ func TestRejectsOutOfRangeNumbers(t *testing.T) {
 		{"-scale", "0"},
 		{"-matrix-workloads", "-3"},
 		{"-matrix-procs", "0"},
+		{"-matrix-procs", "65"},
 		{"-matrix-block", "48"},
+		{"-matrix-block", "65536"},
 	} {
 		t.Run(tc.flag[1:], func(t *testing.T) {
 			out, errs, code := fsexp(t, "-matrix", "-scale-min", "-matrix-workloads", "2", tc.flag, tc.value)

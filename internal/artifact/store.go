@@ -23,7 +23,9 @@
 //     misses until LRU eviction takes them.
 //   - Reads validate; a corrupt entry found at read time is dropped
 //     (counted in CorruptDropped) and reported as a miss — the cost
-//     of corruption is one recomputation, never an error.
+//     of corruption is one recomputation, never an error. A caller
+//     that finds a served entry's data unusable hands it back with
+//     Reject, which drops and counts it the same way.
 //   - Eviction is least-recently-used under a byte budget. Recency
 //     survives restarts via an index file that is purely a hint:
 //     a torn or missing index costs eviction accuracy (file mtimes
@@ -324,6 +326,28 @@ func (s *Store) Get(schema, key string) (json.RawMessage, bool) {
 	s.hits++
 	s.touch(hash, int64(len(b)))
 	return e.Data, true
+}
+
+// Reject drops the entry that a Get of (schema, key) has just served,
+// for a caller that cannot use its data: the entry is removed as Get
+// removes a torn one, and that read counts as corrupt and as a miss
+// instead of a hit.
+func (s *Store) Reject(schema, key string) {
+	if s == nil || key == "" {
+		return
+	}
+	id, err := buildID()
+	if err != nil {
+		return // Get missed, so there is nothing to undo
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hash := hashOf(id, schema, key)
+	os.Remove(s.path(hash))
+	s.forget(hash, false)
+	s.hits--
+	s.corrupt++
+	s.misses++
 }
 
 // Put stores an artifact under (schema, key) for this build,

@@ -234,6 +234,28 @@ func TestStoreCorruptReadIsDroppedMiss(t *testing.T) {
 	}
 }
 
+// TestStoreRejectCountsCorruptMiss: an entry the caller refuses after
+// a hit is dropped from disk, and that read counts as corrupt and as a
+// miss, not a hit.
+func TestStoreRejectCountsCorruptMiss(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	put(t, s, "v1", "alpha", `1`)
+	if _, ok := s.Get("v1", "alpha"); !ok {
+		t.Fatal("stored entry missed")
+	}
+	s.Reject("v1", "alpha")
+	if files := entryFiles(t, dir); len(files) != 0 {
+		t.Errorf("rejected entry still on disk: %v", files)
+	}
+	if c := s.Counters(); c.Hits != 0 || c.Misses != 1 || c.CorruptDropped != 1 || c.Entries != 0 {
+		t.Errorf("counters = %+v, want no hit, one miss, one corrupt, no entries", c)
+	}
+	if _, ok := s.Get("v1", "alpha"); ok {
+		t.Error("rejected entry served again")
+	}
+}
+
 func TestStoreRecoveryScanDropsTornEntries(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})

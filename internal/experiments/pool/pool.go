@@ -269,12 +269,13 @@ func runOne[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[T]) 
 		ctx = obs.WithRecorder(ctx, rec)
 	}
 	defer func() {
-		if rec != nil {
-			span.Adopt(rec.Spans())
-		}
 		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
-			span.Set("panic", 1)
+			err = panicked(span, p)
+		}
+		if rec != nil {
+			if aerr := adopt(span, rec); err == nil {
+				err = aerr
+			}
 		}
 		span.SetWall(time.Since(start))
 		span.Fail(err)
@@ -284,4 +285,23 @@ func runOne[T any](ctx context.Context, pol Policy, span *obs.Span, job Job[T]) 
 		return result, ferr
 	}
 	return job.Run(ctx)
+}
+
+// adopt grafts the spans a job recorded in rec under its span. A panic
+// while snapshotting them fails that job, as a panic in the job does.
+func adopt(span *obs.Span, rec *obs.Recorder) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = panicked(span, p)
+		}
+	}()
+	span.Adopt(rec.Spans())
+	return nil
+}
+
+// panicked turns a recovered panic into the job's error and marks its
+// span.
+func panicked(span *obs.Span, p any) error {
+	span.Set("panic", 1)
+	return fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 }

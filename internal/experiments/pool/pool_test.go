@@ -108,6 +108,34 @@ func TestParallelPoolPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestPoolSpanSnapshotPanic: a panic while the pool snapshots a job's
+// recorded spans fails that job with a panic: error instead of killing
+// the process, and every other job keeps its result.
+func TestPoolSpanSnapshotPanic(t *testing.T) {
+	jobs := []Job[int]{
+		{Key: "ok0", Run: func(context.Context) (int, error) { return 1, nil }},
+		{Key: "nilspan", Run: func(ctx context.Context) (int, error) {
+			obs.FromContext(ctx).Adopt([]*obs.Span{nil})
+			return 2, nil
+		}},
+		{Key: "ok2", Run: func(context.Context) (int, error) { return 3, nil }},
+	}
+	for _, workers := range []int{1, 3} {
+		ctx := obs.WithRecorder(context.Background(), obs.NewRecorder())
+		got, err := RunPolicy(ctx, "snapshot", workers, Policy{}, jobs)
+		var me *MultiError
+		if !errors.As(err, &me) {
+			t.Fatalf("workers=%d: want a *MultiError, got %v", workers, err)
+		}
+		if len(me.Errors) != 1 || me.Errors[0].Key != "nilspan" || !strings.HasPrefix(me.Errors[0].Err.Error(), "panic:") {
+			t.Errorf("workers=%d: want one panic: failure of job nilspan, got %v", workers, err)
+		}
+		if got[0] != 1 || got[2] != 3 {
+			t.Errorf("workers=%d: healthy jobs' results lost: %v", workers, got)
+		}
+	}
+}
+
 // TestPoolMultiError: the returned error carries EVERY keyed job
 // failure in submission order, not just the first, and unwraps so
 // errors.Is/As reach each one.

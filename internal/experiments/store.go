@@ -132,8 +132,9 @@ func cellJobs[T any](cfg Config, params any, jobs []pool.Job[T], events []CellEv
 
 // loadCell returns the decoded cell stored at address addr. A payload
 // stored for another key, whose result does not decode into T, or that
-// the replay cannot use (see replayable) is a miss: the cost of a bad
-// entry is one recomputation, which overwrites it.
+// the replay cannot use (see replayable) is a miss: the store drops it
+// and counts it as corrupt, and the cost of a bad entry is one
+// recomputation, which stores a good one.
 func loadCell[T any](ctx context.Context, st *artifact.Store, key, addr string) (v T, p CellResult, ok bool) {
 	raw, hit := st.Get(cellSchema, addr)
 	if !hit {
@@ -141,6 +142,7 @@ func loadCell[T any](ctx context.Context, st *artifact.Store, key, addr string) 
 	}
 	if json.Unmarshal(raw, &p) != nil || p.Key != key || json.Unmarshal(p.Data, &v) != nil || !p.replayable() {
 		obs.LogfCtx(ctx, "store: stale cell %s; recomputing", key)
+		st.Reject(cellSchema, addr)
 		var zero T
 		return zero, CellResult{}, false
 	}

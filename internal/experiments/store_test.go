@@ -290,7 +290,7 @@ func TestStoreUnreplayablePayloadIsMiss(t *testing.T) {
 			cfg := smallFig3()
 			cfg.Workers = 1 // one goroutine writes the log
 			cfg.Diag = true
-			run := func() ([]Fig3Cell, string, string) {
+			run := func() ([]Fig3Cell, string, string, artifact.Counters) {
 				t.Helper()
 				var log bytes.Buffer
 				rec := obs.NewRecorder()
@@ -303,12 +303,17 @@ func TestStoreUnreplayablePayloadIsMiss(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				counters := c.Store.Counters()
 				if err := c.Store.Close(); err != nil {
 					t.Fatal(err)
 				}
-				return cells, RenderDiag(c.Events.Diag), log.String()
+				return cells, RenderDiag(c.Events.Diag), log.String(), counters
 			}
-			want, wantDiag, _ := run()
+			want, wantDiag, _, fill := run()
+			n := fill.Misses
+			if fill.Hits != 0 || n == 0 {
+				t.Fatalf("filling run: counters %+v, want only misses", fill)
+			}
 
 			st := openStore(t, dir)
 			addr := cellAddress(cfg, key, nil)
@@ -323,9 +328,12 @@ func TestStoreUnreplayablePayloadIsMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			got, diag, log := run()
+			got, diag, log, c := run()
 			if !strings.Contains(log, stale) {
 				t.Errorf("the damaged cell was replayed, not recomputed")
+			}
+			if c.Hits != n-1 || c.Misses != 1 || c.CorruptDropped != 1 {
+				t.Errorf("run over the damaged entry: counters %+v, want hits=%d misses=1 corrupt=1", c, n-1)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("results differ from the filling run:\n%+v\n%+v", got, want)
@@ -333,8 +341,8 @@ func TestStoreUnreplayablePayloadIsMiss(t *testing.T) {
 			if diag != wantDiag {
 				t.Errorf("diagnosis differs from the filling run:\n%s\n---\n%s", diag, wantDiag)
 			}
-			if _, _, log := run(); strings.Contains(log, "stale cell") {
-				t.Errorf("the recomputed cell did not overwrite the damaged entry")
+			if _, _, log, c := run(); strings.Contains(log, "stale cell") || c.Hits != n || c.Misses != 0 {
+				t.Errorf("the recomputed cell did not replace the damaged entry: counters %+v", c)
 			}
 		})
 	}

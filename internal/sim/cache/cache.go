@@ -333,15 +333,21 @@ func (s *Stats) String() string {
 	return sb.String()
 }
 
-// line is one cache line.
+// line is one cache line: 24 bytes, so a 4-way set spans 96.
 type line struct {
 	tag   int64 // block address
+	lru   int64
 	valid bool
 	state byte // stateShared, stateModified or stateExclusive (MESI)
-	lru   int64
-	// invMask marks per-sector invalidations (SectorSize set): bit s
-	// set means sector s of the block was written remotely and must be
-	// refetched before use.
+}
+
+// sectorState is one line's sector invalidation state (SectorSize
+// set). It lives beside the line table, not in it, so that the lines
+// every lookup scans stay small; a fill resets it.
+type sectorState struct {
+	// invMask marks per-sector invalidations: bit s set means sector s
+	// of the block was written remotely and must be refetched before
+	// use.
 	invMask uint64
 	// invAt is the time of the oldest outstanding sector invalidation
 	// (the classification epoch for sector misses); invBy/invAddr
@@ -612,6 +618,10 @@ type Sim struct {
 	caches [][]line    // [proc][set*assoc+way]
 	meta   []metaTable // [proc] block classification state
 
+	// sectors holds each line's sector state, indexed as caches; only
+	// SectorSize allocates it.
+	sectors [][]sectorState
+
 	// words records the last writer and time per word.
 	words wordTable
 
@@ -736,6 +746,12 @@ func New(cfg Config) (*Sim, error) {
 	for p := 0; p < cfg.NumProcs; p++ {
 		s.caches[p] = make([]line, nsets*int64(cfg.Assoc))
 	}
+	if s.sectored {
+		s.sectors = make([][]sectorState, cfg.NumProcs)
+		for p := range s.sectors {
+			s.sectors[p] = make([]sectorState, nsets*int64(cfg.Assoc))
+		}
+	}
 	s.stats.Config = cfg
 	s.stats.Sets = nsets
 	s.stats.EffectiveCacheSize = nsets * cfg.BlockSize * int64(cfg.Assoc)
@@ -775,16 +791,21 @@ func (s *Sim) SetAttributor(a Attributor) { s.attr = a }
 // TrueSharing < FalseSharing), so a caller tallying return values
 // sees a sharing miss whenever any part of the reference incurred
 // one.
+//
+// addr must be at least 0: the VM emits no address below its null
+// page, and trace.Reader rejects a negative one.
 func (s *Sim) Access(proc int, addr int64, size int64, write bool) MissKind {
-	worst := s.accessBlock(proc, addr, min64(size, s.cfg.BlockSize-addr%s.cfg.BlockSize), write)
+	bs := s.cfg.BlockSize
+	first := bs - addr&(bs-1) // bytes from addr to the end of its block
+	if size <= first {
+		return s.accessBlock(proc, addr, size, write)
+	}
+	worst := s.accessBlock(proc, addr, first, write)
 	end := addr + size
-	next := (addr>>s.blkShift + 1) << s.blkShift
-	for next < end {
-		n := min64(end-next, s.cfg.BlockSize)
-		if k := s.accessBlock(proc, next, n, write); k > worst {
+	for next := addr + first; next < end; next += bs {
+		if k := s.accessBlock(proc, next, min64(end-next, bs), write); k > worst {
 			worst = k
 		}
-		next += s.cfg.BlockSize
 	}
 	return worst
 }
@@ -821,8 +842,10 @@ func (s *Sim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 		// Sector invalidation (SectorSize): a resident line
 		// may hold remotely written (invalid) sectors; touching one
 		// refetches the block and classifies as a sharing miss.
-		if s.sectored && ln.invMask&s.sectorBits(addr, size) != 0 {
-			return s.sectorMiss(proc, block, addr, size, write, ln)
+		if s.sectored {
+			if sec := &s.sectors[proc][base+int64(hitWay)]; sec.invMask&s.sectorBits(addr, size) != 0 {
+				return s.sectorMiss(proc, block, addr, size, write, ln, sec)
+			}
 		}
 		ln.lru = s.time
 		if write && ln.state == stateShared {
@@ -945,6 +968,9 @@ func (s *Sim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 		}
 	}
 	ways[victim] = line{tag: block, valid: true, state: st, lru: s.time}
+	if s.sectored {
+		s.sectors[proc][base+int64(victim)] = sectorState{}
+	}
 	s.sharers.set(block, proc)
 	bm.seen = true
 	bm.resident = true
@@ -1023,14 +1049,13 @@ func (s *Sim) sectorBits(addr, size int64) uint64 {
 // always true sharing; coarser sectors reintroduce exactly the
 // within-sector false sharing that word-invalidate hardware
 // eliminates.
-func (s *Sim) sectorMiss(proc int, block, addr, size int64, write bool, ln *line) MissKind {
+func (s *Sim) sectorMiss(proc int, block, addr, size int64, write bool, ln *line, sec *sectorState) MissKind {
 	kind := TrueSharing
-	if !s.modifiedByOtherSince(proc, addr, size, ln.invAt) {
+	if !s.modifiedByOtherSince(proc, addr, size, sec.invAt) {
 		kind = FalseSharing
 	}
-	invBy, invAddr := int(ln.invBy), ln.invAddr
-	ln.invMask = 0
-	ln.invAt, ln.invBy, ln.invAddr = 0, 0, 0
+	invBy, invAddr := int(sec.invBy), sec.invAddr
+	*sec = sectorState{}
 	ln.lru = s.time
 	if write {
 		ln.state = stateModified
@@ -1085,20 +1110,22 @@ func (s *Sim) invalidateSectors(proc int, block, addr, size int64) {
 		for m := others; m != 0; m &= m - 1 {
 			p := wi<<6 + bits.TrailingZeros64(m)
 			ways := s.caches[p][base : base+s.assoc]
+			secs := s.sectors[p][base : base+s.assoc]
 			for w := range ways {
 				if ways[w].valid && ways[w].tag == block {
-					if ways[w].invMask&sbits != sbits {
+					sec := &secs[w]
+					if sec.invMask&sbits != sbits {
 						s.stats.Invalidations++
 						if s.attr != nil {
 							s.attr.OnInvalidate(proc, addr, size, p)
 						}
 					}
-					if ways[w].invMask == 0 {
-						ways[w].invAt = s.time
-						ways[w].invBy = int32(proc)
-						ways[w].invAddr = addr
+					if sec.invMask == 0 {
+						sec.invAt = s.time
+						sec.invBy = int32(proc)
+						sec.invAddr = addr
 					}
-					ways[w].invMask |= sbits
+					sec.invMask |= sbits
 				}
 			}
 		}

@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// refLine is the reference's cache line: the production line as it
+// was before its sector state moved to a side table.
+type refLine struct {
+	tag   int64 // block address
+	valid bool
+	state byte // stateShared, stateModified or stateExclusive (MESI)
+	lru   int64
+	// invMask marks per-sector invalidations (SectorSize set): bit s
+	// set means sector s of the block was written remotely and must be
+	// refetched before use.
+	invMask uint64
+	// invAt is the time of the oldest outstanding sector invalidation
+	// (the classification epoch for sector misses); invBy/invAddr
+	// record the write responsible, for false-sharing attribution.
+	// All three reset when the line refetches.
+	invAt   int64
+	invAddr int64
+	invBy   int32
+}
+
 // refSim is the original map-based, scan-based simulator, kept as the
 // correctness oracle for the flat paged-table + sharer-directory
 // rewrite (verbatim except that Access follows the same
@@ -30,7 +50,7 @@ type refSim struct {
 	setMask   int64
 	nrings    int
 
-	caches [][]line
+	caches [][]refLine
 	meta   []map[int64]*refBlockMeta
 
 	wordWriter map[int64]int32
@@ -83,10 +103,10 @@ func newRefSim(cfg Config) *refSim {
 	if cfg.Topology == TopoTwoRing {
 		s.nrings = (cfg.NumProcs + cfg.RingSize - 1) / cfg.RingSize
 	}
-	s.caches = make([][]line, cfg.NumProcs)
+	s.caches = make([][]refLine, cfg.NumProcs)
 	s.meta = make([]map[int64]*refBlockMeta, cfg.NumProcs)
 	for p := 0; p < cfg.NumProcs; p++ {
-		s.caches[p] = make([]line, nsets*int64(cfg.Assoc))
+		s.caches[p] = make([]refLine, nsets*int64(cfg.Assoc))
 		s.meta[p] = map[int64]*refBlockMeta{}
 	}
 	s.stats.Config = cfg
@@ -250,7 +270,7 @@ func (s *refSim) accessBlock(proc int, addr, size int64, write bool) MissKind {
 			st = stateExclusive
 		}
 	}
-	ways[victim] = line{tag: block, valid: true, state: st, lru: s.time}
+	ways[victim] = refLine{tag: block, valid: true, state: st, lru: s.time}
 	bm.seen = true
 	bm.resident = true
 	return kind

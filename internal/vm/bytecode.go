@@ -105,11 +105,25 @@ const (
 	OpHalt // end of process (falling off main)
 	OpPop  // discard top of stack
 
-	// Fused subscript sequences. The machine builds them from the ops
-	// above when it loads a program (see fuse); the compiler never
-	// emits them and Func.Code never holds them.
+	// Fused sequences. The machine builds them from the ops above when
+	// it loads a program (see fuse); the compiler never emits them and
+	// Func.Code never holds them. Where a fused op needs more operands
+	// than A and B, it reads them from its tail: d and s are the B and
+	// A of the opCheckScaleAdd at pc+2 (opPushLoadScale) or of the
+	// opPidScale at pc+1 (opPushPidScale), and t is the A of the jmp or
+	// jz that ends the sequence.
 	opScaleAdd      // push A; muli; addi
 	opCheckScaleAdd // check B; push A; muli; addi
+	opPushLoadScale // push A; loadl B; check d; push s; muli; addi
+	opPidScale      // pushpid; check B; push A; muli; addi
+	opPushPidScale  // push A; pushpid; check d; push s; muli; addi
+	opIncLocal      // loadl A; push B; addi; storel A
+	opIncJmp        // loadl A; push B; addi; storel A; jmp t
+	opStoreJmp      // storel A; jmp B
+	opLtJz          // loadl A; push B; lti; jz t
+	opLtLocalJz     // loadl A; loadl B; lti; jz t
+	opNeJz          // loadl A; push B; nei; jz t
+	opFusedEnd      // one past the last fused op
 
 	opInvalid Op = 255 // stands in for an unknown op in fused code
 )

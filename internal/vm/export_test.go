@@ -27,3 +27,32 @@ func (f *Func) Disasm() string {
 	}
 	return s
 }
+
+// Fuse is the machine's fusion pass (see fuse).
+func Fuse(code []Instr) []Instr { return fuse(code) }
+
+// FusedOps returns every fused op.
+func FusedOps() []Op {
+	var ops []Op
+	for op := opScaleAdd; op < opFusedEnd; op++ {
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// FusedSeq names, for each fused op, the original sequence it runs, one
+// op per instruction. The oracle tests split every fused op through it,
+// and fail on a fused op it does not name.
+var FusedSeq = map[Op][]Op{
+	opScaleAdd:      {OpPush, OpMulI, OpAddI},
+	opCheckScaleAdd: {OpCheck, OpPush, OpMulI, OpAddI},
+	opPushLoadScale: {OpPush, OpLoadLocal, OpCheck, OpPush, OpMulI, OpAddI},
+	opPidScale:      {OpPushPid, OpCheck, OpPush, OpMulI, OpAddI},
+	opPushPidScale:  {OpPush, OpPushPid, OpCheck, OpPush, OpMulI, OpAddI},
+	opIncLocal:      {OpLoadLocal, OpPush, OpAddI, OpStoreLocal},
+	opIncJmp:        {OpLoadLocal, OpPush, OpAddI, OpStoreLocal, OpJmp},
+	opStoreJmp:      {OpStoreLocal, OpJmp},
+	opLtJz:          {OpLoadLocal, OpPush, OpLtI, OpJz},
+	opLtLocalJz:     {OpLoadLocal, OpLoadLocal, OpLtI, OpJz},
+	opNeJz:          {OpLoadLocal, OpPush, OpNeI, OpJz},
+}

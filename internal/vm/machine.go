@@ -32,13 +32,14 @@ const (
 )
 
 // frame is one activation record. code is the function's code with
-// its subscript sequences fused (see fuse); pc indexes it and
-// fn.Code alike.
+// its hot sequences fused (see fuse); pc indexes it and fn.Code alike.
+// The top frame's pc lives in Proc.pc while it runs; a caller's holds
+// its return address.
 type frame struct {
 	fn       *Func
 	code     []Instr
 	pc       int
-	lbase    int   // first slot of the frame's locals in Proc.locals
+	lbase    int   // first slot of the frame's locals in Proc.slots
 	privMark int64 // private bump pointer to restore on return
 }
 
@@ -46,11 +47,17 @@ type frame struct {
 type Proc struct {
 	ID     int
 	frames []frame
+	// code, pc and locals are the top frame's, kept here so that a
+	// turn starts without rederiving them; call and return switch
+	// them.
+	code   []Instr
+	pc     int
+	locals []int64
 	// stack is the operand stack, live below sp. A push that finds it
 	// full leaves the fast loop; the general path grows it.
 	stack  []int64
 	sp     int
-	locals []int64 // every frame's local slots, frame after frame
+	slots  []int64 // every frame's local slots, frame after frame
 	priv   lazyMem
 	bump   int64 // private-space bump pointer (local arrays)
 	status Status
@@ -72,7 +79,7 @@ type Machine struct {
 	prog   *Program
 	nprocs int
 	mem    lazyMem
-	code   [][]Instr // per function, Code with fused subscript sequences
+	code   [][]Instr // per function, Code with fused hot sequences
 	procs  []*Proc
 
 	heapPtr  int64
@@ -239,11 +246,14 @@ func (m *Machine) Run(sink func(Ref)) error {
 	return err
 }
 
+// slice is the number of private instructions a turn may run.
+const slice = 20000
+
 func (m *Machine) run(sink func(Ref)) error {
 	if err := faultinject.Fire(m.ctx, "vm.run", ""); err != nil {
 		return err
 	}
-	const slice = 20000 // private instructions per turn
+	budget := m.max()
 	// ctx poll period, in scheduler rounds: frequent enough that a
 	// cancelled sweep drains in microseconds, rare enough that the
 	// mutex inside ctx.Err() stays invisible next to simulation cost.
@@ -267,7 +277,7 @@ func (m *Machine) run(sink func(Ref)) error {
 				continue
 			}
 			anyRunning = true
-			if err := m.step(p, slice, sink); err != nil {
+			if err := m.step(p, budget, sink); err != nil {
 				return err
 			}
 		}
@@ -301,7 +311,8 @@ func (m *Machine) max() int64 {
 	return 1e9
 }
 
-func (m *Machine) fail(p *Proc, fn *Func, pc int, format string, args ...any) error {
+func (m *Machine) fail(p *Proc, pc int, format string, args ...any) error {
+	fn := p.frames[len(p.frames)-1].fn
 	line := 0
 	if pc < len(fn.Code) {
 		line = fn.Code[pc].Line
@@ -310,45 +321,60 @@ func (m *Machine) fail(p *Proc, fn *Func, pc int, format string, args ...any) er
 }
 
 // enter pushes a frame for fn, popping its arguments off the operand
-// stack into fresh locals.
+// stack into fresh locals, and makes it the top frame. The caller's
+// return address is p.pc.
 func (p *Proc) enter(fn *Func, code []Instr) {
 	lbase := 0
 	if n := len(p.frames); n > 0 {
 		caller := &p.frames[n-1]
+		caller.pc = p.pc
 		lbase = caller.lbase + caller.fn.NLocals
 	}
-	if need := lbase + fn.NLocals; need > len(p.locals) {
-		p.locals = slices.Grow(p.locals, need-len(p.locals))[:need]
+	if need := lbase + fn.NLocals; need > len(p.slots) {
+		p.slots = slices.Grow(p.slots, need-len(p.slots))[:need]
 	}
-	locals := p.locals[lbase : lbase+fn.NLocals]
+	locals := p.slots[lbase : lbase+fn.NLocals]
 	clear(locals)
 	for i := fn.NParams - 1; i >= 0; i-- {
 		p.sp--
 		locals[i] = p.stack[p.sp]
 	}
 	p.frames = append(p.frames, frame{fn: fn, code: code, lbase: lbase, privMark: p.bump})
+	p.code, p.pc, p.locals = code, 0, locals
+}
+
+// leave pops the top frame and makes its caller's the top one again.
+// It reports false when the popped frame was the last.
+func (p *Proc) leave() bool {
+	n := len(p.frames) - 1
+	p.bump = p.frames[n].privMark
+	p.frames = p.frames[:n]
+	if n == 0 {
+		return false
+	}
+	f := &p.frames[n-1]
+	p.code, p.pc, p.locals = f.code, f.pc, p.slots[f.lbase:f.lbase+f.fn.NLocals]
+	return true
 }
 
 // step advances one process until it emits a shared reference, blocks,
 // finishes, or runs out of its slice of private instructions.
 //
-// The frame, the operand stack pointer and the instruction count live
-// in locals, reloaded only on call and return and written back before
-// every exit. The common instructions run in a fast loop that calls no
-// function, so its state stays in registers (Go keeps no register
-// across a call); an instruction that may fail, call or return,
-// allocate, synchronize, or touch memory the fast paths leave alone
-// drops to the general path, which runs it alone. A turn ends when
-// the count reaches stop: the slice's end, or the step budget, at
-// which point the next instruction fails exactly as it would have one
-// instruction at a time.
-func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
+// The top frame's code, pc and locals, the operand stack pointer and
+// the instruction count live in locals, reloaded only on call and
+// return and written back before every exit. The common instructions
+// run in a fast loop that calls no function, so its state stays in
+// registers (Go keeps no register across a call); an instruction that
+// may fail, call or return, allocate, synchronize, or touch memory the
+// fast paths leave alone drops to the general path, which runs it
+// alone. A turn ends when the count reaches stop: the slice's end, or
+// the step budget, at which point the next instruction fails exactly
+// as it would have one instruction at a time.
+func (m *Machine) step(p *Proc, budget int64, sink func(Ref)) (err error) {
 	instrs := p.Instrs
 	sliceEnd := instrs + slice
-	stop := min(sliceEnd, m.max())
-	f := &p.frames[len(p.frames)-1]
-	fn, code, pc := f.fn, f.code, f.pc
-	locals := p.locals[f.lbase : f.lbase+fn.NLocals]
+	stop := min(sliceEnd, budget)
+	code, pc, locals := p.code, p.pc, p.locals
 	stk, sp := p.stack, p.sp
 	var ref Ref
 
@@ -395,6 +421,8 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				sp--
 				pc++
 
+			// A fused op runs its whole sequence and counts every
+			// instruction of it, or leaves it to the general path.
 			case opScaleAdd: // push A; muli; addi
 				if stop-instrs < 3 {
 					break fast
@@ -412,6 +440,84 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				sp--
 				stk[sp-1] += idx * in.A
 				pc += 4
+			case opPushLoadScale: // push A; loadl B; check d; push s; muli; addi
+				sub := &code[pc+2]
+				idx := locals[in.B]
+				if idx < 0 || idx >= sub.B || stop-instrs < 6 || uint(sp) >= uint(len(stk)) {
+					break fast
+				}
+				instrs += 5
+				stk[sp] = in.A + idx*sub.A
+				sp++
+				pc += 6
+			case opPidScale: // pushpid; check B; push A; muli; addi
+				if int64(p.ID) >= in.B || stop-instrs < 5 {
+					break fast
+				}
+				instrs += 4
+				stk[sp-1] += int64(p.ID) * in.A
+				pc += 5
+			case opPushPidScale: // push A; pushpid; check d; push s; muli; addi
+				sub := &code[pc+1]
+				if int64(p.ID) >= sub.B || stop-instrs < 6 || uint(sp) >= uint(len(stk)) {
+					break fast
+				}
+				instrs += 5
+				stk[sp] = in.A + int64(p.ID)*sub.A
+				sp++
+				pc += 6
+			case opIncLocal: // loadl A; push B; addi; storel A
+				if stop-instrs < 4 {
+					break fast
+				}
+				instrs += 3
+				locals[in.A] += in.B
+				pc += 4
+			case opIncJmp: // loadl A; push B; addi; storel A; jmp t
+				if stop-instrs < 5 {
+					break fast
+				}
+				instrs += 4
+				locals[in.A] += in.B
+				pc = int(code[pc+4].A)
+			case opStoreJmp: // storel A; jmp B
+				if stop-instrs < 2 {
+					break fast
+				}
+				instrs++
+				sp--
+				locals[in.A] = stk[sp]
+				pc = int(in.B)
+			case opLtJz: // loadl A; push B; lti; jz t
+				if stop-instrs < 4 {
+					break fast
+				}
+				instrs += 3
+				if locals[in.A] < in.B {
+					pc += 4
+				} else {
+					pc = int(code[pc+3].A)
+				}
+			case opLtLocalJz: // loadl A; loadl B; lti; jz t
+				if stop-instrs < 4 {
+					break fast
+				}
+				instrs += 3
+				if locals[in.A] < locals[in.B] {
+					pc += 4
+				} else {
+					pc = int(code[pc+3].A)
+				}
+			case opNeJz: // loadl A; push B; nei; jz t
+				if stop-instrs < 4 {
+					break fast
+				}
+				instrs += 3
+				if locals[in.A] != in.B {
+					pc += 4
+				} else {
+					pc = int(code[pc+3].A)
+				}
 
 			case OpLoad4:
 				addr := stk[sp-1]
@@ -641,12 +747,12 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			}
 			if pc < len(code) {
 				instrs++
-				err = m.fail(p, fn, pc, "step budget exceeded (%d instrs) at pc=%d (runaway program?)", instrs-1, pc)
+				err = m.fail(p, pc, "step budget exceeded (%d instrs) at pc=%d (runaway program?)", instrs-1, pc)
 				goto out
 			}
 		}
 		if uint(pc) >= uint(len(code)) {
-			err = m.fail(p, fn, pc, "fell off end of code")
+			err = m.fail(p, pc, "fell off end of code")
 			goto out
 		}
 		if sp == len(stk) {
@@ -663,17 +769,29 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 
 		switch in.Op {
 		// A fused op lands here when its check fails or the turn ends
-		// inside its sequence: its head runs alone, and the tail runs
-		// unfused from the original instructions that follow it.
-		case opScaleAdd: // push A
+		// inside its sequence: its head runs alone, and the rest of the
+		// sequence runs from the ops that follow it.
+		case opScaleAdd, opPushLoadScale, opPushPidScale: // push A
 			stk[sp] = in.A
 			sp++
 			pc++
 		case opCheckScaleAdd: // check B
 			if idx := stk[sp-1]; idx < 0 || idx >= in.B {
-				err = m.fail(p, fn, pc, "index %d out of range [0,%d)", idx, in.B)
+				err = m.fail(p, pc, "index %d out of range [0,%d)", idx, in.B)
 				goto out
 			}
+			pc++
+		case opIncLocal, opIncJmp, opLtJz, opLtLocalJz, opNeJz: // loadl A
+			stk[sp] = locals[in.A]
+			sp++
+			pc++
+		case opPidScale: // pushpid
+			stk[sp] = int64(p.ID)
+			sp++
+			pc++
+		case opStoreJmp: // storel A
+			sp--
+			locals[in.A] = stk[sp]
 			pc++
 		case OpLoad4, OpLoad8:
 			size := int64(4)
@@ -684,7 +802,7 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			if addr&PrivTag != 0 {
 				off := addr &^ PrivTag
 				if off < 0 || off+size > p.priv.size {
-					err = m.fail(p, fn, pc, "private access out of range %#x", off)
+					err = m.fail(p, pc, "private access out of range %#x", off)
 					goto out
 				}
 				if size == 4 {
@@ -696,11 +814,11 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				continue
 			}
 			if addr >= 0 && addr < nullPage {
-				err = m.fail(p, fn, pc, "null pointer dereference (address %#x)", addr)
+				err = m.fail(p, pc, "null pointer dereference (address %#x)", addr)
 				goto out
 			}
 			if addr <= 0 || addr+size > m.mem.size {
-				err = m.fail(p, fn, pc, "shared load out of range %#x", addr)
+				err = m.fail(p, pc, "shared load out of range %#x", addr)
 				goto out
 			}
 			if size == 4 {
@@ -721,7 +839,7 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			if addr&PrivTag != 0 {
 				off := addr &^ PrivTag
 				if off < 0 || off+size > p.priv.size {
-					err = m.fail(p, fn, pc, "private access out of range %#x", off)
+					err = m.fail(p, pc, "private access out of range %#x", off)
 					goto out
 				}
 				if size == 4 {
@@ -733,11 +851,11 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				continue
 			}
 			if addr >= 0 && addr < nullPage {
-				err = m.fail(p, fn, pc, "null pointer dereference (address %#x)", addr)
+				err = m.fail(p, pc, "null pointer dereference (address %#x)", addr)
 				goto out
 			}
 			if addr <= 0 || addr+size > m.mem.size {
-				err = m.fail(p, fn, pc, "shared store out of range %#x", addr)
+				err = m.fail(p, pc, "shared store out of range %#x", addr)
 				goto out
 			}
 			if size == 4 {
@@ -752,20 +870,20 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			sp--
 			idx, ptr := stk[sp], stk[sp-1]
 			if ptr == 0 {
-				err = m.fail(p, fn, pc, "null pointer dereference")
+				err = m.fail(p, pc, "null pointer dereference")
 				goto out
 			}
 			stk[sp-1] = ptr + idx*m.strideOf(ptr, in.A)
 			pc++
 		case OpCheck:
 			if idx := stk[sp-1]; idx < 0 || idx >= in.A {
-				err = m.fail(p, fn, pc, "index %d out of range [0,%d)", idx, in.A)
+				err = m.fail(p, pc, "index %d out of range [0,%d)", idx, in.A)
 				goto out
 			}
 			pc++
 		case OpDivI:
 			if stk[sp-1] == 0 {
-				err = m.fail(p, fn, pc, "integer division by zero")
+				err = m.fail(p, pc, "integer division by zero")
 				goto out
 			}
 			sp--
@@ -773,20 +891,16 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			pc++
 		case OpModI:
 			if stk[sp-1] == 0 {
-				err = m.fail(p, fn, pc, "integer modulo by zero")
+				err = m.fail(p, pc, "integer modulo by zero")
 				goto out
 			}
 			sp--
 			stk[sp-1] %= stk[sp]
 			pc++
 		case OpCall:
-			f.pc = pc + 1
-			p.sp = sp
-			callee := m.prog.Funcs[in.A]
-			p.enter(callee, m.code[in.A])
-			f = &p.frames[len(p.frames)-1]
-			fn, code, pc = callee, f.code, 0
-			locals = p.locals[f.lbase : f.lbase+fn.NLocals]
+			p.pc, p.sp = pc+1, sp
+			p.enter(m.prog.Funcs[in.A], m.code[in.A])
+			code, pc, locals = p.code, p.pc, p.locals
 			stk, sp = p.stack, p.sp
 		case OpRet, OpRetV:
 			var v int64
@@ -794,9 +908,7 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				sp--
 				v = stk[sp]
 			}
-			p.bump = f.privMark
-			p.frames = p.frames[:len(p.frames)-1]
-			if len(p.frames) == 0 {
+			if !p.leave() {
 				p.status = Done
 				goto out
 			}
@@ -804,9 +916,7 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				stk[sp] = v
 				sp++
 			}
-			f = &p.frames[len(p.frames)-1]
-			fn, code, pc = f.fn, f.code, f.pc
-			locals = p.locals[f.lbase : f.lbase+fn.NLocals]
+			code, pc, locals = p.code, p.pc, p.locals
 		case OpHalt:
 			p.status = Done
 			goto out
@@ -822,13 +932,13 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				align = a
 			}
 			if count < 0 {
-				err = m.fail(p, fn, pc, "negative allocation count %d", count)
+				err = m.fail(p, pc, "negative allocation count %d", count)
 				goto out
 			}
 			m.heapPtr = align64(m.heapPtr, align)
 			addr := m.heapPtr
 			if !allocFits(addr, stride, count, m.prog.ArenaBase) {
-				err = m.fail(p, fn, pc, "shared heap exhausted")
+				err = m.fail(p, pc, "shared heap exhausted")
 				goto out
 			}
 			total := stride * count
@@ -845,13 +955,13 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 				count = stk[sp]
 			}
 			if count < 0 {
-				err = m.fail(p, fn, pc, "negative allocation count %d", count)
+				err = m.fail(p, pc, "negative allocation count %d", count)
 				goto out
 			}
 			base := align64(m.arenaPtr[p.ID], 8)
 			limit := m.prog.ArenaBase + int64(p.ID+1)*m.prog.ArenaSize
 			if !allocFits(base, stride, count, limit) {
-				err = m.fail(p, fn, pc, "process arena exhausted")
+				err = m.fail(p, pc, "process arena exhausted")
 				goto out
 			}
 			total := stride * count
@@ -867,7 +977,7 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 		case OpLockAcq:
 			addr := stk[sp-1]
 			if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
-				err = m.fail(p, fn, pc, "invalid lock address %#x", addr)
+				err = m.fail(p, pc, "invalid lock address %#x", addr)
 				goto out
 			}
 			held := m.mem.read4(addr) != 0
@@ -891,7 +1001,7 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			sp--
 			addr := stk[sp]
 			if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
-				err = m.fail(p, fn, pc, "invalid lock address %#x", addr)
+				err = m.fail(p, pc, "invalid lock address %#x", addr)
 				goto out
 			}
 			m.mem.write4(addr, 0)
@@ -902,7 +1012,7 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			size := align64(in.A, 8)
 			base := p.bump
 			if base+size > p.priv.size {
-				err = m.fail(p, fn, pc, "private space exhausted")
+				err = m.fail(p, pc, "private space exhausted")
 				goto out
 			}
 			p.bump += size
@@ -910,14 +1020,14 @@ func (m *Machine) step(p *Proc, slice int64, sink func(Ref)) (err error) {
 			locals[in.B] = base | PrivTag
 			pc++
 		default:
-			err = m.fail(p, fn, pc, "bad opcode %s", fn.Code[pc].Op)
+			err = m.fail(p, pc, "bad opcode %s", p.frames[len(p.frames)-1].fn.Code[pc].Op)
 			goto out
 		}
 	}
 
 emit:
 	// The instruction issued one shared reference: the turn ends.
-	p.Instrs, p.sp, f.pc = instrs, sp, pc
+	p.Instrs, p.sp, p.pc = instrs, sp, pc
 	p.Refs++
 	if sink != nil {
 		sink(ref)
@@ -925,19 +1035,29 @@ emit:
 	return nil
 
 out:
-	p.Instrs, p.sp, f.pc = instrs, sp, pc
+	p.Instrs, p.sp, p.pc = instrs, sp, pc
 	return err
 }
 
-// fuse returns a copy of code in which each subscript sequence that
-// indexedArray emits, [check d] push s; muli; addi, begins with one
-// fused op that runs the whole sequence and counts its instructions.
+// fuse returns a copy of code in which each hot sequence begins with
+// one fused op that runs the whole sequence and counts its
+// instructions:
+//
+//   - a subscript, [check d] push s; muli; addi, as indexedArray emits
+//     it, and a whole element address, push base; loadl i or
+//     [push base;] pushpid, then the checked subscript;
+//   - x = x + c: loadl x; push c; addi; storel x, alone or with the
+//     jmp that follows it;
+//   - a loop's back edge, storel x; jmp t;
+//   - a loop's test, loadl i; push n or loadl n; lti; jz t, and
+//     loadl x; push c; nei; jz t.
+//
+// The fused op at pc runs exactly the original instructions from pc.
 // The tail stays in place, so every pc, line and jump target keeps its
 // meaning, and execution that enters a sequence past its head runs
-// the original instructions. The sequences are about a quarter of the
-// instructions the paper's workloads execute. An op of Func.Code that
-// collides with a fused op's number becomes an invalid one, so it
-// still fails as a bad opcode.
+// the ops from there on, fused or not, with the same effect. An op of
+// Func.Code that collides with a fused op's number becomes an invalid
+// one, so it still fails as a bad opcode.
 func fuse(code []Instr) []Instr {
 	out := slices.Clone(code)
 	for i := range out {
@@ -945,14 +1065,50 @@ func fuse(code []Instr) []Instr {
 			out[i].Op = opInvalid
 		}
 	}
-	for i := 0; i+2 < len(code); i++ {
-		if code[i].Op != OpPush || code[i+1].Op != OpMulI || code[i+2].Op != OpAddI {
+	is := func(i int, ops ...Op) bool {
+		if i+len(ops) > len(code) {
+			return false
+		}
+		for k, op := range ops {
+			if code[i+k].Op != op {
+				return false
+			}
+		}
+		return true
+	}
+	next := func(i int, op Op) bool { return i+1 < len(out) && out[i+1].Op == op }
+	// Backwards, so that out[i+1:] is final when out[i] is decided: a
+	// subscript's fused ops build on the one that begins their tail.
+	for i := len(code) - 1; i >= 0; i-- {
+		in := code[i]
+		fused := Instr{Line: in.Line}
+		switch {
+		case is(i, OpPush, OpMulI, OpAddI):
+			fused.Op, fused.A = opScaleAdd, in.A
+		case in.Op == OpCheck && next(i, opScaleAdd):
+			fused.Op, fused.A, fused.B = opCheckScaleAdd, out[i+1].A, in.A
+		case is(i, OpPush, OpLoadLocal) && next(i+1, opCheckScaleAdd):
+			fused.Op, fused.A, fused.B = opPushLoadScale, in.A, code[i+1].A
+		case in.Op == OpPushPid && next(i, opCheckScaleAdd):
+			fused.Op, fused.A, fused.B = opPidScale, out[i+1].A, out[i+1].B
+		case in.Op == OpPush && next(i, opPidScale):
+			fused.Op, fused.A = opPushPidScale, in.A
+		case is(i, OpLoadLocal, OpPush, OpAddI, OpStoreLocal, OpJmp) && code[i+3].A == in.A:
+			fused.Op, fused.A, fused.B = opIncJmp, in.A, code[i+1].A
+		case is(i, OpLoadLocal, OpPush, OpAddI, OpStoreLocal) && code[i+3].A == in.A:
+			fused.Op, fused.A, fused.B = opIncLocal, in.A, code[i+1].A
+		case is(i, OpStoreLocal, OpJmp):
+			fused.Op, fused.A, fused.B = opStoreJmp, in.A, code[i+1].A
+		case is(i, OpLoadLocal, OpPush, OpLtI, OpJz):
+			fused.Op, fused.A, fused.B = opLtJz, in.A, code[i+1].A
+		case is(i, OpLoadLocal, OpLoadLocal, OpLtI, OpJz):
+			fused.Op, fused.A, fused.B = opLtLocalJz, in.A, code[i+1].A
+		case is(i, OpLoadLocal, OpPush, OpNeI, OpJz):
+			fused.Op, fused.A, fused.B = opNeJz, in.A, code[i+1].A
+		default:
 			continue
 		}
-		out[i] = Instr{Op: opScaleAdd, A: code[i].A, Line: code[i].Line}
-		if i > 0 && code[i-1].Op == OpCheck {
-			out[i-1] = Instr{Op: opCheckScaleAdd, A: code[i].A, B: code[i-1].A, Line: code[i-1].Line}
-		}
+		out[i] = fused
 	}
 	return out
 }

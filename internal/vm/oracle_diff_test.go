@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,6 +252,9 @@ func FuzzVMOracle(f *testing.F) {
 	for _, src := range gen.FuzzSeeds() {
 		f.Add(src)
 	}
+	// Every fused sequence, reached from source.
+	f.Add(indexedLoop)
+	f.Add(fusedSrc(40, 5))
 	f.Fuzz(func(t *testing.T, src string) {
 		res, err := core.Restructure(src, core.Options{Nprocs: 4, BlockSize: 64})
 		if err != nil {
@@ -292,66 +296,197 @@ void main() {
 }
 `
 
-// TestOracleBudgetInsideFusedSequence: with the step budget running
-// out at every instruction of the first few iterations, the budget
-// error must name the same count and pc, including budgets that run
-// out in the middle of a fused subscript sequence.
-func TestOracleBudgetInsideFusedSequence(t *testing.T) {
-	bc := compileSrc(t, indexedLoop, 3)
+// fusedLoop runs every fused sequence in its loop body, on private
+// data: i + j * 3 (push; muli; addi), loc[(i + 5) % 16] (check; push;
+// muli; addi), g[k] (push; loadl; check; ...), g[pid] (push; pushpid;
+// check; ...), g2[k % 4][pid] (pushpid; check; ...), j = j + 3 (loadl;
+// push; addi; storel), the increments and their back edges (...;
+// storel; jmp), the while loop's back edge (storel; jmp), and the
+// tests m < n (loadl; loadl; lti; jz), w < 2 (loadl; push; lti; jz)
+// and k != 3 (loadl; push; nei; jz). PAD stands for private
+// statements before the loop; the loop runs LOOPS times plus pid * 7.
+const fusedLoop = `
+shared int out[16];
+private int g[16];
+private int g2[4][16];
+void main() {
+    int loc[16];
+    int j;
+    int k;
+    int n;
+    int w;
+    int h;
+    j = 1;
+    n = 2;
+    out[pid] = 1;
+PAD
+    for (int i = 0; i < LOOPS + pid * 7; i = i + 1) {
+        k = (i + j * 3) % 16;
+        loc[k] = loc[(i + 5) % 16] + g[k];
+        g[pid] = g[pid] + g2[k % 4][pid] + loc[k];
+        for (int m = 0; m < n; m = m + 1) {
+            j = j + 3;
+        }
+        w = 0;
+        while (w < 2) {
+            w = w * 2 + 1;
+        }
+        if (k != 3) {
+            j = j - 1;
+        }
+    }
+    out[pid + 8] = loc[3] + g[pid];
+}
+`
+
+// fusedSrc instantiates fusedLoop with loops iterations and a private
+// prologue of shift instructions (shift >= 2, or 0): h = h; is two
+// instructions and h = -h; three.
+func fusedSrc(loops, shift int) string {
+	pad := strings.Repeat("    h = h;\n", shift/2)
+	if shift%2 == 1 {
+		pad = strings.Repeat("    h = h;\n", (shift-3)/2) + "    h = -h;\n"
+	}
+	return strings.NewReplacer("PAD", pad, "LOOPS", fmt.Sprint(loops)).Replace(fusedLoop)
+}
+
+// budgetPC returns the pc a step-budget error names, or -1.
+func budgetPC(err string) int {
+	pc := -1
+	if i := strings.Index(err, "at pc="); i >= 0 {
+		fmt.Sscanf(err[i:], "at pc=%d", &pc)
+	}
+	return pc
+}
+
+// fusedMain returns main's fused code, checking that each fused op
+// begins the sequence FusedSeq names for it.
+func fusedMain(t *testing.T, bc *vm.Program) []vm.Instr {
+	t.Helper()
 	code := bc.Funcs[bc.Main].Code
-	inside := 0
-	for budget := int64(1); budget <= 400; budget++ {
-		want := runOracle(bc, budget, 0, 0)
-		if d := diff(bc, budget, runMachine(bc, budget, 0, 0), want); d != "" {
-			t.Fatalf("budget %d: %s", budget, d)
-		}
-		var pc int
-		if i := strings.Index(want.err, "at pc="); i >= 0 {
-			fmt.Sscanf(want.err[i:], "at pc=%d", &pc)
-		}
-		if op := code[pc].Op; pc > 0 && (op == vm.OpMulI || op == vm.OpAddI) && (code[pc-1].Op == vm.OpPush || code[pc-2].Op == vm.OpPush) {
-			inside++
+	fused := vm.Fuse(code)
+	for q, in := range fused {
+		for k, op := range vm.FusedSeq[in.Op] {
+			if q+k >= len(code) || code[q+k].Op != op {
+				t.Fatalf("fused op %v at pc %d does not begin %v", in.Op, q, vm.FusedSeq[in.Op])
+			}
 		}
 	}
-	if inside == 0 {
-		t.Fatal("no budget ran out inside a subscript sequence; the test no longer covers fusion")
+	return fused
+}
+
+// fusedSplits records the fused ops that a turn's end has split.
+type fusedSplits map[vm.Op]bool
+
+// note records a turn that ended before the instruction at pc of
+// fused, where pcBefore(n) is the pc the same process stood at n
+// instructions earlier. The fused op at q is split when q < pc <
+// q+len and the process stood at q pc-q instructions earlier, so that
+// it came through the fused op rather than jumping past it.
+func (s fusedSplits) note(fused []vm.Instr, pc int, pcBefore func(n int) int) {
+	for q := max(0, pc-8); q < pc; q++ {
+		seq, ok := vm.FusedSeq[fused[q].Op]
+		if ok && pc < q+len(seq) && pcBefore(pc-q) == q {
+			s[fused[q].Op] = true
+		}
+	}
+}
+
+// check fails unless every fused op was split.
+func (s fusedSplits) check(t *testing.T, by string) {
+	t.Helper()
+	for _, op := range vm.FusedOps() {
+		seq, ok := vm.FusedSeq[op]
+		switch {
+		case !ok:
+			t.Errorf("fused op %v is missing from FusedSeq, so the oracle tests cannot split it", op)
+		case !s[op]:
+			t.Errorf("no %s ended inside a fused %v; the test no longer covers that fusion", by, seq)
+		}
+	}
+}
+
+// TestOracleBudgetInsideFusedSequence: with the step budget running
+// out at every instruction of the first few iterations, the budget
+// error must name the same count and pc. In fusedLoop every fused op
+// must have a budget run out inside it.
+func TestOracleBudgetInsideFusedSequence(t *testing.T) {
+	for _, tc := range []struct {
+		src    string
+		budget int64
+		all    bool // every fused op must be split
+	}{{indexedLoop, 400, false}, {fusedSrc(40, 0), 250, true}} {
+		bc := compileSrc(t, tc.src, 3)
+		fused := fusedMain(t, bc)
+		splits := fusedSplits{}
+		pcs := map[int64]int{}
+		for budget := int64(1); budget <= tc.budget; budget++ {
+			want := runOracle(bc, budget, 0, 0)
+			if d := diff(bc, budget, runMachine(bc, budget, 0, 0), want); d != "" {
+				t.Fatalf("budget %d: %s", budget, d)
+			}
+			pcs[budget] = budgetPC(want.err)
+			splits.note(fused, pcs[budget], func(n int) int {
+				if pc, ok := pcs[budget-int64(n)]; ok {
+					return pc
+				}
+				return -1
+			})
+		}
+		if tc.all {
+			splits.check(t, "step budget")
+		}
 	}
 }
 
 // TestOracleSliceInsideFusedSequence: a process computing privately
 // yields every 20000 instructions. Shifting the private loop by one
 // instruction at a time moves that boundary through every position of
-// its subscript sequences; the interleaving with the other processes'
-// shared references must not change.
+// its fused sequences; the interleaving with the other processes'
+// shared references must not change. Every fused op must have a slice
+// end inside it.
 func TestOracleSliceInsideFusedSequence(t *testing.T) {
-	for shift := 2; shift < 18; shift++ {
-		// j = j; is two instructions and j = -j; three, so together
-		// they shift the loop by any amount from two up.
-		pad := strings.Repeat("    j = j;\n", shift/2)
-		if shift%2 == 1 {
-			pad = strings.Repeat("    j = j;\n", (shift-3)/2) + "    j = -j;\n"
-		}
-		src := `
-shared int out[16];
-void main() {
-    int loc[16];
-    int j;
-    j = 1;
-    out[pid] = 1;
-` + pad + `
-    for (int i = 0; i < 6000 + pid * 7; i = i + 1) {
-        loc[i % 16] = loc[(i + 5) % 16] + i * j;
-        if (i % 1500 == 0) {
-            out[pid] = out[pid] + loc[i % 16];
-        }
-    }
-    out[pid + 8] = loc[3];
-}
-`
-		if d := diffOracle(compileSrc(t, src, 3), 0); d != "" {
+	const slice = 20000
+	splits := fusedSplits{}
+	for shift := 2; shift < 140; shift++ {
+		src := fusedSrc(300, shift)
+		bc := compileSrc(t, src, 3)
+		if d := diffOracle(bc, 0); d != "" {
 			t.Fatalf("shift %d: %s", shift, d)
 		}
+		fused := fusedMain(t, bc)
+
+		// Process 0's turns end at its shared references and every
+		// slice instructions in between. Its run at one process is the
+		// same, so there a step budget of n stops it where its turn
+		// ending after n instructions did.
+		m := vm.New(bc)
+		var refAt []int64 // process 0's count at each of its references, then at its end
+		if err := m.Run(func(r vm.Ref) {
+			if r.Proc == 0 {
+				refAt = append(refAt, m.Procs()[0].Instrs)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		refAt = append(refAt, m.Procs()[0].Instrs)
+		solo := compileSrc(t, src, 1)
+		if !slices.EqualFunc(solo.Funcs[solo.Main].Code, bc.Funcs[bc.Main].Code, func(a, b vm.Instr) bool { return a.Op == b.Op }) {
+			t.Fatalf("shift %d: main compiles to other ops at one process:\n%s\nthan at three:\n%s",
+				shift, solo.Funcs[solo.Main].Disasm(), bc.Funcs[bc.Main].Disasm())
+		}
+		pcAt := func(n int64) int {
+			m := vm.New(solo)
+			m.MaxInstrs = n
+			return budgetPC(errText(m.Run(nil)))
+		}
+		for i := 0; i+1 < len(refAt); i++ {
+			for n := refAt[i] + slice; n < refAt[i+1]; n += slice {
+				splits.note(fused, pcAt(n), func(k int) int { return pcAt(n - int64(k)) })
+			}
+		}
 	}
+	splits.check(t, "turn's slice")
 }
 
 // TestOracleDirected: runtime errors, locks, recursion and allocation

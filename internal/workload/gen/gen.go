@@ -65,6 +65,10 @@ func Patterns() []Pattern {
 	return []Pattern{Stride, Chunked, Migratory, ProdCons}
 }
 
+// MaxProcs is the largest process count a generated program runs
+// at: its per-process arrays have MaxProcs elements.
+const MaxProcs = 64
+
 // Params parameterizes one generated program. The zero value is
 // valid: Clamped fills every knob with its floor.
 type Params struct {
@@ -75,8 +79,8 @@ type Params struct {
 	// Pattern is the dominant sharing structure.
 	Pattern Pattern
 	// Elems is the shared array length, clamped to [64, 4096] and
-	// rounded to a multiple of 64 so per-process chunks divide evenly
-	// at any nprocs up to 64.
+	// rounded to a multiple of MaxProcs so per-process chunks divide
+	// evenly at any nprocs up to MaxProcs.
 	Elems int
 	// Rounds is the outer iteration count, clamped to [2, 64].
 	Rounds int
@@ -111,8 +115,8 @@ func (p Params) Clamped() Params {
 	if p.Pattern < 0 || p.Pattern >= patternCount {
 		p.Pattern = Pattern(((int(p.Pattern) % int(patternCount)) + int(patternCount)) % int(patternCount))
 	}
-	p.Elems = clampInt(p.Elems, 64, 4096)
-	p.Elems -= p.Elems % 64
+	p.Elems = clampInt(p.Elems, MaxProcs, 4096)
+	p.Elems -= p.Elems % MaxProcs
 	p.Rounds = clampInt(p.Rounds, 2, 64)
 	p.StrideElems = clampInt(p.StrideElems, 1, 16)
 	p.LockPct = clampInt(p.LockPct, 0, 100)
@@ -153,11 +157,11 @@ func Generate(p Params) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// gen: %s (seed %d)\n", p.Name(), p.Seed)
 	fmt.Fprintf(&b, "shared int data[%d];\n", p.Elems)
-	b.WriteString("shared int out[64];\n")
+	fmt.Fprintf(&b, "shared int out[%d];\n", MaxProcs)
 	if p.FalseSharePct > 0 {
 		// The injected pathology: one int per process, unpadded, so up
 		// to block/4 processes ping-pong each block.
-		b.WriteString("shared int fscnt[64];\n")
+		fmt.Fprintf(&b, "shared int fscnt[%d];\n", MaxProcs)
 	}
 	if p.LockPct > 0 {
 		// Lock and counter deliberately co-allocated (the paper's lock
