@@ -177,7 +177,7 @@ func replayTrace(ctx context.Context, path string, nprocs int, cfgs []cache.Conf
 		fatal(fmt.Errorf("trace %s was captured with %d processes; rerun with -p %d or more", path, n, n))
 	}
 	sp := obs.BeginCtx(ctx, "replay")
-	stream := func(s trace.Sink) error { return tr.ForEachCtx(ctx, s) }
+	stream := func(s trace.Sink, _ []*cache.Stats) error { return tr.ForEachCtx(ctx, s) }
 	stats, reports, err := experiments.SimulateStream(ctx, sp, stream, cfgs, amap)
 	sp.End()
 	if err != nil {
@@ -290,7 +290,7 @@ func runAndReport(ctx context.Context, prog *core.Program, nprocs int, budget in
 		extra = append(extra, tw.Sink())
 	}
 	sp := obs.BeginCtx(ctx, "measure")
-	stats, reports, err := experiments.SimulateStream(ctx, sp, func(s trace.Sink) error { return m.Run(s) }, cfgs, attributed, extra...)
+	stats, reports, err := experiments.SimulateStream(ctx, sp, func(s trace.Sink, _ []*cache.Stats) error { return m.Run(s) }, cfgs, attributed, extra...)
 	sp.End()
 	if err != nil {
 		fatal(err)

@@ -32,9 +32,6 @@ type Curve struct {
 // The sweeps never attribute misses, so their callers clear cfg.Diag:
 // -diag stays out of the sweep cells' store addresses.
 func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Job[*ksr.Result], func([]*ksr.Result) []Curve) {
-	if machine.StepBudget == 0 {
-		machine.StepBudget = cfg.StepBudget
-	}
 	execute := func(ver Version, p int) pool.Job[*ksr.Result] {
 		key := fmt.Sprintf("fig4/%s/%s/p%d", b.Name, ver, p)
 		return pool.Job[*ksr.Result]{
@@ -44,11 +41,11 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 				if err != nil {
 					return nil, fmt.Errorf("fig4 %s/%s: %w", b.Name, ver, err)
 				}
-				r, err := execute(ctx, prog, machine)
+				r, err := measureConfig(ctx, prog, machine.Cache(p), cfg.StepBudget, measureTimed)
 				if err != nil {
 					return nil, fmt.Errorf("fig4 %s/%s at %d procs: %w", b.Name, ver, p, err)
 				}
-				return r, nil
+				return r.time, nil
 			},
 		}
 	}
@@ -96,16 +93,14 @@ func sweepJobs(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]pool.Jo
 // exactly as the paper's Figure 4 plots them. The sweep's executions
 // fan out across cfg.Workers.
 func SpeedupCurves(b *workload.Benchmark, cfg Config, machine ksr.Config) ([]Curve, error) {
-	cfg.Diag = false
-	jobs, assemble := sweepJobs(b, cfg, machine)
-	results, err := runJobs(cfg, "fig4:"+b.Name, machine, jobs)
+	curves, err := benchCurves("fig4:"+b.Name, []*workload.Benchmark{b}, cfg, machine)
 	if err != nil {
 		// A speedup curve is meaningless with holes (every point is
 		// relative to the baseline run), so a single benchmark's sweep
 		// is all or nothing.
 		return nil, err
 	}
-	return assemble(results), nil
+	return curves[0], nil
 }
 
 // benchCurves fans the sweeps of several benchmarks into one pool and
@@ -130,14 +125,7 @@ func benchCurves(name string, benches []*workload.Benchmark, cfg Config, machine
 	results, err := runJobs(cfg, name, machine, jobs)
 	out := make([][]Curve, len(benches))
 	for i, s := range parts {
-		complete := true
-		for _, r := range results[s.lo:s.hi] {
-			if r == nil {
-				complete = false
-				break
-			}
-		}
-		if complete {
+		if !slices.Contains(results[s.lo:s.hi], nil) {
 			out[i] = s.assemble(results[s.lo:s.hi])
 		}
 	}

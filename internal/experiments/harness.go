@@ -19,6 +19,7 @@ import (
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/attr"
 	"falseshare/internal/sim/cache"
+	"falseshare/internal/sim/ksr"
 	"falseshare/internal/sim/trace"
 	"falseshare/internal/transform"
 	"falseshare/internal/vm"
@@ -235,11 +236,11 @@ func Versions(b *workload.Benchmark) []Version {
 // Under a measurement memo (WithMeasureMemo) a program already
 // measured under the same configuration and budget is not run again:
 // the kept statistics come back, shared and read-only. Every
-// experiment cell, fsc -diag and fsd measure through it or
-// MeasureConfigAttr.
+// experiment cell, fsc -diag and fsd measure this way, some with
+// attribution (MeasureConfigAttr) or the KSR clock (sweep points).
 func MeasureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, error) {
-	st, _, err := measureConfig(ctx, prog, ccfg, budget, false)
-	return st, err
+	r, err := measureConfig(ctx, prog, ccfg, budget, measurePlain)
+	return r.stats, err
 }
 
 // MeasureConfigAttr is MeasureConfig with miss attribution: the
@@ -248,46 +249,74 @@ func MeasureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 // the report maps addresses through prog's own layout, so it is never
 // shared.
 func MeasureConfigAttr(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64) (*cache.Stats, *attr.Report, error) {
-	return measureConfig(ctx, prog, ccfg, budget, true)
+	r, err := measureConfig(ctx, prog, ccfg, budget, measureAttributed)
+	return r.stats, r.report, err
 }
 
-func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64, attributed bool) (*cache.Stats, *attr.Report, error) {
+// measureKind is what a measurement yields beyond its statistics.
+// Kinds never share a memo entry. A Figure 4 sweep point is timed: it
+// measures under the KSR machine's caches, with ksr.Clock on the
+// machine's barriers.
+type measureKind int
+
+const (
+	measurePlain      measureKind = iota // the statistics alone
+	measureAttributed                    // and a miss attribution report; never shared
+	measureTimed                         // and the run's KSR time
+)
+
+// measurement is what one run yields: its statistics and, by kind, an
+// attribution report or the KSR time.
+type measurement struct {
+	stats  *cache.Stats
+	report *attr.Report
+	time   *ksr.Result
+}
+
+func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, budget int64, kind measureKind) (measurement, error) {
 	sp := obs.BeginCtx(ctx, "measure")
 	defer sp.End()
 	nprocs := int(prog.Layout.Nprocs)
 	ccfg.NumProcs = nprocs
 	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
 	if err != nil {
-		return nil, nil, err
+		return measurement{}, err
 	}
-	// run executes bc on ctx and simulates its references under ccfg.
-	run := func(ctx context.Context) (*cache.Stats, *attr.Report, error) {
+	// run executes bc on ctx and simulates its references under ccfg
+	// inline, the one delivery on which the clock reads exact counters
+	// at each barrier.
+	run := func(ctx context.Context) (measurement, error) {
 		m := vm.New(bc)
 		m.SetContext(ctx)
 		if budget > 0 {
 			m.MaxInstrs = budget
 		}
 		var amap *attr.Map
-		if attributed {
+		if kind == measureAttributed {
 			amap = attr.NewMap(prog.Layout)
 			amap.AttachMachine(m)
 		}
-		stats, reports, err := SimulateStream(ctx, sp, func(s trace.Sink) error { return m.Run(s) }, []cache.Config{ccfg}, amap)
+		var stop func() *ksr.Result
+		stats, reports, err := SimulateStream(ctx, sp, func(s trace.Sink, live []*cache.Stats) error {
+			if kind == measureTimed {
+				stop = ksr.Clock(m, live[0])
+			}
+			return m.Run(s)
+		}, []cache.Config{ccfg}, amap)
 		if err != nil {
-			return nil, nil, err
+			return measurement{}, err
 		}
-		var rep *attr.Report
-		if attributed {
-			rep = reports[0]
+		r := measurement{stats: stats[0]}
+		if amap != nil {
+			r.report = reports[0]
 		}
-		return stats[0], rep, nil
+		if stop != nil {
+			r.time = stop()
+		}
+		return r, nil
 	}
-	if m := memoFrom(ctx); m != nil && !attributed {
-		st, err := share(ctx, m, programKey(bc, ccfg, budget), sp.Adopt, func(ctx context.Context) (*cache.Stats, error) {
-			st, _, err := run(ctx)
-			return st, err
-		})
-		return st, nil, err
+	if m := memoFrom(ctx); m != nil && kind != measureAttributed {
+		return share(ctx, m, programKey(bc, kind, ccfg, budget), sp.Adopt, run)
 	}
 	return run(ctx)
 }
@@ -295,23 +324,25 @@ func measureConfig(ctx context.Context, prog *core.Program, ccfg cache.Config, b
 // SimulateStream feeds the references stream delivers to one cache
 // simulator per configuration, and to every extra sink (a trace
 // writer), and returns each simulator's statistics, detached from it.
-// stream is the VM's Run or a stored trace's ForEach. With amap, each
-// simulator carries a miss collector over it, and the reports come
-// back in configuration order once the stream has ended and amap has
-// named its heap owners.
+// stream is the VM's Run or a stored trace's ForEach; live are the
+// simulators' own statistics, in configuration order, for a stream
+// that reads them while it runs. With amap, each simulator carries a
+// miss collector over it, and the reports come back in configuration
+// order once the stream has ended and amap has named its heap owners.
 //
 // The delivery follows from the sinks. One sink is the stream's sink
 // itself, as for every experiment cell. Several sinks without
 // attribution, on more than one CPU, each run on their own goroutine
 // behind a trace.ParTee, each simulator with a "sim:b<block>" span
-// under sp. Otherwise a trace.Tee feeds them in turn on the stream's
-// goroutine: attribution resolves every miss through amap, which is
-// not safe for concurrent use. The results are the same either way.
+// under sp; live then lags the stream until it ends. Otherwise a
+// trace.Tee feeds them in turn on the stream's goroutine: attribution
+// resolves every miss through amap, which is not safe for concurrent
+// use. The results are the same either way.
 // A verbose recorder on ctx gets each simulator's progress as obs
 // metrics.
-func SimulateStream(ctx context.Context, sp *obs.Span, stream func(trace.Sink) error, cfgs []cache.Config, amap *attr.Map, extra ...trace.Sink) ([]*cache.Stats, []*attr.Report, error) {
+func SimulateStream(ctx context.Context, sp *obs.Span, stream func(sink trace.Sink, live []*cache.Stats) error, cfgs []cache.Config, amap *attr.Map, extra ...trace.Sink) ([]*cache.Stats, []*attr.Report, error) {
 	rec := obs.FromContext(ctx)
-	sims := make([]*cache.Sim, len(cfgs))
+	live := make([]*cache.Stats, len(cfgs))
 	cols := make([]*attr.Collector, 0, len(cfgs))
 	sinks := make([]trace.Sink, 0, len(cfgs)+len(extra))
 	for i, c := range cfgs {
@@ -325,7 +356,7 @@ func SimulateStream(ctx context.Context, sp *obs.Span, stream func(trace.Sink) e
 			cols = append(cols, col)
 		}
 		installMetrics(rec, sim)
-		sims[i] = sim
+		live[i] = sim.Stats()
 		sinks = append(sinks, func(r vm.Ref) { sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write) })
 	}
 	sinks = append(sinks, extra...)
@@ -344,7 +375,7 @@ func SimulateStream(ctx context.Context, sp *obs.Span, stream func(trace.Sink) e
 	default:
 		sink = trace.Tee(sinks...)
 	}
-	err := stream(sink)
+	err := stream(sink, live)
 	if ferr := finish(); err == nil {
 		err = ferr
 	}
@@ -352,9 +383,9 @@ func SimulateStream(ctx context.Context, sp *obs.Span, stream func(trace.Sink) e
 		return nil, nil, err
 	}
 
-	stats := make([]*cache.Stats, len(sims))
-	for i, sim := range sims {
-		st := *sim.Stats()
+	stats := make([]*cache.Stats, len(live))
+	for i, st := range live {
+		st := *st
 		stats[i] = &st
 	}
 	if amap == nil {

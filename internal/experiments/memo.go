@@ -2,7 +2,8 @@ package experiments
 
 // One measurement per distinct program. A cell's result depends only
 // on what it executes: the bytecode and address space the VM runs, the
-// cache or KSR configuration the references feed, and the step budget.
+// cache configuration the references feed, whether the KSR clock
+// prices the run, and the step budget.
 // Cells of different figures, or of one figure, often execute the same
 // thing: a Table 2 variant whose transformation does not apply compiles
 // to N's exact bytecode, and Table 3 re-runs Figure 4's sweeps. Under a
@@ -23,9 +24,8 @@ import (
 	"maps"
 	"sync"
 
-	"falseshare/internal/core"
 	"falseshare/internal/obs"
-	"falseshare/internal/sim/ksr"
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/vm"
 )
 
@@ -152,13 +152,14 @@ func idleCopy(spans []*obs.Span) []*obs.Span {
 	return out
 }
 
-// programKey hashes what a measurement executes: the bytecode and
-// address space the VM runs (source lines and function names only
-// label runtime errors, and failures are never kept), the simulator or
-// machine configuration, and the step budget.
-func programKey(bc *vm.Program, config any, budget int64) [32]byte {
+// programKey hashes what a measurement executes and yields: the
+// bytecode and address space the VM runs (source lines and function
+// names only label runtime errors, and failures are never kept), the
+// kind of measurement, the simulator configuration, and the step
+// budget.
+func programKey(bc *vm.Program, kind measureKind, ccfg cache.Config, budget int64) [32]byte {
 	h := sha256.New()
-	fmt.Fprintf(h, "%#v\x00%d\x00", config, budget)
+	fmt.Fprintf(h, "%d\x00%#v\x00%d\x00", kind, ccfg, budget)
 	b := make([]byte, 0, 64)
 	put := func(vs ...int64) {
 		for _, v := range vs {
@@ -178,21 +179,4 @@ func programKey(bc *vm.Program, config any, budget int64) [32]byte {
 	var k [32]byte
 	h.Sum(k[:0])
 	return k
-}
-
-// execute runs one Figure 4 sweep point on the KSR model, through
-// ctx's memo when it has one. Its span subtree sits at the job's top
-// level, where ksr.ExecuteCtx records its VM run.
-func execute(ctx context.Context, prog *core.Program, machine ksr.Config) (*ksr.Result, error) {
-	m := memoFrom(ctx)
-	if m == nil {
-		return ksr.ExecuteCtx(ctx, prog, machine)
-	}
-	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, int(prog.Layout.Nprocs))
-	if err != nil {
-		return nil, err
-	}
-	return share(ctx, m, programKey(bc, machine, 0), obs.FromContext(ctx).Adopt, func(ctx context.Context) (*ksr.Result, error) {
-		return ksr.ExecuteCtx(ctx, prog, machine)
-	})
 }

@@ -266,8 +266,8 @@ func TestChaosMemoWaiterCancelled(t *testing.T) {
 }
 
 // TestChaosMemoKey: the key is stable across compiles of one program,
-// and follows its bytecode, the cache or KSR configuration and the
-// step budget.
+// and follows its bytecode, the kind of measurement, the cache
+// configuration and the step budget.
 func TestChaosMemoKey(t *testing.T) {
 	compile := func(src string) *vm.Program {
 		t.Helper()
@@ -283,30 +283,27 @@ func TestChaosMemoKey(t *testing.T) {
 	}
 	bc := compile(chaosSource)
 	ccfg := cache.DefaultConfig(4, 64)
-	base := programKey(bc, ccfg, 0)
-	if programKey(compile(chaosSource), ccfg, 0) != base {
+	base := programKey(bc, measurePlain, ccfg, 0)
+	if programKey(compile(chaosSource), measurePlain, ccfg, 0) != base {
 		t.Error("recompiling the same program changes its key")
 	}
 	bigger := ccfg
 	bigger.CacheSize *= 2
 	for name, k := range map[string][32]byte{
-		"bytecode":            programKey(compile(strings.Replace(chaosSource, "3000", "4000", 1)), ccfg, 0),
-		"cache configuration": programKey(bc, bigger, 0),
-		"budget":              programKey(bc, ccfg, 1e6),
-		"simulator":           programKey(bc, ksr.DefaultConfig(), 0),
+		"bytecode":            programKey(compile(strings.Replace(chaosSource, "3000", "4000", 1)), measurePlain, ccfg, 0),
+		"cache configuration": programKey(bc, measurePlain, bigger, 0),
+		"budget":              programKey(bc, measurePlain, ccfg, 1e6),
+		"kind":                programKey(bc, measureTimed, ccfg, 0),
 	} {
 		if k == base {
 			t.Errorf("the key ignores the %s", name)
 		}
 	}
 	machine := ksr.DefaultConfig()
-	biggerKSR, budgetKSR := machine, machine
+	biggerKSR := machine
 	biggerKSR.CacheSize *= 2
-	budgetKSR.StepBudget = 1e6
-	for name, m := range map[string]ksr.Config{"KSR configuration": biggerKSR, "KSR step budget": budgetKSR} {
-		if programKey(bc, m, 0) == programKey(bc, machine, 0) {
-			t.Errorf("the key ignores the %s", name)
-		}
+	if programKey(bc, measureTimed, biggerKSR.Cache(4), 0) == programKey(bc, measureTimed, machine.Cache(4), 0) {
+		t.Error("the key ignores the KSR configuration")
 	}
 }
 

@@ -18,7 +18,7 @@ type Section struct {
 
 // Sections is the only list of sections, in the order fsexp runs and
 // prints them. fsexp declares one flag per entry and expands -all from
-// it; Collect looks a distributed run's section names up in it.
+// it; Collect and the cmd/fsexp goldens look section names up in it.
 var Sections = []Section{
 	{"table1", "print Table 1 (the benchmark suite)", true,
 		func(Config, SectionSet) (any, error) { return Table1(), nil }, printer(RenderTable1, nil)},

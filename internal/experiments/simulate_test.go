@@ -40,7 +40,7 @@ func streamSetup(t *testing.T) (*core.Program, []cache.Config) {
 
 // vmStream returns a stream that runs prog once on a fresh machine,
 // attached to amap when there is one.
-func vmStream(t *testing.T, prog *core.Program, amap *attr.Map) func(trace.Sink) error {
+func vmStream(t *testing.T, prog *core.Program, amap *attr.Map) func(trace.Sink, []*cache.Stats) error {
 	t.Helper()
 	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, int(prog.Layout.Nprocs))
 	if err != nil {
@@ -50,7 +50,7 @@ func vmStream(t *testing.T, prog *core.Program, amap *attr.Map) func(trace.Sink)
 	if amap != nil {
 		amap.AttachMachine(m)
 	}
-	return func(s trace.Sink) error { return m.Run(s) }
+	return func(s trace.Sink, _ []*cache.Stats) error { return m.Run(s) }
 }
 
 // atLeastTwoCPUs lets SimulateStream choose ParTee for the rest of the

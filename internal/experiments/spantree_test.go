@@ -15,7 +15,7 @@ import (
 	"falseshare/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/spantree.golden with the current span tree")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens (spantree, sweep_cycles) with the current output")
 
 // recordFscDiag runs what fsc -bench maxflow -verify -diag records:
 // the verified restructure at 4 processes and 128-byte blocks, then

@@ -17,10 +17,13 @@
 // phase's duration is the maximum over processors of compute cycles
 // plus effective miss stall cycles, so load imbalance inside a phase
 // costs time even though the simulator's scheduler is round-robin.
+// The package is the timing model only: its Clock reads the counters
+// of a run its caller executes and simulates.
 package ksr
 
 import (
 	"context"
+	"slices"
 
 	"falseshare/internal/core"
 	"falseshare/internal/sim/cache"
@@ -33,14 +36,17 @@ type Config struct {
 	BlockSize int64 // coherence unit (128 on the KSR2)
 	CacheSize int64 // per-processor local (data) cache
 	Assoc     int   // associativity
-	// StepBudget caps per-process instructions on the underlying VM
-	// (0: the VM default); see vm.Machine.MaxInstrs.
-	StepBudget int64
 }
 
 // DefaultConfig returns the KSR2-like parameters.
 func DefaultConfig() Config {
 	return Config{BlockSize: 128, CacheSize: 256 * 1024, Assoc: 4}
+}
+
+// Cache returns the simulator configuration of the model's caches for
+// nprocs processors: write-invalidate on the flat topology.
+func (c Config) Cache(nprocs int) cache.Config {
+	return cache.Config{NumProcs: nprocs, BlockSize: c.BlockSize, CacheSize: c.CacheSize, Assoc: c.Assoc}
 }
 
 // Result summarizes one execution-time simulation.
@@ -64,69 +70,58 @@ type phaseSnapshot struct {
 	txTot  int64 // misses + upgrades, ring transactions
 }
 
+// Clock attaches the model's clock to m before m runs, taking
+// m.OnBarrier, and returns the function that stops it after a clean
+// run. At every barrier release, and once more when stopped, it reads
+// m's per-process instruction counts and stats, the live statistics of
+// the simulator m's references feed, and prices the phase since the
+// last boundary. The reading is exact only when the simulator takes
+// each reference inline, on the machine's goroutine.
+func Clock(m *vm.Machine, stats *cache.Stats) (stop func() *Result) {
+	n := len(m.Procs())
+	prev := phaseSnapshot{instrs: make([]int64, n), misses: make([]int64, n)}
+	res := &Result{P: n}
+	tick := func() {
+		cur := phaseSnapshot{instrs: make([]int64, n), misses: slices.Clone(stats.ProcMisses), txTot: stats.Misses() + stats.Upgrades}
+		for i, p := range m.Procs() {
+			cur.instrs[i] = p.Instrs
+		}
+		res.Cycles += phaseTime(n, prev, cur)
+		res.Phases++
+		prev = cur
+	}
+	m.OnBarrier = tick
+	return func() *Result {
+		tick()
+		st := *stats
+		res.Instrs, res.Stats = m.TotalInstrs(), &st
+		return res
+	}
+}
+
 // ExecuteCtx runs the program (already compiled for its process count)
-// through the VM + cache simulator and applies the time model. The VM
-// checks ctx periodically, so a cancelled sweep job stops
-// mid-execution.
+// on the VM, feeds its references to one simulator of cfg's caches
+// inline, and prices the run on the Clock. The VM checks ctx
+// periodically, so a cancelled run stops mid-execution. The experiment
+// cells measure the same way through their measurement memo; this is
+// the entry point for callers outside it.
 func ExecuteCtx(ctx context.Context, prog *core.Program, cfg Config) (*Result, error) {
 	nprocs := int(prog.Layout.Nprocs)
 	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
 	if err != nil {
 		return nil, err
 	}
-	m := vm.New(bc)
-	m.SetContext(ctx)
-	if cfg.StepBudget > 0 {
-		m.MaxInstrs = cfg.StepBudget
-	}
-	sim, err := cache.New(cache.Config{
-		NumProcs:  nprocs,
-		BlockSize: cfg.BlockSize,
-		CacheSize: cfg.CacheSize,
-		Assoc:     cfg.Assoc,
-	})
+	sim, err := cache.New(cfg.Cache(nprocs))
 	if err != nil {
 		return nil, err
 	}
-
-	snap := func() phaseSnapshot {
-		st := sim.Stats()
-		s := phaseSnapshot{
-			instrs: make([]int64, nprocs),
-			misses: make([]int64, nprocs),
-			txTot:  st.Misses() + st.Upgrades,
-		}
-		for i, p := range m.Procs() {
-			s.instrs[i] = p.Instrs
-		}
-		copy(s.misses, st.ProcMisses)
-		return s
-	}
-
-	var boundaries []phaseSnapshot
-	m.OnBarrier = func() { boundaries = append(boundaries, snap()) }
-
-	if err := m.Run(func(r vm.Ref) {
-		sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
-	}); err != nil {
+	m := vm.New(bc)
+	m.SetContext(ctx)
+	stop := Clock(m, sim.Stats())
+	if err := m.Run(func(r vm.Ref) { sim.Access(r.Proc, r.Addr, int64(r.Size), r.Write) }); err != nil {
 		return nil, err
 	}
-	boundaries = append(boundaries, snap()) // final phase
-
-	st := *sim.Stats()
-	res := &Result{P: nprocs, Stats: &st, Phases: len(boundaries)}
-	var prev phaseSnapshot
-	prev.instrs = make([]int64, nprocs)
-	prev.misses = make([]int64, nprocs)
-
-	for _, b := range boundaries {
-		res.Cycles += phaseTime(nprocs, prev, b)
-		prev = b
-	}
-	for _, p := range m.Procs() {
-		res.Instrs += p.Instrs
-	}
-	return res, nil
+	return stop(), nil
 }
 
 // phaseTime computes the duration of one phase: the slowest
