@@ -162,6 +162,26 @@ func (e Expr) String() string {
 	return strings.Join(parts, " + ")
 }
 
+// Equal reports whether e and f have the same String, without
+// rendering either: the same constant, pid coefficient and residue,
+// and the same induction terms in IVs order. Induction variables
+// compare by name, as String prints them.
+func (e Expr) Equal(f Expr) bool {
+	if e.Const != f.Const || e.Pid != f.Pid || e.Residue != f.Residue || len(e.IV) != len(f.IV) {
+		return false
+	}
+	if len(e.IV) == 0 {
+		return true
+	}
+	es, fs := e.IVs(), f.IVs()
+	for i, s := range es {
+		if s.Name != fs[i].Name || e.IV[s] != f.IV[fs[i]] {
+			return false
+		}
+	}
+	return true
+}
+
 // Env supplies symbol meanings to Analyze.
 type Env interface {
 	// PDVValue returns the affine (pid-only) value of a symbol that is

@@ -30,7 +30,7 @@ func Analyze(prog *cfg.CallGraph, info *types.Info, pdvs *pdv.Result, nprocs int
 		Node:   map[*cfg.Node]Set{},
 		Func:   map[string]Set{},
 	}
-	a := &analyzer{prog: prog, info: info, pdvs: pdvs, res: res}
+	a := &analyzer{prog: prog, info: info, pdvs: pdvs, res: res, tests: map[*cfg.Node]*branchTest{}}
 
 	// Everything starts empty except main.
 	for name := range prog.Graphs {
@@ -66,6 +66,10 @@ type analyzer struct {
 	info *types.Info
 	pdvs *pdv.Result
 	res  *Result
+	// tests holds each branch node's test, derived on the node's first
+	// visit, so the worklist derives it once however often it comes
+	// back.
+	tests map[*cfg.Node]*branchTest
 }
 
 // function runs a worklist dataflow over one CFG: a node's set is the
@@ -106,17 +110,17 @@ func (a *analyzer) edgeFilter(n *cfg.Node, i int, in Set) Set {
 	if n.Kind != cfg.Branch || in.Empty() {
 		return in
 	}
-	switch stmt := n.CondStmt.(type) {
+	switch n.CondStmt.(type) {
 	case *ast.IfStmt, *ast.WhileStmt:
 		// successor 0 = condition true, successor 1 = false.
-		_ = stmt
+		c := a.test(n).cond
 		out := Set(0)
 		for _, p := range in.Procs() {
-			v, ok := a.evalCond(n.Cond, int64(p), nil)
+			v, ok := c.eval(int64(p), 0)
 			if !ok {
 				return in // undecidable: pass everything through
 			}
-			if (i == 0) == v {
+			if (i == 0) == (v != 0) {
 				out = out.Add(p)
 			}
 		}
@@ -128,22 +132,21 @@ func (a *analyzer) edgeFilter(n *cfg.Node, i int, in Set) Set {
 		if i != 0 || n.Cond == nil {
 			return in
 		}
-		ivSym, ivInit := forInduction(stmt, a.info)
-		if ivSym == nil {
-			return in
+		t := a.test(n)
+		if t.init == nil {
+			return in // no induction variable
 		}
 		out := Set(0)
 		for _, p := range in.Procs() {
-			iv0 := affine.Analyze(ivInit, a.info, a.pdvs)
-			v0, ok := iv0.EvalPid(int64(p))
+			v0, ok := t.init.eval(int64(p), 0)
 			if !ok {
 				return in
 			}
-			v, ok := a.evalCond(n.Cond, int64(p), &ivBinding{sym: ivSym, val: v0})
+			v, ok := t.cond.eval(int64(p), v0)
 			if !ok {
 				return in
 			}
-			if v {
+			if v != 0 {
 				out = out.Add(p)
 			}
 		}
@@ -152,83 +155,118 @@ func (a *analyzer) edgeFilter(n *cfg.Node, i int, in Set) Set {
 	return in
 }
 
-// ivBinding binds one induction variable to a concrete value while
-// evaluating a first-iteration loop test.
-type ivBinding struct {
-	sym *types.Symbol
-	val int64
+// branchTest is a branch node's condition, derived once. For a for
+// loop's entry test, the induction variable is bound while cond is
+// evaluated, and init is the form of its initial value; a loop without
+// an induction variable has neither.
+type branchTest struct {
+	cond, init *cond
 }
 
-// evalCond decides a branch condition for a concrete process id,
-// consulting PDV values (and, for loop entry tests, the bound
-// induction variable). ok=false when the condition is not decidable.
-func (a *analyzer) evalCond(e ast.Expr, pid int64, iv *ivBinding) (bool, bool) {
-	v, ok := a.evalInt(e, pid, iv)
-	return v != 0, ok
+// test returns n's branch test, deriving it on first use.
+func (a *analyzer) test(n *cfg.Node) *branchTest {
+	if t := a.tests[n]; t != nil {
+		return t
+	}
+	t := &branchTest{}
+	if f, ok := n.CondStmt.(*ast.ForStmt); ok {
+		if iv, init := forInduction(f, a.info); iv != nil {
+			t.cond, t.init = a.derive(n.Cond, iv), a.operand(init, nil)
+		}
+	} else {
+		t.cond = a.derive(n.Cond, nil)
+	}
+	a.tests[n] = t
+	return t
 }
 
-func (a *analyzer) evalInt(e ast.Expr, pid int64, iv *ivBinding) (int64, bool) {
+// cond is a branch condition in the shape evaluation walks: logical
+// operators over comparisons of arithmetic operands, each operand's
+// affine form derived once. A form depends on which symbol is the
+// induction variable, never on its value, so one derivation serves
+// every process id.
+type cond struct {
+	op   token.Kind // NOT, LAND, LOR, a comparison, or ILLEGAL for an operand
+	x, y *cond
+	form affine.Expr // an operand's form
+	iv   *types.Symbol
+}
+
+// derive returns the condition e with its operands' affine forms. iv,
+// when non-nil, is the induction variable whose value eval binds.
+func (a *analyzer) derive(e ast.Expr, iv *types.Symbol) *cond {
 	switch x := e.(type) {
 	case *ast.UnaryExpr:
 		if x.Op == token.NOT {
-			v, ok := a.evalInt(x.X, pid, iv)
-			if !ok {
-				return 0, false
-			}
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
+			return &cond{op: x.Op, x: a.derive(x.X, iv)}
 		}
 	case *ast.BinaryExpr:
 		switch x.Op {
 		case token.LAND, token.LOR:
-			l, ok1 := a.evalInt(x.X, pid, iv)
-			r, ok2 := a.evalInt(x.Y, pid, iv)
-			if !ok1 || !ok2 {
-				return 0, false
-			}
-			if x.Op == token.LAND {
-				return b2i(l != 0 && r != 0), true
-			}
-			return b2i(l != 0 || r != 0), true
+			return &cond{op: x.Op, x: a.derive(x.X, iv), y: a.derive(x.Y, iv)}
 		case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
-			l, ok1 := a.evalAffine(x.X, pid, iv)
-			r, ok2 := a.evalAffine(x.Y, pid, iv)
-			if !ok1 || !ok2 {
-				return 0, false
-			}
-			switch x.Op {
-			case token.EQ:
-				return b2i(l == r), true
-			case token.NEQ:
-				return b2i(l != r), true
-			case token.LT:
-				return b2i(l < r), true
-			case token.LE:
-				return b2i(l <= r), true
-			case token.GT:
-				return b2i(l > r), true
-			case token.GE:
-				return b2i(l >= r), true
-			}
+			return &cond{op: x.Op, x: a.operand(x.X, iv), y: a.operand(x.Y, iv)}
 		}
 	}
-	return a.evalAffine(e, pid, iv)
+	return a.operand(e, iv)
 }
 
-// evalAffine evaluates an arithmetic subexpression for a concrete pid.
-func (a *analyzer) evalAffine(e ast.Expr, pid int64, iv *ivBinding) (int64, bool) {
+// operand derives the affine form of an arithmetic subexpression.
+func (a *analyzer) operand(e ast.Expr, iv *types.Symbol) *cond {
 	env := affine.Env(a.pdvs)
 	if iv != nil {
 		env = &ivEnv{base: a.pdvs, iv: iv}
 	}
-	form := affine.Analyze(e, a.info, env)
-	if iv != nil {
+	return &cond{form: affine.Analyze(e, a.info, env), iv: iv}
+}
+
+// eval decides the condition for a concrete process id, with the
+// induction variable (if the derivation bound one) at value ivVal.
+// ok=false when the condition is not decidable.
+func (c *cond) eval(pid, ivVal int64) (int64, bool) {
+	switch c.op {
+	case token.NOT:
+		v, ok := c.x.eval(pid, ivVal)
+		if !ok {
+			return 0, false
+		}
+		return b2i(v == 0), true
+	case token.LAND, token.LOR:
+		l, ok1 := c.x.eval(pid, ivVal)
+		r, ok2 := c.y.eval(pid, ivVal)
+		if !ok1 || !ok2 {
+			return 0, false
+		}
+		if c.op == token.LAND {
+			return b2i(l != 0 && r != 0), true
+		}
+		return b2i(l != 0 || r != 0), true
+	case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
+		l, ok1 := c.x.eval(pid, ivVal)
+		r, ok2 := c.y.eval(pid, ivVal)
+		if !ok1 || !ok2 {
+			return 0, false
+		}
+		switch c.op {
+		case token.EQ:
+			return b2i(l == r), true
+		case token.NEQ:
+			return b2i(l != r), true
+		case token.LT:
+			return b2i(l < r), true
+		case token.LE:
+			return b2i(l <= r), true
+		case token.GT:
+			return b2i(l > r), true
+		}
+		return b2i(l >= r), true
+	}
+	form := c.form
+	if c.iv != nil {
 		// Substitute the bound induction variable.
-		if c, ok := form.IV[iv.sym]; ok {
+		if k, ok := form.IV[c.iv]; ok {
 			form = affine.Expr{
-				Const:   form.Const + c*iv.val,
+				Const:   form.Const + k*ivVal,
 				Pid:     form.Pid,
 				Residue: form.Residue,
 			}
@@ -240,11 +278,11 @@ func (a *analyzer) evalAffine(e ast.Expr, pid int64, iv *ivBinding) (int64, bool
 // ivEnv layers one induction variable over the PDV environment.
 type ivEnv struct {
 	base affine.Env
-	iv   *ivBinding
+	iv   *types.Symbol
 }
 
 func (e *ivEnv) PDVValue(s *types.Symbol) (affine.Expr, bool) { return e.base.PDVValue(s) }
-func (e *ivEnv) IsInduction(s *types.Symbol) bool             { return s == e.iv.sym }
+func (e *ivEnv) IsInduction(s *types.Symbol) bool             { return s == e.iv }
 func (e *ivEnv) Nprocs() int64                                { return e.base.Nprocs() }
 
 // forInduction extracts the induction variable symbol and its initial

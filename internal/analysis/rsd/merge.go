@@ -48,9 +48,8 @@ func AddCounted(list []Weighted, r RSD, w float64, limit int, c *Counters) []Wei
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	key := r.String()
 	for i := range list {
-		if !list[i].Lossy && list[i].R.String() == key {
+		if !list[i].Lossy && list[i].R.equal(r) {
 			list[i].Weight += w
 			if c != nil {
 				c.Deduped++
@@ -132,7 +131,7 @@ func mergeRSD(a, b RSD) RSD {
 // exactly; two points whose bases share the pid coefficient merge into
 // an exact two-point range; anything else widens to unknown.
 func mergeAtom(a, b Atom) Atom {
-	if a.String() == b.String() {
+	if a.equal(b) {
 		return a
 	}
 	if a.IsPoint() && b.IsPoint() && a.Base.Pid == b.Base.Pid {

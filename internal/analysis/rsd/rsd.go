@@ -223,6 +223,42 @@ func (a Atom) String() string {
 	return strings.Join(parts, " + ")
 }
 
+// equal reports whether a and b have the same String, without
+// rendering either. An unknown base prints as "?", as does a known one
+// that is nothing but a residue, so the two compare equal.
+func (a Atom) equal(b Atom) bool {
+	if len(a.Terms) != len(b.Terms) {
+		return false
+	}
+	if ua, ub := a.unknownBase(), b.unknownBase(); ua || ub {
+		if ua != ub {
+			return false
+		}
+	} else if !a.Base.Equal(b.Base) {
+		return false
+	}
+	for i, t := range a.Terms {
+		if !t.equal(b.Terms[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// unknownBase reports whether the atom's base prints as "?".
+func (a Atom) unknownBase() bool {
+	return !a.Known || a.Base.Equal(affine.Unknown())
+}
+
+// equal reports whether t and u print alike: a bounded term never
+// prints as an unbounded one, and an unbounded term prints no bounds.
+func (t IVTerm) equal(u IVTerm) bool {
+	if t.Bounded != u.Bounded || t.Coef != u.Coef || t.Step != u.Step {
+		return false
+	}
+	return !t.Bounded || (t.Lo.Equal(u.Lo) && t.Hi.Equal(u.Hi))
+}
+
 // RSD is a full descriptor: one atom per array dimension (outermost
 // first). A scalar has an empty descriptor.
 type RSD []Atom
@@ -237,6 +273,20 @@ func (r RSD) String() string {
 		parts[i] = "[" + a.String() + "]"
 	}
 	return strings.Join(parts, "")
+}
+
+// equal reports whether r and s have the same String, without
+// rendering either.
+func (r RSD) equal(s RSD) bool {
+	if len(r) != len(s) {
+		return false
+	}
+	for i, a := range r {
+		if !a.equal(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Disjoint reports whether the sections touched by processes p and q

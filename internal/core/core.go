@@ -309,7 +309,7 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 		Phases:   phases,
 		Procs:    procRes,
 	}
-	if err := buildTransformed(ctx, src, opt, res); err != nil {
+	if err := buildTransformed(ctx, opt, res); err != nil {
 		return nil, err
 	}
 	sp.Set("degraded", int64(len(res.Degraded)))
@@ -323,11 +323,12 @@ func RestructureCtx(ctx context.Context, src string, opt Options) (*Result, erro
 // recheck, lay out, and (optionally) translation-validate. Any
 // failure attributable to a decision degrades just that decision and
 // the loop retries without it. Only an attempt whose enabled decisions
-// rewrite the tree applies them to a FRESH parse (a mid-rewrite panic
-// can leave it partially mutated) and rechecks it; the others only
-// emit directives and share the original's tree and info. The loop
-// terminates because every retry disables at least one decision.
-func buildTransformed(ctx context.Context, src string, opt Options, res *Result) error {
+// rewrite the tree applies them to a FRESH copy of the original's tree
+// (a mid-rewrite panic can leave it partially mutated) and rechecks
+// it; the others only emit directives and share the original's tree
+// and info. The loop terminates because every retry disables at least
+// one decision.
+func buildTransformed(ctx context.Context, opt Options, res *Result) error {
 	plan := res.Plan
 	disabled := map[*transform.Decision]bool{}
 	baseSkipped := append([]string(nil), plan.Skipped...)
@@ -357,8 +358,13 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 		plan.Skipped = append([]string(nil), baseSkipped...)
 		file, info := res.Original.File, res.Original.Info
 		if rewritesTree(plan.Decisions, disabled) {
-			var err error
-			if file, info, err = parseAndCheck(ctx, src); err != nil {
+			st := obs.BeginCtx(ctx, "clone")
+			err := guard("clone", func() error {
+				file, info = cloneForApply(res.Original)
+				return nil
+			})
+			st.End()
+			if err != nil {
 				return err
 			}
 		}
@@ -498,6 +504,35 @@ func buildTransformed(ctx context.Context, src string, opt Options, res *Result)
 		return nil
 	}
 	return &InternalError{Stage: "apply", Value: "degradation loop did not converge"}
+}
+
+// cloneForApply returns a deep copy of the original program's tree for
+// an attempt to rewrite, with the type information the applier reads
+// carried over to it: the identifier and field uses, re-keyed onto the
+// copied nodes, and the globals and structs tables, shared because the
+// applier only reads them. The recheck after apply builds the copy's
+// full information.
+func cloneForApply(orig *Program) (*ast.File, *types.Info) {
+	oi := orig.Info
+	info := &types.Info{
+		Structs:   oi.Structs,
+		Globals:   oi.Globals,
+		Uses:      make(map[*ast.Ident]*types.Symbol, len(oi.Uses)),
+		FieldUses: make(map[*ast.FieldExpr]*types.Field, len(oi.FieldUses)),
+	}
+	info.File = ast.CloneFile(orig.File, func(old, clone ast.Expr) {
+		switch o := old.(type) {
+		case *ast.Ident:
+			if sym, ok := oi.Uses[o]; ok {
+				info.Uses[clone.(*ast.Ident)] = sym
+			}
+		case *ast.FieldExpr:
+			if f, ok := oi.FieldUses[o]; ok {
+				info.FieldUses[clone.(*ast.FieldExpr)] = f
+			}
+		}
+	})
+	return info.File, info
 }
 
 // rewritesTree reports whether any decision of ds outside skip

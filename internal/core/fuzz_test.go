@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"falseshare/internal/lang/ast"
 	"falseshare/internal/workload/gen"
 )
 
@@ -25,8 +26,13 @@ func FuzzCompile(f *testing.F) {
 			}
 			return // rejected input: fine
 		}
-		// Accepted input: the transformed program must itself survive
-		// a compile (it is what experiments will run).
+		// Accepted input: the rewrites went to copies of the original's
+		// tree, so it still prints as a fresh parse of the input.
+		if got, want := ast.Print(res.Original.File), printFresh(t, src); got != want {
+			t.Fatalf("restructuring changed the original's tree:\n--- got ---\n%s--- want ---\n%s\nsource:\n%s", got, want, src)
+		}
+		// The transformed program must itself survive a compile (it is
+		// what experiments will run).
 		if _, err := CompileCtx(context.Background(), res.Transformed.Source, Options{Nprocs: 4, BlockSize: 64}); err != nil {
 			var ie *InternalError
 			if errors.As(err, &ie) {

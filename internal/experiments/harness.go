@@ -401,8 +401,9 @@ func SimulateStream(ctx context.Context, sp *obs.Span, stream func(sink trace.Si
 
 // metricsEvery is the streaming-metrics period in block references:
 // long simulations emit one obs metrics snapshot per interval so
-// multi-minute sweeps show live progress instead of going dark.
-const metricsEvery = 5_000_000
+// multi-minute sweeps show live progress instead of going dark. The
+// paper configuration's longest cells deliver under 2M references.
+const metricsEvery = 1_000_000
 
 // installMetrics wires the simulator's sampler to the progress
 // stream of rec. A recorder that is not verbose prints no metrics, so

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"falseshare/internal/obs"
+	"falseshare/internal/sim/cache"
 	"falseshare/internal/transform"
 	"falseshare/internal/workload"
 )
@@ -73,5 +77,64 @@ func TestTable1(t *testing.T) {
 		if r.Program == "pverify" && r.Versions != "N C P" {
 			t.Errorf("pverify versions = %q", r.Versions)
 		}
+	}
+}
+
+// TestVerboseMetricsStream: a verbose recorder over a measurement longer
+// than metricsEvery references streams the simulator's progress, one
+// line per period, and a recorder that is not verbose gets no sampler.
+func TestVerboseMetricsStream(t *testing.T) {
+	const procs, block = 12, 64
+	mf := workload.Get("maxflow")
+	prog, err := ProgramCtx(context.Background(), mf, Baseline(mf), procs, 2, block, transform.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	rec := obs.NewRecorder()
+	rec.Verbose, rec.LogW = true, &log
+	st, err := MeasureConfig(obs.WithRecorder(context.Background(), rec), prog, cache.DefaultConfig(procs, block), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Refs < metricsEvery {
+		t.Fatalf("maxflow at scale 2 delivers %d refs, fewer than one metrics period (%d)", st.Refs, metricsEvery)
+	}
+	var lines []string
+	for _, l := range strings.Split(log.String(), "\n") {
+		if strings.HasPrefix(l, "obs: metrics sim:b64 ") {
+			lines = append(lines, l)
+		}
+	}
+	if want := int(st.Refs / metricsEvery); len(lines) != want {
+		t.Fatalf("%d refs streamed %d metrics lines, want %d:\n%s", st.Refs, len(lines), want, log.String())
+	}
+	for i, l := range lines {
+		if want := fmt.Sprintf(" refs=%d", int64(i+1)*metricsEvery); !strings.Contains(l, want) {
+			t.Errorf("metrics line %d lacks%s: %s", i, want, l)
+		}
+	}
+
+	// The sampler hook is unexported; read whether installMetrics set it.
+	sampled := func(rec *obs.Recorder) bool {
+		sim, err := cache.New(cache.DefaultConfig(procs, block))
+		if err != nil {
+			t.Fatal(err)
+		}
+		installMetrics(rec, sim)
+		f := reflect.ValueOf(sim).Elem().FieldByName("sampler")
+		if !f.IsValid() {
+			t.Fatal("cache.Sim has no sampler field")
+		}
+		return !f.IsNil()
+	}
+	if !sampled(rec) {
+		t.Error("a verbose recorder got no sampler")
+	}
+	if sampled(obs.NewRecorder()) {
+		t.Error("a recorder that is not verbose got a sampler")
+	}
+	if sampled(nil) {
+		t.Error("no recorder, yet a sampler")
 	}
 }

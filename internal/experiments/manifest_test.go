@@ -86,9 +86,15 @@ func TestReportRequiredFields(t *testing.T) {
 	if findSpan(kids, "recheck") != nil {
 		t.Errorf("recheck span on a directive-only plan: %v", kids)
 	}
-	// A plan that rewrites the tree parses a tree of its own for the
-	// rewrite and rechecks it.
-	wantStages(t, rewriteStages(t), "parse", "typecheck", "apply", "recheck", "layout")
+	// A plan that rewrites the tree copies the original's tree for the
+	// rewrite, never parsing the source again, and rechecks the copy.
+	rewrite := rewriteStages(t)
+	wantStages(t, rewrite, "clone", "apply", "recheck", "layout")
+	for _, stage := range []string{"parse", "typecheck"} {
+		if findSpan(rewrite, stage) != nil {
+			t.Errorf("%s span beside the rewrite's copy: %v", stage, rewrite)
+		}
+	}
 	wantCounter(t, findSpan(kids, "pdv"), "pdvs")
 	wantCounter(t, findSpan(kids, "nonconc"), "phases")
 	se := findSpan(kids, "sideeffect")

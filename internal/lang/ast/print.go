@@ -260,7 +260,9 @@ func (p *printer) expr(e Expr, prec int) {
 			p.buf.WriteByte('(')
 		}
 		p.expr(x.X, op)
-		fmt.Fprintf(&p.buf, " %s ", x.Op)
+		p.buf.WriteByte(' ')
+		p.buf.WriteString(x.Op.String())
+		p.buf.WriteByte(' ')
 		p.expr(x.Y, op+1)
 		if op < prec {
 			p.buf.WriteByte(')')

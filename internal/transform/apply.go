@@ -57,7 +57,7 @@ type Outcome struct {
 //
 // CAUTION: a decision that fails mid-rewrite may leave the AST
 // partially mutated. When Outcome.Failed is non-empty the caller must
-// rebuild from a fresh parse with those decisions excluded rather than
+// rebuild from a fresh copy with those decisions excluded rather than
 // use the mutated file. Pad and lock kinds never touch file, so a plan
 // whose enabled decisions are all of those kinds may share its tree.
 // ctx is only consulted by fault points.
